@@ -32,7 +32,8 @@ from .squeezer import (LossConfig, LOSSLESS, PulseSchedule, ancilla_state,
 from .states import (GaussianState, apply_channel, classical_bound, coherent,
                      fidelity_zero_mean, marginal, mean_distance, product,
                      pure_fidelity, squeezed, thermal, vacuum)
-from .wigner import (CatSpec, GridClippingError, HalfLifeResult, WignerGrid,
-                     apply_gaussian_channel, eta_series, fringe_ellipse,
-                     grid_from_csv, grid_to_csv, half_life, mu_opt,
-                     negativity_eta, wigner_cat, wigner_fock, wigner_gaussian)
+from .wigner import (CatSpec, GaussianSum, GridClippingError, HalfLifeResult,
+                     WignerGrid, apply_gaussian_channel, eta_series,
+                     fringe_ellipse, grid_from_csv, grid_to_csv, half_life,
+                     mu_opt, negativity_eta, wigner_cat, wigner_fock,
+                     wigner_gaussian)

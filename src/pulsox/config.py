@@ -51,6 +51,34 @@ def mu_log_grid(spec: str) -> tuple[float, ...]:
     return tuple(10.0 ** (lo + (hi - lo) * k / (n - 1)) for k in range(n))
 
 
+# Allowed range of each numeric key (every element, for list keys); every
+# numeric key must also be finite.
+_RANGES = {
+    "physical.q": (lambda v: v > 0, "must be > 0"),
+    "physical.omega_m": (lambda v: v > 0, "must be > 0"),
+    "physical.nbar_m": (lambda v: v >= 0, "must be >= 0"),
+    "physical.nbar_l": (lambda v: v >= 0, "must be >= 0"),
+    "physical.epsilon": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "physical.ancilla_vsq": (lambda v: v > 0, "must be > 0"),
+    "sweep.q": (lambda v: v > 0, "must be > 0"),
+    "sweep.epsilon": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "sweep.alpha": (lambda v: v > 0, "must be > 0"),
+    "readout.chi_ro": (lambda v: v > 0, "must be > 0"),
+    "cat.samples_per_period": (lambda v: v >= 64, "must be >= 64"),
+    "cat.max_periods": (lambda v: v > 0, "must be > 0"),
+}
+
+
+def _check_value(key: str, value) -> None:
+    values = value if isinstance(value, tuple) else (value,)
+    for v in values:
+        if isinstance(v, (int, float)) and not math.isfinite(v):
+            raise ConfigError(key, f"{v!r} is not finite")
+    rule = _RANGES.get(key)
+    if rule is not None and not all(rule[0](v) for v in values):
+        raise ConfigError(key, f"{value!r} {rule[1]}")
+
+
 @dataclass
 class PhysicalConfig:
     """Loss model plus the ancilla squeezing used by the squeezer."""
@@ -131,6 +159,11 @@ class ExperimentConfig:
                               f"{self.experiment!r} not one of {EXPERIMENTS}")
         if self.output.format not in ("csv", "json"):
             raise ConfigError("output.format", f"{self.output.format!r} not csv/json")
+        for f in fields(self):
+            section = getattr(self, f.name)
+            if hasattr(section, "__dataclass_fields__"):
+                for sub in fields(section):
+                    _check_value(f"{f.name}.{sub.name}", getattr(section, sub.name))
 
     # -- flat key-value view -------------------------------------------------
 
@@ -158,8 +191,9 @@ class ExperimentConfig:
                 value = float(raw)
             else:
                 value = raw.strip()
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(key, f"cannot parse {raw!r}: {exc}") from None
+        _check_value(key, value)
         setattr(target, name, value)
 
     def flatten(self) -> dict[str, str]:

@@ -24,9 +24,8 @@ from .squeezer import (LossConfig, ancilla_state, approx_photon_budget,
 from .states import (apply_channel, classical_bound, fidelity_zero_mean,
                      marginal, product, thermal, vacuum)
 from .table import ResultTable
-from .wigner import (CatSpec, WignerGrid, apply_gaussian_channel, eta_series,
-                     half_life, mu_opt, negativity_eta, pre_squeezed_cat,
-                     wigner_fock)
+from .wigner import (CatSpec, GaussianSum, WignerGrid, apply_gaussian_channel,
+                     eta_series, half_life, mu_opt, negativity_eta, wigner_fock)
 
 # Default sweep grids for the lossy fidelity study: quality factors from 1e4
 # to 1e7 and delay-line losses from 1e-5 to 1e-2, both in sqrt(10) steps.
@@ -237,48 +236,32 @@ def _cat_scenarios(config: ExperimentConfig):
         yield alpha, "momentum", config.cat.momentum_mu
 
 
-def _scenario_grid(mu_pre: float, alpha: float, base_extent: float,
-                   base_res: int) -> tuple[float, int]:
-    # pre-squeezing stretches the cat: the anti-squeezed envelope reaches
-    # ~3.7 * max(mu, 1/mu) and the peaks sit at 2 * alpha / mu.  Double the
-    # extent (and the resolution, keeping the fringe sampling fixed) until
-    # the state fits the clipping guard.
-    needed = max(3.7 * max(mu_pre, 1.0),
-                 (2.0 * alpha + 3.7) * max(1.0 / mu_pre, 1.0))
-    ext, res = base_extent, base_res
-    while ext < needed and ext < 4.0 * base_extent:
-        ext *= 2.0
-        res *= 2
-    return ext, res
-
-
 def run_cat_decay(config: ExperimentConfig) -> RunResult:
     """Negativity half-lives of odd cats with and without pre-squeezing, plus
     a dense eta(t) series for the decay-rate-modulation diagnostic."""
     cat_cfg = config.cat
     loss = _loss(config)
     period = 2.0 * math.pi / loss.omega_m
-    half_rows = []
     tables: dict[str, ResultTable] = {}
-    for alpha, label, mu_pre in _cat_scenarios(config):
-        spec = CatSpec(alpha, "odd")
-        pre = None if label == "none" else schedule_for_mu(
+
+    def cat_half_life(alpha: float, mu_pre: float | None):
+        pre = None if mu_pre is None else schedule_for_mu(
             mu_pre, config.physical.phi, config.physical.ancilla_vsq)
-        ext, res = _scenario_grid(mu_pre, alpha, config.grid.half_extent,
-                                  cat_cfg.tau_resolution)
-        result = half_life(spec, loss, pre, half_extent=ext, resolution=res,
-                           samples_per_period=cat_cfg.samples_per_period,
-                           max_periods=cat_cfg.max_periods)
+        return half_life(CatSpec(alpha, "odd"), loss, pre,
+                         samples_per_period=cat_cfg.samples_per_period,
+                         max_periods=cat_cfg.max_periods)
+
+    half_rows = []
+    for alpha, label, mu_pre in _cat_scenarios(config):
+        result = cat_half_life(alpha, None if label == "none" else mu_pre)
         half_rows.append([alpha, mu_pre, result.tau, result.tau / period,
                           1.0 if result.reached else 0.0, result.eta_initial])
 
     # dense series for the largest unsqueezed cat
     alpha_series = max(config.sweep.alpha)
-    grid0 = pre_squeezed_cat(CatSpec(alpha_series, "odd"), loss, None,
-                             config.grid.half_extent, cat_cfg.series_resolution)
     n_samples = int(cat_cfg.series_periods * cat_cfg.samples_per_period)
     times = np.arange(1, n_samples + 1) * (period / cat_cfg.samples_per_period)
-    etas = eta_series(grid0, loss, times)
+    etas = eta_series(GaussianSum.cat(CatSpec(alpha_series, "odd")), loss, times)
     tables["decay_series"] = ResultTable(
         ["t", "eta"], [[t, e] for t, e in zip(times, etas)], _metadata(config))
 
@@ -286,15 +269,7 @@ def run_cat_decay(config: ExperimentConfig) -> RunResult:
     if config.sweep.mu:
         sweep_rows = []
         for mu_pre in config.sweep.mu:
-            pre = schedule_for_mu(mu_pre, config.physical.phi,
-                                  config.physical.ancilla_vsq)
-            ext, res = _scenario_grid(mu_pre, alpha_series,
-                                      config.grid.half_extent,
-                                      cat_cfg.tau_resolution)
-            result = half_life(CatSpec(alpha_series, "odd"), loss, pre,
-                               half_extent=ext, resolution=res,
-                               samples_per_period=cat_cfg.samples_per_period,
-                               max_periods=cat_cfg.max_periods)
+            result = cat_half_life(alpha_series, mu_pre)
             sweep_rows.append([mu_pre, result.tau, result.tau / period,
                                1.0 if result.reached else 0.0])
         tables["half_life_mu_sweep"] = ResultTable(

@@ -1,11 +1,20 @@
-"""Grid-sampled Wigner functions and exact one-step Gaussian-channel evolution.
+"""Wigner functions of non-Gaussian states and their Gaussian-channel evolution.
 
-Non-Gaussian states are held as samples W(x, p) on a square grid spanning
-[-L, L)^2.  A Gaussian channel acts in one exact step: the affine map is
-applied by bilinear resampling, the additive noise by a spectral (FFT)
-convolution whose Gaussian kernel is evaluated analytically in Fourier space,
-so a singular noise covariance needs no regularization.  Multi-sample decay
-curves re-evolve from t = 0 at each sample instead of accumulating grid error.
+Two representations share one interface (``value_at`` and ``evolve``):
+
+* :class:`GaussianSum` holds a state exactly as a weighted sum of Gaussians
+  with complex means (Bourassa et al., PRX Quantum 2, 040315 (2021)).  A cat
+  is four terms, and a Gaussian channel maps each term in closed form, so the
+  cat-decay negativities need no grid.
+* :class:`WignerGrid` holds samples W(x, p) on a square grid spanning
+  [-L, L)^2.  A Gaussian channel acts in one exact step: the affine map is
+  applied by bilinear resampling, the additive noise by a spectral (FFT)
+  convolution whose Gaussian kernel is evaluated analytically in Fourier
+  space, so a singular noise covariance needs no regularization.  The grid
+  serves Fock states, CSV export and as a test oracle for the exact sums.
+
+Multi-sample decay curves re-evolve from t = 0 at each sample instead of
+accumulating error.
 """
 from __future__ import annotations
 
@@ -72,6 +81,9 @@ class WignerGrid:
         return float(_bilinear(self.values, self.half_extent, self.step,
                                np.array([x]), np.array([p]))[0])
 
+    def evolve(self, channel: GaussianChannel) -> "WignerGrid":
+        return apply_gaussian_channel(self, channel)
+
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Riemann-sum first and second moments (mean vector, covariance)."""
         ax = self.axis()
@@ -103,6 +115,78 @@ class CatSpec:
     @property
     def sign(self) -> float:
         return -1.0 if self.parity == "odd" else 1.0
+
+
+@dataclass(frozen=True)
+class GaussianSum:
+    """Exact Wigner function as a sum of Gaussians sharing one covariance.
+
+    W(v) = Re sum_k exp(log_weights[k] - (v - m_k)^T V^-1 (v - m_k) / 2)
+    / (2 pi sqrt(det V)) with complex log-weights, complex means m_k and one
+    real covariance V.  The weights are kept as logarithms so that a large
+    factor of a weight and the small Gaussian factor it multiplies cancel
+    inside one exponent instead of overflowing.  One covariance is exact for
+    terms that start with the same one, because a Gaussian channel's
+    covariance update does not depend on the mean.
+    """
+
+    log_weights: np.ndarray
+    means: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self):
+        log_weights = np.array(self.log_weights, dtype=complex)
+        means = np.array(self.means, dtype=complex)
+        cov = np.array(self.cov, dtype=float)
+        if log_weights.ndim != 1 or means.shape != (log_weights.size, 2):
+            raise ValueError("need one complex 2-vector mean per weight")
+        if cov.shape != (2, 2) or cov[0, 0] <= 0 or np.linalg.det(cov) <= 0:
+            raise ValueError("covariance must be a positive-definite 2x2 matrix")
+        for name, value in (("log_weights", log_weights), ("means", means), ("cov", cov)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def cat(cls, spec: CatSpec) -> "GaussianSum":
+        """Two coherent peaks at X = +/- 2 alpha plus the interference fringes
+        cos(2 alpha p), normalized including the exp(-2 alpha^2) overlap of
+        the two branches.  Each fringe term is a vacuum Gaussian centred at
+        P = +/- 2 i alpha: exp(-(x^2 + (p -/+ 2 i alpha)^2) / 2) =
+        exp(2 alpha^2) exp(-(x^2 + p^2) / 2 +/- 2 i alpha p)."""
+        a = spec.alpha
+        log_norm = math.log(2.0) + math.log1p(spec.sign * math.exp(-2.0 * a * a))
+        fringe = (complex(0.0, math.pi) if spec.sign < 0 else 0.0) - 2.0 * a * a - log_norm
+        return cls([-log_norm, -log_norm, fringe, fringe],
+                   [[2.0 * a, 0.0], [-2.0 * a, 0.0], [0.0, 2.0j * a], [0.0, -2.0j * a]],
+                   np.eye(2))
+
+    def evolve(self, channel: GaussianChannel) -> "GaussianSum":
+        """Exact action of a single-mode Gaussian channel on every term:
+        m -> S m + d and V -> S V S^T + N; the weights do not change."""
+        if channel.layout.mode_count != 1:
+            raise ValueError("the Wigner engine evolves single-mode channels")
+        s = channel.map.matrix
+        return GaussianSum(self.log_weights, self.means @ s.T + channel.noise.mean,
+                           s @ self.cov @ s.T + channel.noise.cov)
+
+    def _values(self, x, p) -> np.ndarray:
+        inv = np.linalg.inv(self.cov)
+        total = 0.0
+        for log_weight, (mx, mp) in zip(self.log_weights, self.means):
+            dx = x - mx
+            dp = p - mp
+            quad = inv[0, 0] * dx * dx + 2.0 * inv[0, 1] * dx * dp + inv[1, 1] * dp * dp
+            total = total + np.exp(log_weight - 0.5 * quad)
+        return np.real(total) / (2.0 * math.pi * math.sqrt(np.linalg.det(self.cov)))
+
+    def value_at(self, x: float, p: float) -> float:
+        return float(self._values(float(x), float(p)))
+
+    def sample(self, half_extent: float, resolution: int) -> WignerGrid:
+        """The sum evaluated on the nodes of a grid."""
+        grid = WignerGrid(half_extent, resolution, np.zeros((resolution, resolution)))
+        ax = grid.axis()
+        return WignerGrid(half_extent, resolution, self._values(ax[:, None], ax[None, :]))
 
 
 def _bilinear(values: np.ndarray, half_extent: float, step: float,
@@ -153,22 +237,10 @@ def wigner_fock(n: int, half_extent: float = DEFAULT_HALF_EXTENT,
 
 def wigner_cat(spec: CatSpec, half_extent: float = DEFAULT_HALF_EXTENT,
                resolution: int = DEFAULT_RESOLUTION) -> WignerGrid:
-    """Cat-state Wigner function: two coherent peaks at X = +/- 2 alpha plus
-    the interference fringes cos(2 alpha p), normalized including the
-    exp(-2 alpha^2) overlap of the two branches."""
-    a = spec.alpha
-    if a > half_extent / 4.0:
+    """Cat-state Wigner function (see :meth:`GaussianSum.cat`) on a grid."""
+    if spec.alpha > half_extent / 4.0:
         raise ValueError("cat peaks at +/- 2 alpha need alpha <= half_extent / 4")
-    grid = WignerGrid(half_extent, resolution, np.zeros((resolution, resolution)))
-    ax = grid.axis()
-    x = ax[:, None]
-    p = ax[None, :]
-    g_plus = np.exp(-0.5 * ((x - 2 * a) ** 2 + p ** 2))
-    g_minus = np.exp(-0.5 * ((x + 2 * a) ** 2 + p ** 2))
-    fringe = 2.0 * np.exp(-0.5 * (x ** 2 + p ** 2)) * np.cos(2.0 * a * p)
-    norm = 2.0 * (1.0 + spec.sign * math.exp(-2.0 * a * a))
-    w = (g_plus + g_minus + spec.sign * fringe) / (2.0 * math.pi * norm)
-    return WignerGrid(half_extent, resolution, w)
+    return GaussianSum.cat(spec).sample(half_extent, resolution)
 
 
 def wigner_gaussian(mean: Sequence[float], cov: np.ndarray,
@@ -236,9 +308,9 @@ def apply_gaussian_channel(grid: WignerGrid, channel: GaussianChannel) -> Wigner
     return WignerGrid(grid.half_extent, grid.resolution, w / total, renorm_drift=drift)
 
 
-def negativity_eta(grid: WignerGrid) -> float:
+def negativity_eta(state: GaussianSum | WignerGrid) -> float:
     """Normalized origin negativity max(-2 pi W(0, 0), 0), clamped to [0, 1]."""
-    eta = -2.0 * math.pi * grid.value_at(0.0, 0.0)
+    eta = -2.0 * math.pi * state.value_at(0.0, 0.0)
     return min(max(eta, 0.0), 1.0 + 1e-6)
 
 
@@ -277,68 +349,64 @@ class HalfLifeResult:
 
 
 def pre_squeezed_cat(spec: CatSpec, loss: LossConfig,
-                     pre_squeeze: PulseSchedule | None,
-                     half_extent: float = DEFAULT_HALF_EXTENT,
-                     resolution: int = DEFAULT_RESOLUTION) -> WignerGrid:
-    """Cat grid, optionally passed through the lossy squeezer at t = 0."""
-    grid = wigner_cat(spec, half_extent, resolution)
+                     pre_squeeze: PulseSchedule | None) -> GaussianSum:
+    """Cat state, optionally passed through the lossy squeezer at t = 0."""
+    state = GaussianSum.cat(spec)
     if pre_squeeze is None:
-        return grid
+        return state
     channel = mechanical_reduced_channel(build_lossy_squeezer(pre_squeeze, loss),
                                          ancilla_state(pre_squeeze))
-    return apply_gaussian_channel(grid, channel)
+    return state.evolve(channel)
 
 
-def eta_at(grid0: WignerGrid, loss: LossConfig, t: float) -> float:
+def eta_at(state0: GaussianSum | WignerGrid, loss: LossConfig, t: float) -> float:
     """Negativity after damped thermal evolution for time t, in one exact step
-    from the t = 0 grid."""
+    from the t = 0 state."""
     if t == 0.0:
-        return negativity_eta(grid0)
+        return negativity_eta(state0)
     channel = damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t, layout=MECH)
-    return negativity_eta(apply_gaussian_channel(grid0, channel))
+    return negativity_eta(state0.evolve(channel))
 
 
-def eta_series(grid0: WignerGrid, loss: LossConfig, times: Sequence[float]) -> np.ndarray:
+def eta_series(state0: GaussianSum | WignerGrid, loss: LossConfig,
+               times: Sequence[float]) -> np.ndarray:
     """eta(t) over a time grid; each sample evolves from t = 0 independently."""
-    return np.array([eta_at(grid0, loss, t) for t in times])
+    return np.array([eta_at(state0, loss, t) for t in times])
 
 
 def half_life(spec: CatSpec, loss: LossConfig, pre_squeeze: PulseSchedule | None = None,
-              half_extent: float = DEFAULT_HALF_EXTENT,
-              resolution: int = DEFAULT_RESOLUTION,
               samples_per_period: int = 64, max_periods: float = 40.0,
               bisection_steps: int = 20) -> HalfLifeResult:
     """Time for the origin negativity to fall to 1/2 (absolute threshold).
 
     Scans eta(t) at ``samples_per_period`` per mechanical period (each sample
-    is a single exact propagation from t = 0), then bisects between the first
-    bracketing pair.  If eta never crosses 1/2 within ``max_periods`` the
-    horizon is returned with ``reached=False``.
+    is a single exact propagation of the Gaussian sum from t = 0), then
+    bisects between the first bracketing pair.  If eta never crosses 1/2
+    within ``max_periods`` the horizon is returned with ``reached=False``.
     """
     if spec.parity != "odd":
         raise ValueError("half-life is defined for odd cats (eta(0) = 1)")
     if samples_per_period < 64:
         raise ValueError("need at least 64 samples per mechanical period")
-    grid0 = pre_squeezed_cat(spec, loss, pre_squeeze, half_extent, resolution)
-    eta0 = negativity_eta(grid0)
+    state0 = pre_squeezed_cat(spec, loss, pre_squeeze)
+    eta0 = negativity_eta(state0)
     period = 2.0 * math.pi / loss.omega_m
     dt = period / samples_per_period
     horizon = max_periods * period
-    t_lo, eta_lo = 0.0, eta0
+    t_lo = 0.0
     if eta0 < 0.5:
         return HalfLifeResult(0.0, True, eta0)
     t = dt
     while t <= horizon:
-        eta = eta_at(grid0, loss, t)
-        if eta < 0.5:
+        if eta_at(state0, loss, t) < 0.5:
             for _ in range(bisection_steps):
                 t_mid = 0.5 * (t_lo + t)
-                if eta_at(grid0, loss, t_mid) >= 0.5:
+                if eta_at(state0, loss, t_mid) >= 0.5:
                     t_lo = t_mid
                 else:
                     t = t_mid
             return HalfLifeResult(0.5 * (t_lo + t), True, eta0)
-        t_lo, eta_lo = t, eta
+        t_lo = t
         t += dt
     return HalfLifeResult(horizon, False, eta0)
 

@@ -51,6 +51,19 @@ def test_unknown_config_key_is_validation_error(tmp_path, monkeypatch, capsys):
     assert "physical.bogus" in capsys.readouterr().err
 
 
+def test_non_finite_config_value_is_validation_error(tmp_path, monkeypatch, capsys):
+    rc = run(["impulse", "--set", "physical.q=nan"], monkeypatch, tmp_path)
+    assert rc == 1
+    assert "physical.q" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_zero_readout_strength_is_validation_error(tmp_path, monkeypatch, capsys):
+    rc = run(["impulse", "--set", "readout.chi_ro=0"], monkeypatch, tmp_path)
+    assert rc == 1
+    assert "readout.chi_ro" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path, monkeypatch, capsys):
     rc = run(["fidelity-sweep", "--config", str(tmp_path / "absent.cfg")],
              monkeypatch, tmp_path)

@@ -80,6 +80,28 @@ def test_validate_rejects_unknown_experiment():
         cfg.validate()
 
 
+@pytest.mark.parametrize("key,raw", [
+    ("physical.q", "nan"), ("physical.q", "0"), ("physical.nbar_m", "-1"),
+    ("physical.nbar_l", "-inf"), ("physical.epsilon", "1.5"),
+    ("physical.epsilon", "-0.1"), ("physical.ancilla_vsq", "0"),
+    ("physical.phi", "inf"), ("readout.chi_ro", "0"), ("sweep.alpha", "1, -2"),
+    ("sweep.epsilon", "0.1, 2"), ("sweep.q", "1e5, nan"),
+    ("cat.samples_per_period", "32"), ("cat.samples_per_period", "inf"),
+    ("cat.max_periods", "0"), ("grid.half_extent", "nan"),
+])
+def test_set_key_rejects_non_finite_and_out_of_range(key, raw):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        ExperimentConfig().set_key(key, raw)
+
+
+def test_validate_rejects_fields_set_directly():
+    cfg = make_config("impulse", q=float("nan"))
+    with pytest.raises(ConfigError, match="physical.q"):
+        cfg.validate()
+    cfg = make_config("impulse", epsilon=1.0)
+    cfg.validate()  # the range of a loss fraction is closed
+
+
 # -- tables ----------------------------------------------------------------------
 
 def test_table_round_trips():

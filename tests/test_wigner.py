@@ -1,15 +1,20 @@
-"""Wigner grids: constructors, channel evolution, and cat metrics."""
+"""Wigner grids and exact Gaussian sums: constructors, channel evolution, and
+cat metrics."""
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pulsox import (CatSpec, GaussianChannel, GaussianState, GridClippingError,
-                    LossConfig, MECH, NoiseTerm, WignerGrid, apply_channel,
-                    apply_gaussian_channel, damped_evolution, eta_series,
+from pulsox import (CatSpec, GaussianChannel, GaussianState, GaussianSum,
+                    GridClippingError, LossConfig, MECH, NoiseTerm, WignerGrid,
+                    ancilla_state, apply_channel, apply_gaussian_channel,
+                    build_lossy_squeezer, compose, damped_evolution, eta_series,
                     fringe_ellipse, grid_from_csv, grid_to_csv, half_life,
-                    mu_opt, negativity_eta, quadrature_scaling, rotation,
-                    schedule_for_mu, wigner_cat, wigner_fock, wigner_gaussian)
+                    mechanical_reduced_channel, mu_opt, negativity_eta,
+                    quadrature_scaling, rotation, schedule_for_mu, wigner_cat,
+                    wigner_fock, wigner_gaussian)
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,6 +170,101 @@ def test_gaussian_channel_moment_oracle():
         assert np.max(np.abs(cov_g - ref.cov)) < 1e-3
 
 
+# -- exact Gaussian sums --------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_sampled_cat_sum_matches_closed_form(alpha, parity):
+    # real closed form: peaks at X = +/- 2 alpha plus 2 exp(-r^2/2) cos(2 alpha p)
+    spec = CatSpec(alpha, parity)
+    grid = GaussianSum.cat(spec).sample(8.0, 512)
+    x = grid.axis()[:, None]
+    p = grid.axis()[None, :]
+    peaks = (np.exp(-0.5 * ((x - 2 * alpha) ** 2 + p ** 2))
+             + np.exp(-0.5 * ((x + 2 * alpha) ** 2 + p ** 2)))
+    fringe = 2.0 * np.exp(-0.5 * (x ** 2 + p ** 2)) * np.cos(2.0 * alpha * p)
+    norm = 2.0 * (1.0 + spec.sign * math.exp(-2.0 * alpha ** 2))
+    ref = (peaks + spec.sign * fringe) / (TWO_PI * norm)
+    assert np.max(np.abs(grid.values - ref)) <= 1e-15
+    assert np.array_equal(wigner_cat(spec, 8.0, 512).values, grid.values)
+
+
+def test_large_cat_has_no_overflow():
+    # the fringe weights carry exp(-2 alpha^2) and their Gaussians exp(+2 alpha^2)
+    # at the origin; 2 alpha^2 = 800 overflows unless the two share one exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        eta = negativity_eta(GaussianSum.cat(CatSpec(20.0)))
+    assert math.isfinite(eta)
+    assert eta == pytest.approx(1.0, abs=1e-12)
+
+
+def test_single_term_sum_follows_covariance_calculus():
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        ch = _random_one_mode_channel(rng)
+        mean = rng.normal(size=2)
+        out = GaussianSum([0.0], [mean], np.eye(2)).evolve(ch)
+        ref = apply_channel(GaussianState(mean, np.eye(2), MECH), ch)
+        assert np.allclose(out.means[0].real, ref.mean, atol=1e-14)
+        assert np.all(out.means.imag == 0.0)
+        assert np.allclose(out.cov, ref.cov, atol=1e-14)
+        assert np.allclose(out.sample(8.0, 64).values,
+                           wigner_gaussian(ref.mean, ref.cov, 8.0, 64).values, atol=1e-15)
+
+
+def test_gaussian_sum_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="positive-definite"):
+        GaussianSum([0.0], [[0.0, 0.0]], np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="mean per weight"):
+        GaussianSum([0.0, 0.0], [[0.0, 0.0]], np.eye(2))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.5, 2.0), mu_pre=st.floats(0.5, 2.0),
+       t=st.floats(0.0, 10.0, exclude_min=True))
+def test_exact_sum_matches_grid_oracle(alpha, mu_pre, t):
+    # lossy pre-squeezer then damped thermal evolution: one grid step of the
+    # composed channel on 512 points against the sum evolved channel by
+    # channel and sampled on the same nodes
+    loss = LossConfig.from_q(1e6, nbar_m=4e4, epsilon=1e-3)
+    schedule = schedule_for_mu(mu_pre, math.pi / 50, 0.5)
+    channels = [mechanical_reduced_channel(build_lossy_squeezer(schedule, loss),
+                                           ancilla_state(schedule)),
+                damped_evolution(loss.gamma, 1.0, loss.nbar_m, t, layout=MECH)]
+    spec = CatSpec(alpha, "odd")
+    # the anti-squeezed cat reaches (2 alpha + 3.7) / mu along X
+    half_extent = 8.0 if 2 * alpha + 3.7 <= 8.0 * min(mu_pre, 1.0) else 16.0
+    grid0 = wigner_cat(spec, half_extent, 512)
+    exact = GaussianSum.cat(spec)
+    for channel in channels:
+        exact = exact.evolve(channel)
+    err = np.abs(grid0.evolve(compose(channels)).values
+                 - exact.sample(half_extent, 512).values)
+    # the oracle's own error: bilinear resampling errs by at most
+    # h^2 / 8 (max |W_xx| + max |W_pp|), up to 7e-4 for alpha = 2 on the
+    # 16-wide grid; the noise convolution does not enlarge it
+    bound = (np.abs(np.diff(grid0.values, 2, axis=0)).max()
+             + np.abs(np.diff(grid0.values, 2, axis=1)).max()) / 8.0
+    assert err.max() < bound
+
+
+# Exact criterion-10 half-lives (q = 1e7, nbar_m = 4e4, epsilon = 1e-3,
+# phi = pi / 50): no pre-squeeze, position squeeze at mu_opt, momentum squeeze
+# at mu = 0.5.
+@pytest.mark.parametrize("alpha,label,tau", [
+    (1.0, "none", 25.511), (1.0, "position", 27.287), (1.0, "momentum", 8.304),
+    (2.0, "none", 9.975), (2.0, "position", 17.644), (2.0, "momentum", 2.209),
+])
+def test_criterion_10_half_lives_are_pinned(alpha, label, tau):
+    loss = LossConfig.from_q(1e7, nbar_m=4e4, epsilon=1e-3)
+    mu = {"position": mu_opt(alpha), "momentum": 0.5}.get(label)
+    pre = None if mu is None else schedule_for_mu(mu, math.pi / 50, 0.5)
+    result = half_life(CatSpec(alpha, "odd"), loss, pre)
+    assert result.reached
+    assert result.tau == pytest.approx(tau, rel=1e-3)
+
+
 # -- negativity ---------------------------------------------------------------
 
 def test_eta_pure_odd_cat_and_vacuum():
@@ -257,15 +357,15 @@ def test_mu_opt_small_alpha_limit():
 
 def test_half_life_monotone_in_bath_occupancy():
     spec = CatSpec(1.0, "odd")
-    hot = half_life(spec, LossConfig.from_q(1e6, nbar_m=8e4), resolution=128)
-    cold = half_life(spec, LossConfig.from_q(1e6, nbar_m=2e4), resolution=128)
+    hot = half_life(spec, LossConfig.from_q(1e6, nbar_m=8e4))
+    cold = half_life(spec, LossConfig.from_q(1e6, nbar_m=2e4))
     assert hot.reached and cold.reached
     assert hot.tau < cold.tau
 
 
 def test_half_life_horizon_flag():
     res = half_life(CatSpec(1.0, "odd"), LossConfig.from_q(1e9, nbar_m=1.0),
-                    resolution=128, max_periods=0.5)
+                    max_periods=0.5)
     assert not res.reached
     assert res.tau == pytest.approx(0.5 * TWO_PI)
 
@@ -278,8 +378,8 @@ def test_half_life_rejects_even_cats():
 def test_half_life_with_pre_squeeze_runs():
     loss = LossConfig.from_q(1e7, nbar_m=4e4, epsilon=1e-3)
     pre = schedule_for_mu(mu_opt(1.0), math.pi / 50, 0.5)
-    with_pre = half_life(CatSpec(1.0, "odd"), loss, pre, resolution=128)
-    without = half_life(CatSpec(1.0, "odd"), loss, None, resolution=128)
+    with_pre = half_life(CatSpec(1.0, "odd"), loss, pre)
+    without = half_life(CatSpec(1.0, "odd"), loss, None)
     assert with_pre.reached and without.reached
     assert with_pre.tau > without.tau
 
