@@ -24,9 +24,9 @@ from .channels import (GaussianChannel, LinearMap, NoiseTerm, beamsplitter_loss,
 from .modes import MECH, MECH_OPT, OPT, ModeLayout, symplectic_form
 from .squeezer import (LossConfig, LOSSLESS, PulseSchedule, ancilla_state,
                        approx_photon_budget, build_ideal_squeezer,
-                       build_lossy_squeezer, build_pulsed_squeezer, chi2_for,
-                       chi3_for, chi_from_physical, ideal_target_map,
-                       ideal_target_state, mechanical_reduced_channel,
+                       build_lossy_squeezer, chi2_for, chi3_for,
+                       chi_from_physical, ideal_target_map, ideal_target_state,
+                       mechanical_reduced_channel, mechanical_squeezer,
                        optimize_schedule, photon_budget, photons_for_chi,
                        regime_check, schedule_for_mu, squeezer_output, theta_for)
 from .states import (GaussianState, apply_channel, classical_bound, coherent,

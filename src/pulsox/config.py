@@ -60,12 +60,21 @@ _RANGES = {
     "physical.nbar_l": (lambda v: v >= 0, "must be >= 0"),
     "physical.epsilon": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
     "physical.ancilla_vsq": (lambda v: v > 0, "must be > 0"),
+    "physical.phi": (lambda v: 0 < v < math.pi / 2, "must lie in (0, pi/2)"),
+    "sweep.mu": (lambda v: v > 0, "must be > 0"),
     "sweep.q": (lambda v: v > 0, "must be > 0"),
     "sweep.epsilon": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
     "sweep.alpha": (lambda v: v > 0, "must be > 0"),
+    "sweep.g2_ratio": (lambda v: v >= 0, "must be >= 0"),
     "readout.chi_ro": (lambda v: v > 0, "must be > 0"),
+    "impulse.nbar_in": (lambda v: v >= 0, "must be >= 0"),
+    "grid.resolution": (lambda v: isinstance(v, int) and v >= 4 and v & (v - 1) == 0,
+                        "must be a power of two >= 4"),
+    "grid.half_extent": (lambda v: v > 0, "must be > 0"),
     "cat.samples_per_period": (lambda v: v >= 64, "must be >= 64"),
     "cat.max_periods": (lambda v: v > 0, "must be > 0"),
+    "cat.series_periods": (lambda v: v > 0, "must be > 0"),
+    "cat.momentum_mu": (lambda v: v > 0, "must be > 0"),
 }
 
 

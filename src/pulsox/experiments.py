@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channels import damped_evolution, qnd_xx, qnd_xx_collective, rotation
+from .channels import (compose, damped_evolution, qnd_xx, qnd_xx_collective,
+                       rotation, sigma_factor)
 from .config import ConfigError, ExperimentConfig
 from .modes import MECH, MECH_OPT, ModeLayout, OPT
-from .squeezer import (LossConfig, ancilla_state, approx_photon_budget,
-                       build_lossy_squeezer, ideal_target_map,
-                       ideal_target_state, mechanical_reduced_channel,
+from .squeezer import (LossConfig, _four_pulse, approx_photon_budget,
+                       ideal_target_map, ideal_target_state, mechanical_squeezer,
                        photon_budget, schedule_for_mu, squeezer_output)
 from .states import (apply_channel, classical_bound, fidelity_zero_mean,
                      marginal, product, thermal, vacuum)
@@ -134,9 +134,7 @@ def run_fock_squeeze(config: ExperimentConfig) -> RunResult:
         fock, ideal_target_map(mu, phys.phi).as_channel())
 
     def squeezed_grid(loss: LossConfig) -> WignerGrid:
-        reduced = mechanical_reduced_channel(build_lossy_squeezer(schedule, loss),
-                                             ancilla_state(schedule))
-        return apply_gaussian_channel(fock, reduced)
+        return apply_gaussian_channel(fock, mechanical_squeezer(schedule, loss))
 
     grids = {"target": target_grid,
              "ideal": squeezed_grid(LossConfig(omega_m=phys.omega_m))}
@@ -185,7 +183,7 @@ def d_min_full(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: float
     schedule = schedule_for_mu(mu, phi, v_sq)
     state = squeezer_output(schedule, loss, thermal(nbar_in, MECH))
 
-    sig = math.sqrt(1.0 - (loss.gamma / (2.0 * loss.omega_m)) ** 2)
+    sig = sigma_factor(loss.gamma, loss.omega_m)
     t_quarter = (math.pi / 2.0) / (sig * loss.omega_m)
     quarter = damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t_quarter,
                                layout=MECH)
@@ -333,15 +331,10 @@ def run_multimode(config: ExperimentConfig) -> RunResult:
         def pulse(chi):
             return qnd_xx_collective(couplings, chi * scale, layout)
 
-        delay = rotation("mech", phi, layout) @ rotation("mech2", omega2_ratio * phi, layout)
-        full = (pulse(schedule.chi3)
-                @ rotation("opt", schedule.theta - math.pi / 2.0, layout)
-                @ pulse(schedule.chi2_second_pulse)
-                @ delay
-                @ pulse(schedule.lam)
-                @ rotation("opt", math.pi / 2.0, layout)
-                @ pulse(schedule.chi1))
-        out = marginal(apply_channel(vacuum(layout), full.as_channel()), ["mech"])
+        delay = (rotation("mech", phi, layout)
+                 @ rotation("mech2", omega2_ratio * phi, layout)).as_channel()
+        full = compose(_four_pulse(schedule, pulse, [delay], layout))
+        out = marginal(apply_channel(vacuum(layout), full), ["mech"])
         rows.append([ratio, 1.0 - fidelity_zero_mean(out, target)])
     table = ResultTable(["g2_over_g1", "infidelity"], rows, _metadata(config))
     return RunResult(tables={"multimode": table},

@@ -1,15 +1,12 @@
 """Assembly of the four-pulse mechanical squeezer.
 
-Three forms are built from analytic pulse-strength selection rules:
-
-* the ideal three-pulse sequence (X-X, P-P, X-X), which needs a
-  momentum-momentum interaction not natively available;
-* the pulsed four-pulse approximation, which replaces the P-P interaction
-  with two X-X pulses wrapped in optical rotations plus a short mechanical
-  rotation phi, and cancels the residual Kerr term with an extra optical
-  rotation theta;
-* the lossy variant, with beamsplitter loss in the optical delay line and
-  damped thermal evolution of the mechanics during the delay.
+The ideal three-pulse sequence (X-X, P-P, X-X) needs a momentum-momentum
+interaction that is not natively available.  The paper's protocol replaces
+the P-P pulse with two X-X pulses wrapped in optical quarter turns around a
+short mechanical rotation phi, and cancels the residual Kerr term with an
+extra optical rotation theta.  :func:`_four_pulse` writes that protocol out
+once; the lossy squeezer (whose ``LOSSLESS`` case is the lossless one) and
+the multimode study differ only in the pulse and the delay they pass it.
 
 Momentum is rescaled by mu (P' = mu P, X' = X / mu): mu < 1 squeezes
 momentum, mu > 1 squeezes position.
@@ -18,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -166,58 +164,40 @@ def build_ideal_squeezer(chi1: float, chi3: float,
     return qnd_xx(chi3, layout=layout) @ qnd_pp(chi2, layout=layout) @ qnd_xx(chi1, layout=layout)
 
 
-def _pulsed_stages(schedule: PulseSchedule, layout: ModeLayout,
-                   mech: str, opt: str) -> list[LinearMap]:
-    """Temporal order of the four-pulse protocol (delay sits between stages 3 and 4)."""
-    return [
-        qnd_xx(schedule.chi1, mech, opt, layout),
-        rotation(opt, math.pi / 2.0, layout),
-        qnd_xx(schedule.lam, mech, opt, layout),
-        rotation(mech, schedule.phi, layout),
-        qnd_xx(schedule.chi2_second_pulse, mech, opt, layout),
-        rotation(opt, schedule.theta - math.pi / 2.0, layout),
-        qnd_xx(schedule.chi3, mech, opt, layout),
-    ]
+def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], LinearMap],
+                delay: Sequence[GaussianChannel], layout: ModeLayout) -> list[GaussianChannel]:
+    """The four-pulse protocol in temporal order, as channels on ``layout``.
 
-
-def build_pulsed_squeezer(schedule: PulseSchedule, layout: ModeLayout = MECH_OPT,
-                          mech: str = "mech", opt: str = "opt") -> LinearMap:
-    """Lossless four-pulse squeezer map.
-
-    Its mechanical rows equal the mechanical rotation through phi applied to
-    the plain squeezer form X' = X/mu + (1-mu) tan(phi) P + optical noise,
-    P' = mu P.
+    ``pulse(chi)`` is the X-X interaction of strength chi and ``delay`` the
+    stages between the second and third pulses, during which the mechanics
+    rotates through phi.
     """
-    stages = _pulsed_stages(schedule, layout, mech, opt)
-    m = stages[0]
-    for stage in stages[1:]:
-        m = stage @ m
-    return m
+    def turn(angle: float) -> GaussianChannel:
+        return rotation("opt", angle, layout).as_channel()
+
+    return [pulse(schedule.chi1).as_channel(), turn(math.pi / 2.0),
+            pulse(schedule.lam).as_channel(), *delay,
+            pulse(schedule.chi2_second_pulse).as_channel(),
+            turn(schedule.theta - math.pi / 2.0), pulse(schedule.chi3).as_channel()]
 
 
-def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig,
-                         layout: ModeLayout = MECH_OPT, mech: str = "mech",
-                         opt: str = "opt") -> GaussianChannel:
+def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianChannel:
     """Four-pulse squeezer with delay-line loss and mechanical damping.
 
     During the delay the mechanics evolves under the damped propagator for
     t = phi / (sigma * omega_m) while the light takes beamsplitter loss
-    epsilon with bath occupancy nbar_l.  Reduces exactly to
-    :func:`build_pulsed_squeezer` (zero noise) when gamma = epsilon = 0.
+    epsilon with bath occupancy nbar_l.  With ``LOSSLESS`` the delay is
+    exactly ``rotation("mech", phi)`` and the map is symplectic: its
+    mechanical rows equal the mechanical rotation through phi applied to the
+    plain squeezer form X' = X/mu + (1-mu) tan(phi) P + optical noise,
+    P' = mu P.
     """
     sig = sigma_factor(loss.gamma, loss.omega_m)
     t_delay = schedule.phi / (sig * loss.omega_m)
-    stages = [
-        qnd_xx(schedule.chi1, mech, opt, layout).as_channel(),
-        rotation(opt, math.pi / 2.0, layout).as_channel(),
-        qnd_xx(schedule.lam, mech, opt, layout).as_channel(),
-        beamsplitter_loss(loss.epsilon, loss.nbar_l, opt, layout),
-        damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t_delay, mech, layout),
-        qnd_xx(schedule.chi2_second_pulse, mech, opt, layout).as_channel(),
-        rotation(opt, schedule.theta - math.pi / 2.0, layout).as_channel(),
-        qnd_xx(schedule.chi3, mech, opt, layout).as_channel(),
-    ]
-    return compose(stages)
+    delay = [beamsplitter_loss(loss.epsilon, loss.nbar_l, "opt", MECH_OPT),
+             damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t_delay,
+                              "mech", MECH_OPT)]
+    return compose(_four_pulse(schedule, qnd_xx, delay, MECH_OPT))
 
 
 def ideal_target_map(mu: float, phi: float, mode: str = "mech",
@@ -265,13 +245,18 @@ def mechanical_reduced_channel(channel: GaussianChannel, ancilla: GaussianState,
     return GaussianChannel(LinearMap(m_mm, out_layout), NoiseTerm(mean, cov))
 
 
+def mechanical_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianChannel:
+    """Single-mode mechanical channel of the (lossy) squeezer, with the
+    schedule's own ancilla marginalized out."""
+    return mechanical_reduced_channel(build_lossy_squeezer(schedule, loss),
+                                      ancilla_state(schedule))
+
+
 def squeezer_output(schedule: PulseSchedule, loss: LossConfig,
                     input_state: GaussianState) -> GaussianState:
     """Apply the (lossy) squeezer to a single-mode mechanical input using the
     schedule's own ancilla."""
-    channel = build_lossy_squeezer(schedule, loss)
-    reduced = mechanical_reduced_channel(channel, ancilla_state(schedule))
-    return apply_channel(input_state, reduced)
+    return apply_channel(input_state, mechanical_squeezer(schedule, loss))
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +363,8 @@ class ScheduleOptimization:
 
 
 def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
-                      ancilla_vsq: float = 0.5, objective: str = "infidelity-to-target",
-                      include_angles: bool = False,
-                      max_iter: int = 2000) -> ScheduleOptimization:
+                      ancilla_vsq: float = 0.5,
+                      include_angles: bool = False) -> ScheduleOptimization:
     """Local derivative-free re-optimization of the pulse strengths.
 
     Minimizes the infidelity between the squeezer output on vacuum and the
@@ -390,10 +374,9 @@ def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
     freedom the lossless problem admits exactly unitary solutions even for a
     finitely squeezed ancilla, so the tied mode is the default to keep the
     optimum comparable to the analytic schedule.  Never returns anything worse
-    than the seed; ``converged`` is False if the simplex hit max_iter.
+    than the seed; ``converged`` is False if the simplex hit its 2000-iteration
+    cap.
     """
-    if objective != "infidelity-to-target":
-        raise ValueError(f"unsupported objective {objective!r}")
     seed = schedule_for_mu(mu_target, phi, ancilla_vsq)
     target = ideal_target_state(vacuum(MECH), mu_target, phi)
     cos_phi = math.cos(phi)
@@ -422,7 +405,7 @@ def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
     span = np.maximum(0.5 * np.abs(x0), 0.5)
     bounds = optimize.Bounds(x0 - span, x0 + span)
     res = optimize.minimize(infidelity, x0, method="Nelder-Mead", bounds=bounds,
-                            options={"maxiter": max_iter, "xatol": 1e-10, "fatol": 1e-14})
+                            options={"maxiter": 2000, "xatol": 1e-10, "fatol": 1e-14})
     n_eval = int(res.nfev)
     if res.fun <= seed_objective:
         best, best_obj = make(res.x), float(res.fun)

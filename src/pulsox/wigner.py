@@ -26,8 +26,7 @@ import numpy as np
 
 from .channels import GaussianChannel, damped_evolution
 from .modes import MECH
-from .squeezer import (LossConfig, PulseSchedule, ancilla_state,
-                       build_lossy_squeezer, mechanical_reduced_channel)
+from .squeezer import LossConfig, PulseSchedule, mechanical_squeezer
 
 DEFAULT_HALF_EXTENT = 8.0
 DEFAULT_RESOLUTION = 512
@@ -354,9 +353,7 @@ def pre_squeezed_cat(spec: CatSpec, loss: LossConfig,
     state = GaussianSum.cat(spec)
     if pre_squeeze is None:
         return state
-    channel = mechanical_reduced_channel(build_lossy_squeezer(pre_squeeze, loss),
-                                         ancilla_state(pre_squeeze))
-    return state.evolve(channel)
+    return state.evolve(mechanical_squeezer(pre_squeeze, loss))
 
 
 def eta_at(state0: GaussianSum | WignerGrid, loss: LossConfig, t: float) -> float:

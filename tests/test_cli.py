@@ -64,6 +64,13 @@ def test_zero_readout_strength_is_validation_error(tmp_path, monkeypatch, capsys
     assert "readout.chi_ro" in capsys.readouterr().err
 
 
+def test_empty_decay_series_is_validation_error(tmp_path, monkeypatch, capsys):
+    rc = run(["cat-decay", "--set", "cat.series_periods=0"], monkeypatch, tmp_path)
+    assert rc == 1
+    assert "cat.series_periods" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_missing_config_file(tmp_path, monkeypatch, capsys):
     rc = run(["fidelity-sweep", "--config", str(tmp_path / "absent.cfg")],
              monkeypatch, tmp_path)

@@ -6,12 +6,13 @@ import pytest
 
 from pulsox.config import (ConfigError, ExperimentConfig, load_config,
                            mu_log_grid, parse_config_text)
-from pulsox.experiments import (config_from_metadata, d_min_approx, d_min_full,
+from pulsox.experiments import (_squeeze_infidelity, config_from_metadata,
+                                d_min_approx, d_min_full,
                                 decay_rate_series, dominant_modulation_frequency,
                                 estimate_fiber_epsilon, run_experiment,
                                 run_fidelity_sweep, run_impulse, run_multimode,
                                 run_photon_budget)
-from pulsox.squeezer import LossConfig
+from pulsox.squeezer import LOSSLESS, LossConfig
 from pulsox.table import ResultTable
 
 
@@ -88,6 +89,11 @@ def test_validate_rejects_unknown_experiment():
     ("sweep.epsilon", "0.1, 2"), ("sweep.q", "1e5, nan"),
     ("cat.samples_per_period", "32"), ("cat.samples_per_period", "inf"),
     ("cat.max_periods", "0"), ("grid.half_extent", "nan"),
+    ("physical.phi", "0"), ("physical.phi", "1.6"), ("sweep.mu", "1, 0"),
+    ("sweep.g2_ratio", "0.5, -0.1"), ("impulse.nbar_in", "-1"),
+    ("cat.momentum_mu", "0"), ("cat.series_periods", "0"),
+    ("grid.half_extent", "0"), ("grid.resolution", "2"),
+    ("grid.resolution", "500"),
 ])
 def test_set_key_rejects_non_finite_and_out_of_range(key, raw):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -234,6 +240,15 @@ def test_multimode_single_mode_endpoint(multimode_table):
     ratios = multimode_table.column("g2_over_g1")
     infid = multimode_table.column("infidelity")
     assert infid[ratios.index(0.0)] == pytest.approx(0.0181, abs=2e-4)
+
+
+def test_multimode_uncoupled_row_is_the_single_mode_squeezer(multimode_table):
+    # with g2 = 0 the collective pulse is the single-mode X-X pulse, so the
+    # three-mode run must reproduce the two-mode squeezer with a vacuum ancilla
+    ratios = multimode_table.column("g2_over_g1")
+    infid = multimode_table.column("infidelity")[ratios.index(0.0)]
+    single = _squeeze_infidelity(math.sqrt(2.0), math.pi / 50, 1.0, LOSSLESS)
+    assert infid == pytest.approx(single, abs=1e-12)
 
 
 def test_multimode_reference_points(multimode_table):

@@ -6,7 +6,7 @@ import pytest
 
 from pulsox import (LOSSLESS, LossConfig, MECH, MECH_OPT, PulseSchedule,
                     ancilla_state, approx_photon_budget, build_ideal_squeezer,
-                    build_lossy_squeezer, build_pulsed_squeezer, chi2_for,
+                    build_lossy_squeezer, chi2_for,
                     chi3_for, chi_from_physical, fidelity_zero_mean,
                     ideal_target_state, is_physical, marginal,
                     mechanical_reduced_channel, optimize_schedule,
@@ -125,7 +125,7 @@ def test_ideal_squeezer_structure(chi1, chi3):
 @pytest.mark.parametrize("phi", [math.pi / 100, math.pi / 50])
 def test_pulsed_squeezer_momentum_row(mu, phi):
     s = schedule_for_mu(mu, phi)
-    rows = derotated_mech_rows(build_pulsed_squeezer(s), phi)
+    rows = derotated_mech_rows(build_lossy_squeezer(s, LOSSLESS).map, phi)
     assert np.allclose(rows[1], [0.0, mu, 0.0, 0.0], atol=1e-9)
 
 
@@ -133,7 +133,7 @@ def test_pulsed_squeezer_momentum_row(mu, phi):
 def test_pulsed_squeezer_position_row(mu):
     s = schedule_for_mu(mu, PHI)
     t = math.tan(PHI)
-    rows = derotated_mech_rows(build_pulsed_squeezer(s), PHI)
+    rows = derotated_mech_rows(build_lossy_squeezer(s, LOSSLESS).map, PHI)
     assert rows[0, 0] == pytest.approx(1.0 / mu, rel=1e-10)
     assert rows[0, 1] == pytest.approx((1.0 - mu) * t, abs=1e-10)
     # optical noise amplitude and angle
@@ -145,15 +145,28 @@ def test_pulsed_squeezer_position_row(mu):
 
 def test_pulsed_squeezer_is_symplectic():
     for mu in (0.4, 1.6):
-        assert build_pulsed_squeezer(schedule_for_mu(mu, PHI)).is_symplectic()
+        assert build_lossy_squeezer(schedule_for_mu(mu, PHI), LOSSLESS).map.is_symplectic()
 
 
 # -- lossy squeezer ---------------------------------------------------------------
 
 def test_lossy_squeezer_lossless_limit():
+    # without loss the delay is the bare mechanical rotation through phi, so
+    # the map is the literal seven-stage product of the paper's protocol
+    import pulsox as px
+
     s = schedule_for_mu(SQRT2, PHI)
     lossy = build_lossy_squeezer(s, LOSSLESS)
-    assert np.allclose(lossy.map.matrix, build_pulsed_squeezer(s).matrix, atol=1e-12)
+    m = np.eye(4)
+    for stage in [px.qnd_xx(s.chi1).matrix,
+                  px.rotation("opt", math.pi / 2).matrix,
+                  px.qnd_xx(s.lam).matrix,
+                  px.rotation("mech", s.phi).matrix,
+                  px.qnd_xx(s.chi2_second_pulse).matrix,
+                  px.rotation("opt", s.theta - math.pi / 2).matrix,
+                  px.qnd_xx(s.chi3).matrix]:
+        m = stage @ m
+    assert np.allclose(lossy.map.matrix, m, atol=1e-12)
     assert np.allclose(lossy.noise.cov, 0.0, atol=1e-15)
 
 
@@ -205,7 +218,7 @@ def test_pulsed_squeezer_equals_conjugated_interaction_form():
     wrapped = (px.rotation("opt", -math.pi / 2) @ core
                @ px.rotation("opt", math.pi / 2))
     alt = px.qnd_xx(s.chi3) @ px.rotation("opt", s.theta) @ wrapped @ px.qnd_xx(s.chi1)
-    assert np.allclose(alt.matrix, build_pulsed_squeezer(s).matrix, atol=1e-13)
+    assert np.allclose(alt.matrix, build_lossy_squeezer(s, LOSSLESS).map.matrix, atol=1e-13)
 
 
 def test_lossy_squeezer_optical_loss_degrades_output():
