@@ -173,6 +173,10 @@ class ExperimentConfig:
             if hasattr(section, "__dataclass_fields__"):
                 for sub in fields(section):
                     _check_value(f"{f.name}.{sub.name}", getattr(section, sub.name))
+        if int(self.cat.series_periods * self.cat.samples_per_period) < 1:
+            raise ConfigError("cat.series_periods",
+                              f"{self.cat.series_periods!r} periods give no decay-series "
+                              f"sample at {self.cat.samples_per_period} per period")
 
     # -- flat key-value view -------------------------------------------------
 

@@ -13,21 +13,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import GaussianChannel
-from .modes import ModeLayout, symplectic_form
+from .channels import GaussianChannel, _frozen
+from .modes import ModeLayout
 
 _MEAN_ATOL = 1e-9
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector and covariance matrix on a mode layout."""
+    """Mean vector and covariance matrix on a mode layout.
+
+    Checks shape and finiteness only; V + i Omega >= 0 is carried by the
+    named constructors and preserved by physical channels.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -41,13 +39,8 @@ class GaussianState:
             raise ValueError("state dimensions do not match layout")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("state contains non-finite entries")
-        cov = 0.5 * (cov + cov.T)
-        # uncertainty principle: V + i Omega >= 0 (vacuum saturates it)
-        h = cov + 1j * symplectic_form(self.layout.mode_count)
-        if float(np.linalg.eigvalsh(h).min()) < -1e-9 * max(1.0, float(np.max(np.abs(cov)))):
-            raise ValueError("covariance violates the uncertainty principle")
         object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "cov", _frozen(cov))
+        object.__setattr__(self, "cov", _frozen(0.5 * (cov + cov.T)))
 
     def variance(self, mode: str, quadrature: str = "x") -> float:
         i = self.layout.x_index(mode) if quadrature == "x" else self.layout.p_index(mode)

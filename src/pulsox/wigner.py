@@ -43,14 +43,11 @@ class WignerGrid:
 
     The axes follow the FFT convention x_i = -L + i * (2L / resolution), so the
     origin is a grid node and the resolution must be a power of two.
-    ``renorm_drift`` records how much mass the last channel application lost
-    before renormalization.
     """
 
     half_extent: float
     resolution: int
     values: np.ndarray
-    renorm_drift: float = 0.0
 
     def __post_init__(self):
         res = self.resolution
@@ -270,7 +267,7 @@ def apply_gaussian_channel(grid: WignerGrid, channel: GaussianChannel) -> Wigner
 
     W'(v) = |det S|^-1 W(S^-1 (v - d)) convolved with the Gaussian of
     covariance N.  Raises :class:`GridClippingError` if more than 1e-3 of the
-    mass leaves the grid; smaller drifts are renormalized and recorded.
+    mass leaves the grid; smaller drifts are renormalized away.
     """
     if channel.layout.mode_count != 1:
         raise ValueError("the Wigner engine evolves single-mode channels")
@@ -304,7 +301,7 @@ def apply_gaussian_channel(grid: WignerGrid, channel: GaussianChannel) -> Wigner
         raise GridClippingError(
             f"probability mass drift {drift:.2e} exceeds {MASS_DRIFT_TOL} "
             "(state clipped by grid edges)")
-    return WignerGrid(grid.half_extent, grid.resolution, w / total, renorm_drift=drift)
+    return WignerGrid(grid.half_extent, grid.resolution, w / total)
 
 
 def negativity_eta(state: GaussianSum | WignerGrid) -> float:

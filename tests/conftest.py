@@ -1,5 +1,12 @@
-"""Shared test configuration: acceptance-criterion reporting."""
+"""Shared test configuration: the Hypothesis profile and acceptance-criterion
+reporting."""
 from __future__ import annotations
+
+from hypothesis import settings
+
+# Every property test is deterministic and keeps no example database.
+settings.register_profile("pulsox", deadline=None, derandomize=True, database=None)
+settings.load_profile("pulsox")
 
 CRITERIA_RESULTS: list[tuple[str, bool, str]] = []
 

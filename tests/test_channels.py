@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pulsox import (GaussianChannel, LinearMap, MECH, MECH_OPT, ModeLayout,
                     NoiseTerm, beamsplitter_loss, compose, damped_evolution,
@@ -222,14 +223,28 @@ def test_compose_two_beamsplitters():
     assert np.allclose(twice.noise.cov, once.noise.cov, atol=1e-14)
 
 
-def test_compose_associativity():
-    a = qnd_xx(1.3).as_channel()
-    b = beamsplitter_loss(0.25, 3.0)
-    c = rotation("mech", 0.8).as_channel()
+_STAGES = st.one_of(
+    st.builds(lambda chi: qnd_xx(chi).as_channel(), st.floats(-3.0, 3.0)),
+    st.builds(lambda chi: qnd_pp(chi).as_channel(), st.floats(-3.0, 3.0)),
+    st.builds(lambda mode, a: rotation(mode, a).as_channel(),
+              st.sampled_from(["mech", "opt"]), st.floats(-math.pi, math.pi)),
+    st.builds(beamsplitter_loss, st.floats(0.0, 1.0), st.floats(0.0, 10.0)),
+    st.builds(lambda g, n, t: damped_evolution(g, 1.0, n, t, layout=MECH_OPT),
+              st.floats(0.0, 0.5), st.floats(0.0, 10.0), st.floats(0.0, 3.0)),
+)
+
+
+@example(qnd_xx(1.3).as_channel(), beamsplitter_loss(0.25, 3.0),
+         rotation("mech", 0.8).as_channel())
+@given(_STAGES, _STAGES, _STAGES)
+def test_compose_associativity(a, b, c):
     left = compose([compose([a, b]), c])
     right = compose([a, compose([b, c])])
-    assert np.allclose(left.map.matrix, right.map.matrix, atol=1e-12)
-    assert np.allclose(left.noise.cov, right.noise.cov, atol=1e-12)
+    flat = compose([a, b, c])
+    for x, y in ((left, right), (left, flat)):
+        for u, v in ((x.map.matrix, y.map.matrix), (x.noise.cov, y.noise.cov),
+                     (x.noise.mean, y.noise.mean)):
+            assert np.max(np.abs(u - v)) <= 1e-12 * max(1.0, np.max(np.abs(u)))
 
 
 def test_compose_layout_mismatch():
@@ -303,9 +318,19 @@ def test_channels_are_physical(channel):
     assert is_physical(channel)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "momentum-only damping (quantum Brownian motion) is not completely positive "
+    "at low bath occupancy: its noise cannot cover the commutator it removes, "
+    "det N < (1 - e^(-gamma t))^2, while (2 nbar + 1) omega t < ~sqrt(3)"))
+def test_damped_evolution_physical_at_low_occupancy():
+    assert is_physical(damped_evolution(0.1, 1.0, 0.0, 0.125, layout=MECH))
+
+
 def test_noise_term_rejects_negative_covariance():
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        NoiseTerm(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
+    # the constructor checks structure only; is_physical catches the sign
+    noise = NoiseTerm(np.zeros(2), np.diag([1.0, -1.0]))
+    identity = LinearMap(np.eye(2), MECH)
+    assert not is_physical(GaussianChannel(identity, noise))
 
 
 @pytest.mark.parametrize("gamma,t", [(1e-3, 0.7), (1e-3, 1.64), (0.05, 3.0),

@@ -1,4 +1,6 @@
 """Command-line interface behavior and output files."""
+import pytest
+
 from pulsox.cli import cli_main
 from pulsox.table import ResultTable
 from pulsox.wigner import grid_from_csv
@@ -64,8 +66,9 @@ def test_zero_readout_strength_is_validation_error(tmp_path, monkeypatch, capsys
     assert "readout.chi_ro" in capsys.readouterr().err
 
 
-def test_empty_decay_series_is_validation_error(tmp_path, monkeypatch, capsys):
-    rc = run(["cat-decay", "--set", "cat.series_periods=0"], monkeypatch, tmp_path)
+@pytest.mark.parametrize("periods", ["0", "0.01"])
+def test_empty_decay_series_is_validation_error(periods, tmp_path, monkeypatch, capsys):
+    rc = run(["cat-decay", "--set", f"cat.series_periods={periods}"], monkeypatch, tmp_path)
     assert rc == 1
     assert "cat.series_periods" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

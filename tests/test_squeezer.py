@@ -3,16 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pulsox import (LOSSLESS, LossConfig, MECH, MECH_OPT, PulseSchedule,
                     ancilla_state, approx_photon_budget, build_ideal_squeezer,
                     build_lossy_squeezer, chi2_for,
                     chi3_for, chi_from_physical, fidelity_zero_mean,
                     ideal_target_state, is_physical, marginal,
-                    mechanical_reduced_channel, optimize_schedule,
+                    mechanical_reduced_channel, mechanical_squeezer,
+                    optimize_schedule,
                     photon_budget, photons_for_chi, product, regime_check,
                     rotation, schedule_for_mu, squeezed, squeezer_output,
-                    apply_channel, theta_for, thermal, vacuum)
+                    apply_channel, symplectic_form, theta_for, thermal,
+                    vacuum)
 
 PHI = math.pi / 50
 SQRT2 = math.sqrt(2.0)
@@ -238,6 +241,34 @@ def test_lossy_squeezer_is_physical():
     s = schedule_for_mu(SQRT2, PHI)
     loss = LossConfig.from_q(1e5, nbar_m=4e4, epsilon=5e-2)
     assert is_physical(build_lossy_squeezer(s, loss))
+
+
+# The value types check structure only; these properties check the
+# physicality the builders must deliver.
+_SCHEDULES = st.builds(schedule_for_mu, st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),
+                       st.floats(0.01, 1.5), st.floats(0.1, 1.0))
+
+
+def _losses(nbar_m_min: float = 0.0):
+    return st.builds(lambda e, nbar_m, eps, nbar_l: LossConfig.from_q(10.0 ** e, nbar_m, eps, nbar_l),
+                     st.floats(1.0, 8.0), st.floats(nbar_m_min, 1e5), st.floats(0.0, 1.0),
+                     st.floats(0.0, 10.0))
+
+
+# The bath occupancy starts at 100: below (2 nbar_m + 1) phi ~ sqrt(3) the
+# momentum-damped delay is itself not completely positive
+# (test_damped_evolution_physical_at_low_occupancy in test_channels.py).
+@given(_SCHEDULES, _losses(100.0))
+def test_built_squeezers_are_physical(schedule, loss):
+    assert is_physical(build_lossy_squeezer(schedule, loss))
+    assert is_physical(mechanical_squeezer(schedule, loss))
+
+
+@given(_SCHEDULES, _losses(), st.floats(0.0, 100.0))
+def test_squeezer_output_obeys_uncertainty_principle(schedule, loss, nbar_in):
+    v = squeezer_output(schedule, loss, thermal(nbar_in, MECH)).cov
+    margin = float(np.linalg.eigvalsh(v + 1j * symplectic_form(1)).min())
+    assert margin >= -1e-9 * float(np.max(np.abs(v)))
 
 
 def test_lossy_infidelity_ordered_in_q():

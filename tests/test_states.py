@@ -67,8 +67,11 @@ def test_product_concatenates():
 
 
 def test_state_validation_rejects_unphysical():
-    with pytest.raises(ValueError, match="uncertainty"):
-        GaussianState([0.0, 0.0], 0.5 * np.eye(2), MECH)
+    # the constructor checks structure only; the fidelity refuses a
+    # covariance below the pure-state floor
+    sub_vacuum = GaussianState([0.0, 0.0], 0.5 * np.eye(2), MECH)
+    with pytest.raises(ValueError, match="pure-state floor"):
+        fidelity_zero_mean(sub_vacuum, vacuum(MECH))
 
 
 # -- channel application -----------------------------------------------------

@@ -140,7 +140,6 @@ def test_normalization_preserved_by_channel():
     ch = damped_evolution(1e-4, 1.0, 100.0, 1.7, layout=MECH)
     out = apply_gaussian_channel(g, ch)
     assert out.total_mass() == pytest.approx(1.0, abs=1e-3)
-    assert out.renorm_drift < 1e-3
 
 
 def _random_one_mode_channel(rng):
@@ -220,7 +219,7 @@ def test_gaussian_sum_rejects_bad_shapes():
         GaussianSum([0.0, 0.0], [[0.0, 0.0]], np.eye(2))
 
 
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@settings(max_examples=12)
 @given(alpha=st.floats(0.5, 2.0), mu_pre=st.floats(0.5, 2.0),
        t=st.floats(0.0, 10.0, exclude_min=True))
 def test_exact_sum_matches_grid_oracle(alpha, mu_pre, t):
