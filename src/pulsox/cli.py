@@ -61,14 +61,21 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_opts = (
         (("--mu-log-range",), {"metavar": "A:B:N", "help": "log10(mu) grid"}),
         (("--mu",), {"help": "comma-separated mu values"}),
-        (("--phi",), {"type": float, "help": "mechanical rotation angle"}),
+        (("--phi",), {"help": "mechanical rotation angle"}),
         (("--q",), {"help": "comma-separated quality factors"}),
         (("--epsilon",), {"help": "comma-separated loss fractions"}),
-        (("--resolution",), {"type": int, "help": "Wigner grid points per axis"}),
+        (("--resolution",), {"help": "Wigner grid points per axis"}),
     )
     for name in EXPERIMENTS:
         _experiment_parser(sub, name, sweep_opts)
     return parser
+
+
+# Each experiment option is a shorthand for one config key.
+_FLAG_KEYS = {"mu_log_range": "sweep.mu_log_range", "mu": "sweep.mu",
+              "phi": "physical.phi", "q": "sweep.q", "epsilon": "sweep.epsilon",
+              "resolution": "grid.resolution", "output": "output.path",
+              "format": "output.format"}
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -79,22 +86,9 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if not sep:
             raise ConfigError(key, "expected KEY=VALUE")
         config.set_key(key.strip(), value.strip())
-    if getattr(args, "mu_log_range", None):
-        config.sweep.mu_log_range = args.mu_log_range
-    if getattr(args, "mu", None):
-        config.set_key("sweep.mu", args.mu)
-    if getattr(args, "phi", None) is not None:
-        config.physical.phi = args.phi
-    if getattr(args, "q", None):
-        config.set_key("sweep.q", args.q)
-    if getattr(args, "epsilon", None):
-        config.set_key("sweep.epsilon", args.epsilon)
-    if getattr(args, "resolution", None):
-        config.grid.resolution = args.resolution
-    if args.output:
-        config.output.path = args.output
-    if args.format:
-        config.output.format = args.format
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag) is not None:
+            config.set_key(key, getattr(args, flag))
     config.validate()
     return config
 

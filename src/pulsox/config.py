@@ -21,6 +21,9 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
+from .channels import is_physical
+from .squeezer import LossConfig, damped_delay
+
 EXPERIMENTS = ("fidelity-sweep", "fock-squeeze", "impulse", "cat-decay",
                "multimode", "photon-budget")
 
@@ -52,9 +55,10 @@ def mu_log_grid(spec: str) -> tuple[float, ...]:
 
 
 # Allowed range of each numeric key (every element, for list keys); every
-# numeric key must also be finite.
+# numeric key must also be finite.  q > 1/2 is gamma < 2 omega_m: the model
+# has no overdamped mechanics.
 _RANGES = {
-    "physical.q": (lambda v: v > 0, "must be > 0"),
+    "physical.q": (lambda v: v > 0.5, "must be > 0.5 (underdamped)"),
     "physical.omega_m": (lambda v: v > 0, "must be > 0"),
     "physical.nbar_m": (lambda v: v >= 0, "must be >= 0"),
     "physical.nbar_l": (lambda v: v >= 0, "must be >= 0"),
@@ -62,7 +66,7 @@ _RANGES = {
     "physical.ancilla_vsq": (lambda v: v > 0, "must be > 0"),
     "physical.phi": (lambda v: 0 < v < math.pi / 2, "must lie in (0, pi/2)"),
     "sweep.mu": (lambda v: v > 0, "must be > 0"),
-    "sweep.q": (lambda v: v > 0, "must be > 0"),
+    "sweep.q": (lambda v: v > 0.5, "must be > 0.5 (underdamped)"),
     "sweep.epsilon": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
     "sweep.alpha": (lambda v: v > 0, "must be > 0"),
     "sweep.g2_ratio": (lambda v: v >= 0, "must be >= 0"),
@@ -177,6 +181,13 @@ class ExperimentConfig:
             raise ConfigError("cat.series_periods",
                               f"{self.cat.series_periods!r} periods give no decay-series "
                               f"sample at {self.cat.samples_per_period} per period")
+        phys = self.physical
+        for q in (phys.q, *self.sweep.q):
+            loss = LossConfig.from_q(q, nbar_m=phys.nbar_m, omega_m=phys.omega_m)
+            if not is_physical(damped_delay(phys.phi, loss)):
+                raise ConfigError("physical.nbar_m", f"{phys.nbar_m!r} leaves the damped delay "
+                                  f"at q={q!r}, phi={phys.phi!r} not completely positive "
+                                  "(momentum damping needs about (2 nbar_m + 1) phi >= sqrt(3))")
 
     # -- flat key-value view -------------------------------------------------
 

@@ -64,11 +64,9 @@ def config_from_metadata(metadata: dict[str, str]) -> ExperimentConfig:
     return ExperimentConfig.from_items(items)
 
 
-def _loss(config: ExperimentConfig, *, q: float | None = None,
-          epsilon: float | None = None) -> LossConfig:
+def _loss(config: ExperimentConfig, *, epsilon: float | None = None) -> LossConfig:
     phys = config.physical
-    return LossConfig.from_q(q if q is not None else phys.q,
-                             nbar_m=phys.nbar_m,
+    return LossConfig.from_q(phys.q, nbar_m=phys.nbar_m,
                              epsilon=phys.epsilon if epsilon is None else epsilon,
                              nbar_l=phys.nbar_l, omega_m=phys.omega_m)
 

@@ -31,15 +31,14 @@ from .states import GaussianState, apply_channel, fidelity_zero_mean, squeezed, 
 class PulseSchedule:
     """The four pulse strengths plus rotation angles and ancilla squeezing spec.
 
-    ``chi2_second_pulse`` is the strength of the second X-X pulse,
-    -lam / cos(phi). ``theta`` cancels the Kerr term for analytic schedules
+    The second X-X pulse's strength :attr:`chi2_second_pulse` follows from lam
+    and phi.  ``theta`` cancels the Kerr term for analytic schedules
     (tan(theta) = -lam^2 tan(phi)) but is left free so the numerical
     re-optimizer can adjust it.
     """
 
     chi1: float
     lam: float
-    chi2_second_pulse: float
     chi3: float
     phi: float
     theta: float
@@ -47,14 +46,19 @@ class PulseSchedule:
     ancilla_angle: float = 0.0
 
     def __post_init__(self):
-        vals = (self.chi1, self.lam, self.chi2_second_pulse, self.chi3,
-                self.phi, self.theta, self.ancilla_vsq, self.ancilla_angle)
+        vals = (self.chi1, self.lam, self.chi3, self.phi, self.theta,
+                self.ancilla_vsq, self.ancilla_angle)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("schedule contains non-finite entries")
         if self.ancilla_vsq <= 0:
             raise ValueError("ancilla squeezed variance must be positive")
         if 1.0 + self.lam * self.chi1 * math.tan(self.phi) <= 0:
             raise ValueError("schedule has no positive squeeze factor mu")
+
+    @property
+    def chi2_second_pulse(self) -> float:
+        """Strength -lam / cos(phi) of the second X-X pulse."""
+        return -self.lam / math.cos(self.phi)
 
     @property
     def mu(self) -> float:
@@ -147,8 +151,7 @@ def schedule_for_mu(mu: float, phi: float, ancilla_vsq: float = 0.5) -> PulseSch
         chi1 = 0.0
     chi3 = chi3_for(chi1, lam, phi)
     sign = 0.0 if mu == 1.0 else math.copysign(1.0, 1.0 - mu)
-    return PulseSchedule(chi1=chi1, lam=lam, chi2_second_pulse=-lam / math.cos(phi),
-                         chi3=chi3, phi=phi, theta=theta_for(lam, phi),
+    return PulseSchedule(chi1=chi1, lam=lam, chi3=chi3, phi=phi, theta=theta_for(lam, phi),
                          ancilla_vsq=ancilla_vsq, ancilla_angle=sign * math.pi / 4.0)
 
 
@@ -181,6 +184,13 @@ def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], LinearMap],
             turn(schedule.theta - math.pi / 2.0), pulse(schedule.chi3).as_channel()]
 
 
+def damped_delay(phi: float, loss: LossConfig, layout: ModeLayout = MECH) -> GaussianChannel:
+    """Damped thermal evolution of the mechanics while it rotates through
+    phi, which takes t = phi / (sigma * omega_m)."""
+    t = phi / (sigma_factor(loss.gamma, loss.omega_m) * loss.omega_m)
+    return damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t, "mech", layout)
+
+
 def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianChannel:
     """Four-pulse squeezer with delay-line loss and mechanical damping.
 
@@ -192,11 +202,8 @@ def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianC
     plain squeezer form X' = X/mu + (1-mu) tan(phi) P + optical noise,
     P' = mu P.
     """
-    sig = sigma_factor(loss.gamma, loss.omega_m)
-    t_delay = schedule.phi / (sig * loss.omega_m)
     delay = [beamsplitter_loss(loss.epsilon, loss.nbar_l, "opt", MECH_OPT),
-             damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t_delay,
-                              "mech", MECH_OPT)]
+             damped_delay(schedule.phi, loss, MECH_OPT)]
     return compose(_four_pulse(schedule, qnd_xx, delay, MECH_OPT))
 
 
@@ -379,7 +386,6 @@ def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
     """
     seed = schedule_for_mu(mu_target, phi, ancilla_vsq)
     target = ideal_target_state(vacuum(MECH), mu_target, phi)
-    cos_phi = math.cos(phi)
 
     def make(params) -> PulseSchedule:
         if include_angles:
@@ -387,8 +393,7 @@ def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
         else:
             chi1, lam, chi3 = params
             theta, angle = theta_for(lam, phi), seed.ancilla_angle
-        return PulseSchedule(chi1=chi1, lam=lam, chi2_second_pulse=-lam / cos_phi,
-                             chi3=chi3, phi=phi, theta=theta,
+        return PulseSchedule(chi1=chi1, lam=lam, chi3=chi3, phi=phi, theta=theta,
                              ancilla_vsq=ancilla_vsq, ancilla_angle=angle)
 
     def infidelity(params) -> float:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pulsox import (GaussianChannel, LinearMap, MECH, MECH_OPT, ModeLayout,
                     NoiseTerm, beamsplitter_loss, compose, damped_evolution,
@@ -305,17 +305,38 @@ def test_symplectic_preservation_of_compositions():
         assert defect < 1e-10
 
 
-@pytest.mark.parametrize("channel", [
-    beamsplitter_loss(0.3, 5.0),
-    beamsplitter_loss(1.0, 0.0),
-    damped_evolution(0.01, 1.0, 100.0, 2.0, layout=MECH),
-    damped_evolution(1e-5, 1.0, 4e4, 0.06, layout=MECH),
-    qnd_xx(2.5).as_channel(),
-    GaussianChannel(lossy_rotation(0.2, 1.0, 1.0),
-                    thermal_noise_cov(0.2, 1.0, 0.0, 1.0)),
-])
-def test_channels_are_physical(channel):
-    assert is_physical(channel)
+@pytest.mark.parametrize("channel,physical", [
+    (beamsplitter_loss(0.3, 5.0), True),
+    (beamsplitter_loss(1.0, 0.0), True),
+    (damped_evolution(0.01, 1.0, 100.0, 2.0, layout=MECH), True),
+    (damped_evolution(1e-5, 1.0, 4e4, 0.06, layout=MECH), True),
+    (qnd_xx(2.5).as_channel(), True),
+    # zero-occupancy momentum damping: min eig(N + i(1 - det M) Omega) = -0.059
+    (GaussianChannel(lossy_rotation(0.2, 1.0, 1.0),
+                     thermal_noise_cov(0.2, 1.0, 0.0, 1.0)), False),
+    # the same defect at weak damping, margin -2.0e-4
+    (damped_evolution(1e-3, 1.0, 0.0, 2.0, layout=MECH), False),
+], ids=[f"channel{k}" for k in range(7)])
+def test_channels_are_physical(channel, physical):
+    assert is_physical(channel) is physical
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), st.floats(-1.0, 10.0),
+       st.floats(-3.0, 3.0), st.floats(-1.0, 10.0))
+def test_is_physical_is_the_single_mode_cp_condition(entries, a, b, c):
+    m = np.reshape(entries, (2, 2))
+    noise = np.array([[a, b], [b, c]])
+    det_m = float(np.linalg.det(m))
+    gap = float(np.linalg.det(noise)) - (1.0 - det_m) ** 2
+    if abs(gap) > 1e-6:  # off the boundary, where rounding cannot decide
+        closed_form = a >= 0 and c >= 0 and gap >= 0  # N >= 0, det N >= (1 - det M)^2
+        channel = GaussianChannel(LinearMap(m, MECH), NoiseTerm(np.zeros(2), noise))
+        assert is_physical(channel) is closed_form
+    if abs(det_m) > 1e-2:
+        # a real 2x2 map with unit determinant is symplectic
+        s = m @ np.diag([1.0, math.copysign(1.0, det_m)]) / math.sqrt(abs(det_m))
+        assert is_physical(LinearMap(s, MECH).as_channel())
 
 
 @pytest.mark.xfail(strict=True, reason=(

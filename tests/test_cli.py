@@ -74,6 +74,19 @@ def test_empty_decay_series_is_validation_error(periods, tmp_path, monkeypatch, 
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args,key", [
+    (["fock-squeeze", "--resolution", "0"], "grid.resolution"),
+    (["fidelity-sweep", "--q", "0.4"], "sweep.q"),
+    (["impulse", "--set", "physical.q=0.3"], "physical.q"),
+    (["impulse", "--set", "physical.nbar_m=0", "--set", "physical.q=10"], "physical.nbar_m"),
+])
+def test_rejected_option_names_its_key(args, key, tmp_path, monkeypatch, capsys):
+    rc = run(args, monkeypatch, tmp_path)
+    assert rc == 1
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_missing_config_file(tmp_path, monkeypatch, capsys):
     rc = run(["fidelity-sweep", "--config", str(tmp_path / "absent.cfg")],
              monkeypatch, tmp_path)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from pulsox.config import (ConfigError, ExperimentConfig, load_config,
-                           mu_log_grid, parse_config_text)
+from pulsox.config import (EXPERIMENTS, ConfigError, ExperimentConfig,
+                           load_config, mu_log_grid, parse_config_text)
 from pulsox.experiments import (_squeeze_infidelity, config_from_metadata,
                                 d_min_approx, d_min_full,
                                 decay_rate_series, dominant_modulation_frequency,
@@ -82,7 +82,8 @@ def test_validate_rejects_unknown_experiment():
 
 
 @pytest.mark.parametrize("key,raw", [
-    ("physical.q", "nan"), ("physical.q", "0"), ("physical.nbar_m", "-1"),
+    ("physical.q", "nan"), ("physical.q", "0"), ("physical.q", "0.5"),
+    ("sweep.q", "1e5, 0.4"), ("physical.nbar_m", "-1"),
     ("physical.nbar_l", "-inf"), ("physical.epsilon", "1.5"),
     ("physical.epsilon", "-0.1"), ("physical.ancilla_vsq", "0"),
     ("physical.phi", "inf"), ("readout.chi_ro", "0"), ("sweep.alpha", "1, -2"),
@@ -98,6 +99,22 @@ def test_validate_rejects_unknown_experiment():
 def test_set_key_rejects_non_finite_and_out_of_range(key, raw):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         ExperimentConfig().set_key(key, raw)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_default_configs_validate(experiment):
+    make_config(experiment).validate()
+
+
+@pytest.mark.parametrize("q,sweep_q", [(10.0, ()), (0.5000001, (10.0,))])
+def test_validate_rejects_non_completely_positive_delay(q, sweep_q):
+    # q -> 1/2 equilibrates the bath during the delay, so only sweep.q fails there
+    cfg = make_config("fidelity-sweep", q=q, nbar_m=0.0)
+    cfg.sweep.q = sweep_q
+    with pytest.raises(ConfigError, match=r"physical\.nbar_m.*q=10\.0.*not completely positive"):
+        cfg.validate()
+    cfg.physical.nbar_m = 14.0
+    cfg.validate()
 
 
 def test_validate_rejects_fields_set_directly():

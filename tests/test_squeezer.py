@@ -91,9 +91,8 @@ def test_schedule_rejects_bad_inputs():
         schedule_for_mu(-1.0, PHI)
     with pytest.raises(ValueError):
         schedule_for_mu(2.0, 2.0)  # phi >= pi/2
-    with pytest.raises(ValueError):
-        PulseSchedule(chi1=10.0, lam=-10.0, chi2_second_pulse=10.0, chi3=1.0,
-                      phi=0.1, theta=0.0)  # 1 + lam chi1 tan(phi) < 0
+    with pytest.raises(ValueError):  # 1 + lam chi1 tan(phi) < 0
+        PulseSchedule(chi1=10.0, lam=-10.0, chi3=1.0, phi=0.1, theta=0.0)
 
 
 # -- ideal three-pulse squeezer -------------------------------------------------
@@ -402,9 +401,7 @@ def test_symmetric_split_optimal_at_fixed_mu():
     def infid(split):
         chi1 = math.sqrt(abs(k)) * split
         lam = k / chi1
-        s = PulseSchedule(chi1=chi1, lam=lam,
-                          chi2_second_pulse=-lam / math.cos(PHI),
-                          chi3=chi3_for(chi1, lam, PHI), phi=PHI,
+        s = PulseSchedule(chi1=chi1, lam=lam, chi3=chi3_for(chi1, lam, PHI), phi=PHI,
                           theta=theta_for(lam, PHI), ancilla_vsq=v_sq,
                           ancilla_angle=math.copysign(math.pi / 4, 1 - mu))
         return 1.0 - fidelity_zero_mean(squeezer_output(s, LOSSLESS, vacuum(MECH)),
