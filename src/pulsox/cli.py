@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands map onto the experiment runners plus three calculators
-(``squeeze``, ``photon-budget``, ``regime-check``).  Options layer on top of
+(``squeeze``, ``regime-check``, ``fiber-loss``).  Options layer on top of
 an optional config file; results are written as CSV or JSON tables (grids as
 CSV) into ``--output`` or the ``PULSOX_OUTPUT_DIR`` directory.
 
@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation/config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,19 +23,40 @@ from .states import pure_fidelity
 from .wigner import grid_to_csv
 
 
-def _common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="config file (key = value lines)")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override one config key (repeatable)")
-    parser.add_argument("--output", help="output path stem")
-    parser.add_argument("--format", choices=("csv", "json"), help="table format")
+# Each experiment option is a shorthand for one config key: (flag, key, help).
+_EXPERIMENT_FLAGS = (
+    ("--mu-log-range", "sweep.mu_log_range", "log10(mu) grid A:B:N"),
+    ("--mu", "sweep.mu", "comma-separated mu values"),
+    ("--phi", "physical.phi", "mechanical rotation angle"),
+    ("--q", "sweep.q", "comma-separated quality factors"),
+    ("--epsilon", "sweep.epsilon", "comma-separated loss fractions"),
+    ("--resolution", "grid.resolution", "Wigner grid points per axis"),
+    ("--output", "output.path", "output path stem"),
+    ("--format", "output.format", "table format: csv or json"),
+)
 
 
-def _experiment_parser(sub, name: str, extra=()) -> None:
-    parser = sub.add_parser(name, help=f"run the {name} experiment")
-    _common_options(parser)
-    for args, kwargs in extra:
-        parser.add_argument(*args, **kwargs)
+# Calculator options, all finite floats: name -> (help, ((flag, default), ...)),
+# where a default of None makes the option required.
+_CALCULATORS = {
+    "squeeze": ("print the analytic pulse schedule",
+                (("--mu", None), ("--phi", None), ("--ancilla-vsq", 0.5))),
+    "regime-check": ("pulsed-QND validity diagnostics",
+                     (("--g0", None), ("--omega-m", None), ("--kappa", None),
+                      ("--pulse-bandwidth", None), ("--margin", 10.0))),
+    "fiber-loss": ("delay-line loss estimate",
+                   (("--length-km", None), ("--db-per-km", 0.4))),
+}
+
+
+def _finite_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a finite number")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,40 +64,19 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="pulsed optomechanical squeezing simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    squeeze = sub.add_parser("squeeze", help="print the analytic pulse schedule")
-    squeeze.add_argument("--mu", type=float, required=True)
-    squeeze.add_argument("--phi", type=float, required=True)
-    squeeze.add_argument("--ancilla-vsq", type=float, default=0.5)
-
-    regime = sub.add_parser("regime-check", help="pulsed-QND validity diagnostics")
-    regime.add_argument("--g0", type=float, required=True)
-    regime.add_argument("--omega-m", type=float, required=True)
-    regime.add_argument("--kappa", type=float, required=True)
-    regime.add_argument("--pulse-bandwidth", type=float, required=True)
-    regime.add_argument("--margin", type=float, default=10.0)
-
-    fiber = sub.add_parser("fiber-loss", help="delay-line loss estimate")
-    fiber.add_argument("--length-km", type=float, required=True)
-    fiber.add_argument("--db-per-km", type=float, default=0.4)
-
-    sweep_opts = (
-        (("--mu-log-range",), {"metavar": "A:B:N", "help": "log10(mu) grid"}),
-        (("--mu",), {"help": "comma-separated mu values"}),
-        (("--phi",), {"help": "mechanical rotation angle"}),
-        (("--q",), {"help": "comma-separated quality factors"}),
-        (("--epsilon",), {"help": "comma-separated loss fractions"}),
-        (("--resolution",), {"help": "Wigner grid points per axis"}),
-    )
+    for name, (text, options) in _CALCULATORS.items():
+        calculator = sub.add_parser(name, help=text)
+        for flag, default in options:
+            calculator.add_argument(flag, type=_finite_float, required=default is None,
+                                    default=default)
     for name in EXPERIMENTS:
-        _experiment_parser(sub, name, sweep_opts)
+        experiment = sub.add_parser(name, help=f"run the {name} experiment")
+        experiment.add_argument("--config", help="config file (key = value lines)")
+        experiment.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                                help="override one config key (repeatable)")
+        for flag, key, text in _EXPERIMENT_FLAGS:
+            experiment.add_argument(flag, dest=key, metavar="VALUE", help=f"{text} ({key})")
     return parser
-
-
-# Each experiment option is a shorthand for one config key.
-_FLAG_KEYS = {"mu_log_range": "sweep.mu_log_range", "mu": "sweep.mu",
-              "phi": "physical.phi", "q": "sweep.q", "epsilon": "sweep.epsilon",
-              "resolution": "grid.resolution", "output": "output.path",
-              "format": "output.format"}
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -86,9 +87,9 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if not sep:
             raise ConfigError(key, "expected KEY=VALUE")
         config.set_key(key.strip(), value.strip())
-    for flag, key in _FLAG_KEYS.items():
-        if getattr(args, flag) is not None:
-            config.set_key(key, getattr(args, flag))
+    for _, key, _ in _EXPERIMENT_FLAGS:
+        if getattr(args, key) is not None:
+            config.set_key(key, getattr(args, key))
     config.validate()
     return config
 
@@ -154,14 +155,9 @@ def _run_calculator(args: argparse.Namespace) -> int:
 def _merge_range_values(argv: list[str]) -> list[str]:
     # argparse mistakes '-1.2:1.2:49' for a flag; join it onto its option
     merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--mu-log-range" and i + 1 < len(argv):
-            merged.append(f"{tok}={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if merged and merged[-1] == "--mu-log-range":
+            merged[-1] += f"={tok}"
         else:
             merged.append(tok)
     return merged
@@ -174,7 +170,7 @@ def cli_main(argv) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        if args.command in ("squeeze", "regime-check", "fiber-loss"):
+        if args.command in _CALCULATORS:
             return _run_calculator(args)
         config = _resolve_config(args)
         if args.command == "photon-budget" and len(config.sweep.mu) == 1 \

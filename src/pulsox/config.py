@@ -10,10 +10,10 @@ Grammar (one assignment per line)::
     sweep.mu_log_range = -1.2:1.2:49
     output.path = out/cat
 
-Values are parsed by the field they land in: floats, ints, strings, or
-comma-separated float lists.  ``a:b:n`` ranges expand to n log10-spaced mu
-values.  Unknown or malformed keys raise :class:`ConfigError` carrying the
-dotted key path.
+Values are parsed by the field they land in: floats, whole-number ints,
+strings, or comma-separated float lists.  ``a:b:n`` ranges expand to n
+log10-spaced mu values.  Unknown or malformed keys raise :class:`ConfigError`
+carrying the dotted key path.
 """
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ from .squeezer import LossConfig, damped_delay
 
 EXPERIMENTS = ("fidelity-sweep", "fock-squeeze", "impulse", "cat-decay",
                "multimode", "photon-budget")
+# Experiments that squeeze at a single mu rather than sweeping it.
+SINGLE_MU_EXPERIMENTS = ("fock-squeeze", "multimode")
 
 
 class ConfigError(ValueError):
@@ -49,9 +51,7 @@ def mu_log_grid(spec: str) -> tuple[float, ...]:
         raise ValueError(f"expected 'a:b:n', got {spec!r}") from None
     if n < 1:
         raise ValueError("grid needs at least one point")
-    if n == 1:
-        return (10.0 ** lo,)
-    return tuple(10.0 ** (lo + (hi - lo) * k / (n - 1)) for k in range(n))
+    return tuple(10.0 ** (lo + (hi - lo) * k / max(n - 1, 1)) for k in range(n))
 
 
 # Allowed range of each numeric key (every element, for list keys); every
@@ -115,6 +115,8 @@ class SweepConfig:
     g2_ratio: tuple[float, ...] = (0.0, 0.1, 0.2, 0.5, 1.0)
 
     def mu_values(self, default: Sequence[float]) -> tuple[float, ...]:
+        """The mu values to run: ``mu`` if set, else the expanded
+        ``mu_log_range``, else ``default``."""
         if self.mu:
             return self.mu
         if self.mu_log_range:
@@ -130,7 +132,6 @@ class ReadoutConfig:
 @dataclass
 class ImpulseConfig:
     nbar_in: tuple[float, ...] = (1.0, 3.0)
-    d: tuple[float, ...] = ()
 
 
 @dataclass
@@ -177,6 +178,17 @@ class ExperimentConfig:
             if hasattr(section, "__dataclass_fields__"):
                 for sub in fields(section):
                     _check_value(f"{f.name}.{sub.name}", getattr(section, sub.name))
+        # sweep.mu, when set, takes precedence over sweep.mu_log_range
+        mu_key = "sweep.mu" if self.sweep.mu else "sweep.mu_log_range"
+        try:
+            mus = self.sweep.mu_values(())
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(mu_key, f"cannot expand {self.sweep.mu_log_range!r}: {exc}") from None
+        positive, rule = _RANGES["sweep.mu"]
+        if not all(positive(mu) for mu in mus):
+            raise ConfigError(mu_key, f"values {mus!r} {rule}")
+        if self.experiment in SINGLE_MU_EXPERIMENTS and len(mus) > 1:
+            raise ConfigError(mu_key, f"{self.experiment} runs at one mu, got {len(mus)}")
         if int(self.cat.series_periods * self.cat.samples_per_period) < 1:
             raise ConfigError("cat.series_periods",
                               f"{self.cat.series_periods!r} periods give no decay-series "
@@ -207,15 +219,16 @@ class ExperimentConfig:
         try:
             if isinstance(current, tuple):
                 value = _float_list(raw)
-            elif isinstance(current, bool):
-                value = raw.strip().lower() in ("1", "true", "yes")
             elif isinstance(current, int):
-                value = int(float(raw))
+                value = float(raw)
+                if not value.is_integer():
+                    raise ValueError("not a whole number")
+                value = int(value)
             elif isinstance(current, float):
                 value = float(raw)
             else:
                 value = raw.strip()
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ConfigError(key, f"cannot parse {raw!r}: {exc}") from None
         _check_value(key, value)
         setattr(target, name, value)

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channels import (compose, damped_evolution, qnd_xx, qnd_xx_collective,
-                       rotation, sigma_factor)
+from .channels import compose, qnd_xx, qnd_xx_collective, rotation
 from .config import ConfigError, ExperimentConfig
 from .modes import MECH, MECH_OPT, ModeLayout, OPT
-from .squeezer import (LossConfig, _four_pulse, approx_photon_budget,
+from .squeezer import (LossConfig, _four_pulse, approx_photon_budget, damped_delay,
                        ideal_target_map, ideal_target_state, mechanical_squeezer,
                        photon_budget, schedule_for_mu, squeezer_output)
 from .states import (apply_channel, classical_bound, fidelity_zero_mean,
@@ -41,12 +40,6 @@ class RunResult:
     tables: dict[str, ResultTable] = field(default_factory=dict)
     grids: dict[str, WignerGrid] = field(default_factory=dict)
     summary: str = ""
-
-    @property
-    def table(self) -> ResultTable:
-        if len(self.tables) != 1:
-            raise ValueError("run produced multiple tables; pick one by name")
-        return next(iter(self.tables.values()))
 
 
 def _metadata(config: ExperimentConfig) -> dict[str, str]:
@@ -121,7 +114,7 @@ def run_fock_squeeze(config: ExperimentConfig) -> RunResult:
     """Squeeze a single-phonon Fock state and export target / ideal / lossy
     Wigner grids with their origin negativities."""
     phys = config.physical
-    mu = (config.sweep.mu or (2.0,))[0]
+    (mu,) = config.sweep.mu_values((2.0,))
     eps_grid = config.sweep.epsilon or (1e-2, 5e-2)
     res = config.grid.resolution
     # the anti-squeezed quadrature stretches the Fock tails by max(mu, 1/mu)
@@ -180,11 +173,7 @@ def d_min_full(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: float
     """
     schedule = schedule_for_mu(mu, phi, v_sq)
     state = squeezer_output(schedule, loss, thermal(nbar_in, MECH))
-
-    sig = sigma_factor(loss.gamma, loss.omega_m)
-    t_quarter = (math.pi / 2.0) / (sig * loss.omega_m)
-    quarter = damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t_quarter,
-                               layout=MECH)
+    quarter = damped_delay(math.pi / 2.0, loss)
     state = apply_channel(state, quarter)
 
     probe = vacuum(OPT)  # coherent readout pulse: vacuum fluctuations
@@ -262,9 +251,10 @@ def run_cat_decay(config: ExperimentConfig) -> RunResult:
         ["t", "eta"], [[t, e] for t, e in zip(times, etas)], _metadata(config))
 
     # optional half-life sweep over mu for the largest cat
-    if config.sweep.mu:
+    mus = config.sweep.mu_values(())
+    if mus:
         sweep_rows = []
-        for mu_pre in config.sweep.mu:
+        for mu_pre in mus:
             result = cat_half_life(alpha_series, mu_pre)
             sweep_rows.append([mu_pre, result.tau, result.tau / period,
                                1.0 if result.reached else 0.0])
@@ -316,7 +306,7 @@ def run_multimode(config: ExperimentConfig) -> RunResult:
     All three modes start in vacuum; reported against the mode-1 target.
     """
     layout = ModeLayout(("mech", "mech2", "opt"))
-    mu = (config.sweep.mu or (math.sqrt(2.0),))[0]
+    (mu,) = config.sweep.mu_values((math.sqrt(2.0),))
     phi = config.physical.phi
     omega2_ratio = 2.0
     schedule = schedule_for_mu(mu, phi, ancilla_vsq=1.0)  # vacuum ancilla

@@ -98,10 +98,6 @@ class LossConfig:
         return cls(gamma=omega_m / q, omega_m=omega_m, nbar_m=nbar_m,
                    epsilon=epsilon, nbar_l=nbar_l)
 
-    @property
-    def lossless(self) -> bool:
-        return self.gamma == 0.0 and self.epsilon == 0.0
-
 
 LOSSLESS = LossConfig()
 
@@ -159,12 +155,10 @@ def schedule_for_mu(mu: float, phi: float, ancilla_vsq: float = 0.5) -> PulseSch
 # squeezer assembly
 # ---------------------------------------------------------------------------
 
-def build_ideal_squeezer(chi1: float, chi3: float,
-                         layout: ModeLayout = MECH_OPT) -> LinearMap:
-    """Three-pulse sequence XX(chi3) PP(chi2) XX(chi1) with chi2 from
-    :func:`chi2_for`; the mechanical block is diag(-chi1/chi3, -chi3/chi1)."""
-    chi2 = chi2_for(chi1, chi3)
-    return qnd_xx(chi3, layout=layout) @ qnd_pp(chi2, layout=layout) @ qnd_xx(chi1, layout=layout)
+def build_ideal_squeezer(chi1: float, chi3: float) -> LinearMap:
+    """Three-pulse sequence XX(chi3) PP(chi2) XX(chi1) on (mech, opt) with chi2
+    from :func:`chi2_for`; the mechanical block is diag(-chi1/chi3, -chi3/chi1)."""
+    return qnd_xx(chi3) @ qnd_pp(chi2_for(chi1, chi3)) @ qnd_xx(chi1)
 
 
 def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], LinearMap],
@@ -228,9 +222,9 @@ def ancilla_state(schedule: PulseSchedule) -> GaussianState:
     return squeezed(schedule.ancilla_vsq, schedule.ancilla_angle, OPT)
 
 
-def mechanical_reduced_channel(channel: GaussianChannel, ancilla: GaussianState,
-                               mech: str = "mech", opt: str = "opt") -> GaussianChannel:
-    """Marginalize the optical ancilla out of a two-mode channel.
+def mechanical_reduced_channel(channel: GaussianChannel,
+                               ancilla: GaussianState) -> GaussianChannel:
+    """Marginalize the optical ancilla out of a two-mode (mech, opt) channel.
 
     Valid for product inputs (mechanical state independent of the ancilla):
     the ancilla's covariance feeds the mechanical output through the
@@ -241,15 +235,14 @@ def mechanical_reduced_channel(channel: GaussianChannel, ancilla: GaussianState,
         raise ValueError("reduction expects a two-mode channel")
     if ancilla.layout.mode_count != 1:
         raise ValueError("ancilla must be single-mode")
-    i = layout.x_index(mech)
-    j = layout.x_index(opt)
+    i = layout.x_index("mech")
+    j = layout.x_index("opt")
     m = channel.map.matrix
     m_mm = m[i:i + 2, i:i + 2]
     m_mo = m[i:i + 2, j:j + 2]
     cov = m_mo @ ancilla.cov @ m_mo.T + channel.noise.cov[i:i + 2, i:i + 2]
     mean = m_mo @ ancilla.mean + channel.noise.mean[i:i + 2]
-    out_layout = ModeLayout((mech,))
-    return GaussianChannel(LinearMap(m_mm, out_layout), NoiseTerm(mean, cov))
+    return GaussianChannel(LinearMap(m_mm, MECH), NoiseTerm(mean, cov))
 
 
 def mechanical_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianChannel:

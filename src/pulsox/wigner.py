@@ -37,6 +37,11 @@ class GridClippingError(ArithmeticError):
     """Raised when more than the tolerated probability mass leaves the grid."""
 
 
+def _axis(half_extent: float, resolution: int) -> np.ndarray:
+    """Node coordinates x_i = -L + i * (2L / resolution) of one grid axis."""
+    return np.linspace(-half_extent, half_extent, resolution, endpoint=False)
+
+
 @dataclass(frozen=True)
 class WignerGrid:
     """Wigner samples values[i, j] = W(x_i, p_j) on a uniform grid.
@@ -67,7 +72,7 @@ class WignerGrid:
         return 2.0 * self.half_extent / self.resolution
 
     def axis(self) -> np.ndarray:
-        return -self.half_extent + self.step * np.arange(self.resolution)
+        return _axis(self.half_extent, self.resolution)
 
     def total_mass(self) -> float:
         return float(self.values.sum() * self.step ** 2)
@@ -180,8 +185,7 @@ class GaussianSum:
 
     def sample(self, half_extent: float, resolution: int) -> WignerGrid:
         """The sum evaluated on the nodes of a grid."""
-        grid = WignerGrid(half_extent, resolution, np.zeros((resolution, resolution)))
-        ax = grid.axis()
+        ax = _axis(half_extent, resolution)
         return WignerGrid(half_extent, resolution, self._values(ax[:, None], ax[None, :]))
 
 
@@ -224,8 +228,7 @@ def wigner_fock(n: int, half_extent: float = DEFAULT_HALF_EXTENT,
     """Fock-state Wigner function (-1)^n L_n(r^2) e^(-r^2 / 2) / (2 pi)."""
     if not 0 <= n <= 3:
         raise ValueError("Fock constructor supports n in 0..3")
-    grid = WignerGrid(half_extent, resolution, np.zeros((resolution, resolution)))
-    ax = grid.axis()
+    ax = _axis(half_extent, resolution)
     r2 = ax[:, None] ** 2 + ax[None, :] ** 2
     w = (-1.0) ** n * _LAGUERRE[n](r2) * np.exp(-0.5 * r2) / (2.0 * math.pi)
     return WignerGrid(half_extent, resolution, w)
@@ -249,8 +252,7 @@ def wigner_gaussian(mean: Sequence[float], cov: np.ndarray,
     if det <= 0:
         raise ValueError("covariance must be positive definite")
     inv = np.linalg.inv(cov)
-    grid = WignerGrid(half_extent, resolution, np.zeros((resolution, resolution)))
-    ax = grid.axis()
+    ax = _axis(half_extent, resolution)
     dx = ax[:, None] - mean[0]
     dp = ax[None, :] - mean[1]
     quad = inv[0, 0] * dx ** 2 + 2.0 * inv[0, 1] * dx * dp + inv[1, 1] * dp ** 2
@@ -369,14 +371,13 @@ def eta_series(state0: GaussianSum | WignerGrid, loss: LossConfig,
 
 
 def half_life(spec: CatSpec, loss: LossConfig, pre_squeeze: PulseSchedule | None = None,
-              samples_per_period: int = 64, max_periods: float = 40.0,
-              bisection_steps: int = 20) -> HalfLifeResult:
+              samples_per_period: int = 64, max_periods: float = 40.0) -> HalfLifeResult:
     """Time for the origin negativity to fall to 1/2 (absolute threshold).
 
     Scans eta(t) at ``samples_per_period`` per mechanical period (each sample
     is a single exact propagation of the Gaussian sum from t = 0), then
-    bisects between the first bracketing pair.  If eta never crosses 1/2
-    within ``max_periods`` the horizon is returned with ``reached=False``.
+    bisects 20 times between the first bracketing pair.  If eta never crosses
+    1/2 within ``max_periods`` the horizon is returned with ``reached=False``.
     """
     if spec.parity != "odd":
         raise ValueError("half-life is defined for odd cats (eta(0) = 1)")
@@ -393,7 +394,7 @@ def half_life(spec: CatSpec, loss: LossConfig, pre_squeeze: PulseSchedule | None
     t = dt
     while t <= horizon:
         if eta_at(state0, loss, t) < 0.5:
-            for _ in range(bisection_steps):
+            for _ in range(20):
                 t_mid = 0.5 * (t_lo + t)
                 if eta_at(state0, loss, t_mid) >= 0.5:
                     t_lo = t_mid

@@ -79,6 +79,15 @@ def test_empty_decay_series_is_validation_error(periods, tmp_path, monkeypatch, 
     (["fidelity-sweep", "--q", "0.4"], "sweep.q"),
     (["impulse", "--set", "physical.q=0.3"], "physical.q"),
     (["impulse", "--set", "physical.nbar_m=0", "--set", "physical.q=10"], "physical.nbar_m"),
+    (["multimode", "--mu", "1,2,3"], "sweep.mu"),
+    (["fock-squeeze", "--mu", "1,2"], "sweep.mu"),
+    (["multimode", "--mu-log-range", "0:0.3:2"], "sweep.mu_log_range"),
+    (["fidelity-sweep", "--mu-log-range", "1:2"], "sweep.mu_log_range"),
+    (["fidelity-sweep", "--mu-log-range=-400:400:3"], "sweep.mu_log_range"),
+    (["cat-decay", "--mu-log-range", "-400:0:2"], "sweep.mu_log_range"),
+    (["fiber-loss", "--length-km", "nan"], "--length-km"),
+    (["regime-check", "--g0", "nan", "--omega-m", "1e6", "--kappa", "1e9",
+      "--pulse-bandwidth", "1e8"], "--g0"),
 ])
 def test_rejected_option_names_its_key(args, key, tmp_path, monkeypatch, capsys):
     rc = run(args, monkeypatch, tmp_path)

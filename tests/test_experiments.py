@@ -1,5 +1,6 @@
 """Experiment runners: sweeps, tables, and reproducibility round trips."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,7 +95,8 @@ def test_validate_rejects_unknown_experiment():
     ("sweep.g2_ratio", "0.5, -0.1"), ("impulse.nbar_in", "-1"),
     ("cat.momentum_mu", "0"), ("cat.series_periods", "0"),
     ("grid.half_extent", "0"), ("grid.resolution", "2"),
-    ("grid.resolution", "500"),
+    ("grid.resolution", "500"), ("grid.resolution", "256.7"),
+    ("cat.samples_per_period", "64.9"),
 ])
 def test_set_key_rejects_non_finite_and_out_of_range(key, raw):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -106,12 +108,15 @@ def test_default_configs_validate(experiment):
     make_config(experiment).validate()
 
 
-@pytest.mark.parametrize("q,sweep_q", [(10.0, ()), (0.5000001, (10.0,))])
+@pytest.mark.parametrize("q,sweep_q", [(10.0, ()), (0.5000001, (10.0,)), (1e8, ())])
 def test_validate_rejects_non_completely_positive_delay(q, sweep_q):
-    # q -> 1/2 equilibrates the bath during the delay, so only sweep.q fails there
+    # q -> 1/2 equilibrates the bath during the delay, so only sweep.q fails
+    # there; at q = 1e8 the violation is -2.6e-10, inside an absolute 1e-9
     cfg = make_config("fidelity-sweep", q=q, nbar_m=0.0)
     cfg.sweep.q = sweep_q
-    with pytest.raises(ConfigError, match=r"physical\.nbar_m.*q=10\.0.*not completely positive"):
+    failing_q = re.escape(repr(sweep_q[0] if sweep_q else q))
+    with pytest.raises(ConfigError,
+                       match=rf"physical\.nbar_m.*q={failing_q},.*not completely positive"):
         cfg.validate()
     cfg.physical.nbar_m = 14.0
     cfg.validate()
@@ -317,6 +322,19 @@ def test_cat_half_life_peaks_near_mu_opt():
     sweep = result.tables["half_life_mu_sweep"]
     taus = sweep.column("tau")
     assert max(taus) == taus[1]
+
+
+@pytest.mark.parametrize("experiment", ["fock-squeeze", "multimode", "cat-decay"])
+def test_single_mu_runners_read_mu_log_range(experiment):
+    # a one-point log10 grid runs exactly the mu it expands to
+    def tables(**sweep):
+        cfg = make_config(experiment)
+        cfg.sweep.alpha = (1.0,)
+        for key, value in sweep.items():
+            setattr(cfg.sweep, key, value)
+        return {name: t.rows for name, t in run_experiment(cfg).tables.items()}
+
+    assert tables(mu_log_range="0.25:0.25:1") == tables(mu=(10.0 ** 0.25,))
 
 
 # -- photon budget / fiber ----------------------------------------------------------------
