@@ -7,6 +7,10 @@ Lossless constructors (QND pulses, rotations) are symplectic; lossy ones
 noise term.  All values are immutable and every operation is a pure function.
 
 The value types check structure only (shape, finiteness, noise symmetry).
+They may carry a leading batch axis (``(..., d, d)`` maps and covariances,
+``(..., d)`` means), checked once per object.  The lossless constructors and
+``compose`` broadcast over it; the loss constructors take scalars.
+
 A channel is physical when it is completely positive, which
 :func:`is_physical` tests exactly and composition preserves.  The named
 constructors' scalar checks guarantee that, except for the momentum-damped
@@ -14,6 +18,7 @@ delay at low bath occupancy, which ``ExperimentConfig.validate`` rejects.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -34,9 +39,31 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _same_batch(*batches: tuple) -> None:
+    """The arrays of one value either share a batch shape or have none."""
+    shapes = set(batches)
+    shapes.discard(())
+    if len(shapes) > 1:
+        raise ValueError(f"batch shapes {batches} differ")
+
+
+@functools.cache
+def _eye(d: int) -> np.ndarray:
+    return _frozen(np.eye(d))
+
+
+def _identity(batch: tuple, d: int) -> np.ndarray:
+    return np.zeros(batch + (d, d)) + _eye(d)
+
+
+def _transpose(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
+
+
 @dataclass(frozen=True)
 class LinearMap:
-    """Real 2N x 2N linear map on the quadrature vector of ``layout``."""
+    """Real 2N x 2N linear map on the quadrature vector of ``layout``, or a
+    batch of them with shape ``(..., 2N, 2N)``."""
 
     matrix: np.ndarray
     layout: ModeLayout
@@ -44,9 +71,9 @@ class LinearMap:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         d = self.layout.dim
-        if m.shape != (d, d):
+        if m.shape[-2:] != (d, d):
             raise ValueError(f"map shape {m.shape} does not match layout dim {d}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("map contains non-finite entries")
         object.__setattr__(self, "matrix", _frozen(m))
 
@@ -56,9 +83,9 @@ class LinearMap:
         return LinearMap(self.matrix @ other.matrix, self.layout)
 
     def symplectic_defect(self) -> float:
-        """Max-norm of M Omega M^T - Omega; ~0 for lossless maps."""
+        """Max-norm of M Omega M^T - Omega over the batch; ~0 for lossless maps."""
         omega = symplectic_form(self.layout.mode_count)
-        return float(np.max(np.abs(self.matrix @ omega @ self.matrix.T - omega)))
+        return float(np.max(np.abs(self.matrix @ omega @ _transpose(self.matrix) - omega)))
 
     def is_symplectic(self) -> bool:
         return self.symplectic_defect() < 1e-10
@@ -67,7 +94,7 @@ class LinearMap:
         """2x2 sub-block: quadratures of mode ``rows`` driven by mode ``cols``."""
         i = self.layout.x_index(rows)
         j = self.layout.x_index(cols)
-        return self.matrix[i:i + 2, j:j + 2].copy()
+        return self.matrix[..., i:i + 2, j:j + 2].copy()
 
     def as_channel(self) -> "GaussianChannel":
         return GaussianChannel(self, NoiseTerm.zero(self.layout.dim))
@@ -81,25 +108,28 @@ class NoiseTerm:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        d = mean.shape[0]
-        if cov.shape != (d, d):
-            raise ValueError(f"noise covariance shape {cov.shape} vs mean dim {d}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        if mean.ndim == 0 or cov.shape[-2:] != mean.shape[-1:] * 2:
+            raise ValueError(f"noise covariance shape {cov.shape} vs mean shape {mean.shape}")
+        _same_batch(mean.shape[:-1], cov.shape[:-2])
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("noise term contains non-finite entries")
-        if np.max(np.abs(cov - cov.T)) > 1e-12 * max(1.0, float(np.max(np.abs(cov)))):
+        scale = max(1.0, float(np.max(np.abs(cov))))
+        if np.max(np.abs(cov - _transpose(cov))) > 1e-12 * scale:
             raise ValueError("noise covariance is not symmetric")
         object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "cov", _frozen(0.5 * (cov + cov.T)))
+        object.__setattr__(self, "cov", _frozen(0.5 * (cov + _transpose(cov))))
 
     @classmethod
+    @functools.cache
     def zero(cls, dim: int) -> "NoiseTerm":
+        """The zero noise term; immutable, so one instance per dimension."""
         return cls(np.zeros(dim), np.zeros((dim, dim)))
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -112,6 +142,8 @@ class GaussianChannel:
     def __post_init__(self):
         if self.noise.dim != self.map.layout.dim:
             raise ValueError("noise dimension does not match map layout")
+        _same_batch(self.map.matrix.shape[:-2], self.noise.mean.shape[:-1],
+                    self.noise.cov.shape[:-2])
 
     @property
     def layout(self) -> ModeLayout:
@@ -122,57 +154,63 @@ class GaussianChannel:
 # lossless constructors
 # ---------------------------------------------------------------------------
 
-def qnd_xx(chi: float, mode_a: str = "mech", mode_b: str = "opt",
-           layout: ModeLayout = MECH_OPT) -> LinearMap:
-    """Position-position QND pulse: both X unchanged, P_b += chi X_a, P_a += chi X_b."""
-    if not math.isfinite(chi):
+def _qnd(chi, entries: Sequence[tuple[int, int]]) -> LinearMap:
+    """Identity on (mech, opt) with ``chi`` at each (row, column) of ``entries``."""
+    chi = np.asarray(chi, dtype=float)
+    if not np.isfinite(chi).all():
         raise ValueError("non-finite pulse strength")
-    if mode_a == mode_b:
-        raise ValueError("QND pulse needs two distinct modes")
-    m = np.eye(layout.dim)
-    m[layout.p_index(mode_b), layout.x_index(mode_a)] = chi
-    m[layout.p_index(mode_a), layout.x_index(mode_b)] = chi
-    return LinearMap(m, layout)
+    m = _identity(chi.shape, MECH_OPT.dim)
+    for i, j in entries:
+        m[..., i, j] = chi
+    return LinearMap(m, MECH_OPT)
 
 
-def qnd_pp(chi: float) -> LinearMap:
-    """Momentum-momentum QND pulse on (mech, opt): both P unchanged,
-    X_opt += chi P_mech, X_mech += chi P_opt."""
-    if not math.isfinite(chi):
-        raise ValueError("non-finite pulse strength")
+def qnd_xx(chi) -> LinearMap:
+    """Position-position QND pulse on (mech, opt): both X unchanged,
+    P_opt += chi X_mech, P_mech += chi X_opt.  An array ``chi`` gives a batch."""
     layout = MECH_OPT
-    m = np.eye(layout.dim)
-    m[layout.x_index("opt"), layout.p_index("mech")] = chi
-    m[layout.x_index("mech"), layout.p_index("opt")] = chi
-    return LinearMap(m, layout)
+    return _qnd(chi, ((layout.p_index("opt"), layout.x_index("mech")),
+                      (layout.p_index("mech"), layout.x_index("opt"))))
 
 
-def rotation(mode: str, angle: float, layout: ModeLayout = MECH_OPT) -> LinearMap:
-    """Phase-space rotation of one mode.
+def qnd_pp(chi) -> LinearMap:
+    """Momentum-momentum QND pulse on (mech, opt): both P unchanged,
+    X_opt += chi P_mech, X_mech += chi P_opt.  An array ``chi`` gives a batch."""
+    layout = MECH_OPT
+    return _qnd(chi, ((layout.x_index("opt"), layout.p_index("mech")),
+                      (layout.x_index("mech"), layout.p_index("opt"))))
+
+
+def rotation(mode: str, angle, layout: ModeLayout = MECH_OPT) -> LinearMap:
+    """Phase-space rotation of one mode; an array ``angle`` gives a batch.
 
     Sign convention, fixed package-wide: X -> X cos(a) + P sin(a) and
     P -> -X sin(a) + P cos(a), so ``rotation(mode, pi/2)`` maps X -> P and
     P -> -X.  Free mechanical evolution through an angle ``omega * t`` uses the
     same convention (it is the zero-damping limit of :func:`lossy_rotation`).
     """
-    if not math.isfinite(angle):
+    angle = np.asarray(angle, dtype=float)
+    if not np.isfinite(angle).all():
         raise ValueError("non-finite rotation angle")
-    c, s = math.cos(angle), math.sin(angle)
-    m = np.eye(layout.dim)
+    c, s = np.cos(angle), np.sin(angle)
+    m = _identity(angle.shape, layout.dim)
     i = layout.x_index(mode)
-    m[i:i + 2, i:i + 2] = [[c, s], [-s, c]]
+    m[..., i, i] = m[..., i + 1, i + 1] = c
+    m[..., i, i + 1] = s
+    m[..., i + 1, i] = -s
     return LinearMap(m, layout)
 
 
-def quadrature_scaling(sx: float, sp: float, mode: str = "mech",
+def quadrature_scaling(sx, sp, mode: str = "mech",
                        layout: ModeLayout = MECH) -> LinearMap:
-    """diag(sx, sp) on one mode; symplectic iff sx * sp = 1."""
-    if not (math.isfinite(sx) and math.isfinite(sp)):
+    """diag(sx, sp) on one mode; symplectic iff sx * sp = 1.  Arrays give a batch."""
+    sx, sp = np.broadcast_arrays(np.asarray(sx, dtype=float), np.asarray(sp, dtype=float))
+    if not (np.isfinite(sx).all() and np.isfinite(sp).all()):
         raise ValueError("non-finite scaling")
-    m = np.eye(layout.dim)
+    m = _identity(sx.shape, layout.dim)
     i = layout.x_index(mode)
-    m[i, i] = sx
-    m[i + 1, i + 1] = sp
+    m[..., i, i] = sx
+    m[..., i + 1, i + 1] = sp
     return LinearMap(m, layout)
 
 
@@ -316,11 +354,17 @@ def beamsplitter_loss(epsilon: float, nbar_l: float, mode: str = "opt",
 # composition and physicality
 # ---------------------------------------------------------------------------
 
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector product over broadcast batch axes."""
+    return (m @ v[..., None])[..., 0]
+
+
 def compose(channels: Iterable[GaussianChannel]) -> GaussianChannel:
     """Compose channels in temporal (left-to-right) order.
 
     The map is the product of maps; noise injected by earlier stages is
     propagated through every later map, N_total = sum_i M_later N_i M_later^T.
+    Batched and unbatched stages broadcast against each other.
     """
     channels = list(channels)
     if not channels:
@@ -335,9 +379,10 @@ def compose(channels: Iterable[GaussianChannel]) -> GaussianChannel:
             raise ValueError("layout mismatch in channel composition")
         m = ch.map.matrix
         m_tot = m @ m_tot
-        cov_tot = m @ cov_tot @ m.T + ch.noise.cov
-        mean_tot = m @ mean_tot + ch.noise.mean
-    return GaussianChannel(LinearMap(m_tot, layout), NoiseTerm(mean_tot, 0.5 * (cov_tot + cov_tot.T)))
+        cov_tot = m @ cov_tot @ _transpose(m) + ch.noise.cov
+        mean_tot = _apply(m, mean_tot) + ch.noise.mean
+    return GaussianChannel(LinearMap(m_tot, layout),
+                           NoiseTerm(mean_tot, 0.5 * (cov_tot + _transpose(cov_tot))))
 
 
 def is_physical(channel: GaussianChannel) -> bool:

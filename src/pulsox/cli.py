@@ -79,17 +79,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_MU_KEYS = ("sweep.mu", "sweep.mu_log_range")
+
+
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
     config.experiment = args.command
+    overrides = []
     for item in args.set:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(key, "expected KEY=VALUE")
-        config.set_key(key.strip(), value.strip())
-    for _, key, _ in _EXPERIMENT_FLAGS:
-        if getattr(args, key) is not None:
-            config.set_key(key, getattr(args, key))
+        if key.strip() == "experiment":
+            raise ConfigError("experiment", "is the subcommand, not a --set key")
+        overrides.append((key.strip(), value.strip()))
+    overrides += [(key, getattr(args, key)) for _, key, _ in _EXPERIMENT_FLAGS
+                  if getattr(args, key) is not None]
+    # mu given on the command line replaces the config file's mu, whichever key
+    # either of them uses
+    if any(key in _MU_KEYS for key, _ in overrides):
+        config.sweep.mu, config.sweep.mu_log_range = (), ""
+    for key, value in overrides:
+        config.set_key(key, value)
     config.validate()
     return config
 
@@ -174,7 +185,7 @@ def cli_main(argv) -> int:
             return _run_calculator(args)
         config = _resolve_config(args)
         if args.command == "photon-budget" and len(config.sweep.mu) == 1 \
-                and not (config.output.path or config.sweep.mu_log_range):
+                and not config.output.path:
             mu = config.sweep.mu[0]
             schedule = schedule_for_mu(mu, config.physical.phi)
             print(f"photon budget: approx {approx_photon_budget(mu, config.physical.phi):.3g}, "

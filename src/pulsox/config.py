@@ -115,8 +115,8 @@ class SweepConfig:
     g2_ratio: tuple[float, ...] = (0.0, 0.1, 0.2, 0.5, 1.0)
 
     def mu_values(self, default: Sequence[float]) -> tuple[float, ...]:
-        """The mu values to run: ``mu`` if set, else the expanded
-        ``mu_log_range``, else ``default``."""
+        """The mu values to run: ``mu`` or the expanded ``mu_log_range``,
+        whichever is set (``validate`` rejects both), else ``default``."""
         if self.mu:
             return self.mu
         if self.mu_log_range:
@@ -178,7 +178,9 @@ class ExperimentConfig:
             if hasattr(section, "__dataclass_fields__"):
                 for sub in fields(section):
                     _check_value(f"{f.name}.{sub.name}", getattr(section, sub.name))
-        # sweep.mu, when set, takes precedence over sweep.mu_log_range
+        if self.sweep.mu and self.sweep.mu_log_range:
+            raise ConfigError("sweep.mu", "set together with sweep.mu_log_range; "
+                              "give mu by one of the two keys")
         mu_key = "sweep.mu" if self.sweep.mu else "sweep.mu_log_range"
         try:
             mus = self.sweep.mu_values(())

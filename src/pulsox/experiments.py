@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .channels import compose, qnd_xx, qnd_xx_collective, rotation
 from .config import ConfigError, ExperimentConfig
-from .modes import MECH, MECH_OPT, ModeLayout, OPT
+from .modes import MECH, ModeLayout, OPT
 from .squeezer import (LossConfig, _four_pulse, approx_photon_budget, damped_delay,
                        ideal_target_map, ideal_target_state, mechanical_squeezer,
                        photon_budget, schedule_for_mu, squeezer_output)
@@ -68,8 +68,9 @@ def _loss(config: ExperimentConfig, *, epsilon: float | None = None) -> LossConf
 # fidelity sweep
 # ---------------------------------------------------------------------------
 
-def _squeeze_infidelity(mu: float, phi: float, ancilla_vsq: float,
-                        loss: LossConfig) -> float:
+def _squeeze_infidelity(mu, phi: float, ancilla_vsq: float, loss: LossConfig):
+    """1 - F of the squeezer on vacuum against its target; an array of mu is
+    one batched squeezer call."""
     schedule = schedule_for_mu(mu, phi, ancilla_vsq)
     out = squeezer_output(schedule, loss, vacuum(MECH))
     target = ideal_target_state(vacuum(MECH), mu, phi)
@@ -80,27 +81,22 @@ def run_fidelity_sweep(config: ExperimentConfig) -> RunResult:
     """Infidelity of the squeezer on vacuum across mu, for the ideal map and
     for grids of mechanical Q (epsilon = 0) and optical loss (gamma = 0)."""
     phys = config.physical
-    mus = config.sweep.mu_values(
-        (10.0 ** x for x in np.linspace(*DEFAULT_MU_LOG_RANGE)))
+    mus = np.array(config.sweep.mu_values(
+        (10.0 ** x for x in np.linspace(*DEFAULT_MU_LOG_RANGE))))
     q_grid = config.sweep.q or DEFAULT_Q_GRID
     eps_grid = config.sweep.epsilon or DEFAULT_EPS_GRID
     columns = ["mu", "infidelity_ideal", "classical_bound"]
     columns += [f"infidelity_q_{q:.3e}" for q in q_grid]
     columns += [f"infidelity_eps_{e:.3e}" for e in eps_grid]
-    rows = []
-    lossless = LossConfig(omega_m=phys.omega_m)
-    for mu in mus:
-        row = [mu,
-               _squeeze_infidelity(mu, phys.phi, phys.ancilla_vsq, lossless),
-               1.0 - classical_bound(mu)]
-        for q in q_grid:
-            loss = LossConfig.from_q(q, nbar_m=phys.nbar_m, epsilon=0.0,
-                                     omega_m=phys.omega_m)
-            row.append(_squeeze_infidelity(mu, phys.phi, phys.ancilla_vsq, loss))
-        for eps in eps_grid:
-            loss = LossConfig(omega_m=phys.omega_m, epsilon=eps, nbar_l=phys.nbar_l)
-            row.append(_squeeze_infidelity(mu, phys.phi, phys.ancilla_vsq, loss))
-        rows.append(row)
+    losses = [LossConfig(omega_m=phys.omega_m)]
+    losses += [LossConfig.from_q(q, nbar_m=phys.nbar_m, epsilon=0.0, omega_m=phys.omega_m)
+               for q in q_grid]
+    losses += [LossConfig(omega_m=phys.omega_m, epsilon=eps, nbar_l=phys.nbar_l)
+               for eps in eps_grid]
+    infidelities = [_squeeze_infidelity(mus, phys.phi, phys.ancilla_vsq, loss)
+                    for loss in losses]
+    bound = [1.0 - classical_bound(mu) for mu in mus]
+    rows = np.column_stack([mus, infidelities[0], bound, *infidelities[1:]]).tolist()
     table = ResultTable(columns, rows, _metadata(config))
     return RunResult(tables={"fidelity_sweep": table},
                      summary=f"fidelity sweep over {len(rows)} mu points")
@@ -162,14 +158,15 @@ def d_min_approx(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: flo
     return math.sqrt(base) * (1.0 + gamma / (8.0 * omega_m) * corr / base)
 
 
-def d_min_full(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: float,
-               loss: LossConfig) -> float:
+def d_min_full(mu, nbar_in: float, chi_ro: float, v_sq: float, phi: float,
+               loss: LossConfig):
     """Minimum detectable kick from full Gaussian propagation.
 
     Pipeline: thermal input -> lossy squeezer -> (kick enters P) -> damped
     quarter-cycle rotation -> X readout via an X-X pulse of strength chi_ro on
     a coherent probe.  The detection threshold is SNR = 1: the estimator's
-    standard deviation divided by its kick gain.
+    standard deviation divided by its kick gain.  An array of mu gives an
+    array of thresholds.
     """
     schedule = schedule_for_mu(mu, phi, v_sq)
     state = squeezer_output(schedule, loss, thermal(nbar_in, MECH))
@@ -177,14 +174,14 @@ def d_min_full(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: float
     state = apply_channel(state, quarter)
 
     probe = vacuum(OPT)  # coherent readout pulse: vacuum fluctuations
-    readout = qnd_xx(chi_ro, "mech", "opt", MECH_OPT).as_channel()
+    readout = qnd_xx(chi_ro).as_channel()
     out = apply_channel(product(state, probe), readout)
     var_estimator = out.variance("opt", "p") / chi_ro ** 2
 
     # kick gain: a P displacement reaches the estimator through X(t) <- P(0)
     # of the quarter rotation; the chi_ro readout factor cancels in X_hat.
     gain = quarter.map.block("mech", "mech")[0, 1]
-    return math.sqrt(var_estimator) / abs(gain)
+    return np.sqrt(var_estimator) / abs(gain)
 
 
 def run_impulse(config: ExperimentConfig) -> RunResult:
@@ -197,8 +194,8 @@ def run_impulse(config: ExperimentConfig) -> RunResult:
     mus = config.sweep.mu_values(default_mus)
     rows = []
     for nbar_in in config.impulse.nbar_in:
-        for mu in mus:
-            full = d_min_full(mu, nbar_in, chi_ro, phys.ancilla_vsq, phys.phi, loss)
+        fulls = d_min_full(np.array(mus), nbar_in, chi_ro, phys.ancilla_vsq, phys.phi, loss)
+        for mu, full in zip(mus, fulls.tolist()):
             approx = d_min_approx(mu, nbar_in, chi_ro, phys.ancilla_vsq, phys.phi,
                                   loss.gamma, loss.omega_m, loss.nbar_m)
             naive = mu * math.sqrt(2.0 * nbar_in + 1.0)

@@ -10,6 +10,10 @@ the multimode study differ only in the pulse and the delay they pass it.
 
 Momentum is rescaled by mu (P' = mu P, X' = X / mu): mu < 1 squeezes
 momentum, mu > 1 squeezes position.
+
+``schedule_for_mu`` takes an array of mu; everything built from a schedule
+broadcasts over that batch axis, while ``LossConfig``, ``phi`` and the delay
+stay scalars shared by the whole batch.
 """
 from __future__ import annotations
 
@@ -20,20 +24,33 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize
 
-from .channels import (GaussianChannel, LinearMap, NoiseTerm, beamsplitter_loss,
-                       compose, damped_evolution, qnd_pp, qnd_xx, quadrature_scaling,
-                       rotation, sigma_factor)
+from .channels import (GaussianChannel, LinearMap, NoiseTerm, _apply, _transpose,
+                       beamsplitter_loss, compose, damped_evolution, qnd_pp, qnd_xx,
+                       quadrature_scaling, rotation, sigma_factor)
 from .modes import MECH, MECH_OPT, ModeLayout, OPT
 from .states import GaussianState, apply_channel, fidelity_zero_mean, squeezed, vacuum
+
+
+def _elementwise(fn: Callable, nin: int) -> Callable:
+    """The ``math`` function ``fn`` applied element by element.  numpy's own
+    power and arctan loops round differently from libm in the last bit; this
+    keeps a batched schedule's entries bit-identical to unbatched ones."""
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)[()]
+
+
+_atan = _elementwise(math.atan, 1)
+_pow = _elementwise(math.pow, 2)
 
 
 @dataclass(frozen=True)
 class PulseSchedule:
     """The four pulse strengths plus rotation angles and ancilla squeezing spec.
 
-    The second X-X pulse's strength :attr:`chi2_second_pulse` follows from lam
-    and phi.  ``theta`` cancels the Kerr term for analytic schedules
-    (tan(theta) = -lam^2 tan(phi)) but is left free so the numerical
+    Every entry but ``phi`` may be an array; the schedule is then a batch of
+    that shape.  The second X-X pulse's strength :attr:`chi2_second_pulse`
+    follows from lam and phi.  ``theta`` cancels the Kerr term for analytic
+    schedules (tan(theta) = -lam^2 tan(phi)) but is left free so the numerical
     re-optimizer can adjust it.
     """
 
@@ -48,26 +65,26 @@ class PulseSchedule:
     def __post_init__(self):
         vals = (self.chi1, self.lam, self.chi3, self.phi, self.theta,
                 self.ancilla_vsq, self.ancilla_angle)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(np.isfinite(v).all() for v in vals):
             raise ValueError("schedule contains non-finite entries")
-        if self.ancilla_vsq <= 0:
+        if np.any(self.ancilla_vsq <= 0):
             raise ValueError("ancilla squeezed variance must be positive")
-        if 1.0 + self.lam * self.chi1 * math.tan(self.phi) <= 0:
+        if np.any(1.0 + self.lam * self.chi1 * math.tan(self.phi) <= 0):
             raise ValueError("schedule has no positive squeeze factor mu")
 
     @property
-    def chi2_second_pulse(self) -> float:
+    def chi2_second_pulse(self):
         """Strength -lam / cos(phi) of the second X-X pulse."""
         return -self.lam / math.cos(self.phi)
 
     @property
-    def mu(self) -> float:
+    def mu(self):
         """Momentum rescaling factor (1 + lam chi1 tan(phi))^-1."""
         return 1.0 / (1.0 + self.lam * self.chi1 * math.tan(self.phi))
 
-    def kerr_cancellation_defect(self) -> float:
+    def kerr_cancellation_defect(self):
         """|tan(theta) + lam^2 tan(phi)|; zero for analytic schedules."""
-        return abs(math.tan(self.theta) + self.lam ** 2 * math.tan(self.phi))
+        return np.abs(np.tan(self.theta) + self.lam ** 2 * math.tan(self.phi))
 
 
 @dataclass(frozen=True)
@@ -114,41 +131,40 @@ def chi2_for(chi1: float, chi3: float) -> float:
     return -(1.0 / chi1 + 1.0 / chi3)
 
 
-def chi3_for(chi1: float, lam: float, phi: float) -> float:
+def chi3_for(chi1, lam, phi: float):
     """Final-pulse strength that brings the four-pulse map into squeezer form."""
     t = math.tan(phi)
     denom = math.cos(phi) + lam * chi1 * math.sin(phi)
-    if abs(denom) < 1e-12:
+    if np.any(np.abs(denom) < 1e-12):
         raise ValueError("unreachable mu: singular chi3 denominator")
-    return -chi1 * math.sqrt(1.0 + lam ** 4 * t * t) / denom
+    return -chi1 * np.sqrt(1.0 + _pow(lam, 4.0) * t * t) / denom
 
 
-def theta_for(lam: float, phi: float) -> float:
+def theta_for(lam, phi: float):
     """Optical rotation angle cancelling the Kerr term: arctan(-lam^2 tan(phi))."""
-    return math.atan(-lam ** 2 * math.tan(phi))
+    return _atan(-_pow(lam, 2.0) * math.tan(phi))
 
 
-def schedule_for_mu(mu: float, phi: float, ancilla_vsq: float = 0.5) -> PulseSchedule:
-    """Noise-optimal analytic schedule for a target squeeze factor.
+def schedule_for_mu(mu, phi: float, ancilla_vsq: float = 0.5) -> PulseSchedule:
+    """Noise-optimal analytic schedule for a target squeeze factor, or for an
+    array of them (a batched schedule).
 
     Uses |lam| = |chi1| with chi1 >= 0: lam = +chi1 squeezes momentum
     (mu < 1), lam = -chi1 squeezes position (mu > 1).  The ancilla squeezing
-    angle is sign(1 - mu) * pi / 4.  mu = 1 returns the identity schedule
+    angle is sign(1 - mu) * pi / 4.  mu = 1 gives the identity schedule
     (all strengths zero, the mechanical rotation phi still elapses).
     """
-    if mu <= 0:
+    mu = np.asarray(mu, dtype=float)
+    if np.any(mu <= 0):
         raise ValueError("mu must be positive")
     if not 0.0 < phi < math.pi / 2:
         raise ValueError("phi must lie in (0, pi/2)")
     t = math.tan(phi)
-    chi1 = math.sqrt(abs(1.0 / mu - 1.0) / t)
-    lam = math.copysign(chi1, 1.0 - mu) if mu != 1.0 else 0.0
-    if mu == 1.0:
-        chi1 = 0.0
-    chi3 = chi3_for(chi1, lam, phi)
-    sign = 0.0 if mu == 1.0 else math.copysign(1.0, 1.0 - mu)
-    return PulseSchedule(chi1=chi1, lam=lam, chi3=chi3, phi=phi, theta=theta_for(lam, phi),
-                         ancilla_vsq=ancilla_vsq, ancilla_angle=sign * math.pi / 4.0)
+    chi1 = np.sqrt(np.abs(1.0 / mu - 1.0) / t)
+    lam = np.copysign(chi1, 1.0 - mu)
+    return PulseSchedule(chi1=chi1, lam=lam, chi3=chi3_for(chi1, lam, phi), phi=phi,
+                         theta=theta_for(lam, phi), ancilla_vsq=ancilla_vsq,
+                         ancilla_angle=np.sign(1.0 - mu) * math.pi / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +217,18 @@ def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianC
     return compose(_four_pulse(schedule, qnd_xx, delay, MECH_OPT))
 
 
-def ideal_target_map(mu: float, phi: float, mode: str = "mech",
+def ideal_target_map(mu, phi: float, mode: str = "mech",
                      layout: ModeLayout = MECH) -> LinearMap:
     """Unitary image the squeezer aims for: diag(1/mu, mu) followed by the
-    mechanical rotation through phi (outputs are compared in that frame)."""
-    if mu <= 0:
+    mechanical rotation through phi (outputs are compared in that frame).
+    An array of mu gives a batch."""
+    mu = np.asarray(mu, dtype=float)
+    if np.any(mu <= 0):
         raise ValueError("mu must be positive")
     return rotation(mode, phi, layout) @ quadrature_scaling(1.0 / mu, mu, mode, layout)
 
 
-def ideal_target_state(state: GaussianState, mu: float, phi: float) -> GaussianState:
+def ideal_target_state(state: GaussianState, mu, phi: float) -> GaussianState:
     if state.layout.mode_count != 1:
         raise ValueError("target comparison is single-mode")
     m = ideal_target_map(mu, phi, state.layout.labels[0], state.layout)
@@ -238,10 +256,10 @@ def mechanical_reduced_channel(channel: GaussianChannel,
     i = layout.x_index("mech")
     j = layout.x_index("opt")
     m = channel.map.matrix
-    m_mm = m[i:i + 2, i:i + 2]
-    m_mo = m[i:i + 2, j:j + 2]
-    cov = m_mo @ ancilla.cov @ m_mo.T + channel.noise.cov[i:i + 2, i:i + 2]
-    mean = m_mo @ ancilla.mean + channel.noise.mean[i:i + 2]
+    m_mm = m[..., i:i + 2, i:i + 2]
+    m_mo = m[..., i:i + 2, j:j + 2]
+    cov = m_mo @ ancilla.cov @ _transpose(m_mo) + channel.noise.cov[..., i:i + 2, i:i + 2]
+    mean = _apply(m_mo, ancilla.mean) + channel.noise.mean[..., i:i + 2]
     return GaussianChannel(LinearMap(m_mm, MECH), NoiseTerm(mean, cov))
 
 

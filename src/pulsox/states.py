@@ -4,6 +4,9 @@ States carry a mean vector and covariance matrix in the [X, P] = 2i
 convention (vacuum covariance = identity).  Fidelity follows the
 squared-overlap convention, so two identical pure states score 1 and the
 best classical squeeze-by-cloning strategy tops out at 1/2.
+
+A state may carry a leading batch axis, as channels do; the functions below
+broadcast over it, and an unbatched call returns plain shapes and floats.
 """
 from __future__ import annotations
 
@@ -13,15 +16,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import GaussianChannel, _frozen
+from .channels import (GaussianChannel, _apply, _frozen, _same_batch, _transpose,
+                       quadrature_scaling, rotation)
 from .modes import ModeLayout
 
 _MEAN_ATOL = 1e-9
+# A covariance with det V - 1 below this is pure to rounding.  Taking it as
+# exactly pure keeps sqrt(y) in the fidelity from turning a determinant
+# rounding of 1e-16 into a fidelity error of 1e-8.
+PURE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector and covariance matrix on a mode layout.
+    """Mean vector and covariance matrix on a mode layout, or a batch of them.
 
     Checks shape and finiteness only; V + i Omega >= 0 is carried by the
     named constructors and preserved by physical channels.
@@ -32,19 +40,21 @@ class GaussianState:
     layout: ModeLayout
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         d = self.layout.dim
-        if mean.shape != (d,) or cov.shape != (d, d):
+        if mean.shape[-1:] != (d,) or cov.shape[-2:] != (d, d):
             raise ValueError("state dimensions do not match layout")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        _same_batch(mean.shape[:-1], cov.shape[:-2])
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("state contains non-finite entries")
         object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "cov", _frozen(0.5 * (cov + cov.T)))
+        object.__setattr__(self, "cov", _frozen(0.5 * (cov + _transpose(cov))))
 
-    def variance(self, mode: str, quadrature: str = "x") -> float:
+    def variance(self, mode: str, quadrature: str = "x"):
+        """Variance of one quadrature: a float, or an array over the batch."""
         i = self.layout.x_index(mode) if quadrature == "x" else self.layout.p_index(mode)
-        return float(self.cov[i, i])
+        return self.cov[..., i, i][()]
 
 
 def vacuum(layout: ModeLayout) -> GaussianState:
@@ -58,21 +68,23 @@ def thermal(nbar: float, layout: ModeLayout) -> GaussianState:
     return GaussianState(np.zeros(layout.dim), (2.0 * nbar + 1.0) * np.eye(layout.dim), layout)
 
 
-def squeezed(v_sq: float, angle: float = 0.0,
-             layout: ModeLayout | None = None) -> GaussianState:
-    """Pure single-mode squeezed vacuum.
+def squeezed(v_sq, angle=0.0, layout: ModeLayout | None = None) -> GaussianState:
+    """Pure single-mode squeezed vacuum; arrays of ``v_sq`` or ``angle`` give a batch.
 
     The quadrature X cos(angle) + P sin(angle) has variance ``v_sq``; the
     orthogonal one has 1 / v_sq.
     """
-    if v_sq <= 0:
+    v_sq = np.asarray(v_sq, dtype=float)
+    if np.any(v_sq <= 0):
         raise ValueError("squeezed variance must be positive")
     layout = layout or ModeLayout(("opt",))
     if layout.mode_count != 1:
         raise ValueError("squeezed() builds single-mode states")
-    c, s = math.cos(angle), math.sin(angle)
-    r = np.array([[c, -s], [s, c]])
-    cov = r @ np.diag([v_sq, 1.0 / v_sq]) @ r.T
+    mode = layout.labels[0]
+    # in the package's sign convention, rotating by -angle carries X onto the
+    # direction at angle
+    r = rotation(mode, -np.asarray(angle, dtype=float), layout).matrix
+    cov = r @ quadrature_scaling(v_sq, 1.0 / v_sq, mode, layout).matrix @ _transpose(r)
     return GaussianState(np.zeros(2), cov, layout)
 
 
@@ -82,18 +94,21 @@ def coherent(mean: Sequence[float], layout: ModeLayout) -> GaussianState:
 
 
 def product(*states: GaussianState) -> GaussianState:
-    """Tensor product of states on disjoint layouts."""
+    """Tensor product of states on disjoint layouts; batched factors broadcast."""
     labels: list[str] = []
     for s in states:
         labels.extend(s.layout.labels)
     layout = ModeLayout(tuple(labels))  # raises on duplicate labels
     dim = layout.dim
-    mean = np.concatenate([s.mean for s in states])
-    cov = np.zeros((dim, dim))
+    batch = np.broadcast_shapes(*(s.cov.shape[:-2] for s in states),
+                                *(s.mean.shape[:-1] for s in states))
+    mean = np.concatenate([np.broadcast_to(s.mean, batch + s.mean.shape[-1:])
+                           for s in states], axis=-1)
+    cov = np.zeros(batch + (dim, dim))
     pos = 0
     for s in states:
         d = s.layout.dim
-        cov[pos:pos + d, pos:pos + d] = s.cov
+        cov[..., pos:pos + d, pos:pos + d] = s.cov
         pos += d
     return GaussianState(mean, cov, layout)
 
@@ -103,8 +118,8 @@ def apply_channel(state: GaussianState, channel: GaussianChannel) -> GaussianSta
     if state.layout != channel.layout:
         raise ValueError("state and channel layouts differ")
     m = channel.map.matrix
-    mean = m @ state.mean + channel.noise.mean
-    cov = m @ state.cov @ m.T + channel.noise.cov
+    mean = _apply(m, state.mean) + channel.noise.mean
+    cov = m @ state.cov @ _transpose(m) + channel.noise.cov
     return GaussianState(mean, cov, state.layout)
 
 
@@ -115,41 +130,43 @@ def marginal(state: GaussianState, modes: Sequence[str]) -> GaussianState:
         i = state.layout.x_index(lab)
         idx.extend((i, i + 1))
     idx = np.array(idx)
-    return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)],
+    return GaussianState(state.mean[..., idx], state.cov[..., idx, :][..., idx],
                          state.layout.sub_layout(modes))
 
 
-def mean_distance(a: GaussianState, b: GaussianState) -> float:
+def mean_distance(a: GaussianState, b: GaussianState):
     """Euclidean distance between mean vectors; the displacement diagnostic
     that complements the zero-mean fidelity."""
     if a.layout != b.layout:
         raise ValueError("layout mismatch")
-    return float(np.linalg.norm(a.mean - b.mean))
+    return np.linalg.norm(a.mean - b.mean, axis=-1)[()]
 
 
-def _det_minus_one(cov: np.ndarray) -> float:
-    d = float(np.linalg.det(cov)) - 1.0
-    if d < -1e-8:
+def _det_minus_one(cov: np.ndarray) -> np.ndarray:
+    """|V| - 1, set to exactly 0 where the state is pure to rounding."""
+    d = np.linalg.det(cov) - 1.0
+    if np.any(d < -1e-8):
         raise ValueError("covariance determinant below the pure-state floor")
-    return max(d, 0.0)  # clamp tiny negatives from numerically pure states
+    return np.where(d < PURE_ATOL, 0.0, d)
 
 
-def fidelity_zero_mean(a: GaussianState, b: GaussianState) -> float:
-    """Fidelity of two zero-mean single-mode Gaussian states.
+def fidelity_zero_mean(a: GaussianState, b: GaussianState):
+    """Fidelity of two zero-mean single-mode Gaussian states (or batches).
 
     F = 2 / (sqrt(|Va + Vb| + y) - sqrt(y)) with y = (|Va| - 1)(|Vb| - 1).
     For pure states this equals the phase-space overlap 2 / sqrt(|Va + Vb|).
     Displaced states are rejected; compare means with :func:`mean_distance`.
+    Returns a float, or an array over the broadcast batch.
     """
     for s in (a, b):
         if s.layout.mode_count != 1:
             raise ValueError("fidelity is defined for single-mode states")
-        if float(np.max(np.abs(s.mean))) > _MEAN_ATOL:
+        if np.max(np.abs(s.mean)) > _MEAN_ATOL:
             raise ValueError("fidelity_zero_mean requires zero-mean states")
     y = _det_minus_one(a.cov) * _det_minus_one(b.cov)
-    total = float(np.linalg.det(a.cov + b.cov))
-    f = 2.0 / (math.sqrt(total + y) - math.sqrt(y))
-    return min(f, 1.0)
+    total = np.linalg.det(a.cov + b.cov)
+    f = 2.0 / (np.sqrt(total + y) - np.sqrt(y))
+    return np.minimum(f, 1.0)[()]
 
 
 def pure_fidelity(mu: float, phi: float, v_p: float, v_sq: float) -> float:

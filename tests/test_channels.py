@@ -49,10 +49,6 @@ def test_qnd_xx_strengths_add_under_composition():
 def test_qnd_xx_rejects_bad_input():
     with pytest.raises(ValueError):
         qnd_xx(float("nan"))
-    with pytest.raises(ValueError):
-        qnd_xx(1.0, "mech", "mech")
-    with pytest.raises(ValueError):
-        qnd_xx(1.0, "mech", "missing")
 
 
 def test_qnd_pp_matches_reference_matrix():
@@ -345,6 +341,24 @@ def test_is_physical_is_the_single_mode_cp_condition(entries, a, b, c):
     "det N < (1 - e^(-gamma t))^2, while (2 nbar + 1) omega t < ~sqrt(3)"))
 def test_damped_evolution_physical_at_low_occupancy():
     assert is_physical(damped_evolution(0.1, 1.0, 0.0, 0.125, layout=MECH))
+
+
+def test_batched_values_check_every_element_and_matching_batches():
+    covs = np.stack([np.eye(2), np.diag([2.0, 3.0]), np.eye(2)])
+    noise = NoiseTerm(np.zeros(2), covs)  # unbatched mean against a batch
+    assert noise.dim == 2 and noise.cov.shape == (3, 2, 2)
+    channel = GaussianChannel(rotation("mech", [0.0, 0.5, 1.0], MECH), noise)
+    assert channel.map.matrix.shape == (3, 2, 2)
+    asymmetric = covs.copy()
+    asymmetric[1, 0, 1] = 1e-3
+    with pytest.raises(ValueError, match="symmetric"):
+        NoiseTerm(np.zeros(2), asymmetric)
+    with pytest.raises(ValueError, match="non-finite"):
+        qnd_xx([0.5, float("inf")])
+    with pytest.raises(ValueError, match="batch shapes"):
+        NoiseTerm(np.zeros((4, 2)), covs)
+    with pytest.raises(ValueError, match="batch shapes"):
+        GaussianChannel(rotation("mech", [0.0, 0.5], MECH), noise)
 
 
 def test_noise_term_rejects_negative_covariance():

@@ -88,6 +88,10 @@ def test_empty_decay_series_is_validation_error(periods, tmp_path, monkeypatch, 
     (["fiber-loss", "--length-km", "nan"], "--length-km"),
     (["regime-check", "--g0", "nan", "--omega-m", "1e6", "--kappa", "1e9",
       "--pulse-bandwidth", "1e8"], "--g0"),
+    (["fidelity-sweep", "--mu", "1", "--mu-log-range", "0:1:3"], "sweep.mu"),
+    (["fidelity-sweep", "--set", "sweep.mu=1", "--set", "sweep.mu_log_range=0:1:3"],
+     "sweep.mu"),
+    (["fidelity-sweep", "--set", "experiment=photon-budget"], "experiment"),
 ])
 def test_rejected_option_names_its_key(args, key, tmp_path, monkeypatch, capsys):
     rc = run(args, monkeypatch, tmp_path)
@@ -110,6 +114,22 @@ def test_config_file_drives_run(tmp_path, monkeypatch):
     assert rc == 0
     table = ResultTable.from_csv((tmp_path / "budget.csv").read_text())
     assert len(table.rows) == 2
+
+
+@pytest.mark.parametrize("in_file,on_command_line,mus", [
+    ("sweep.mu_log_range = 0:1:3", ["--mu", "2"], [2.0]),
+    ("sweep.mu = 2.0", ["--mu-log-range", "0:1:3"], [1.0, 10.0 ** 0.5, 10.0]),
+    ("sweep.mu = 2.0", ["--set", "sweep.mu_log_range=0:1:3"], [1.0, 10.0 ** 0.5, 10.0]),
+])
+def test_command_line_mu_replaces_the_config_files_mu(in_file, on_command_line, mus,
+                                                      tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(in_file + "\n")
+    rc = run(["photon-budget", "--config", str(cfg), *on_command_line,
+              "--output", str(tmp_path / "budget")], monkeypatch, tmp_path)
+    assert rc == 0
+    table = ResultTable.from_csv((tmp_path / "budget.csv").read_text())
+    assert table.column("mu") == pytest.approx(mus, rel=1e-15)
 
 
 def test_json_output_format(tmp_path, monkeypatch):

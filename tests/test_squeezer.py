@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pulsox import (LOSSLESS, LossConfig, MECH, MECH_OPT, PulseSchedule,
                     ancilla_state, approx_photon_budget, build_ideal_squeezer,
@@ -16,6 +16,7 @@ from pulsox import (LOSSLESS, LossConfig, MECH, MECH_OPT, PulseSchedule,
                     rotation, schedule_for_mu, squeezed, squeezer_output,
                     apply_channel, symplectic_form, theta_for, thermal,
                     vacuum)
+from pulsox.experiments import d_min_full
 
 PHI = math.pi / 50
 SQRT2 = math.sqrt(2.0)
@@ -280,6 +281,52 @@ def test_lossy_infidelity_ordered_in_q():
         return 1.0 - fidelity_zero_mean(out, target)
 
     assert infid(1e7) < infid(1e5) < infid(1e4)
+
+
+# -- batched equals scalar --------------------------------------------------------
+
+def _mu_batches():
+    """mu in [10^-1.2, 10^1.2]: exactly 1 plus points on both sides of it."""
+    side = st.lists(st.floats(1e-6, 1.2), min_size=1, max_size=4)
+    return st.tuples(side, side).map(
+        lambda sides: np.array([1.0, *(10.0 ** -e for e in sides[0]),
+                                *(10.0 ** e for e in sides[1])]))
+
+
+_LOSS_KINDS = {
+    "lossless": st.just(LOSSLESS),
+    "from_q": st.builds(lambda e, nbar_m: LossConfig.from_q(10.0 ** e, nbar_m=nbar_m),
+                        st.floats(4.0, 7.0), st.floats(0.0, 1e5)),
+    "epsilon": st.builds(lambda eps, nbar_l: LossConfig(epsilon=eps, nbar_l=nbar_l),
+                         st.floats(0.0, 0.1), st.floats(0.0, 5.0)),
+}
+
+
+def _assert_close(batched, scalar):
+    np.testing.assert_allclose(batched, scalar, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOSS_KINDS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_batched_squeezer_equals_scalar_calls(kind, data):
+    mus = data.draw(_mu_batches())
+    loss = data.draw(_LOSS_KINDS[kind])
+    nbar_in = data.draw(st.floats(0.0, 10.0))
+    phi, v_sq = 2 * math.pi / 100, 0.5
+    out = squeezer_output(schedule_for_mu(mus, phi, v_sq), loss, vacuum(MECH))
+    target = ideal_target_state(vacuum(MECH), mus, phi)
+    fidelity = fidelity_zero_mean(out, target)
+    d_min = d_min_full(mus, nbar_in, 3.0, v_sq, phi, loss)
+    assert out.mean.shape == (len(mus), 2) and out.cov.shape == (len(mus), 2, 2)
+    for k, mu in enumerate(mus.tolist()):
+        one = squeezer_output(schedule_for_mu(mu, phi, v_sq), loss, vacuum(MECH))
+        assert one.mean.shape == (2,) and one.cov.shape == (2, 2)
+        _assert_close(out.mean[k], one.mean)
+        _assert_close(out.cov[k], one.cov)
+        one_fidelity = float(fidelity_zero_mean(one, ideal_target_state(vacuum(MECH), mu, phi)))
+        _assert_close(fidelity[k], one_fidelity)
+        _assert_close(d_min[k], float(d_min_full(mu, nbar_in, 3.0, v_sq, phi, loss)))
 
 
 # -- ancilla reduction -------------------------------------------------------------

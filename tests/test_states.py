@@ -210,7 +210,7 @@ def test_pure_fidelity_agrees_with_pipeline(mu, v_sq):
     out = squeezer_output(schedule, LOSSLESS, vacuum(MECH))
     target = ideal_target_state(vacuum(MECH), mu, phi)
     assert 1.0 - fidelity_zero_mean(out, target) == pytest.approx(
-        1.0 - pure_fidelity(mu, phi, 1.0, v_sq), abs=1e-6)
+        1.0 - pure_fidelity(mu, phi, 1.0, v_sq), abs=1e-12)
 
 
 def test_classical_bound_values():
