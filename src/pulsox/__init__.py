@@ -1,9 +1,10 @@
 """Pulsed optomechanical squeezing simulator.
 
-Simulates a four-pulse QND squeezing protocol end to end: quadrature maps and
-Gaussian channels (ideal, approximate, and lossy squeezer variants), Gaussian
-state propagation with fidelity benchmarks, grid Wigner functions for
-non-Gaussian inputs, and experiment runners with a CLI.
+Simulates a four-pulse QND squeezing protocol end to end: Gaussian channels
+for every pulse, rotation, delay and loss (composed into the lossless and
+lossy squeezers), Gaussian state propagation with fidelity benchmarks, exact
+and grid Wigner functions for non-Gaussian inputs, and experiment runners with
+a CLI.
 
 Conventions, fixed package-wide:
 
@@ -17,10 +18,9 @@ Conventions, fixed package-wide:
 
 __version__ = "0.1.0"
 
-from .channels import (GaussianChannel, LinearMap, NoiseTerm, beamsplitter_loss,
-                       compose, damped_evolution, is_physical, lossy_rotation,
-                       qnd_pp, qnd_xx, qnd_xx_collective, quadrature_scaling,
-                       rotation, sigma_factor, thermal_noise_cov)
+from .channels import (GaussianChannel, beamsplitter_loss, compose, damped_evolution,
+                       is_physical, qnd_pp, qnd_xx, qnd_xx_collective,
+                       quadrature_scaling, rotation, sigma_factor)
 from .modes import MECH, MECH_OPT, OPT, ModeLayout, symplectic_form
 from .squeezer import (LossConfig, LOSSLESS, PulseSchedule, ancilla_state,
                        approx_photon_budget, build_ideal_squeezer,

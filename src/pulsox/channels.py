@@ -1,14 +1,17 @@
-"""Linear quadrature maps and additive-Gaussian-noise channels.
+"""Gaussian channels X' = M X + F on the quadrature vector of a mode layout.
 
-The universal channel representation is X' = M X + F where M is a real
-2N x 2N matrix and F is Gaussian noise with a mean drift and a covariance.
-Lossless constructors (QND pulses, rotations) are symplectic; lossy ones
-(beamsplitter, damped rotation) complete the missing commutator with their
-noise term.  All values are immutable and every operation is a pure function.
+Every element of the protocol, a QND pulse, an optical quarter turn, the
+damped mechanical delay or the delay-line loss, is one
+:class:`GaussianChannel`: a real 2N x 2N matrix M plus Gaussian noise F with
+a mean drift and a covariance.  Lossless constructors (QND pulses, rotations,
+scalings) return noiseless channels; lossy ones (beamsplitter, damped
+evolution) complete the missing commutator with their noise.  All values are
+immutable, every operation is a pure function, and :func:`compose` is the one
+way to chain them.
 
-The value types check structure only (shape, finiteness, noise symmetry).
-They may carry a leading batch axis (``(..., d, d)`` maps and covariances,
-``(..., d)`` means), checked once per object.  The lossless constructors and
+A channel checks structure only (shape, finiteness, noise symmetry).  It may
+carry a leading batch axis (``(..., d, d)`` matrix and covariance,
+``(..., d)`` mean), checked once per object.  The lossless constructors and
 ``compose`` broadcast over it; the loss constructors take scalars.
 
 A channel is physical when it is completely positive, which
@@ -52,6 +55,12 @@ def _eye(d: int) -> np.ndarray:
     return _frozen(np.eye(d))
 
 
+@functools.cache
+def _zero_noise(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zero mean and covariance; immutable, so one pair per dimension."""
+    return _frozen(np.zeros(d)), _frozen(np.zeros((d, d)))
+
+
 def _identity(batch: tuple, d: int) -> np.ndarray:
     return np.zeros(batch + (d, d)) + _eye(d)
 
@@ -61,11 +70,14 @@ def _transpose(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LinearMap:
-    """Real 2N x 2N linear map on the quadrature vector of ``layout``, or a
-    batch of them with shape ``(..., 2N, 2N)``."""
+class GaussianChannel:
+    """Channel X' = M X + F on ``layout``: the real 2N x 2N ``matrix`` M and
+    Gaussian noise F with ``mean`` and symmetric ``cov``, or a batch of them
+    with shapes ``(..., 2N, 2N)``, ``(..., 2N)`` and ``(..., 2N, 2N)``."""
 
     matrix: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
     layout: ModeLayout
 
     def __post_init__(self):
@@ -76,11 +88,22 @@ class LinearMap:
         if not np.isfinite(m).all():
             raise ValueError("map contains non-finite entries")
         object.__setattr__(self, "matrix", _frozen(m))
-
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        if self.layout != other.layout:
-            raise ValueError("layout mismatch in map composition")
-        return LinearMap(self.matrix @ other.matrix, self.layout)
+        zero_mean, zero_cov = _zero_noise(d)
+        if self.mean is zero_mean and self.cov is zero_cov:  # shared, already checked
+            return
+        mean = np.asarray(self.mean, dtype=float)
+        cov = np.asarray(self.cov, dtype=float)
+        if mean.shape[-1:] != (d,) or cov.shape[-2:] != (d, d):
+            raise ValueError(f"noise shapes {mean.shape}, {cov.shape} do not match "
+                             f"layout dim {d}")
+        _same_batch(m.shape[:-2], mean.shape[:-1], cov.shape[:-2])
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("noise contains non-finite entries")
+        scale = max(1.0, float(np.max(np.abs(cov))))
+        if np.max(np.abs(cov - _transpose(cov))) > 1e-12 * scale:
+            raise ValueError("noise covariance is not symmetric")
+        object.__setattr__(self, "mean", _frozen(mean))
+        object.__setattr__(self, "cov", _frozen(0.5 * (cov + _transpose(cov))))
 
     def symplectic_defect(self) -> float:
         """Max-norm of M Omega M^T - Omega over the batch; ~0 for lossless maps."""
@@ -91,70 +114,21 @@ class LinearMap:
         return self.symplectic_defect() < 1e-10
 
     def block(self, rows: str, cols: str) -> np.ndarray:
-        """2x2 sub-block: quadratures of mode ``rows`` driven by mode ``cols``."""
+        """2x2 sub-block of M: quadratures of mode ``rows`` driven by mode ``cols``."""
         i = self.layout.x_index(rows)
         j = self.layout.x_index(cols)
         return self.matrix[..., i:i + 2, j:j + 2].copy()
 
-    def as_channel(self) -> "GaussianChannel":
-        return GaussianChannel(self, NoiseTerm.zero(self.layout.dim))
 
-
-@dataclass(frozen=True)
-class NoiseTerm:
-    """Additive Gaussian noise: mean drift plus a symmetric covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim == 0 or cov.shape[-2:] != mean.shape[-1:] * 2:
-            raise ValueError(f"noise covariance shape {cov.shape} vs mean shape {mean.shape}")
-        _same_batch(mean.shape[:-1], cov.shape[:-2])
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError("noise term contains non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - _transpose(cov))) > 1e-12 * scale:
-            raise ValueError("noise covariance is not symmetric")
-        object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "cov", _frozen(0.5 * (cov + _transpose(cov))))
-
-    @classmethod
-    @functools.cache
-    def zero(cls, dim: int) -> "NoiseTerm":
-        """The zero noise term; immutable, so one instance per dimension."""
-        return cls(np.zeros(dim), np.zeros((dim, dim)))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[-1]
-
-
-@dataclass(frozen=True)
-class GaussianChannel:
-    """Affine-plus-noise channel X' = M X + F."""
-
-    map: LinearMap
-    noise: NoiseTerm
-
-    def __post_init__(self):
-        if self.noise.dim != self.map.layout.dim:
-            raise ValueError("noise dimension does not match map layout")
-        _same_batch(self.map.matrix.shape[:-2], self.noise.mean.shape[:-1],
-                    self.noise.cov.shape[:-2])
-
-    @property
-    def layout(self) -> ModeLayout:
-        return self.map.layout
+def _noiseless(m: np.ndarray, layout: ModeLayout) -> GaussianChannel:
+    return GaussianChannel(m, *_zero_noise(layout.dim), layout)
 
 
 # ---------------------------------------------------------------------------
 # lossless constructors
 # ---------------------------------------------------------------------------
 
-def _qnd(chi, entries: Sequence[tuple[int, int]]) -> LinearMap:
+def _qnd(chi, entries: Sequence[tuple[int, int]]) -> GaussianChannel:
     """Identity on (mech, opt) with ``chi`` at each (row, column) of ``entries``."""
     chi = np.asarray(chi, dtype=float)
     if not np.isfinite(chi).all():
@@ -162,10 +136,10 @@ def _qnd(chi, entries: Sequence[tuple[int, int]]) -> LinearMap:
     m = _identity(chi.shape, MECH_OPT.dim)
     for i, j in entries:
         m[..., i, j] = chi
-    return LinearMap(m, MECH_OPT)
+    return _noiseless(m, MECH_OPT)
 
 
-def qnd_xx(chi) -> LinearMap:
+def qnd_xx(chi) -> GaussianChannel:
     """Position-position QND pulse on (mech, opt): both X unchanged,
     P_opt += chi X_mech, P_mech += chi X_opt.  An array ``chi`` gives a batch."""
     layout = MECH_OPT
@@ -173,7 +147,7 @@ def qnd_xx(chi) -> LinearMap:
                       (layout.p_index("mech"), layout.x_index("opt"))))
 
 
-def qnd_pp(chi) -> LinearMap:
+def qnd_pp(chi) -> GaussianChannel:
     """Momentum-momentum QND pulse on (mech, opt): both P unchanged,
     X_opt += chi P_mech, X_mech += chi P_opt.  An array ``chi`` gives a batch."""
     layout = MECH_OPT
@@ -181,13 +155,13 @@ def qnd_pp(chi) -> LinearMap:
                       (layout.x_index("mech"), layout.p_index("opt"))))
 
 
-def rotation(mode: str, angle, layout: ModeLayout = MECH_OPT) -> LinearMap:
+def rotation(mode: str, angle, layout: ModeLayout = MECH_OPT) -> GaussianChannel:
     """Phase-space rotation of one mode; an array ``angle`` gives a batch.
 
     Sign convention, fixed package-wide: X -> X cos(a) + P sin(a) and
     P -> -X sin(a) + P cos(a), so ``rotation(mode, pi/2)`` maps X -> P and
     P -> -X.  Free mechanical evolution through an angle ``omega * t`` uses the
-    same convention (it is the zero-damping limit of :func:`lossy_rotation`).
+    same convention (it is the zero-damping limit of :func:`damped_evolution`).
     """
     angle = np.asarray(angle, dtype=float)
     if not np.isfinite(angle).all():
@@ -198,11 +172,11 @@ def rotation(mode: str, angle, layout: ModeLayout = MECH_OPT) -> LinearMap:
     m[..., i, i] = m[..., i + 1, i + 1] = c
     m[..., i, i + 1] = s
     m[..., i + 1, i] = -s
-    return LinearMap(m, layout)
+    return _noiseless(m, layout)
 
 
 def quadrature_scaling(sx, sp, mode: str = "mech",
-                       layout: ModeLayout = MECH) -> LinearMap:
+                       layout: ModeLayout = MECH) -> GaussianChannel:
     """diag(sx, sp) on one mode; symplectic iff sx * sp = 1.  Arrays give a batch."""
     sx, sp = np.broadcast_arrays(np.asarray(sx, dtype=float), np.asarray(sp, dtype=float))
     if not (np.isfinite(sx).all() and np.isfinite(sp).all()):
@@ -211,11 +185,11 @@ def quadrature_scaling(sx, sp, mode: str = "mech",
     i = layout.x_index(mode)
     m[..., i, i] = sx
     m[..., i + 1, i + 1] = sp
-    return LinearMap(m, layout)
+    return _noiseless(m, layout)
 
 
 def qnd_xx_collective(couplings: Sequence[float], chi_total: float,
-                      layout: ModeLayout) -> LinearMap:
+                      layout: ModeLayout) -> GaussianChannel:
     """X-X QND pulse addressing every mechanical mode of ``layout`` (all modes
     but ``"opt"``, in layout order) through the optical mode.
 
@@ -244,7 +218,7 @@ def qnd_xx_collective(couplings: Sequence[float], chi_total: float,
         chi_j = chi_total * gj / total
         m[layout.p_index(lab), layout.x_index("opt")] += chi_j
         m[ip_l, layout.x_index(lab)] += chi_j
-    return LinearMap(m, layout)
+    return _noiseless(m, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -263,47 +237,38 @@ def sigma_factor(gamma: float, omega: float) -> float:
     return math.sqrt(1.0 - g * g)
 
 
-def lossy_rotation(gamma: float, omega: float, t: float, mode: str = "mech",
-                   layout: ModeLayout = MECH) -> LinearMap:
-    """Momentum-damped oscillator propagator over time ``t`` on one mode.
+def damped_evolution(gamma: float, omega: float, nbar_m: float, t: float,
+                     layout: ModeLayout = MECH) -> GaussianChannel:
+    """Exact channel of the damped thermal mechanics over time ``t``.
 
-    Solves Xdot = omega P, Pdot = -omega X - gamma P. The block carries an
-    overall e^(-gamma t / 2) decay on a rotation through sigma * omega * t;
-    its determinant is exactly e^(-gamma t).  gamma = 0 gives
-    ``rotation(mode, omega * t)``.
+    Solves Xdot = omega P, Pdot = -omega X - gamma P plus the bath's momentum
+    noise.  The map carries an overall e^(-gamma t / 2) decay on a rotation
+    through sigma * omega * t; its determinant is exactly e^(-gamma t), and
+    gamma = 0 gives ``rotation("mech", omega * t)``.
+
+    The noise has zero mean.  Its covariance vanishes at t = 0, equilibrates
+    to (2 nbar + 1) I for t >> 1/gamma, and at short times is dominated by the
+    momentum entry 2 gamma t (2 nbar + 1); the position entry grows as t^3.
+    It is written in expm1 form so the small-t cancellations stay accurate.
+
+    Momentum-only damping is the high-temperature Brownian-motion model: the
+    channel is not completely positive unless roughly (2 nbar_m + 1) omega t
+    exceeds sqrt(3).
     """
     if t < 0:
         raise ValueError("negative evolution time")
     sig = sigma_factor(gamma, omega)
+    if nbar_m < 0:
+        raise ValueError("bath occupancy must be nonnegative")
     g = gamma / (2.0 * omega)
     a = sig * omega * t
     d = math.exp(-gamma * t / 2.0)
     c, s = math.cos(a), math.sin(a)
-    block = d * np.array([[c + (g / sig) * s, s / sig],
-                          [-s / sig, c - (g / sig) * s]])
+    i = layout.x_index("mech")
     m = np.eye(layout.dim)
-    i = layout.x_index(mode)
-    m[i:i + 2, i:i + 2] = block
-    return LinearMap(m, layout)
-
-
-def thermal_noise_cov(gamma: float, omega: float, nbar_m: float, t: float,
-                      mode: str = "mech", layout: ModeLayout = MECH) -> NoiseTerm:
-    """Accumulated thermal noise of the damped oscillator over time ``t``.
-
-    Zero mean.  The covariance vanishes at t = 0, equilibrates to
-    (2 nbar + 1) I for t >> 1/gamma, and at short times is dominated by the
-    momentum entry 2 gamma t (2 nbar + 1); the position entry grows as t^3.
-    Written in expm1 form so the small-t cancellations stay accurate.
-    """
-    if t < 0:
-        raise ValueError("negative evolution time")
-    if nbar_m < 0:
-        raise ValueError("bath occupancy must be nonnegative")
-    sig = sigma_factor(gamma, omega)
-    g = gamma / (2.0 * omega)
+    m[i:i + 2, i:i + 2] = d * np.array([[c + (g / sig) * s, s / sig],
+                                        [-s / sig, c - (g / sig) * s]])
     sig2 = sig * sig
-    a = sig * omega * t
     decay = math.exp(-gamma * t)
     em1 = -math.expm1(-gamma * t)  # 1 - e^(-gamma t)
     c2, s2 = math.cos(2 * a), math.sin(2 * a)
@@ -312,42 +277,30 @@ def thermal_noise_cov(gamma: float, omega: float, nbar_m: float, t: float,
     v22 = n_total / sig2 * (em1 + g * g * (decay * c2 - 1.0) + decay * g * sig * s2)
     v12 = n_total * 2.0 * g / sig2 * decay * math.sin(a) ** 2
     cov = np.zeros((layout.dim, layout.dim))
-    i = layout.x_index(mode)
     cov[i:i + 2, i:i + 2] = [[v11, v12], [v12, v22]]
-    return NoiseTerm(np.zeros(layout.dim), cov)
-
-
-def damped_evolution(gamma: float, omega: float, nbar_m: float, t: float,
-                     mode: str = "mech", layout: ModeLayout = MECH) -> GaussianChannel:
-    """One-step exact channel for damped thermal evolution over time ``t``.
-
-    Momentum-only damping is the high-temperature Brownian-motion model: the
-    channel is not completely positive unless roughly (2 nbar_m + 1) omega t
-    exceeds sqrt(3).
-    """
-    return GaussianChannel(lossy_rotation(gamma, omega, t, mode, layout),
-                           thermal_noise_cov(gamma, omega, nbar_m, t, mode, layout))
+    return GaussianChannel(m, np.zeros(layout.dim), cov, layout)
 
 
 # ---------------------------------------------------------------------------
 # optical loss
 # ---------------------------------------------------------------------------
 
-def beamsplitter_loss(epsilon: float, nbar_l: float, mode: str = "opt",
-                      layout: ModeLayout = MECH_OPT) -> GaussianChannel:
-    """Beamsplitter loss: both quadratures scaled by sqrt(1 - epsilon), with
-    thermal noise of variance epsilon * (2 nbar + 1) coupled in."""
+def beamsplitter_loss(epsilon: float, nbar_l: float) -> GaussianChannel:
+    """Beamsplitter loss on the light of (mech, opt): both optical quadratures
+    scaled by sqrt(1 - epsilon), with thermal noise of variance
+    epsilon * (2 nbar + 1) coupled in."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"loss fraction {epsilon} outside [0, 1]")
     if nbar_l < 0:
         raise ValueError("bath occupancy must be nonnegative")
+    layout = MECH_OPT
     amp = math.sqrt(1.0 - epsilon)
     m = np.eye(layout.dim)
-    i = layout.x_index(mode)
+    i = layout.x_index("opt")
     m[i, i] = m[i + 1, i + 1] = amp
     cov = np.zeros((layout.dim, layout.dim))
     cov[i, i] = cov[i + 1, i + 1] = epsilon * (2.0 * nbar_l + 1.0)
-    return GaussianChannel(LinearMap(m, layout), NoiseTerm(np.zeros(layout.dim), cov))
+    return GaussianChannel(m, np.zeros(layout.dim), cov, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -364,25 +317,28 @@ def compose(channels: Iterable[GaussianChannel]) -> GaussianChannel:
 
     The map is the product of maps; noise injected by earlier stages is
     propagated through every later map, N_total = sum_i M_later N_i M_later^T.
-    Batched and unbatched stages broadcast against each other.
+    Batched and unbatched stages broadcast against each other.  The noise
+    stays the shared zero until the first noisy stage, so noiseless stages
+    compose to a noiseless channel.
     """
     channels = list(channels)
     if not channels:
         raise ValueError("nothing to compose")
     layout = channels[0].layout
     d = layout.dim
-    m_tot = np.eye(d)
-    cov_tot = np.zeros((d, d))
-    mean_tot = np.zeros(d)
+    zero_mean, zero_cov = _zero_noise(d)
+    m_tot, mean_tot, cov_tot = np.eye(d), zero_mean, zero_cov
     for ch in channels:
         if ch.layout != layout:
             raise ValueError("layout mismatch in channel composition")
-        m = ch.map.matrix
+        m = ch.matrix
         m_tot = m @ m_tot
-        cov_tot = m @ cov_tot @ _transpose(m) + ch.noise.cov
-        mean_tot = _apply(m, mean_tot) + ch.noise.mean
-    return GaussianChannel(LinearMap(m_tot, layout),
-                           NoiseTerm(mean_tot, 0.5 * (cov_tot + _transpose(cov_tot))))
+        if cov_tot is not zero_cov or ch.cov is not zero_cov:
+            cov_tot = m @ cov_tot @ _transpose(m) + ch.cov
+            mean_tot = _apply(m, mean_tot) + ch.mean
+    if cov_tot is zero_cov:
+        return GaussianChannel(m_tot, zero_mean, zero_cov, layout)
+    return GaussianChannel(m_tot, mean_tot, 0.5 * (cov_tot + _transpose(cov_tot)), layout)
 
 
 def is_physical(channel: GaussianChannel) -> bool:
@@ -392,11 +348,13 @@ def is_physical(channel: GaussianChannel) -> bool:
     state, including the halves of entangled ones, to a physical state.  For
     one mode it reads N >= 0 and det N >= (1 - det M)^2.  The tolerance is
     ``CP_RTOL`` (64 machine epsilons) times the size of the terms: 1, the
-    2N-term sums of M Omega M^T (each at most max|M|^2) and max|N|.
+    2N-term sums of M Omega M^T (each at most max|M|^2) and max|N|.  A batch
+    is physical when every element is, each against its own tolerance.
     """
     omega = symplectic_form(channel.layout.mode_count)
-    m = channel.map.matrix
-    n = channel.noise.cov
-    h = n + 1j * (omega - m @ omega @ m.T)
-    scale = max(1.0, m.shape[0] * float(np.max(np.abs(m))) ** 2, float(np.max(np.abs(n))))
-    return float(np.linalg.eigvalsh(h).min()) >= -CP_RTOL * scale
+    m = channel.matrix
+    n = channel.cov
+    h = n + 1j * (omega - m @ omega @ _transpose(m))
+    scale = np.maximum(np.maximum(1.0, m.shape[-1] * np.max(np.abs(m), axis=(-2, -1)) ** 2),
+                       np.max(np.abs(n), axis=(-2, -1)))
+    return bool(np.all(np.linalg.eigvalsh(h).min(axis=-1) >= -CP_RTOL * scale))

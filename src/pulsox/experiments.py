@@ -117,8 +117,7 @@ def run_fock_squeeze(config: ExperimentConfig) -> RunResult:
     ext = 2.0 * config.grid.half_extent
     schedule = schedule_for_mu(mu, phys.phi, phys.ancilla_vsq)
     fock = wigner_fock(1, ext, res)
-    target_grid = apply_gaussian_channel(
-        fock, ideal_target_map(mu, phys.phi).as_channel())
+    target_grid = apply_gaussian_channel(fock, ideal_target_map(mu, phys.phi))
 
     def squeezed_grid(loss: LossConfig) -> WignerGrid:
         return apply_gaussian_channel(fock, mechanical_squeezer(schedule, loss))
@@ -174,13 +173,13 @@ def d_min_full(mu, nbar_in: float, chi_ro: float, v_sq: float, phi: float,
     state = apply_channel(state, quarter)
 
     probe = vacuum(OPT)  # coherent readout pulse: vacuum fluctuations
-    readout = qnd_xx(chi_ro).as_channel()
+    readout = qnd_xx(chi_ro)
     out = apply_channel(product(state, probe), readout)
     var_estimator = out.variance("opt", "p") / chi_ro ** 2
 
     # kick gain: a P displacement reaches the estimator through X(t) <- P(0)
     # of the quarter rotation; the chi_ro readout factor cancels in X_hat.
-    gain = quarter.map.block("mech", "mech")[0, 1]
+    gain = quarter.block("mech", "mech")[0, 1]
     return np.sqrt(var_estimator) / abs(gain)
 
 
@@ -316,9 +315,9 @@ def run_multimode(config: ExperimentConfig) -> RunResult:
         def pulse(chi):
             return qnd_xx_collective(couplings, chi * scale, layout)
 
-        delay = (rotation("mech", phi, layout)
-                 @ rotation("mech2", omega2_ratio * phi, layout)).as_channel()
-        full = compose(_four_pulse(schedule, pulse, [delay], layout))
+        delay = [rotation("mech", phi, layout),
+                 rotation("mech2", omega2_ratio * phi, layout)]
+        full = compose(_four_pulse(schedule, pulse, delay, layout))
         out = marginal(apply_channel(vacuum(layout), full), ["mech"])
         rows.append([ratio, 1.0 - fidelity_zero_mean(out, target)])
     table = ResultTable(["g2_over_g1", "infidelity"], rows, _metadata(config))

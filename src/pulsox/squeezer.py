@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize
 
-from .channels import (GaussianChannel, LinearMap, NoiseTerm, _apply, _transpose,
-                       beamsplitter_loss, compose, damped_evolution, qnd_pp, qnd_xx,
-                       quadrature_scaling, rotation, sigma_factor)
+from .channels import (GaussianChannel, _apply, _transpose, beamsplitter_loss, compose,
+                       damped_evolution, qnd_pp, qnd_xx, quadrature_scaling, rotation,
+                       sigma_factor)
 from .modes import MECH, MECH_OPT, ModeLayout, OPT
 from .states import GaussianState, apply_channel, fidelity_zero_mean, squeezed, vacuum
 
@@ -171,13 +171,14 @@ def schedule_for_mu(mu, phi: float, ancilla_vsq: float = 0.5) -> PulseSchedule:
 # squeezer assembly
 # ---------------------------------------------------------------------------
 
-def build_ideal_squeezer(chi1: float, chi3: float) -> LinearMap:
-    """Three-pulse sequence XX(chi3) PP(chi2) XX(chi1) on (mech, opt) with chi2
-    from :func:`chi2_for`; the mechanical block is diag(-chi1/chi3, -chi3/chi1)."""
-    return qnd_xx(chi3) @ qnd_pp(chi2_for(chi1, chi3)) @ qnd_xx(chi1)
+def build_ideal_squeezer(chi1: float, chi3: float) -> GaussianChannel:
+    """Three-pulse sequence XX(chi1), PP(chi2), XX(chi3) on (mech, opt) with
+    chi2 from :func:`chi2_for`; the mechanical block is
+    diag(-chi1/chi3, -chi3/chi1)."""
+    return compose([qnd_xx(chi1), qnd_pp(chi2_for(chi1, chi3)), qnd_xx(chi3)])
 
 
-def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], LinearMap],
+def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], GaussianChannel],
                 delay: Sequence[GaussianChannel], layout: ModeLayout) -> list[GaussianChannel]:
     """The four-pulse protocol in temporal order, as channels on ``layout``.
 
@@ -185,20 +186,16 @@ def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], LinearMap],
     stages between the second and third pulses, during which the mechanics
     rotates through phi.
     """
-    def turn(angle: float) -> GaussianChannel:
-        return rotation("opt", angle, layout).as_channel()
-
-    return [pulse(schedule.chi1).as_channel(), turn(math.pi / 2.0),
-            pulse(schedule.lam).as_channel(), *delay,
-            pulse(schedule.chi2_second_pulse).as_channel(),
-            turn(schedule.theta - math.pi / 2.0), pulse(schedule.chi3).as_channel()]
+    return [pulse(schedule.chi1), rotation("opt", math.pi / 2.0, layout),
+            pulse(schedule.lam), *delay, pulse(schedule.chi2_second_pulse),
+            rotation("opt", schedule.theta - math.pi / 2.0, layout), pulse(schedule.chi3)]
 
 
 def damped_delay(phi: float, loss: LossConfig, layout: ModeLayout = MECH) -> GaussianChannel:
     """Damped thermal evolution of the mechanics while it rotates through
     phi, which takes t = phi / (sigma * omega_m)."""
     t = phi / (sigma_factor(loss.gamma, loss.omega_m) * loss.omega_m)
-    return damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t, "mech", layout)
+    return damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t, layout)
 
 
 def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianChannel:
@@ -212,27 +209,27 @@ def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianC
     plain squeezer form X' = X/mu + (1-mu) tan(phi) P + optical noise,
     P' = mu P.
     """
-    delay = [beamsplitter_loss(loss.epsilon, loss.nbar_l, "opt", MECH_OPT),
+    delay = [beamsplitter_loss(loss.epsilon, loss.nbar_l),
              damped_delay(schedule.phi, loss, MECH_OPT)]
     return compose(_four_pulse(schedule, qnd_xx, delay, MECH_OPT))
 
 
 def ideal_target_map(mu, phi: float, mode: str = "mech",
-                     layout: ModeLayout = MECH) -> LinearMap:
+                     layout: ModeLayout = MECH) -> GaussianChannel:
     """Unitary image the squeezer aims for: diag(1/mu, mu) followed by the
     mechanical rotation through phi (outputs are compared in that frame).
     An array of mu gives a batch."""
     mu = np.asarray(mu, dtype=float)
     if np.any(mu <= 0):
         raise ValueError("mu must be positive")
-    return rotation(mode, phi, layout) @ quadrature_scaling(1.0 / mu, mu, mode, layout)
+    return compose([quadrature_scaling(1.0 / mu, mu, mode, layout),
+                    rotation(mode, phi, layout)])
 
 
 def ideal_target_state(state: GaussianState, mu, phi: float) -> GaussianState:
     if state.layout.mode_count != 1:
         raise ValueError("target comparison is single-mode")
-    m = ideal_target_map(mu, phi, state.layout.labels[0], state.layout)
-    return apply_channel(state, m.as_channel())
+    return apply_channel(state, ideal_target_map(mu, phi, state.layout.labels[0], state.layout))
 
 
 def ancilla_state(schedule: PulseSchedule) -> GaussianState:
@@ -255,12 +252,12 @@ def mechanical_reduced_channel(channel: GaussianChannel,
         raise ValueError("ancilla must be single-mode")
     i = layout.x_index("mech")
     j = layout.x_index("opt")
-    m = channel.map.matrix
+    m = channel.matrix
     m_mm = m[..., i:i + 2, i:i + 2]
     m_mo = m[..., i:i + 2, j:j + 2]
-    cov = m_mo @ ancilla.cov @ _transpose(m_mo) + channel.noise.cov[..., i:i + 2, i:i + 2]
-    mean = _apply(m_mo, ancilla.mean) + channel.noise.mean[..., i:i + 2]
-    return GaussianChannel(LinearMap(m_mm, MECH), NoiseTerm(mean, cov))
+    cov = m_mo @ ancilla.cov @ _transpose(m_mo) + channel.cov[..., i:i + 2, i:i + 2]
+    mean = _apply(m_mo, ancilla.mean) + channel.mean[..., i:i + 2]
+    return GaussianChannel(m_mm, mean, cov, MECH)
 
 
 def mechanical_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianChannel:

@@ -117,9 +117,9 @@ def apply_channel(state: GaussianState, channel: GaussianChannel) -> GaussianSta
     """Propagate the state through X' = M X + F."""
     if state.layout != channel.layout:
         raise ValueError("state and channel layouts differ")
-    m = channel.map.matrix
-    mean = _apply(m, state.mean) + channel.noise.mean
-    cov = m @ state.cov @ _transpose(m) + channel.noise.cov
+    m = channel.matrix
+    mean = _apply(m, state.mean) + channel.mean
+    cov = m @ state.cov @ _transpose(m) + channel.cov
     return GaussianState(mean, cov, state.layout)
 
 

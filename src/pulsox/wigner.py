@@ -166,9 +166,9 @@ class GaussianSum:
         m -> S m + d and V -> S V S^T + N; the weights do not change."""
         if channel.layout.mode_count != 1:
             raise ValueError("the Wigner engine evolves single-mode channels")
-        s = channel.map.matrix
-        return GaussianSum(self.log_weights, self.means @ s.T + channel.noise.mean,
-                           s @ self.cov @ s.T + channel.noise.cov)
+        s = channel.matrix
+        return GaussianSum(self.log_weights, self.means @ s.T + channel.mean,
+                           s @ self.cov @ s.T + channel.cov)
 
     def _values(self, x, p) -> np.ndarray:
         inv = np.linalg.inv(self.cov)
@@ -273,13 +273,13 @@ def apply_gaussian_channel(grid: WignerGrid, channel: GaussianChannel) -> Wigner
     """
     if channel.layout.mode_count != 1:
         raise ValueError("the Wigner engine evolves single-mode channels")
-    s = channel.map.matrix
+    s = channel.matrix
     det = float(np.linalg.det(s))
     if abs(det) <= 1e-12:
         raise ValueError("singular channel map")
     s_inv = np.linalg.inv(s)
-    d = channel.noise.mean
-    n = channel.noise.cov
+    d = channel.mean
+    n = channel.cov
 
     ax = grid.axis()
     x = ax[:, None] - d[0]
@@ -307,7 +307,7 @@ def apply_gaussian_channel(grid: WignerGrid, channel: GaussianChannel) -> Wigner
 
 
 def negativity_eta(state: GaussianSum | WignerGrid) -> float:
-    """Normalized origin negativity max(-2 pi W(0, 0), 0), clamped to [0, 1]."""
+    """Normalized origin negativity max(-2 pi W(0, 0), 0), clamped to [0, 1 + 1e-6]."""
     eta = -2.0 * math.pi * state.value_at(0.0, 0.0)
     return min(max(eta, 0.0), 1.0 + 1e-6)
 

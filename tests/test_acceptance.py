@@ -238,26 +238,26 @@ def test_criterion_11_oracle_suites():
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(20):
-        m = px.rotation("mech", 0.0)
+        stages = [px.rotation("mech", 0.0)]
         for _ in range(5):
             kind = rng.integers(0, 3)
             if kind == 0:
-                m = px.qnd_xx(3 * rng.normal()) @ m
+                stages.append(px.qnd_xx(3 * rng.normal()))
             elif kind == 1:
-                m = px.qnd_pp(3 * rng.normal()) @ m
+                stages.append(px.qnd_pp(3 * rng.normal()))
             else:
-                m = px.rotation("opt", rng.uniform(-3, 3)) @ m
-        worst = max(worst, m.symplectic_defect())
+                stages.append(px.rotation("opt", rng.uniform(-3, 3)))
+        worst = max(worst, px.compose(stages).symplectic_defect())
     clauses.append((f"symplectic defect {worst:.1e} < 1e-10", worst < 1e-10))
 
     # Gaussian calculus vs Wigner grid moments
     worst = 0.0
     for k in range(5):
         angle = 0.4 * k
-        s_map = px.rotation("mech", angle, px.MECH) @ px.quadrature_scaling(
-            1.25, 0.8, "mech", px.MECH)
-        noise = px.NoiseTerm(np.array([0.2, -0.1]), 0.15 * np.eye(2))
-        channel = px.GaussianChannel(s_map, noise)
+        s_map = px.compose([px.quadrature_scaling(1.25, 0.8, "mech", px.MECH),
+                            px.rotation("mech", angle, px.MECH)])
+        channel = px.GaussianChannel(s_map.matrix, np.array([0.2, -0.1]), 0.15 * np.eye(2),
+                                     px.MECH)
         grid = px.wigner_gaussian([0.3, 0.1], np.diag([1.2, 0.9]))
         mean_g, cov_g = px.apply_gaussian_channel(grid, channel).moments()
         ref = px.apply_channel(px.GaussianState([0.3, 0.1], np.diag([1.2, 0.9]),
@@ -275,8 +275,8 @@ def test_criterion_11_oracle_suites():
     clauses.append((f"parity identity error {parity_err:.1e} < 1e-3", parity_err < 1e-3))
 
     # thermal noise limits
-    zero = float(np.max(np.abs(px.thermal_noise_cov(0.1, 1.0, 5.0, 0.0).cov)))
-    late = px.thermal_noise_cov(0.5, 1.0, 5.0, 1e4).cov
+    zero = float(np.max(np.abs(px.damped_evolution(0.1, 1.0, 5.0, 0.0).cov)))
+    late = px.damped_evolution(0.5, 1.0, 5.0, 1e4).cov
     late_err = float(np.max(np.abs(late - 11.0 * np.eye(2))))
     clauses.append((f"thermal noise t=0 ({zero:.1e}) and t->inf ({late_err:.1e}) limits",
                     zero == 0.0 and late_err < 1e-6))

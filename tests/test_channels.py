@@ -1,17 +1,23 @@
-"""Quadrature maps, noise terms, and channel composition."""
+"""Gaussian channels: constructors, composition and physicality."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pulsox import (GaussianChannel, LinearMap, MECH, MECH_OPT, ModeLayout,
-                    NoiseTerm, beamsplitter_loss, compose, damped_evolution,
-                    is_physical, lossy_rotation, qnd_pp, qnd_xx,
-                    qnd_xx_collective, rotation, sigma_factor,
-                    symplectic_form, thermal_noise_cov)
+from pulsox import (LOSSLESS, GaussianChannel, LossConfig, MECH, MECH_OPT, ModeLayout,
+                    beamsplitter_loss, build_lossy_squeezer, compose, damped_evolution,
+                    is_physical, qnd_pp, qnd_xx, qnd_xx_collective, rotation,
+                    schedule_for_mu, sigma_factor, symplectic_form)
 
 OMEGA2 = symplectic_form(2)
+
+
+def _channel(matrix, mean=None, cov=None, layout=MECH):
+    """A channel from explicit arrays; the noise defaults to zero."""
+    d = layout.dim
+    return GaussianChannel(matrix, np.zeros(d) if mean is None else mean,
+                           np.zeros((d, d)) if cov is None else cov, layout)
 
 
 def test_layout_rejects_duplicates():
@@ -42,7 +48,7 @@ def test_qnd_xx_matches_reference_matrix():
 
 
 def test_qnd_xx_strengths_add_under_composition():
-    twice = qnd_xx(2.0) @ qnd_xx(2.0)
+    twice = compose([qnd_xx(2.0), qnd_xx(2.0)])
     assert np.allclose(twice.matrix, qnd_xx(4.0).matrix)
 
 
@@ -87,7 +93,7 @@ def test_rotation_sign_convention():
 
 def test_rotation_group_property():
     a, b = 0.7, -1.3
-    lhs = rotation("opt", a) @ rotation("opt", b)
+    lhs = compose([rotation("opt", b), rotation("opt", a)])
     assert np.allclose(lhs.matrix, rotation("opt", a + b).matrix, atol=1e-14)
 
 
@@ -105,43 +111,43 @@ def test_sigma_factor_taylor():
     assert abs(sigma_factor(1e-4, 1.0) - (1.0 - 1.25e-9)) < 1e-12
 
 
-def test_lossy_rotation_lossless_limit_exact():
+def test_damped_map_lossless_limit_exact():
     t = 0.37
-    assert np.array_equal(lossy_rotation(0.0, 1.0, t).matrix,
+    assert np.array_equal(damped_evolution(0.0, 1.0, 0.0, t).matrix,
                           rotation("mech", t, MECH).matrix)
 
 
-def test_lossy_rotation_at_zero_time():
-    assert np.allclose(lossy_rotation(0.3, 1.0, 0.0).matrix, np.eye(2))
+def test_damped_map_at_zero_time():
+    assert np.allclose(damped_evolution(0.3, 1.0, 0.0, 0.0).matrix, np.eye(2))
 
 
-def test_lossy_rotation_determinant_is_energy_decay():
+def test_damped_map_determinant_is_energy_decay():
     gamma, t = 0.2, 3.1
-    det = np.linalg.det(lossy_rotation(gamma, 1.0, t).matrix)
+    det = np.linalg.det(damped_evolution(gamma, 1.0, 0.0, t).matrix)
     assert det == pytest.approx(math.exp(-gamma * t), rel=1e-12)
 
 
-def test_lossy_rotation_converges_linearly_in_gamma():
+def test_damped_map_converges_linearly_in_gamma():
     t = 1.1
     ref = rotation("mech", t, MECH).matrix
-    errs = [np.max(np.abs(lossy_rotation(g, 1.0, t).matrix - ref))
+    errs = [np.max(np.abs(damped_evolution(g, 1.0, 0.0, t).matrix - ref))
             for g in (1e-3, 1e-4, 1e-5)]
     assert errs[0] < 2e-3 and errs[1] < 2e-4 and errs[2] < 2e-5
 
 
-def test_lossy_rotation_rejects_overdamped():
+def test_damped_map_rejects_overdamped():
     with pytest.raises(ValueError, match="overdamped"):
-        lossy_rotation(2.5, 1.0, 1.0)
+        damped_evolution(2.5, 1.0, 0.0, 1.0)
 
 
 def test_thermal_noise_zero_time():
-    noise = thermal_noise_cov(0.1, 1.0, 10.0, 0.0)
+    noise = damped_evolution(0.1, 1.0, 10.0, 0.0)
     assert np.allclose(noise.cov, 0.0)
 
 
 def test_thermal_noise_equilibrium():
     nbar = 7.0
-    noise = thermal_noise_cov(0.5, 1.0, nbar, 1e4)
+    noise = damped_evolution(0.5, 1.0, nbar, 1e4)
     assert np.allclose(noise.cov, (2 * nbar + 1) * np.eye(2), atol=1e-8)
 
 
@@ -149,7 +155,7 @@ def test_thermal_noise_short_time_structure():
     gamma, nbar = 1e-5, 4e4
     n_total = 2 * nbar + 1
     for t in (1e-3, 1e-4):
-        cov = thermal_noise_cov(gamma, 1.0, nbar, t).cov
+        cov = damped_evolution(gamma, 1.0, nbar, t).cov
         assert cov[1, 1] == pytest.approx(2 * gamma * t * n_total, rel=1e-3)
         # position noise grows as (2/3) gamma nbar omega^2 t^3
         assert cov[0, 0] == pytest.approx(2.0 / 3.0 * gamma * n_total * t ** 3, rel=1e-3)
@@ -159,7 +165,7 @@ def test_thermal_noise_short_time_structure():
 @pytest.mark.parametrize("gamma", [1e-7, 1e-5, 1e-3, 0.1, 1.0])
 @pytest.mark.parametrize("t", np.geomspace(1e-6, 1e3, 20).tolist())
 def test_thermal_noise_psd_sweep(gamma, t):
-    cov = thermal_noise_cov(gamma, 1.0, 4e4, t).cov
+    cov = damped_evolution(gamma, 1.0, 4e4, t).cov
     assert np.allclose(cov, cov.T)
     scale = max(np.max(np.abs(cov)), 1e-300)
     assert np.linalg.eigvalsh(cov).min() >= -1e-10 * scale
@@ -169,22 +175,22 @@ def test_thermal_noise_psd_sweep(gamma, t):
 
 def test_beamsplitter_zero_loss_is_identity():
     ch = beamsplitter_loss(0.0, 0.0)
-    assert np.array_equal(ch.map.matrix, np.eye(4))
-    assert np.allclose(ch.noise.cov, 0.0)
+    assert np.array_equal(ch.matrix, np.eye(4))
+    assert np.allclose(ch.cov, 0.0)
 
 
 def test_beamsplitter_full_loss_replaces_with_vacuum():
     ch = beamsplitter_loss(1.0, 0.0)
-    assert np.allclose(ch.map.block("opt", "opt"), 0.0)
+    assert np.allclose(ch.block("opt", "opt"), 0.0)
     i = MECH_OPT.x_index("opt")
-    assert np.allclose(ch.noise.cov[i:i + 2, i:i + 2], np.eye(2))
+    assert np.allclose(ch.cov[i:i + 2, i:i + 2], np.eye(2))
 
 
 def test_beamsplitter_small_loss_values():
     ch = beamsplitter_loss(1e-3, 0.0)
-    assert ch.map.block("opt", "opt")[0, 0] == pytest.approx(math.sqrt(1 - 1e-3), rel=1e-15)
+    assert ch.block("opt", "opt")[0, 0] == pytest.approx(math.sqrt(1 - 1e-3), rel=1e-15)
     i = MECH_OPT.x_index("opt")
-    assert ch.noise.cov[i, i] == pytest.approx(1e-3)
+    assert ch.cov[i, i] == pytest.approx(1e-3)
 
 
 def test_beamsplitter_range_check():
@@ -197,16 +203,16 @@ def test_beamsplitter_range_check():
 # -- composition -------------------------------------------------------------
 
 def test_compose_identity_neutral():
-    ident = rotation("mech", 0.0).as_channel()
+    ident = rotation("mech", 0.0)
     ch = beamsplitter_loss(0.3, 2.0)
     out = compose([ident, ch])
-    assert np.allclose(out.map.matrix, ch.map.matrix)
-    assert np.allclose(out.noise.cov, ch.noise.cov)
+    assert np.allclose(out.matrix, ch.matrix)
+    assert np.allclose(out.cov, ch.cov)
 
 
 def test_compose_inverse_pulses_cancel():
-    out = compose([qnd_xx(2.0).as_channel(), qnd_xx(-2.0).as_channel()])
-    assert np.allclose(out.map.matrix, np.eye(4), atol=1e-14)
+    out = compose([qnd_xx(2.0), qnd_xx(-2.0)])
+    assert np.allclose(out.matrix, np.eye(4), atol=1e-14)
 
 
 def test_compose_two_beamsplitters():
@@ -215,38 +221,34 @@ def test_compose_two_beamsplitters():
     twice = compose([beamsplitter_loss(eps, nbar), beamsplitter_loss(eps, nbar)])
     eps2 = 1.0 - (1.0 - eps) ** 2
     once = beamsplitter_loss(eps2, nbar)
-    assert np.allclose(twice.map.matrix, once.map.matrix, atol=1e-14)
-    assert np.allclose(twice.noise.cov, once.noise.cov, atol=1e-14)
+    assert np.allclose(twice.matrix, once.matrix, atol=1e-14)
+    assert np.allclose(twice.cov, once.cov, atol=1e-14)
 
 
 _STAGES = st.one_of(
-    st.builds(lambda chi: qnd_xx(chi).as_channel(), st.floats(-3.0, 3.0)),
-    st.builds(lambda chi: qnd_pp(chi).as_channel(), st.floats(-3.0, 3.0)),
-    st.builds(lambda mode, a: rotation(mode, a).as_channel(),
-              st.sampled_from(["mech", "opt"]), st.floats(-math.pi, math.pi)),
+    st.builds(qnd_xx, st.floats(-3.0, 3.0)),
+    st.builds(qnd_pp, st.floats(-3.0, 3.0)),
+    st.builds(rotation, st.sampled_from(["mech", "opt"]), st.floats(-math.pi, math.pi)),
     st.builds(beamsplitter_loss, st.floats(0.0, 1.0), st.floats(0.0, 10.0)),
     st.builds(lambda g, n, t: damped_evolution(g, 1.0, n, t, layout=MECH_OPT),
               st.floats(0.0, 0.5), st.floats(0.0, 10.0), st.floats(0.0, 3.0)),
 )
 
 
-@example(qnd_xx(1.3).as_channel(), beamsplitter_loss(0.25, 3.0),
-         rotation("mech", 0.8).as_channel())
+@example(qnd_xx(1.3), beamsplitter_loss(0.25, 3.0), rotation("mech", 0.8))
 @given(_STAGES, _STAGES, _STAGES)
 def test_compose_associativity(a, b, c):
     left = compose([compose([a, b]), c])
     right = compose([a, compose([b, c])])
     flat = compose([a, b, c])
     for x, y in ((left, right), (left, flat)):
-        for u, v in ((x.map.matrix, y.map.matrix), (x.noise.cov, y.noise.cov),
-                     (x.noise.mean, y.noise.mean)):
+        for u, v in ((x.matrix, y.matrix), (x.cov, y.cov), (x.mean, y.mean)):
             assert np.max(np.abs(u - v)) <= 1e-12 * max(1.0, np.max(np.abs(u)))
 
 
 def test_compose_layout_mismatch():
     with pytest.raises(ValueError, match="layout"):
-        compose([qnd_xx(1.0).as_channel(),
-                 rotation("mech", 1.0, MECH).as_channel()])
+        compose([qnd_xx(1.0), rotation("mech", 1.0, MECH)])
 
 
 # -- collective pulse --------------------------------------------------------
@@ -280,18 +282,18 @@ def test_collective_rejects_zero_couplings():
 
 # -- invariants --------------------------------------------------------------
 
-def _random_lossless_chain(rng) -> LinearMap:
-    m = rotation("mech", 0.0)
+def _random_lossless_chain(rng) -> GaussianChannel:
+    stages = [rotation("mech", 0.0)]
     for _ in range(6):
         kind = rng.integers(0, 3)
         if kind == 0:
-            m = qnd_xx(rng.normal() * 3) @ m
+            stages.append(qnd_xx(rng.normal() * 3))
         elif kind == 1:
-            m = qnd_pp(rng.normal() * 3) @ m
+            stages.append(qnd_pp(rng.normal() * 3))
         else:
             mode = "mech" if rng.integers(0, 2) else "opt"
-            m = rotation(mode, rng.uniform(-math.pi, math.pi)) @ m
-    return m
+            stages.append(rotation(mode, rng.uniform(-math.pi, math.pi)))
+    return compose(stages)
 
 
 def test_symplectic_preservation_of_compositions():
@@ -306,10 +308,9 @@ def test_symplectic_preservation_of_compositions():
     (beamsplitter_loss(1.0, 0.0), True),
     (damped_evolution(0.01, 1.0, 100.0, 2.0, layout=MECH), True),
     (damped_evolution(1e-5, 1.0, 4e4, 0.06, layout=MECH), True),
-    (qnd_xx(2.5).as_channel(), True),
+    (qnd_xx(2.5), True),
     # zero-occupancy momentum damping: min eig(N + i(1 - det M) Omega) = -0.059
-    (GaussianChannel(lossy_rotation(0.2, 1.0, 1.0),
-                     thermal_noise_cov(0.2, 1.0, 0.0, 1.0)), False),
+    (damped_evolution(0.2, 1.0, 0.0, 1.0), False),
     # the same defect at weak damping, margin -2.0e-4
     (damped_evolution(1e-3, 1.0, 0.0, 2.0, layout=MECH), False),
 ], ids=[f"channel{k}" for k in range(7)])
@@ -323,16 +324,16 @@ def test_channels_are_physical(channel, physical):
 def test_is_physical_is_the_single_mode_cp_condition(entries, a, b, c):
     m = np.reshape(entries, (2, 2))
     noise = np.array([[a, b], [b, c]])
-    det_m = float(np.linalg.det(m))
-    gap = float(np.linalg.det(noise)) - (1.0 - det_m) ** 2
+    # 2x2 determinants in closed form: LAPACK's LU warns on subnormal pivots
+    det_m = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    gap = (a * c - b * b) - (1.0 - det_m) ** 2
     if abs(gap) > 1e-6:  # off the boundary, where rounding cannot decide
         closed_form = a >= 0 and c >= 0 and gap >= 0  # N >= 0, det N >= (1 - det M)^2
-        channel = GaussianChannel(LinearMap(m, MECH), NoiseTerm(np.zeros(2), noise))
-        assert is_physical(channel) is closed_form
+        assert is_physical(_channel(m, cov=noise)) is closed_form
     if abs(det_m) > 1e-2:
         # a real 2x2 map with unit determinant is symplectic
         s = m @ np.diag([1.0, math.copysign(1.0, det_m)]) / math.sqrt(abs(det_m))
-        assert is_physical(LinearMap(s, MECH).as_channel())
+        assert is_physical(_channel(s))
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -345,27 +346,65 @@ def test_damped_evolution_physical_at_low_occupancy():
 
 def test_batched_values_check_every_element_and_matching_batches():
     covs = np.stack([np.eye(2), np.diag([2.0, 3.0]), np.eye(2)])
-    noise = NoiseTerm(np.zeros(2), covs)  # unbatched mean against a batch
-    assert noise.dim == 2 and noise.cov.shape == (3, 2, 2)
-    channel = GaussianChannel(rotation("mech", [0.0, 0.5, 1.0], MECH), noise)
-    assert channel.map.matrix.shape == (3, 2, 2)
+    rotations = rotation("mech", [0.0, 0.5, 1.0], MECH).matrix
+    channel = _channel(rotations, cov=covs)  # unbatched mean against a batch
+    assert channel.mean.shape == (2,) and channel.cov.shape == (3, 2, 2)
+    assert channel.matrix.shape == (3, 2, 2)
     asymmetric = covs.copy()
     asymmetric[1, 0, 1] = 1e-3
     with pytest.raises(ValueError, match="symmetric"):
-        NoiseTerm(np.zeros(2), asymmetric)
+        _channel(rotations, cov=asymmetric)
     with pytest.raises(ValueError, match="non-finite"):
         qnd_xx([0.5, float("inf")])
     with pytest.raises(ValueError, match="batch shapes"):
-        NoiseTerm(np.zeros((4, 2)), covs)
+        _channel(np.eye(2), mean=np.zeros((4, 2)), cov=covs)
     with pytest.raises(ValueError, match="batch shapes"):
-        GaussianChannel(rotation("mech", [0.0, 0.5], MECH), noise)
+        _channel(rotation("mech", [0.0, 0.5], MECH).matrix, cov=covs)
+    # everything the map and the noise term rejected on their own
+    for matrix in (np.eye(4), np.eye(2)[0], np.ones((2, 3))):
+        with pytest.raises(ValueError, match="does not match layout"):
+            _channel(matrix)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="map contains non-finite"):
+            _channel(np.stack([np.eye(2), [[1.0, bad], [0.0, 1.0]]]))
+        with pytest.raises(ValueError, match="noise contains non-finite"):
+            _channel(np.eye(2), mean=[0.0, bad])
+        with pytest.raises(ValueError, match="noise contains non-finite"):
+            _channel(np.eye(2), cov=np.stack([np.eye(2), np.diag([1.0, bad])]))
+    with pytest.raises(ValueError, match="symmetric"):
+        _channel(np.eye(2), cov=[[1.0, 0.5], [0.0, 1.0]])
+    for mean, cov in ((np.zeros(3), np.zeros((2, 2))), (np.zeros(2), np.zeros((3, 3))),
+                      (np.zeros(2), np.zeros((2, 3))), (0.0, np.zeros((2, 2))),
+                      (np.zeros(2), np.zeros(2))):
+        with pytest.raises(ValueError, match="noise shapes"):
+            _channel(np.eye(2), mean=mean, cov=cov)
+    with pytest.raises(ValueError, match="batch shapes"):
+        _channel(rotation("mech", [0.0, 0.5, 1.0, 1.5], MECH).matrix, mean=np.zeros((3, 2)))
 
 
 def test_noise_term_rejects_negative_covariance():
     # the constructor checks structure only; is_physical catches the sign
-    noise = NoiseTerm(np.zeros(2), np.diag([1.0, -1.0]))
-    identity = LinearMap(np.eye(2), MECH)
-    assert not is_physical(GaussianChannel(identity, noise))
+    assert not is_physical(_channel(np.eye(2), cov=np.diag([1.0, -1.0])))
+
+
+def test_is_physical_decides_every_batch_element():
+    phi = math.pi / 50
+    loss = LossConfig.from_q(1e7, nbar_m=4e4, epsilon=1e-3)
+    mus = [0.5, 0.7, 1.5, 2.0]
+    assert all(is_physical(build_lossy_squeezer(schedule_for_mu(mu, phi), loss)) for mu in mus)
+    assert is_physical(build_lossy_squeezer(schedule_for_mu(np.array(mus), phi), loss))
+    assert is_physical(build_lossy_squeezer(schedule_for_mu(np.array(mus), phi), LOSSLESS))
+    # one element with negative noise makes the batch unphysical
+    assert is_physical(_channel(np.eye(2), cov=np.stack([np.eye(2), np.eye(2)])))
+    assert not is_physical(_channel(np.eye(2), cov=np.stack([np.eye(2), np.diag([1.0, -1.0])])))
+    # each element is judged against its own rounding scale: a loud physical
+    # element must not hide the -2e-4 violation of a quiet one
+    bad = damped_evolution(1e-3, 1.0, 0.0, 2.0)
+    assert not is_physical(bad)
+    batch = _channel(np.stack([np.eye(2), bad.matrix]),
+                     cov=np.stack([1e12 * np.eye(2), bad.cov]))
+    assert not is_physical(batch)
+    assert is_physical(_channel(batch.matrix[:1], cov=batch.cov[:1]))
 
 
 @pytest.mark.parametrize("gamma,t", [(1e-3, 0.7), (1e-3, 1.64), (0.05, 3.0),
@@ -389,5 +428,5 @@ def test_thermal_noise_matches_quadrature_oracle(gamma, t):
     v11 = quad(lambda u: 2 * gamma * n_total * m12(u) ** 2, 0, t)[0]
     v22 = quad(lambda u: 2 * gamma * n_total * m22(u) ** 2, 0, t)[0]
     v12 = quad(lambda u: 2 * gamma * n_total * m12(u) * m22(u), 0, t)[0]
-    got = thermal_noise_cov(gamma, 1.0, nbar, t).cov
+    got = damped_evolution(gamma, 1.0, nbar, t).cov
     assert np.allclose(got, [[v11, v12], [v12, v22]], atol=1e-9 * n_total)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pulsox import (LOSSLESS, LossConfig, MECH, MECH_OPT, PulseSchedule,
                     ancilla_state, approx_photon_budget, build_ideal_squeezer,
-                    build_lossy_squeezer, chi2_for,
+                    build_lossy_squeezer, chi2_for, compose,
                     chi3_for, chi_from_physical, fidelity_zero_mean,
                     ideal_target_state, is_physical, marginal,
                     mechanical_reduced_channel, mechanical_squeezer,
@@ -22,9 +22,9 @@ PHI = math.pi / 50
 SQRT2 = math.sqrt(2.0)
 
 
-def derotated_mech_rows(m, phi):
+def derotated_mech_rows(channel, phi):
     """Mechanical rows of the map with the overall delay rotation removed."""
-    full = rotation("mech", -phi, MECH_OPT) @ m
+    full = compose([channel, rotation("mech", -phi, MECH_OPT)])
     return full.matrix[:2]
 
 
@@ -128,7 +128,7 @@ def test_ideal_squeezer_structure(chi1, chi3):
 @pytest.mark.parametrize("phi", [math.pi / 100, math.pi / 50])
 def test_pulsed_squeezer_momentum_row(mu, phi):
     s = schedule_for_mu(mu, phi)
-    rows = derotated_mech_rows(build_lossy_squeezer(s, LOSSLESS).map, phi)
+    rows = derotated_mech_rows(build_lossy_squeezer(s, LOSSLESS), phi)
     assert np.allclose(rows[1], [0.0, mu, 0.0, 0.0], atol=1e-9)
 
 
@@ -136,7 +136,7 @@ def test_pulsed_squeezer_momentum_row(mu, phi):
 def test_pulsed_squeezer_position_row(mu):
     s = schedule_for_mu(mu, PHI)
     t = math.tan(PHI)
-    rows = derotated_mech_rows(build_lossy_squeezer(s, LOSSLESS).map, PHI)
+    rows = derotated_mech_rows(build_lossy_squeezer(s, LOSSLESS), PHI)
     assert rows[0, 0] == pytest.approx(1.0 / mu, rel=1e-10)
     assert rows[0, 1] == pytest.approx((1.0 - mu) * t, abs=1e-10)
     # optical noise amplitude and angle
@@ -148,7 +148,7 @@ def test_pulsed_squeezer_position_row(mu):
 
 def test_pulsed_squeezer_is_symplectic():
     for mu in (0.4, 1.6):
-        assert build_lossy_squeezer(schedule_for_mu(mu, PHI), LOSSLESS).map.is_symplectic()
+        assert build_lossy_squeezer(schedule_for_mu(mu, PHI), LOSSLESS).is_symplectic()
 
 
 # -- lossy squeezer ---------------------------------------------------------------
@@ -169,8 +169,8 @@ def test_lossy_squeezer_lossless_limit():
                   px.rotation("opt", s.theta - math.pi / 2).matrix,
                   px.qnd_xx(s.chi3).matrix]:
         m = stage @ m
-    assert np.allclose(lossy.map.matrix, m, atol=1e-12)
-    assert np.allclose(lossy.noise.cov, 0.0, atol=1e-15)
+    assert np.allclose(lossy.matrix, m, atol=1e-12)
+    assert np.allclose(lossy.cov, 0.0, atol=1e-15)
 
 
 def test_lossy_squeezer_noise_route():
@@ -184,8 +184,7 @@ def test_lossy_squeezer_noise_route():
 
     sig = px.sigma_factor(loss.gamma, loss.omega_m)
     t_delay = s.phi / (sig * loss.omega_m)
-    f_m = px.thermal_noise_cov(loss.gamma, loss.omega_m, loss.nbar_m, t_delay,
-                               "mech", MECH_OPT).cov
+    f_m = px.damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t_delay, MECH_OPT).cov
     f_l = np.zeros((4, 4))
     i = MECH_OPT.x_index("opt")
     f_l[i:i + 2, i:i + 2] = loss.epsilon * (2 * loss.nbar_l + 1) * np.eye(2)
@@ -193,21 +192,21 @@ def test_lossy_squeezer_noise_route():
             @ px.rotation("opt", s.theta - math.pi / 2).matrix
             @ px.qnd_xx(s.chi2_second_pulse).matrix)
     expected = tail @ (f_m + f_l) @ tail.T
-    assert np.allclose(built.noise.cov, expected, atol=1e-12)
+    assert np.allclose(built.cov, expected, atol=1e-12)
 
     # and the map is the literal eight-stage product
     m = np.eye(4)
     for stage in [px.qnd_xx(s.chi1).matrix,
                   px.rotation("opt", math.pi / 2).matrix,
                   px.qnd_xx(s.lam).matrix,
-                  px.beamsplitter_loss(loss.epsilon, loss.nbar_l).map.matrix,
-                  px.lossy_rotation(loss.gamma, loss.omega_m, t_delay, "mech",
-                                    MECH_OPT).matrix,
+                  px.beamsplitter_loss(loss.epsilon, loss.nbar_l).matrix,
+                  px.damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t_delay,
+                                      MECH_OPT).matrix,
                   px.qnd_xx(s.chi2_second_pulse).matrix,
                   px.rotation("opt", s.theta - math.pi / 2).matrix,
                   px.qnd_xx(s.chi3).matrix]:
         m = stage @ m
-    assert np.allclose(built.map.matrix, m, atol=1e-13)
+    assert np.allclose(built.matrix, m, atol=1e-13)
 
 
 def test_pulsed_squeezer_equals_conjugated_interaction_form():
@@ -216,12 +215,13 @@ def test_pulsed_squeezer_equals_conjugated_interaction_form():
     import pulsox as px
 
     s = schedule_for_mu(SQRT2, PHI)
-    core = (px.qnd_xx(s.chi2_second_pulse) @ px.rotation("mech", s.phi)
-            @ px.qnd_xx(s.lam))
-    wrapped = (px.rotation("opt", -math.pi / 2) @ core
-               @ px.rotation("opt", math.pi / 2))
-    alt = px.qnd_xx(s.chi3) @ px.rotation("opt", s.theta) @ wrapped @ px.qnd_xx(s.chi1)
-    assert np.allclose(alt.matrix, build_lossy_squeezer(s, LOSSLESS).map.matrix, atol=1e-13)
+    core = compose([px.qnd_xx(s.lam), px.rotation("mech", s.phi),
+                    px.qnd_xx(s.chi2_second_pulse)])
+    wrapped = compose([px.rotation("opt", math.pi / 2), core,
+                       px.rotation("opt", -math.pi / 2)])
+    alt = compose([px.qnd_xx(s.chi1), wrapped, px.rotation("opt", s.theta),
+                   px.qnd_xx(s.chi3)])
+    assert np.allclose(alt.matrix, build_lossy_squeezer(s, LOSSLESS).matrix, atol=1e-13)
 
 
 def test_lossy_squeezer_optical_loss_degrades_output():
@@ -332,18 +332,18 @@ def test_batched_squeezer_equals_scalar_calls(kind, data):
 # -- ancilla reduction -------------------------------------------------------------
 
 def test_reduced_channel_identity():
-    ident = rotation("mech", 0.0).as_channel()
+    ident = rotation("mech", 0.0)
     reduced = mechanical_reduced_channel(ident, squeezed(0.3, 0.2))
-    assert np.allclose(reduced.map.matrix, np.eye(2))
-    assert np.allclose(reduced.noise.cov, 0.0)
+    assert np.allclose(reduced.matrix, np.eye(2))
+    assert np.allclose(reduced.cov, 0.0)
 
 
 def test_reduced_channel_strong_ancilla_squeezing_kills_fed_noise():
-    squeezer = build_ideal_squeezer(1.0, -2.0).as_channel()
+    squeezer = build_ideal_squeezer(1.0, -2.0)
     reduced = mechanical_reduced_channel(squeezer, squeezed(1e-8, math.pi / 2))
     # the fed quadrature is X_M; its injected noise follows the squeezed P_L
-    assert reduced.noise.cov[0, 0] < 1e-8
-    assert reduced.noise.cov[1, 1] < 1e-14
+    assert reduced.cov[0, 0] < 1e-8
+    assert reduced.cov[1, 1] < 1e-14
 
 
 @pytest.mark.parametrize("mu", [0.6, 1.8])

@@ -78,7 +78,7 @@ def test_state_validation_rejects_unphysical():
 
 def test_apply_identity_channel():
     s = thermal(2.0, MECH_OPT)
-    out = apply_channel(s, rotation("mech", 0.0).as_channel())
+    out = apply_channel(s, rotation("mech", 0.0))
     assert np.allclose(out.cov, s.cov)
 
 
@@ -87,7 +87,7 @@ def test_apply_ideal_squeezer_variances():
     v_sq = 0.01
     squeezer = build_ideal_squeezer(1.0, -2.0)
     ancilla = squeezed(v_sq, math.pi / 2)  # squeezed along P
-    out = apply_channel(product(vacuum(MECH), ancilla), squeezer.as_channel())
+    out = apply_channel(product(vacuum(MECH), ancilla), squeezer)
     assert out.variance("mech", "p") == pytest.approx(4.0, rel=1e-12)
     assert out.variance("mech", "x") == pytest.approx(0.25 + 0.25 * v_sq, rel=1e-12)
 

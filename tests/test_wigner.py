@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pulsox import (CatSpec, GaussianChannel, GaussianState, GaussianSum,
-                    GridClippingError, LossConfig, MECH, NoiseTerm, WignerGrid,
+                    GridClippingError, LossConfig, MECH, WignerGrid,
                     ancilla_state, apply_channel, apply_gaussian_channel,
                     build_lossy_squeezer, compose, damped_evolution, eta_series,
                     fringe_ellipse, grid_from_csv, grid_to_csv, half_life,
@@ -107,7 +107,7 @@ def test_parity_identity_all_constructors():
 
 def test_identity_channel_preserves_grid():
     g = wigner_fock(1)
-    out = apply_gaussian_channel(g, rotation("mech", 0.0, MECH).as_channel())
+    out = apply_gaussian_channel(g, rotation("mech", 0.0, MECH))
     assert np.max(np.abs(out.values - g.values)) < 1e-6
 
 
@@ -115,9 +115,8 @@ def test_vacuum_fixed_point_of_loss():
     # pure loss towards an empty bath leaves the vacuum unchanged
     g = wigner_fock(0)
     amp = math.sqrt(0.5)
-    loss_map = quadrature_scaling(amp, amp, "mech", MECH)
-    noise = NoiseTerm(np.zeros(2), 0.5 * np.eye(2))
-    out = apply_gaussian_channel(g, GaussianChannel(loss_map, noise))
+    loss_map = quadrature_scaling(amp, amp, "mech", MECH).matrix
+    out = apply_gaussian_channel(g, GaussianChannel(loss_map, np.zeros(2), 0.5 * np.eye(2), MECH))
     _, cov = out.moments()
     assert np.allclose(cov, np.eye(2), atol=1e-3)
 
@@ -125,12 +124,11 @@ def test_vacuum_fixed_point_of_loss():
 def test_singular_map_rejected():
     bad = quadrature_scaling(0.0, 1.0, "mech", MECH)
     with pytest.raises(ValueError, match="singular"):
-        apply_gaussian_channel(wigner_fock(0), bad.as_channel())
+        apply_gaussian_channel(wigner_fock(0), bad)
 
 
 def test_clipping_detected():
-    shift = GaussianChannel(rotation("mech", 0.0, MECH),
-                            NoiseTerm(np.array([14.0, 0.0]), np.zeros((2, 2))))
+    shift = GaussianChannel(np.eye(2), np.array([14.0, 0.0]), np.zeros((2, 2)), MECH)
     with pytest.raises(GridClippingError):
         apply_gaussian_channel(wigner_fock(0), shift)
 
@@ -143,13 +141,14 @@ def test_normalization_preserved_by_channel():
 
 
 def _random_one_mode_channel(rng):
-    s = (rotation("mech", rng.uniform(-math.pi, math.pi), MECH)
-         @ quadrature_scaling(*(lambda r: (r, 1 / r))(rng.uniform(0.7, 1.4)),
-                              "mech", MECH)
-         @ rotation("mech", rng.uniform(-math.pi, math.pi), MECH))
+    # drawn in the order rotation after, scaling, rotation before
+    after = rotation("mech", rng.uniform(-math.pi, math.pi), MECH)
+    scaling = quadrature_scaling(*(lambda r: (r, 1 / r))(rng.uniform(0.7, 1.4)), "mech", MECH)
+    before = rotation("mech", rng.uniform(-math.pi, math.pi), MECH)
+    s = compose([before, scaling, after]).matrix
     a = rng.normal(size=(2, 2)) * 0.3
     mean = rng.normal(size=2) * 0.3
-    return GaussianChannel(s, NoiseTerm(mean, a @ a.T))
+    return GaussianChannel(s, mean, a @ a.T, MECH)
 
 
 def test_gaussian_channel_moment_oracle():
@@ -274,14 +273,14 @@ def test_eta_pure_odd_cat_and_vacuum():
 def test_eta_invariant_under_rotation():
     g = wigner_cat(CatSpec(2.0, "odd"))
     for angle in (0.3, 1.2, math.pi / 2):
-        out = apply_gaussian_channel(g, rotation("mech", angle, MECH).as_channel())
+        out = apply_gaussian_channel(g, rotation("mech", angle, MECH))
         assert negativity_eta(out) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_eta_preserved_by_noiseless_symplectic():
     g = wigner_cat(CatSpec(1.0, "odd"))
     squeeze = quadrature_scaling(1 / 1.5, 1.5, "mech", MECH)
-    out = apply_gaussian_channel(g, (rotation("mech", 0.4, MECH) @ squeeze).as_channel())
+    out = apply_gaussian_channel(g, compose([squeeze, rotation("mech", 0.4, MECH)]))
     assert negativity_eta(out) == pytest.approx(1.0, abs=1e-4)
 
 
@@ -314,7 +313,7 @@ def test_fringe_ellipse_matches_grid_curvature():
     alpha, mu = 2.0, 1.5
     g = wigner_cat(CatSpec(alpha, "odd"))
     squeezer = quadrature_scaling(1 / mu, mu, "mech", MECH)
-    out = apply_gaussian_channel(g, squeezer.as_channel())
+    out = apply_gaussian_channel(g, squeezer)
     h = 4 * out.step
     w0 = out.value_at(0.0, 0.0)
 
