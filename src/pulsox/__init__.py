@@ -18,13 +18,12 @@ Conventions, fixed package-wide:
 
 __version__ = "0.1.0"
 
-from .channels import (GaussianChannel, beamsplitter_loss, compose, damped_evolution,
-                       is_physical, qnd_pp, qnd_xx, qnd_xx_collective,
-                       quadrature_scaling, rotation, sigma_factor)
+from .channels import (LOSSLESS, GaussianChannel, LossConfig, beamsplitter_loss, compose,
+                       damped_evolution, is_physical, qnd_pp, qnd_xx, qnd_xx_collective,
+                       quadrature_scaling, rotation)
 from .modes import MECH, MECH_OPT, OPT, ModeLayout, symplectic_form
-from .squeezer import (LossConfig, LOSSLESS, PulseSchedule, ancilla_state,
-                       approx_photon_budget, build_ideal_squeezer,
-                       build_lossy_squeezer, chi2_for, chi3_for,
+from .squeezer import (PulseSchedule, ancilla_state, approx_photon_budget,
+                       build_ideal_squeezer, build_lossy_squeezer, chi2_for, chi3_for,
                        chi_from_physical, ideal_target_map, ideal_target_state,
                        mechanical_reduced_channel, mechanical_squeezer,
                        optimize_schedule, photon_budget, photons_for_chi,

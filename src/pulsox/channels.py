@@ -12,12 +12,14 @@ way to chain them.
 A channel checks structure only (shape, finiteness, noise symmetry).  It may
 carry a leading batch axis (``(..., d, d)`` matrix and covariance,
 ``(..., d)`` mean), checked once per object.  The lossless constructors and
-``compose`` broadcast over it; the loss constructors take scalars.
+``compose`` broadcast over it; the loss constructors take one scalar
+:class:`LossConfig`.
 
 A channel is physical when it is completely positive, which
 :func:`is_physical` tests exactly and composition preserves.  The named
-constructors' scalar checks guarantee that, except for the momentum-damped
-delay at low bath occupancy, which ``ExperimentConfig.validate`` rejects.
+constructors guarantee that, the loss ones through the rules of the
+:class:`LossConfig` they take, except for the momentum-damped delay at low
+bath occupancy, which ``ExperimentConfig.validate`` rejects.
 """
 from __future__ import annotations
 
@@ -131,8 +133,6 @@ def _noiseless(m: np.ndarray, layout: ModeLayout) -> GaussianChannel:
 def _qnd(chi, entries: Sequence[tuple[int, int]]) -> GaussianChannel:
     """Identity on (mech, opt) with ``chi`` at each (row, column) of ``entries``."""
     chi = np.asarray(chi, dtype=float)
-    if not np.isfinite(chi).all():
-        raise ValueError("non-finite pulse strength")
     m = _identity(chi.shape, MECH_OPT.dim)
     for i, j in entries:
         m[..., i, j] = chi
@@ -179,8 +179,6 @@ def quadrature_scaling(sx, sp, mode: str = "mech",
                        layout: ModeLayout = MECH) -> GaussianChannel:
     """diag(sx, sp) on one mode; symplectic iff sx * sp = 1.  Arrays give a batch."""
     sx, sp = np.broadcast_arrays(np.asarray(sx, dtype=float), np.asarray(sp, dtype=float))
-    if not (np.isfinite(sx).all() and np.isfinite(sp).all()):
-        raise ValueError("non-finite scaling")
     m = _identity(sx.shape, layout.dim)
     i = layout.x_index(mode)
     m[..., i, i] = sx
@@ -222,29 +220,67 @@ def qnd_xx_collective(couplings: Sequence[float], chi_total: float,
 
 
 # ---------------------------------------------------------------------------
-# damped mechanical evolution
+# loss model and the lossy constructors
 # ---------------------------------------------------------------------------
 
-def sigma_factor(gamma: float, omega: float) -> float:
-    """Damping-induced retardation factor sqrt(1 - gamma^2 / 4 omega^2)."""
-    if omega <= 0:
-        raise ValueError("mechanical frequency must be positive")
-    if gamma < 0:
-        raise ValueError("damping rate must be nonnegative")
-    g = gamma / (2.0 * omega)
-    if g >= 1.0:
-        raise ValueError(f"overdamped regime gamma={gamma} >= 2*omega={2 * omega} not supported")
-    return math.sqrt(1.0 - g * g)
+@dataclass(frozen=True)
+class LossConfig:
+    """Loss model of every lossy element: mechanical damping ``gamma`` (omega_m
+    / Q) with bath occupancy ``nbar_m``, and delay-line beamsplitter loss
+    ``epsilon`` with bath occupancy ``nbar_l``.
+
+    Every field is finite, gamma and both occupancies are nonnegative, omega_m
+    is positive, gamma < 2 omega_m (no overdamped mechanics) and epsilon lies
+    in [0, 1].  The constructors below rely on these rules and check none of
+    them again.
+    """
+
+    gamma: float = 0.0
+    omega_m: float = 1.0
+    nbar_m: float = 0.0
+    epsilon: float = 0.0
+    nbar_l: float = 0.0
+
+    def __post_init__(self):
+        values = (self.gamma, self.omega_m, self.nbar_m, self.epsilon, self.nbar_l)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"loss parameters {values} must be finite")
+        if min(self.gamma, self.nbar_m, self.epsilon, self.nbar_l) < 0:
+            raise ValueError("loss parameters must be nonnegative")
+        if self.omega_m <= 0:
+            raise ValueError("mechanical frequency must be positive")
+        if self.gamma >= 2.0 * self.omega_m:
+            raise ValueError("overdamped mechanics not supported")
+        if self.epsilon > 1.0:
+            raise ValueError("loss fraction above 1")
+
+    @classmethod
+    def from_q(cls, q: float, nbar_m: float = 0.0, epsilon: float = 0.0,
+               nbar_l: float = 0.0, omega_m: float = 1.0) -> "LossConfig":
+        if q <= 0:
+            raise ValueError("quality factor must be positive")
+        return cls(gamma=omega_m / q, omega_m=omega_m, nbar_m=nbar_m,
+                   epsilon=epsilon, nbar_l=nbar_l)
+
+    @property
+    def sigma(self) -> float:
+        """Damping-induced retardation factor sqrt(1 - gamma^2 / 4 omega_m^2)."""
+        g = self.gamma / (2.0 * self.omega_m)
+        return math.sqrt(1.0 - g * g)
 
 
-def damped_evolution(gamma: float, omega: float, nbar_m: float, t: float,
+LOSSLESS = LossConfig()
+
+
+def damped_evolution(loss: LossConfig, t: float,
                      layout: ModeLayout = MECH) -> GaussianChannel:
     """Exact channel of the damped thermal mechanics over time ``t``.
 
     Solves Xdot = omega P, Pdot = -omega X - gamma P plus the bath's momentum
-    noise.  The map carries an overall e^(-gamma t / 2) decay on a rotation
-    through sigma * omega * t; its determinant is exactly e^(-gamma t), and
-    gamma = 0 gives ``rotation("mech", omega * t)``.
+    noise, with omega, gamma and nbar_m from ``loss``.  The map carries an
+    overall e^(-gamma t / 2) decay on a rotation through sigma * omega * t; its
+    determinant is exactly e^(-gamma t), and gamma = 0 gives
+    ``rotation("mech", omega * t)``.
 
     The noise has zero mean.  Its covariance vanishes at t = 0, equilibrates
     to (2 nbar + 1) I for t >> 1/gamma, and at short times is dominated by the
@@ -257,9 +293,8 @@ def damped_evolution(gamma: float, omega: float, nbar_m: float, t: float,
     """
     if t < 0:
         raise ValueError("negative evolution time")
-    sig = sigma_factor(gamma, omega)
-    if nbar_m < 0:
-        raise ValueError("bath occupancy must be nonnegative")
+    gamma, omega = loss.gamma, loss.omega_m
+    sig = loss.sigma
     g = gamma / (2.0 * omega)
     a = sig * omega * t
     d = math.exp(-gamma * t / 2.0)
@@ -272,7 +307,7 @@ def damped_evolution(gamma: float, omega: float, nbar_m: float, t: float,
     decay = math.exp(-gamma * t)
     em1 = -math.expm1(-gamma * t)  # 1 - e^(-gamma t)
     c2, s2 = math.cos(2 * a), math.sin(2 * a)
-    n_total = 2.0 * nbar_m + 1.0
+    n_total = 2.0 * loss.nbar_m + 1.0
     v11 = n_total / sig2 * (em1 + g * g * (decay * c2 - 1.0) - decay * g * sig * s2)
     v22 = n_total / sig2 * (em1 + g * g * (decay * c2 - 1.0) + decay * g * sig * s2)
     v12 = n_total * 2.0 * g / sig2 * decay * math.sin(a) ** 2
@@ -281,25 +316,24 @@ def damped_evolution(gamma: float, omega: float, nbar_m: float, t: float,
     return GaussianChannel(m, np.zeros(layout.dim), cov, layout)
 
 
-# ---------------------------------------------------------------------------
-# optical loss
-# ---------------------------------------------------------------------------
+def damped_delay(phi: float, loss: LossConfig, layout: ModeLayout = MECH) -> GaussianChannel:
+    """Damped thermal evolution of the mechanics while it rotates through
+    phi, which takes t = phi / (sigma * omega_m)."""
+    t = phi / (loss.sigma * loss.omega_m)
+    return damped_evolution(loss, t, layout)
 
-def beamsplitter_loss(epsilon: float, nbar_l: float) -> GaussianChannel:
+
+def beamsplitter_loss(loss: LossConfig) -> GaussianChannel:
     """Beamsplitter loss on the light of (mech, opt): both optical quadratures
     scaled by sqrt(1 - epsilon), with thermal noise of variance
-    epsilon * (2 nbar + 1) coupled in."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"loss fraction {epsilon} outside [0, 1]")
-    if nbar_l < 0:
-        raise ValueError("bath occupancy must be nonnegative")
+    epsilon * (2 nbar_l + 1) coupled in."""
     layout = MECH_OPT
-    amp = math.sqrt(1.0 - epsilon)
+    amp = math.sqrt(1.0 - loss.epsilon)
     m = np.eye(layout.dim)
     i = layout.x_index("opt")
     m[i, i] = m[i + 1, i + 1] = amp
     cov = np.zeros((layout.dim, layout.dim))
-    cov[i, i] = cov[i + 1, i + 1] = epsilon * (2.0 * nbar_l + 1.0)
+    cov[i, i] = cov[i + 1, i + 1] = loss.epsilon * (2.0 * loss.nbar_l + 1.0)
     return GaussianChannel(m, np.zeros(layout.dim), cov, layout)
 
 

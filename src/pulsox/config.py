@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
-from .channels import is_physical
-from .squeezer import LossConfig, damped_delay
+from .channels import LossConfig, damped_delay, is_physical
 
 EXPERIMENTS = ("fidelity-sweep", "fock-squeeze", "impulse", "cat-decay",
                "multimode", "photon-budget")
@@ -54,7 +53,7 @@ def mu_log_grid(spec: str) -> tuple[float, ...]:
     return tuple(10.0 ** (lo + (hi - lo) * k / max(n - 1, 1)) for k in range(n))
 
 
-# Allowed range of each numeric key (every element, for list keys); every
+# Allowed values of each ruled key (every element, for list keys); every
 # numeric key must also be finite.  q > 1/2 is gamma < 2 omega_m: the model
 # has no overdamped mechanics.
 _RANGES = {
@@ -79,6 +78,7 @@ _RANGES = {
     "cat.max_periods": (lambda v: v > 0, "must be > 0"),
     "cat.series_periods": (lambda v: v > 0, "must be > 0"),
     "cat.momentum_mu": (lambda v: v > 0, "must be > 0"),
+    "output.format": (lambda v: v in ("csv", "json"), "must be csv or json"),
 }
 
 
@@ -171,8 +171,6 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError("experiment",
                               f"{self.experiment!r} not one of {EXPERIMENTS}")
-        if self.output.format not in ("csv", "json"):
-            raise ConfigError("output.format", f"{self.output.format!r} not csv/json")
         for f in fields(self):
             section = getattr(self, f.name)
             if hasattr(section, "__dataclass_fields__"):

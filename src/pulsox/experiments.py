@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channels import compose, qnd_xx, qnd_xx_collective, rotation
+from .channels import (LossConfig, compose, damped_delay, qnd_xx, qnd_xx_collective,
+                       rotation)
 from .config import ConfigError, ExperimentConfig
 from .modes import MECH, ModeLayout, OPT
-from .squeezer import (LossConfig, _four_pulse, approx_photon_budget, damped_delay,
-                       ideal_target_map, ideal_target_state, mechanical_squeezer,
-                       photon_budget, schedule_for_mu, squeezer_output)
+from .squeezer import (_four_pulse, approx_photon_budget, ideal_target_map,
+                       ideal_target_state, mechanical_squeezer, photon_budget,
+                       schedule_for_mu, squeezer_output)
 from .states import (apply_channel, classical_bound, fidelity_zero_mean,
                      marginal, product, thermal, vacuum)
 from .table import ResultTable
@@ -113,7 +114,8 @@ def run_fock_squeeze(config: ExperimentConfig) -> RunResult:
     (mu,) = config.sweep.mu_values((2.0,))
     eps_grid = config.sweep.epsilon or (1e-2, 5e-2)
     res = config.grid.resolution
-    # the anti-squeezed quadrature stretches the Fock tails by max(mu, 1/mu)
+    # a fixed factor 2 on the extent, sized for the default mu = 2: from
+    # about mu = 4 (or 1/4) the anti-squeezed tails leave the grid
     ext = 2.0 * config.grid.half_extent
     schedule = schedule_for_mu(mu, phys.phi, phys.ancilla_vsq)
     fock = wigner_fock(1, ext, res)
@@ -139,7 +141,7 @@ def run_fock_squeeze(config: ExperimentConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 def d_min_approx(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: float,
-                 gamma: float, omega_m: float, nbar_m: float) -> float:
+                 loss: LossConfig) -> float:
     """High-Q closed form for the minimum detectable momentum kick.
 
     Treats the squeezer as ideal, damps the quarter-cycle rotation, and adds
@@ -149,12 +151,12 @@ def d_min_approx(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: flo
     if mu <= 0 or chi_ro <= 0:
         raise ValueError("mu and chi_ro must be positive")
     n_in = 2.0 * nbar_in + 1.0
-    n_m = 2.0 * nbar_m + 1.0
+    n_m = 2.0 * loss.nbar_m + 1.0
     t = math.tan(phi)
     base = mu * mu * n_in + chi_ro ** -2 + (1.0 - mu) / mu * v_sq * t
     corr = (math.pi * chi_ro ** -2 + (math.pi - 2.0) * n_m
             + 4.0 * (1.0 - mu) * (n_in * mu - v_sq / mu) * t)
-    return math.sqrt(base) * (1.0 + gamma / (8.0 * omega_m) * corr / base)
+    return math.sqrt(base) * (1.0 + loss.gamma / (8.0 * loss.omega_m) * corr / base)
 
 
 def d_min_full(mu, nbar_in: float, chi_ro: float, v_sq: float, phi: float,
@@ -195,8 +197,7 @@ def run_impulse(config: ExperimentConfig) -> RunResult:
     for nbar_in in config.impulse.nbar_in:
         fulls = d_min_full(np.array(mus), nbar_in, chi_ro, phys.ancilla_vsq, phys.phi, loss)
         for mu, full in zip(mus, fulls.tolist()):
-            approx = d_min_approx(mu, nbar_in, chi_ro, phys.ancilla_vsq, phys.phi,
-                                  loss.gamma, loss.omega_m, loss.nbar_m)
+            approx = d_min_approx(mu, nbar_in, chi_ro, phys.ancilla_vsq, phys.phi, loss)
             naive = mu * math.sqrt(2.0 * nbar_in + 1.0)
             rows.append([nbar_in, mu, -20.0 * math.log10(mu), full, approx, naive])
     table = ResultTable(

@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize
 
-from .channels import (GaussianChannel, _apply, _transpose, beamsplitter_loss, compose,
-                       damped_evolution, qnd_pp, qnd_xx, quadrature_scaling, rotation,
-                       sigma_factor)
+from .channels import (LOSSLESS, GaussianChannel, LossConfig, _apply, _transpose,
+                       beamsplitter_loss, compose, damped_delay, qnd_pp, qnd_xx,
+                       quadrature_scaling, rotation)
 from .modes import MECH, MECH_OPT, ModeLayout, OPT
 from .states import GaussianState, apply_channel, fidelity_zero_mean, squeezed, vacuum
 
@@ -85,38 +85,6 @@ class PulseSchedule:
     def kerr_cancellation_defect(self):
         """|tan(theta) + lam^2 tan(phi)|; zero for analytic schedules."""
         return np.abs(np.tan(self.theta) + self.lam ** 2 * math.tan(self.phi))
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Loss model: mechanical damping/bath plus delay-line beamsplitter loss."""
-
-    gamma: float = 0.0
-    omega_m: float = 1.0
-    nbar_m: float = 0.0
-    epsilon: float = 0.0
-    nbar_l: float = 0.0
-
-    def __post_init__(self):
-        if min(self.gamma, self.nbar_m, self.epsilon, self.nbar_l) < 0:
-            raise ValueError("loss parameters must be nonnegative")
-        if self.omega_m <= 0:
-            raise ValueError("mechanical frequency must be positive")
-        if self.gamma >= 2.0 * self.omega_m:
-            raise ValueError("overdamped mechanics not supported")
-        if self.epsilon > 1.0:
-            raise ValueError("loss fraction above 1")
-
-    @classmethod
-    def from_q(cls, q: float, nbar_m: float = 0.0, epsilon: float = 0.0,
-               nbar_l: float = 0.0, omega_m: float = 1.0) -> "LossConfig":
-        if q <= 0:
-            raise ValueError("quality factor must be positive")
-        return cls(gamma=omega_m / q, omega_m=omega_m, nbar_m=nbar_m,
-                   epsilon=epsilon, nbar_l=nbar_l)
-
-
-LOSSLESS = LossConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +159,6 @@ def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], GaussianChanne
             rotation("opt", schedule.theta - math.pi / 2.0, layout), pulse(schedule.chi3)]
 
 
-def damped_delay(phi: float, loss: LossConfig, layout: ModeLayout = MECH) -> GaussianChannel:
-    """Damped thermal evolution of the mechanics while it rotates through
-    phi, which takes t = phi / (sigma * omega_m)."""
-    t = phi / (sigma_factor(loss.gamma, loss.omega_m) * loss.omega_m)
-    return damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t, layout)
-
-
 def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianChannel:
     """Four-pulse squeezer with delay-line loss and mechanical damping.
 
@@ -209,8 +170,7 @@ def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianC
     plain squeezer form X' = X/mu + (1-mu) tan(phi) P + optical noise,
     P' = mu P.
     """
-    delay = [beamsplitter_loss(loss.epsilon, loss.nbar_l),
-             damped_delay(schedule.phi, loss, MECH_OPT)]
+    delay = [beamsplitter_loss(loss), damped_delay(schedule.phi, loss, MECH_OPT)]
     return compose(_four_pulse(schedule, qnd_xx, delay, MECH_OPT))
 
 

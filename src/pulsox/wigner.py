@@ -24,9 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import GaussianChannel, damped_evolution
-from .modes import MECH
-from .squeezer import LossConfig, PulseSchedule, mechanical_squeezer
+from .channels import GaussianChannel, LossConfig, damped_evolution
+from .squeezer import PulseSchedule, mechanical_squeezer
 
 DEFAULT_HALF_EXTENT = 8.0
 DEFAULT_RESOLUTION = 512
@@ -360,8 +359,7 @@ def eta_at(state0: GaussianSum | WignerGrid, loss: LossConfig, t: float) -> floa
     from the t = 0 state."""
     if t == 0.0:
         return negativity_eta(state0)
-    channel = damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t, layout=MECH)
-    return negativity_eta(state0.evolve(channel))
+    return negativity_eta(state0.evolve(damped_evolution(loss, t)))
 
 
 def eta_series(state0: GaussianSum | WignerGrid, loss: LossConfig,

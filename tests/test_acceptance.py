@@ -275,8 +275,9 @@ def test_criterion_11_oracle_suites():
     clauses.append((f"parity identity error {parity_err:.1e} < 1e-3", parity_err < 1e-3))
 
     # thermal noise limits
-    zero = float(np.max(np.abs(px.damped_evolution(0.1, 1.0, 5.0, 0.0).cov)))
-    late = px.damped_evolution(0.5, 1.0, 5.0, 1e4).cov
+    warm = px.LossConfig(gamma=0.1, nbar_m=5.0)
+    zero = float(np.max(np.abs(px.damped_evolution(warm, 0.0).cov)))
+    late = px.damped_evolution(px.LossConfig(gamma=0.5, nbar_m=5.0), 1e4).cov
     late_err = float(np.max(np.abs(late - 11.0 * np.eye(2))))
     clauses.append((f"thermal noise t=0 ({zero:.1e}) and t->inf ({late_err:.1e}) limits",
                     zero == 0.0 and late_err < 1e-6))

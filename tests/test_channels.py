@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from pulsox import (LOSSLESS, GaussianChannel, LossConfig, MECH, MECH_OPT, ModeLayout,
                     beamsplitter_loss, build_lossy_squeezer, compose, damped_evolution,
                     is_physical, qnd_pp, qnd_xx, qnd_xx_collective, rotation,
-                    schedule_for_mu, sigma_factor, symplectic_form)
+                    schedule_for_mu, symplectic_form)
 
 OMEGA2 = symplectic_form(2)
 
@@ -97,57 +97,72 @@ def test_rotation_group_property():
     assert np.allclose(lhs.matrix, rotation("opt", a + b).matrix, atol=1e-14)
 
 
-# -- damped evolution --------------------------------------------------------
+# -- loss model -------------------------------------------------------------
 
-def test_sigma_factor_limits():
-    assert sigma_factor(0.0, 1.0) == 1.0
-    assert sigma_factor(2.0 - 1e-12, 1.0) == pytest.approx(0.0, abs=1e-5)
+@pytest.mark.parametrize("make,match", [
+    (lambda: LossConfig(gamma=2.5), "overdamped"),
+    (lambda: LossConfig(epsilon=1.5), "above 1"),
+    (lambda: LossConfig(epsilon=-0.1), "nonnegative"),
+    (lambda: LossConfig(gamma=math.nan), "finite"),
+    (lambda: LossConfig(nbar_m=math.nan), "finite"),
+    (lambda: LossConfig(epsilon=math.nan), "finite"),
+    (lambda: LossConfig(omega_m=math.inf), "finite"),
+    (lambda: LossConfig(nbar_l=math.inf), "finite"),
+    (lambda: LossConfig.from_q(math.nan), "finite"),
+], ids=["overdamped", "epsilon-above-1", "epsilon-negative", "gamma-nan", "nbar_m-nan",
+        "epsilon-nan", "omega_m-inf", "nbar_l-inf", "from_q-nan"])
+def test_loss_config_rejects_out_of_range_and_non_finite(make, match):
+    # construction only: a half-life search at omega_m = inf never ends (dt = 0)
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_loss_sigma_limits():
+    assert LossConfig().sigma == 1.0
+    assert LossConfig(gamma=2.0 - 1e-12).sigma == pytest.approx(0.0, abs=1e-5)
     with pytest.raises(ValueError):
-        sigma_factor(2.0, 1.0)
+        LossConfig(gamma=2.0)
 
 
-def test_sigma_factor_taylor():
+def test_loss_sigma_taylor():
     # gamma = omega / Q with Q = 1e4: sigma = 1 - gamma^2 / 8 omega^2
-    assert abs(sigma_factor(1e-4, 1.0) - (1.0 - 1.25e-9)) < 1e-12
+    assert abs(LossConfig(gamma=1e-4).sigma - (1.0 - 1.25e-9)) < 1e-12
 
+
+# -- damped evolution --------------------------------------------------------
 
 def test_damped_map_lossless_limit_exact():
     t = 0.37
-    assert np.array_equal(damped_evolution(0.0, 1.0, 0.0, t).matrix,
+    assert np.array_equal(damped_evolution(LOSSLESS, t).matrix,
                           rotation("mech", t, MECH).matrix)
 
 
 def test_damped_map_at_zero_time():
-    assert np.allclose(damped_evolution(0.3, 1.0, 0.0, 0.0).matrix, np.eye(2))
+    assert np.allclose(damped_evolution(LossConfig(gamma=0.3), 0.0).matrix, np.eye(2))
 
 
 def test_damped_map_determinant_is_energy_decay():
     gamma, t = 0.2, 3.1
-    det = np.linalg.det(damped_evolution(gamma, 1.0, 0.0, t).matrix)
+    det = np.linalg.det(damped_evolution(LossConfig(gamma=gamma), t).matrix)
     assert det == pytest.approx(math.exp(-gamma * t), rel=1e-12)
 
 
 def test_damped_map_converges_linearly_in_gamma():
     t = 1.1
     ref = rotation("mech", t, MECH).matrix
-    errs = [np.max(np.abs(damped_evolution(g, 1.0, 0.0, t).matrix - ref))
+    errs = [np.max(np.abs(damped_evolution(LossConfig(gamma=g), t).matrix - ref))
             for g in (1e-3, 1e-4, 1e-5)]
     assert errs[0] < 2e-3 and errs[1] < 2e-4 and errs[2] < 2e-5
 
 
-def test_damped_map_rejects_overdamped():
-    with pytest.raises(ValueError, match="overdamped"):
-        damped_evolution(2.5, 1.0, 0.0, 1.0)
-
-
 def test_thermal_noise_zero_time():
-    noise = damped_evolution(0.1, 1.0, 10.0, 0.0)
+    noise = damped_evolution(LossConfig(gamma=0.1, nbar_m=10.0), 0.0)
     assert np.allclose(noise.cov, 0.0)
 
 
 def test_thermal_noise_equilibrium():
     nbar = 7.0
-    noise = damped_evolution(0.5, 1.0, nbar, 1e4)
+    noise = damped_evolution(LossConfig(gamma=0.5, nbar_m=nbar), 1e4)
     assert np.allclose(noise.cov, (2 * nbar + 1) * np.eye(2), atol=1e-8)
 
 
@@ -155,7 +170,7 @@ def test_thermal_noise_short_time_structure():
     gamma, nbar = 1e-5, 4e4
     n_total = 2 * nbar + 1
     for t in (1e-3, 1e-4):
-        cov = damped_evolution(gamma, 1.0, nbar, t).cov
+        cov = damped_evolution(LossConfig(gamma=gamma, nbar_m=nbar), t).cov
         assert cov[1, 1] == pytest.approx(2 * gamma * t * n_total, rel=1e-3)
         # position noise grows as (2/3) gamma nbar omega^2 t^3
         assert cov[0, 0] == pytest.approx(2.0 / 3.0 * gamma * n_total * t ** 3, rel=1e-3)
@@ -165,7 +180,7 @@ def test_thermal_noise_short_time_structure():
 @pytest.mark.parametrize("gamma", [1e-7, 1e-5, 1e-3, 0.1, 1.0])
 @pytest.mark.parametrize("t", np.geomspace(1e-6, 1e3, 20).tolist())
 def test_thermal_noise_psd_sweep(gamma, t):
-    cov = damped_evolution(gamma, 1.0, 4e4, t).cov
+    cov = damped_evolution(LossConfig(gamma=gamma, nbar_m=4e4), t).cov
     assert np.allclose(cov, cov.T)
     scale = max(np.max(np.abs(cov)), 1e-300)
     assert np.linalg.eigvalsh(cov).min() >= -1e-10 * scale
@@ -174,37 +189,30 @@ def test_thermal_noise_psd_sweep(gamma, t):
 # -- beamsplitter loss -------------------------------------------------------
 
 def test_beamsplitter_zero_loss_is_identity():
-    ch = beamsplitter_loss(0.0, 0.0)
+    ch = beamsplitter_loss(LOSSLESS)
     assert np.array_equal(ch.matrix, np.eye(4))
     assert np.allclose(ch.cov, 0.0)
 
 
 def test_beamsplitter_full_loss_replaces_with_vacuum():
-    ch = beamsplitter_loss(1.0, 0.0)
+    ch = beamsplitter_loss(LossConfig(epsilon=1.0))
     assert np.allclose(ch.block("opt", "opt"), 0.0)
     i = MECH_OPT.x_index("opt")
     assert np.allclose(ch.cov[i:i + 2, i:i + 2], np.eye(2))
 
 
 def test_beamsplitter_small_loss_values():
-    ch = beamsplitter_loss(1e-3, 0.0)
+    ch = beamsplitter_loss(LossConfig(epsilon=1e-3))
     assert ch.block("opt", "opt")[0, 0] == pytest.approx(math.sqrt(1 - 1e-3), rel=1e-15)
     i = MECH_OPT.x_index("opt")
     assert ch.cov[i, i] == pytest.approx(1e-3)
-
-
-def test_beamsplitter_range_check():
-    with pytest.raises(ValueError):
-        beamsplitter_loss(1.5, 0.0)
-    with pytest.raises(ValueError):
-        beamsplitter_loss(-0.1, 0.0)
 
 
 # -- composition -------------------------------------------------------------
 
 def test_compose_identity_neutral():
     ident = rotation("mech", 0.0)
-    ch = beamsplitter_loss(0.3, 2.0)
+    ch = beamsplitter_loss(LossConfig(epsilon=0.3, nbar_l=2.0))
     out = compose([ident, ch])
     assert np.allclose(out.matrix, ch.matrix)
     assert np.allclose(out.cov, ch.cov)
@@ -218,9 +226,10 @@ def test_compose_inverse_pulses_cancel():
 def test_compose_two_beamsplitters():
     eps = 0.2
     nbar = 1.5
-    twice = compose([beamsplitter_loss(eps, nbar), beamsplitter_loss(eps, nbar)])
+    step = beamsplitter_loss(LossConfig(epsilon=eps, nbar_l=nbar))
+    twice = compose([step, step])
     eps2 = 1.0 - (1.0 - eps) ** 2
-    once = beamsplitter_loss(eps2, nbar)
+    once = beamsplitter_loss(LossConfig(epsilon=eps2, nbar_l=nbar))
     assert np.allclose(twice.matrix, once.matrix, atol=1e-14)
     assert np.allclose(twice.cov, once.cov, atol=1e-14)
 
@@ -229,13 +238,16 @@ _STAGES = st.one_of(
     st.builds(qnd_xx, st.floats(-3.0, 3.0)),
     st.builds(qnd_pp, st.floats(-3.0, 3.0)),
     st.builds(rotation, st.sampled_from(["mech", "opt"]), st.floats(-math.pi, math.pi)),
-    st.builds(beamsplitter_loss, st.floats(0.0, 1.0), st.floats(0.0, 10.0)),
-    st.builds(lambda g, n, t: damped_evolution(g, 1.0, n, t, layout=MECH_OPT),
+    st.builds(lambda e, n: beamsplitter_loss(LossConfig(epsilon=e, nbar_l=n)),
+              st.floats(0.0, 1.0), st.floats(0.0, 10.0)),
+    st.builds(lambda g, n, t: damped_evolution(LossConfig(gamma=g, nbar_m=n), t,
+                                               layout=MECH_OPT),
               st.floats(0.0, 0.5), st.floats(0.0, 10.0), st.floats(0.0, 3.0)),
 )
 
 
-@example(qnd_xx(1.3), beamsplitter_loss(0.25, 3.0), rotation("mech", 0.8))
+@example(qnd_xx(1.3), beamsplitter_loss(LossConfig(epsilon=0.25, nbar_l=3.0)),
+         rotation("mech", 0.8))
 @given(_STAGES, _STAGES, _STAGES)
 def test_compose_associativity(a, b, c):
     left = compose([compose([a, b]), c])
@@ -304,15 +316,15 @@ def test_symplectic_preservation_of_compositions():
 
 
 @pytest.mark.parametrize("channel,physical", [
-    (beamsplitter_loss(0.3, 5.0), True),
-    (beamsplitter_loss(1.0, 0.0), True),
-    (damped_evolution(0.01, 1.0, 100.0, 2.0, layout=MECH), True),
-    (damped_evolution(1e-5, 1.0, 4e4, 0.06, layout=MECH), True),
+    (beamsplitter_loss(LossConfig(epsilon=0.3, nbar_l=5.0)), True),
+    (beamsplitter_loss(LossConfig(epsilon=1.0)), True),
+    (damped_evolution(LossConfig(gamma=0.01, nbar_m=100.0), 2.0, layout=MECH), True),
+    (damped_evolution(LossConfig(gamma=1e-5, nbar_m=4e4), 0.06, layout=MECH), True),
     (qnd_xx(2.5), True),
     # zero-occupancy momentum damping: min eig(N + i(1 - det M) Omega) = -0.059
-    (damped_evolution(0.2, 1.0, 0.0, 1.0), False),
+    (damped_evolution(LossConfig(gamma=0.2), 1.0), False),
     # the same defect at weak damping, margin -2.0e-4
-    (damped_evolution(1e-3, 1.0, 0.0, 2.0, layout=MECH), False),
+    (damped_evolution(LossConfig(gamma=1e-3), 2.0, layout=MECH), False),
 ], ids=[f"channel{k}" for k in range(7)])
 def test_channels_are_physical(channel, physical):
     assert is_physical(channel) is physical
@@ -341,7 +353,7 @@ def test_is_physical_is_the_single_mode_cp_condition(entries, a, b, c):
     "at low bath occupancy: its noise cannot cover the commutator it removes, "
     "det N < (1 - e^(-gamma t))^2, while (2 nbar + 1) omega t < ~sqrt(3)"))
 def test_damped_evolution_physical_at_low_occupancy():
-    assert is_physical(damped_evolution(0.1, 1.0, 0.0, 0.125, layout=MECH))
+    assert is_physical(damped_evolution(LossConfig(gamma=0.1), 0.125, layout=MECH))
 
 
 def test_batched_values_check_every_element_and_matching_batches():
@@ -399,7 +411,7 @@ def test_is_physical_decides_every_batch_element():
     assert not is_physical(_channel(np.eye(2), cov=np.stack([np.eye(2), np.diag([1.0, -1.0])])))
     # each element is judged against its own rounding scale: a loud physical
     # element must not hide the -2e-4 violation of a quiet one
-    bad = damped_evolution(1e-3, 1.0, 0.0, 2.0)
+    bad = damped_evolution(LossConfig(gamma=1e-3), 2.0)
     assert not is_physical(bad)
     batch = _channel(np.stack([np.eye(2), bad.matrix]),
                      cov=np.stack([1e12 * np.eye(2), bad.cov]))
@@ -416,7 +428,8 @@ def test_thermal_noise_matches_quadrature_oracle(gamma, t):
 
     nbar = 10.0
     n_total = 2 * nbar + 1
-    sig = sigma_factor(gamma, 1.0)
+    loss = LossConfig(gamma=gamma, nbar_m=nbar)
+    sig = loss.sigma
 
     def m12(u):
         return math.exp(-gamma * u / 2) * math.sin(sig * u) / sig
@@ -428,5 +441,5 @@ def test_thermal_noise_matches_quadrature_oracle(gamma, t):
     v11 = quad(lambda u: 2 * gamma * n_total * m12(u) ** 2, 0, t)[0]
     v22 = quad(lambda u: 2 * gamma * n_total * m22(u) ** 2, 0, t)[0]
     v12 = quad(lambda u: 2 * gamma * n_total * m12(u) * m22(u), 0, t)[0]
-    got = damped_evolution(gamma, 1.0, nbar, t).cov
+    got = damped_evolution(loss, t).cov
     assert np.allclose(got, [[v11, v12], [v12, v22]], atol=1e-9 * n_total)

@@ -13,7 +13,7 @@ from pulsox.experiments import (_squeeze_infidelity, config_from_metadata,
                                 estimate_fiber_epsilon, run_experiment,
                                 run_fidelity_sweep, run_impulse, run_multimode,
                                 run_photon_budget)
-from pulsox.squeezer import LOSSLESS, LossConfig
+from pulsox.channels import LOSSLESS, LossConfig
 from pulsox.table import ResultTable
 
 
@@ -96,7 +96,7 @@ def test_validate_rejects_unknown_experiment():
     ("cat.momentum_mu", "0"), ("cat.series_periods", "0"),
     ("grid.half_extent", "0"), ("grid.resolution", "2"),
     ("grid.resolution", "500"), ("grid.resolution", "256.7"),
-    ("cat.samples_per_period", "64.9"),
+    ("cat.samples_per_period", "64.9"), ("output.format", "xml"),
 ])
 def test_set_key_rejects_non_finite_and_out_of_range(key, raw):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -193,10 +193,10 @@ def test_fidelity_sweep_metadata_echo(fidelity_table):
 
 def test_d_min_approx_reductions():
     # no damping, unit mu: sqrt(N_in + 1/chi_ro^2)
-    val = d_min_approx(1.0, 1.0, 3.0, 0.5, math.pi / 50, 0.0, 1.0, 4e4)
+    val = d_min_approx(1.0, 1.0, 3.0, 0.5, math.pi / 50, LossConfig(nbar_m=4e4))
     assert val == pytest.approx(math.sqrt(3 + 1.0 / 9.0), rel=1e-12)
     # ground state, strong readout: the bare momentum noise
-    val = d_min_approx(1.0, 0.0, 1e9, 0.5, math.pi / 50, 0.0, 1.0, 0.0)
+    val = d_min_approx(1.0, 0.0, 1e9, 0.5, math.pi / 50, LOSSLESS)
     assert val == pytest.approx(1.0, rel=1e-6)
 
 

@@ -182,9 +182,8 @@ def test_lossy_squeezer_noise_route():
     loss = LossConfig.from_q(2e5, nbar_m=500.0, epsilon=3e-3, nbar_l=0.7)
     built = build_lossy_squeezer(s, loss)
 
-    sig = px.sigma_factor(loss.gamma, loss.omega_m)
-    t_delay = s.phi / (sig * loss.omega_m)
-    f_m = px.damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t_delay, MECH_OPT).cov
+    t_delay = s.phi / (loss.sigma * loss.omega_m)
+    f_m = px.damped_evolution(loss, t_delay, MECH_OPT).cov
     f_l = np.zeros((4, 4))
     i = MECH_OPT.x_index("opt")
     f_l[i:i + 2, i:i + 2] = loss.epsilon * (2 * loss.nbar_l + 1) * np.eye(2)
@@ -199,9 +198,8 @@ def test_lossy_squeezer_noise_route():
     for stage in [px.qnd_xx(s.chi1).matrix,
                   px.rotation("opt", math.pi / 2).matrix,
                   px.qnd_xx(s.lam).matrix,
-                  px.beamsplitter_loss(loss.epsilon, loss.nbar_l).matrix,
-                  px.damped_evolution(loss.gamma, loss.omega_m, loss.nbar_m, t_delay,
-                                      MECH_OPT).matrix,
+                  px.beamsplitter_loss(loss).matrix,
+                  px.damped_evolution(loss, t_delay, MECH_OPT).matrix,
                   px.qnd_xx(s.chi2_second_pulse).matrix,
                   px.rotation("opt", s.theta - math.pi / 2).matrix,
                   px.qnd_xx(s.chi3).matrix]:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pulsox import (GaussianState, LOSSLESS, MECH, MECH_OPT, apply_channel,
+from pulsox import (GaussianState, LOSSLESS, LossConfig, MECH, MECH_OPT, apply_channel,
                     beamsplitter_loss, build_ideal_squeezer, classical_bound,
                     coherent, fidelity_zero_mean, ideal_target_state, marginal,
                     mean_distance, product, pure_fidelity, rotation,
@@ -95,7 +95,7 @@ def test_apply_ideal_squeezer_variances():
 def test_apply_thermal_through_loss():
     eps, nbar = 0.3, 2.0
     s = thermal(nbar, MECH_OPT)
-    out = apply_channel(s, beamsplitter_loss(eps, 0.0))
+    out = apply_channel(s, beamsplitter_loss(LossConfig(epsilon=eps)))
     expected = (1 - eps) * (2 * nbar + 1) + eps
     assert out.variance("opt", "x") == pytest.approx(expected, rel=1e-12)
     assert out.variance("opt", "p") == pytest.approx(expected, rel=1e-12)
@@ -103,14 +103,14 @@ def test_apply_thermal_through_loss():
 
 def test_apply_channel_layout_mismatch():
     with pytest.raises(ValueError):
-        apply_channel(vacuum(MECH), beamsplitter_loss(0.1, 0.0))
+        apply_channel(vacuum(MECH), beamsplitter_loss(LossConfig(epsilon=0.1)))
 
 
 def test_apply_preserves_physicality():
     omega = symplectic_form(2)
     state = product(squeezed(0.1, 0.3, MECH), squeezed(0.2, -1.0))
     for eps in (0.0, 0.2, 0.9):
-        out = apply_channel(state, beamsplitter_loss(eps, 1.0))
+        out = apply_channel(state, beamsplitter_loss(LossConfig(epsilon=eps, nbar_l=1.0)))
         h = out.cov + 1j * omega
         assert np.linalg.eigvalsh(h).min() > -1e-9
 

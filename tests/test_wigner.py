@@ -135,7 +135,7 @@ def test_clipping_detected():
 
 def test_normalization_preserved_by_channel():
     g = wigner_cat(CatSpec(2.0, "odd"))
-    ch = damped_evolution(1e-4, 1.0, 100.0, 1.7, layout=MECH)
+    ch = damped_evolution(LossConfig(gamma=1e-4, nbar_m=100.0), 1.7, layout=MECH)
     out = apply_gaussian_channel(g, ch)
     assert out.total_mass() == pytest.approx(1.0, abs=1e-3)
 
@@ -229,7 +229,7 @@ def test_exact_sum_matches_grid_oracle(alpha, mu_pre, t):
     schedule = schedule_for_mu(mu_pre, math.pi / 50, 0.5)
     channels = [mechanical_reduced_channel(build_lossy_squeezer(schedule, loss),
                                            ancilla_state(schedule)),
-                damped_evolution(loss.gamma, 1.0, loss.nbar_m, t, layout=MECH)]
+                damped_evolution(loss, t, layout=MECH)]
     spec = CatSpec(alpha, "odd")
     # the anti-squeezed cat reaches (2 alpha + 3.7) / mu along X
     half_extent = 8.0 if 2 * alpha + 3.7 <= 8.0 * min(mu_pre, 1.0) else 16.0
@@ -287,7 +287,7 @@ def test_eta_preserved_by_noiseless_symplectic():
 def test_eta_after_five_damped_periods():
     loss = LossConfig.from_q(1e7, nbar_m=4e4)
     g = wigner_cat(CatSpec(2.0, "odd"))
-    ch = damped_evolution(loss.gamma, 1.0, loss.nbar_m, 5 * TWO_PI, layout=MECH)
+    ch = damped_evolution(loss, 5 * TWO_PI, layout=MECH)
     eta = negativity_eta(apply_gaussian_channel(g, ch))
     assert 0.0 < eta < 1.0
     assert eta < 0.5  # well past the half-life
