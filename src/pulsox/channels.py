@@ -71,6 +71,27 @@ def _transpose(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def _checked_moments(mean, cov, d: int, what: str,
+                     *batches: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A mean vector and covariance of dimension ``d``, frozen, the covariance
+    symmetrized.  Rejects wrong shapes, batch shapes that differ from each
+    other or from ``batches``, non-finite entries and a covariance asymmetric
+    beyond 1e-12 of its size; ``what`` names the value in the message."""
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    if mean.shape[-1:] != (d,) or cov.shape[-2:] != (d, d):
+        raise ValueError(f"{what} shapes {mean.shape}, {cov.shape} do not match "
+                         f"layout dim {d}")
+    _same_batch(*batches, mean.shape[:-1], cov.shape[:-2])
+    size = float(np.abs(cov).max())  # nan or inf when an entry is
+    if not (np.isfinite(mean).all() and math.isfinite(size)):
+        raise ValueError(f"{what} contains non-finite entries")
+    cov_t = _transpose(cov)
+    if float(np.abs(cov - cov_t).max()) > 1e-12 * max(1.0, size):
+        raise ValueError(f"{what} covariance is not symmetric")
+    return _frozen(mean), _frozen(0.5 * (cov + cov_t))
+
+
 @dataclass(frozen=True)
 class GaussianChannel:
     """Channel X' = M X + F on ``layout``: the real 2N x 2N ``matrix`` M and
@@ -93,19 +114,9 @@ class GaussianChannel:
         zero_mean, zero_cov = _zero_noise(d)
         if self.mean is zero_mean and self.cov is zero_cov:  # shared, already checked
             return
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.shape[-1:] != (d,) or cov.shape[-2:] != (d, d):
-            raise ValueError(f"noise shapes {mean.shape}, {cov.shape} do not match "
-                             f"layout dim {d}")
-        _same_batch(m.shape[:-2], mean.shape[:-1], cov.shape[:-2])
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError("noise contains non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - _transpose(cov))) > 1e-12 * scale:
-            raise ValueError("noise covariance is not symmetric")
-        object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "cov", _frozen(0.5 * (cov + _transpose(cov))))
+        mean, cov = _checked_moments(self.mean, self.cov, d, "noise", m.shape[:-2])
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
 
     def symplectic_defect(self) -> float:
         """Max-norm of M Omega M^T - Omega over the batch; ~0 for lossless maps."""

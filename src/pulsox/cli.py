@@ -25,11 +25,10 @@ from .wigner import grid_to_csv
 
 # Each experiment option is a shorthand for one config key: (flag, key, help).
 _EXPERIMENT_FLAGS = (
-    ("--mu-log-range", "sweep.mu_log_range", "log10(mu) grid A:B:N"),
-    ("--mu", "sweep.mu", "comma-separated mu values"),
+    ("--mu", "sweep.mu", "comma-separated mu values or a log10 range A:B:N"),
     ("--phi", "physical.phi", "mechanical rotation angle"),
-    ("--q", "sweep.q", "comma-separated quality factors"),
-    ("--epsilon", "sweep.epsilon", "comma-separated loss fractions"),
+    ("--q", "sweep.q", "comma-separated quality factors or a log10 range A:B:N"),
+    ("--epsilon", "sweep.epsilon", "comma-separated loss fractions or a log10 range A:B:N"),
     ("--resolution", "grid.resolution", "Wigner grid points per axis"),
     ("--output", "output.path", "output path stem"),
     ("--format", "output.format", "table format: csv or json"),
@@ -79,9 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MU_KEYS = ("sweep.mu", "sweep.mu_log_range")
-
-
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
     config.experiment = args.command
@@ -95,10 +91,6 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides.append((key.strip(), value.strip()))
     overrides += [(key, getattr(args, key)) for _, key, _ in _EXPERIMENT_FLAGS
                   if getattr(args, key) is not None]
-    # mu given on the command line replaces the config file's mu, whichever key
-    # either of them uses
-    if any(key in _MU_KEYS for key, _ in overrides):
-        config.sweep.mu, config.sweep.mu_log_range = (), ""
     for key, value in overrides:
         config.set_key(key, value)
     config.validate()
@@ -165,9 +157,10 @@ def _run_calculator(args: argparse.Namespace) -> int:
 
 def _merge_range_values(argv: list[str]) -> list[str]:
     # argparse mistakes '-1.2:1.2:49' for a flag; join it onto its option
+    flags = {flag for flag, _, _ in _EXPERIMENT_FLAGS}
     merged = []
     for tok in argv:
-        if merged and merged[-1] == "--mu-log-range":
+        if merged and merged[-1] in flags:
             merged[-1] += f"={tok}"
         else:
             merged.append(tok)
@@ -184,14 +177,6 @@ def cli_main(argv) -> int:
         if args.command in _CALCULATORS:
             return _run_calculator(args)
         config = _resolve_config(args)
-        if args.command == "photon-budget" and len(config.sweep.mu) == 1 \
-                and not config.output.path:
-            mu = config.sweep.mu[0]
-            schedule = schedule_for_mu(mu, config.physical.phi)
-            print(f"photon budget: approx {approx_photon_budget(mu, config.physical.phi):.3g}, "
-                  f"exact pulse sum {photon_budget(schedule):.4g} "
-                  f"(mu={mu:g}, phi={config.physical.phi:g})")
-            return 0
         result = run_experiment(config)
         written = _write_outputs(config, result)
         print(result.summary)

@@ -1,25 +1,27 @@
 """Experiment configuration: flat key-value text with dotted sections.
 
-Grammar (one assignment per line)::
+Grammar (one assignment per line; ``#`` starts a comment)::
 
     # comment
-    experiment = cat-decay
+    experiment = cat-decay  # the CLI's subcommand takes its place
     physical.q = 1e7
     physical.nbar_m = 4e4
     sweep.mu = 0.5, 1.0, 2.0
-    sweep.mu_log_range = -1.2:1.2:49
+    sweep.q = 4:7:7
     output.path = out/cat
 
 Values are parsed by the field they land in: floats, whole-number ints,
-strings, or comma-separated float lists.  ``a:b:n`` ranges expand to n
-log10-spaced mu values.  Unknown or malformed keys raise :class:`ConfigError`
-carrying the dotted key path.
+strings, or float lists.  A float list is comma-separated values or one
+``a:b:n`` range, n values with log10 uniform on [a, b].  Unknown or malformed
+keys raise :class:`ConfigError` carrying the dotted key path.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
+
+import numpy as np
 
 from .channels import LossConfig, damped_delay, is_physical
 
@@ -38,19 +40,24 @@ class ConfigError(ValueError):
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
+    if ":" in raw:
+        return log_grid(raw)
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
-def mu_log_grid(spec: str) -> tuple[float, ...]:
-    """Expand 'a:b:n' into n points with log10(mu) uniform on [a, b]."""
+def log_grid(spec: str) -> tuple[float, ...]:
+    """Expand 'a:b:n' into n points with log10 uniform on [a, b]; raises
+    OverflowError when a point exceeds the float range."""
     try:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise ValueError(f"expected 'a:b:n', got {spec!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("range ends must be finite")
     if n < 1:
         raise ValueError("grid needs at least one point")
-    return tuple(10.0 ** (lo + (hi - lo) * k / max(n - 1, 1)) for k in range(n))
+    return tuple(10.0 ** float(x) for x in np.linspace(lo, hi, n))
 
 
 # Allowed values of each ruled key (every element, for list keys); every
@@ -108,20 +115,14 @@ class PhysicalConfig:
 @dataclass
 class SweepConfig:
     mu: tuple[float, ...] = ()
-    mu_log_range: str = ""
     q: tuple[float, ...] = ()
     epsilon: tuple[float, ...] = ()
     alpha: tuple[float, ...] = (1.0, 2.0)
     g2_ratio: tuple[float, ...] = (0.0, 0.1, 0.2, 0.5, 1.0)
 
     def mu_values(self, default: Sequence[float]) -> tuple[float, ...]:
-        """The mu values to run: ``mu`` or the expanded ``mu_log_range``,
-        whichever is set (``validate`` rejects both), else ``default``."""
-        if self.mu:
-            return self.mu
-        if self.mu_log_range:
-            return mu_log_grid(self.mu_log_range)
-        return tuple(default)
+        """The mu values to run: ``mu`` if set, else ``default``."""
+        return self.mu or tuple(default)
 
 
 @dataclass
@@ -176,19 +177,9 @@ class ExperimentConfig:
             if hasattr(section, "__dataclass_fields__"):
                 for sub in fields(section):
                     _check_value(f"{f.name}.{sub.name}", getattr(section, sub.name))
-        if self.sweep.mu and self.sweep.mu_log_range:
-            raise ConfigError("sweep.mu", "set together with sweep.mu_log_range; "
-                              "give mu by one of the two keys")
-        mu_key = "sweep.mu" if self.sweep.mu else "sweep.mu_log_range"
-        try:
-            mus = self.sweep.mu_values(())
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(mu_key, f"cannot expand {self.sweep.mu_log_range!r}: {exc}") from None
-        positive, rule = _RANGES["sweep.mu"]
-        if not all(positive(mu) for mu in mus):
-            raise ConfigError(mu_key, f"values {mus!r} {rule}")
-        if self.experiment in SINGLE_MU_EXPERIMENTS and len(mus) > 1:
-            raise ConfigError(mu_key, f"{self.experiment} runs at one mu, got {len(mus)}")
+        if self.experiment in SINGLE_MU_EXPERIMENTS and len(self.sweep.mu) > 1:
+            raise ConfigError("sweep.mu", f"{self.experiment} runs at one mu, "
+                              f"got {len(self.sweep.mu)}")
         if int(self.cat.series_periods * self.cat.samples_per_period) < 1:
             raise ConfigError("cat.series_periods",
                               f"{self.cat.series_periods!r} periods give no decay-series "
@@ -228,7 +219,7 @@ class ExperimentConfig:
                 value = float(raw)
             else:
                 value = raw.strip()
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(key, f"cannot parse {raw!r}: {exc}") from None
         _check_value(key, value)
         setattr(target, name, value)
@@ -259,8 +250,8 @@ class ExperimentConfig:
 def parse_config_text(text: str) -> dict[str, str]:
     items: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {stripped!r}")

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .channels import (LossConfig, compose, damped_delay, qnd_xx, qnd_xx_collective,
                        rotation)
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig, log_grid
 from .modes import MECH, ModeLayout, OPT
 from .squeezer import (_four_pulse, approx_photon_budget, ideal_target_map,
                        ideal_target_state, mechanical_squeezer, photon_budget,
@@ -27,11 +27,12 @@ from .table import ResultTable
 from .wigner import (CatSpec, GaussianSum, WignerGrid, apply_gaussian_channel,
                      eta_series, half_life, mu_opt, negativity_eta, wigner_fock)
 
-# Default sweep grids for the lossy fidelity study: quality factors from 1e4
-# to 1e7 and delay-line losses from 1e-5 to 1e-2, both in sqrt(10) steps.
-DEFAULT_Q_GRID = tuple(10.0 ** (4 + 0.5 * k) for k in range(7))
-DEFAULT_EPS_GRID = tuple(10.0 ** (-5 + 0.5 * k) for k in range(7))
-DEFAULT_MU_LOG_RANGE = (-1.2, 1.2, 49)
+# Default grids of the fidelity sweep, as log10 ranges a:b:n: mu from
+# 10^-1.2 to 10^1.2, quality factors from 1e4 to 1e7 and delay-line losses
+# from 1e-5 to 1e-2, the last two in sqrt(10) steps.
+DEFAULT_MU_GRID = "-1.2:1.2:49"
+DEFAULT_Q_GRID = "4:7:7"
+DEFAULT_EPS_GRID = "-5:-2:7"
 
 
 @dataclass
@@ -82,10 +83,9 @@ def run_fidelity_sweep(config: ExperimentConfig) -> RunResult:
     """Infidelity of the squeezer on vacuum across mu, for the ideal map and
     for grids of mechanical Q (epsilon = 0) and optical loss (gamma = 0)."""
     phys = config.physical
-    mus = np.array(config.sweep.mu_values(
-        (10.0 ** x for x in np.linspace(*DEFAULT_MU_LOG_RANGE))))
-    q_grid = config.sweep.q or DEFAULT_Q_GRID
-    eps_grid = config.sweep.epsilon or DEFAULT_EPS_GRID
+    mus = np.array(config.sweep.mu_values(log_grid(DEFAULT_MU_GRID)))
+    q_grid = config.sweep.q or log_grid(DEFAULT_Q_GRID)
+    eps_grid = config.sweep.epsilon or log_grid(DEFAULT_EPS_GRID)
     columns = ["mu", "infidelity_ideal", "classical_bound"]
     columns += [f"infidelity_q_{q:.3e}" for q in q_grid]
     columns += [f"infidelity_eps_{e:.3e}" for e in eps_grid]
@@ -332,8 +332,7 @@ def run_multimode(config: ExperimentConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 def run_photon_budget(config: ExperimentConfig) -> RunResult:
-    mus = config.sweep.mu_values(
-        (10.0 ** x for x in np.linspace(-0.5, 0.5, 21)))
+    mus = config.sweep.mu_values(log_grid("-0.5:0.5:21"))
     phi = config.physical.phi
     rows = []
     for mu in mus:
@@ -364,8 +363,4 @@ RUNNERS = {
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
     config.validate()
-    try:
-        runner = RUNNERS[config.experiment]
-    except KeyError:
-        raise ConfigError("experiment", f"unknown experiment {config.experiment!r}")
-    return runner(config)
+    return RUNNERS[config.experiment](config)

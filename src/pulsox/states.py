@@ -16,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import (GaussianChannel, _apply, _frozen, _same_batch, _transpose,
-                       quadrature_scaling, rotation)
+from .channels import GaussianChannel, _apply, _checked_moments, _transpose
 from .modes import ModeLayout
 
 _MEAN_ATOL = 1e-9
@@ -31,8 +30,9 @@ PURE_ATOL = 1e-12
 class GaussianState:
     """Mean vector and covariance matrix on a mode layout, or a batch of them.
 
-    Checks shape and finiteness only; V + i Omega >= 0 is carried by the
-    named constructors and preserved by physical channels.
+    Checks structure only, as a channel's noise (shape, finiteness,
+    symmetry); V + i Omega >= 0 is carried by the named constructors and
+    preserved by physical channels.
     """
 
     mean: np.ndarray
@@ -40,16 +40,9 @@ class GaussianState:
     layout: ModeLayout
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        d = self.layout.dim
-        if mean.shape[-1:] != (d,) or cov.shape[-2:] != (d, d):
-            raise ValueError("state dimensions do not match layout")
-        _same_batch(mean.shape[:-1], cov.shape[:-2])
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError("state contains non-finite entries")
-        object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "cov", _frozen(0.5 * (cov + _transpose(cov))))
+        mean, cov = _checked_moments(self.mean, self.cov, self.layout.dim, "state")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
 
     def variance(self, mode: str, quadrature: str = "x"):
         """Variance of one quadrature: a float, or an array over the batch."""
@@ -80,11 +73,17 @@ def squeezed(v_sq, angle=0.0, layout: ModeLayout | None = None) -> GaussianState
     layout = layout or ModeLayout(("opt",))
     if layout.mode_count != 1:
         raise ValueError("squeezed() builds single-mode states")
-    mode = layout.labels[0]
-    # in the package's sign convention, rotating by -angle carries X onto the
-    # direction at angle
-    r = rotation(mode, -np.asarray(angle, dtype=float), layout).matrix
-    cov = r @ quadrature_scaling(v_sq, 1.0 / v_sq, mode, layout).matrix @ _transpose(r)
+    # r is the matrix of rotation(-angle): in the package's sign convention,
+    # rotating by -angle carries X onto the direction at angle
+    angle = -np.asarray(angle, dtype=float)
+    if not np.isfinite(angle).all():
+        raise ValueError("non-finite squeezing angle")
+    c, s = np.cos(angle), np.sin(angle)
+    r = np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)], axis=-2)
+    scale = np.zeros(v_sq.shape + (2, 2))
+    scale[..., 0, 0] = v_sq
+    scale[..., 1, 1] = 1.0 / v_sq
+    cov = r @ scale @ _transpose(r)
     return GaussianState(np.zeros(2), cov, layout)
 
 

@@ -1,9 +1,17 @@
 """Command-line interface behavior and output files."""
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from pulsox.cli import cli_main
+from pulsox.config import ExperimentConfig, log_grid, parse_config_text
+from pulsox.experiments import config_from_metadata, run_experiment
 from pulsox.table import ResultTable
 from pulsox.wigner import grid_from_csv
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(args, monkeypatch, tmp_path):
@@ -12,7 +20,7 @@ def run(args, monkeypatch, tmp_path):
 
 
 def test_fidelity_sweep_writes_requested_rows(tmp_path, monkeypatch, capsys):
-    rc = run(["fidelity-sweep", "--mu-log-range", "-1.2:1.2:49",
+    rc = run(["fidelity-sweep", "--mu", "-1.2:1.2:49",
               "--phi", "0.0628"], monkeypatch, tmp_path)
     assert rc == 0
     table = ResultTable.from_csv((tmp_path / "fidelity_sweep.csv").read_text())
@@ -20,12 +28,48 @@ def test_fidelity_sweep_writes_requested_rows(tmp_path, monkeypatch, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def _table_body(path) -> str:
+    return "".join(line for line in path.read_text().splitlines(keepends=True)
+                   if not line.startswith("#"))
+
+
+@pytest.mark.parametrize("ranges", [["--mu", "-1.2:1.2:49"],
+                                    ["--q", "4:7:7", "--epsilon", "-5:-2:7"]])
+def test_range_spelling_of_the_default_grid_writes_the_default_rows(ranges, tmp_path,
+                                                                    monkeypatch):
+    assert run(["fidelity-sweep", "--output", str(tmp_path / "default")],
+               monkeypatch, tmp_path) == 0
+    assert run(["fidelity-sweep", *ranges, "--output", str(tmp_path / "ranged")],
+               monkeypatch, tmp_path) == 0
+    assert _table_body(tmp_path / "ranged.csv") == _table_body(tmp_path / "default.csv")
+
+
+def _readme_commands():
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("pulsox ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_cli_examples_run(argv, tmp_path, monkeypatch):
+    assert run(argv, monkeypatch, tmp_path) == 0
+
+
+def test_readme_config_example_loads():
+    block = re.search(r"### Config files\n.*?```ini\n(.*?)```", README.read_text(), re.S)
+    config = ExperimentConfig.from_items(parse_config_text(block.group(1)))
+    config.validate()
+    assert config.sweep.q == log_grid("4:7:7")
+
+
 def test_photon_budget_prints_summary(tmp_path, monkeypatch, capsys):
+    # one mu writes a one-row table, as any number of mu does
     rc = run(["photon-budget", "--mu", "1.4142", "--phi", "0.0628"],
              monkeypatch, tmp_path)
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "16.5" in out
+    assert "photon budget over 1 mu points" in capsys.readouterr().out
+    table = ResultTable.from_csv((tmp_path / "photon_budget.csv").read_text())
+    assert f"{table.column('budget_approx')[0]:.3g}" == "16.5"
 
 
 def test_squeeze_calculator(capsys):
@@ -81,16 +125,15 @@ def test_empty_decay_series_is_validation_error(periods, tmp_path, monkeypatch, 
     (["impulse", "--set", "physical.nbar_m=0", "--set", "physical.q=10"], "physical.nbar_m"),
     (["multimode", "--mu", "1,2,3"], "sweep.mu"),
     (["fock-squeeze", "--mu", "1,2"], "sweep.mu"),
-    (["multimode", "--mu-log-range", "0:0.3:2"], "sweep.mu_log_range"),
-    (["fidelity-sweep", "--mu-log-range", "1:2"], "sweep.mu_log_range"),
-    (["fidelity-sweep", "--mu-log-range=-400:400:3"], "sweep.mu_log_range"),
-    (["cat-decay", "--mu-log-range", "-400:0:2"], "sweep.mu_log_range"),
+    (["multimode", "--mu", "0:0.3:2"], "sweep.mu"),
+    (["fidelity-sweep", "--mu", "1:2"], "sweep.mu"),
+    (["fidelity-sweep", "--mu=-400:400:3"], "sweep.mu"),
+    (["cat-decay", "--mu", "-400:0:2"], "sweep.mu"),  # underflows to 0
     (["fiber-loss", "--length-km", "nan"], "--length-km"),
     (["regime-check", "--g0", "nan", "--omega-m", "1e6", "--kappa", "1e9",
       "--pulse-bandwidth", "1e8"], "--g0"),
-    (["fidelity-sweep", "--mu", "1", "--mu-log-range", "0:1:3"], "sweep.mu"),
-    (["fidelity-sweep", "--set", "sweep.mu=1", "--set", "sweep.mu_log_range=0:1:3"],
-     "sweep.mu"),
+    (["fock-squeeze", "--set", "sweep.mu=1,2"], "sweep.mu"),
+    (["fidelity-sweep", "--mu", "0:1:0"], "sweep.mu"),
     (["fidelity-sweep", "--set", "experiment=photon-budget"], "experiment"),
 ])
 def test_rejected_option_names_its_key(args, key, tmp_path, monkeypatch, capsys):
@@ -117,9 +160,9 @@ def test_config_file_drives_run(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("in_file,on_command_line,mus", [
-    ("sweep.mu_log_range = 0:1:3", ["--mu", "2"], [2.0]),
-    ("sweep.mu = 2.0", ["--mu-log-range", "0:1:3"], [1.0, 10.0 ** 0.5, 10.0]),
-    ("sweep.mu = 2.0", ["--set", "sweep.mu_log_range=0:1:3"], [1.0, 10.0 ** 0.5, 10.0]),
+    ("sweep.mu = 0:1:3", ["--mu", "2"], [2.0]),
+    ("sweep.mu = 2.0", ["--mu", "0:1:3"], [1.0, 10.0 ** 0.5, 10.0]),
+    ("sweep.mu = 2.0", ["--set", "sweep.mu=0:1:3"], [1.0, 10.0 ** 0.5, 10.0]),
 ])
 def test_command_line_mu_replaces_the_config_files_mu(in_file, on_command_line, mus,
                                                       tmp_path, monkeypatch):
@@ -152,9 +195,13 @@ def test_fock_squeeze_exports_grids(tmp_path, monkeypatch):
 
 
 def test_byte_identical_rerun(tmp_path, monkeypatch):
-    args = ["photon-budget", "--mu-log-range", "-0.3:0.3:5",
+    args = ["photon-budget", "--mu", "-0.3:0.3:5",
             "--output", str(tmp_path / "out")]
     run(args, monkeypatch, tmp_path)
     first = (tmp_path / "out.csv").read_bytes()
     run(args, monkeypatch, tmp_path)
     assert (tmp_path / "out.csv").read_bytes() == first
+    # so does the config echoed in its metadata, with the range written out
+    echoed = config_from_metadata(ResultTable.from_csv(first.decode()).metadata)
+    assert len(echoed.sweep.mu) == 5
+    assert run_experiment(echoed).tables["photon_budget"].to_csv().encode() == first

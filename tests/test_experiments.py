@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from pulsox.config import (EXPERIMENTS, ConfigError, ExperimentConfig,
-                           load_config, mu_log_grid, parse_config_text)
-from pulsox.experiments import (_squeeze_infidelity, config_from_metadata,
+                           load_config, log_grid, parse_config_text)
+from pulsox.experiments import (RUNNERS, _squeeze_infidelity, config_from_metadata,
                                 d_min_approx, d_min_full,
                                 decay_rate_series, dominant_modulation_frequency,
                                 estimate_fiber_epsilon, run_experiment,
@@ -28,10 +28,28 @@ def make_config(experiment: str, **physical) -> ExperimentConfig:
 # -- config ---------------------------------------------------------------------
 
 def test_mu_log_grid():
-    grid = mu_log_grid("-1:1:3")
+    grid = log_grid("-1:1:3")
     assert grid == pytest.approx((0.1, 1.0, 10.0))
-    with pytest.raises(ValueError):
-        mu_log_grid("oops")
+    for bad in ("oops", "1:2", "0:1:0", "inf:1:3", "0:1:2.5"):
+        with pytest.raises(ValueError):
+            log_grid(bad)
+    with pytest.raises(OverflowError):
+        log_grid("0:400:2")
+
+
+def test_every_list_key_takes_a_range():
+    cfg = ExperimentConfig()
+    for key in ("sweep.mu", "sweep.q", "sweep.epsilon", "sweep.alpha",
+                "sweep.g2_ratio", "impulse.nbar_in"):
+        cfg.set_key(key, "-0.2:0:3")
+        section, _, name = key.partition(".")
+        assert getattr(getattr(cfg, section), name) == log_grid("-0.2:0:3")
+    with pytest.raises(ConfigError, match="sweep.mu"):
+        cfg.set_key("sweep.mu", "0:400:2")  # overflows
+
+
+def test_experiment_names_are_the_runners():
+    assert EXPERIMENTS == tuple(RUNNERS)
 
 
 def test_parse_config_text():
@@ -326,15 +344,14 @@ def test_cat_half_life_peaks_near_mu_opt():
 
 @pytest.mark.parametrize("experiment", ["fock-squeeze", "multimode", "cat-decay"])
 def test_single_mu_runners_read_mu_log_range(experiment):
-    # a one-point log10 grid runs exactly the mu it expands to
-    def tables(**sweep):
+    # a one-point log10 range of sweep.mu runs exactly the mu it expands to
+    def tables(mu: str):
         cfg = make_config(experiment)
         cfg.sweep.alpha = (1.0,)
-        for key, value in sweep.items():
-            setattr(cfg.sweep, key, value)
+        cfg.set_key("sweep.mu", mu)
         return {name: t.rows for name, t in run_experiment(cfg).tables.items()}
 
-    assert tables(mu_log_range="0.25:0.25:1") == tables(mu=(10.0 ** 0.25,))
+    assert tables("0.25:0.25:1") == tables(repr(10.0 ** 0.25))
 
 
 # -- photon budget / fiber ----------------------------------------------------------------

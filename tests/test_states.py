@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from pulsox import (GaussianState, LOSSLESS, LossConfig, MECH, MECH_OPT, apply_channel,
-                    beamsplitter_loss, build_ideal_squeezer, classical_bound,
-                    coherent, fidelity_zero_mean, ideal_target_state, marginal,
-                    mean_distance, product, pure_fidelity, rotation,
-                    schedule_for_mu, squeezed, squeezer_output,
-                    symplectic_form, thermal, vacuum)
+from pulsox import (GaussianChannel, GaussianState, LOSSLESS, LossConfig, MECH, MECH_OPT,
+                    OPT, apply_channel, beamsplitter_loss, build_ideal_squeezer,
+                    classical_bound, coherent, fidelity_zero_mean, ideal_target_state,
+                    marginal, mean_distance, product, pure_fidelity,
+                    quadrature_scaling, rotation, schedule_for_mu, squeezed,
+                    squeezer_output, symplectic_form, thermal, vacuum)
 
 
 def overlap_fidelity(v1: np.ndarray, v2: np.ndarray, half: float = 16.0,
@@ -50,6 +50,35 @@ def test_squeezed_eigenvalues_and_angle():
         assert eigs == pytest.approx([v, 1.0 / v], rel=1e-12)
         u = np.array([math.cos(angle), math.sin(angle)])
         assert u @ s.cov @ u == pytest.approx(v, rel=1e-12)
+
+
+def test_squeezed_covariance_is_the_rotated_scaling_bit_for_bit():
+    # R(-angle) diag(v, 1/v) R(-angle)^T from the channel constructors, over a
+    # batch of random squeezings and angles
+    rng = np.random.default_rng(7)
+    v_sq = 10.0 ** rng.uniform(-3.0, 3.0, (6, 1))
+    angle = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (1, 5))
+    r = rotation("opt", -angle, OPT).matrix
+    cov = r @ quadrature_scaling(v_sq, 1.0 / v_sq, "opt", OPT).matrix @ r.swapaxes(-1, -2)
+    expected = 0.5 * (cov + cov.swapaxes(-1, -2))
+    assert np.array_equal(squeezed(v_sq, angle, OPT).cov, expected)
+
+
+def test_state_and_channel_noise_share_the_symmetry_rule():
+    asymmetric = [[1.0, 5.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="state covariance is not symmetric"):
+        GaussianState(np.zeros(2), asymmetric, OPT)
+    with pytest.raises(ValueError, match="noise covariance is not symmetric"):
+        GaussianChannel(np.eye(2), np.zeros(2), asymmetric, OPT)
+    # rounding-level asymmetry is accepted and averaged away
+    nearly = np.array([[4.0, 1.0 + 1e-15], [1.0, 4.0]])
+    assert np.array_equal(GaussianState(np.zeros(2), nearly, OPT).cov,
+                          0.5 * (nearly + nearly.T))
+    for mean, cov in ((np.zeros(3), np.eye(2)), (np.zeros(2), np.eye(3))):
+        with pytest.raises(ValueError, match="state shapes"):
+            GaussianState(mean, cov, OPT)
+    with pytest.raises(ValueError, match="batch shapes"):
+        GaussianState(np.zeros((3, 2)), np.stack([np.eye(2)] * 4), OPT)
 
 
 def test_coherent_state():
