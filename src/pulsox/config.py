@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +46,7 @@ def _float_list(raw: str) -> tuple[float, ...]:
 
 def log_grid(spec: str) -> tuple[float, ...]:
     """Expand 'a:b:n' into n points with log10 uniform on [a, b]; raises
-    OverflowError when a point exceeds the float range."""
+    OverflowError, naming the range, when a point exceeds the float range."""
     try:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
@@ -57,7 +56,11 @@ def log_grid(spec: str) -> tuple[float, ...]:
         raise ValueError("range ends must be finite")
     if n < 1:
         raise ValueError("grid needs at least one point")
-    return tuple(10.0 ** float(x) for x in np.linspace(lo, hi, n))
+    try:
+        return tuple(10.0 ** float(x) for x in np.linspace(lo, hi, n))
+    except OverflowError:
+        raise OverflowError(f"range {spec!r} reaches 10^{max(lo, hi):g}, past the largest "
+                            f"float (about {np.finfo(float).max:.2g})") from None
 
 
 # Allowed values of each ruled key (every element, for list keys); every
@@ -120,10 +123,6 @@ class SweepConfig:
     alpha: tuple[float, ...] = (1.0, 2.0)
     g2_ratio: tuple[float, ...] = (0.0, 0.1, 0.2, 0.5, 1.0)
 
-    def mu_values(self, default: Sequence[float]) -> tuple[float, ...]:
-        """The mu values to run: ``mu`` if set, else ``default``."""
-        return self.mu or tuple(default)
-
 
 @dataclass
 class ReadoutConfig:
@@ -176,7 +175,12 @@ class ExperimentConfig:
             section = getattr(self, f.name)
             if hasattr(section, "__dataclass_fields__"):
                 for sub in fields(section):
-                    _check_value(f"{f.name}.{sub.name}", getattr(section, sub.name))
+                    key, value = f"{f.name}.{sub.name}", getattr(section, sub.name)
+                    # an empty list means the runner's default only where the
+                    # field's own default is empty
+                    if value == () and sub.default != ():
+                        raise ConfigError(key, "needs at least one value")
+                    _check_value(key, value)
         if self.experiment in SINGLE_MU_EXPERIMENTS and len(self.sweep.mu) > 1:
             raise ConfigError("sweep.mu", f"{self.experiment} runs at one mu, "
                               f"got {len(self.sweep.mu)}")

@@ -24,8 +24,8 @@ from .squeezer import (_four_pulse, approx_photon_budget, ideal_target_map,
 from .states import (apply_channel, classical_bound, fidelity_zero_mean,
                      marginal, product, thermal, vacuum)
 from .table import ResultTable
-from .wigner import (CatSpec, GaussianSum, WignerGrid, apply_gaussian_channel,
-                     eta_series, half_life, mu_opt, negativity_eta, wigner_fock)
+from .wigner import (CatSpec, GaussianSum, WignerGrid, eta_series, half_life, mu_opt,
+                     negativity_eta, wigner_fock)
 
 # Default grids of the fidelity sweep, as log10 ranges a:b:n: mu from
 # 10^-1.2 to 10^1.2, quality factors from 1e4 to 1e7 and delay-line losses
@@ -83,7 +83,7 @@ def run_fidelity_sweep(config: ExperimentConfig) -> RunResult:
     """Infidelity of the squeezer on vacuum across mu, for the ideal map and
     for grids of mechanical Q (epsilon = 0) and optical loss (gamma = 0)."""
     phys = config.physical
-    mus = np.array(config.sweep.mu_values(log_grid(DEFAULT_MU_GRID)))
+    mus = np.array(config.sweep.mu or log_grid(DEFAULT_MU_GRID))
     q_grid = config.sweep.q or log_grid(DEFAULT_Q_GRID)
     eps_grid = config.sweep.epsilon or log_grid(DEFAULT_EPS_GRID)
     columns = ["mu", "infidelity_ideal", "classical_bound"]
@@ -111,7 +111,7 @@ def run_fock_squeeze(config: ExperimentConfig) -> RunResult:
     """Squeeze a single-phonon Fock state and export target / ideal / lossy
     Wigner grids with their origin negativities."""
     phys = config.physical
-    (mu,) = config.sweep.mu_values((2.0,))
+    (mu,) = config.sweep.mu or (2.0,)
     eps_grid = config.sweep.epsilon or (1e-2, 5e-2)
     res = config.grid.resolution
     # a fixed factor 2 on the extent, sized for the default mu = 2: from
@@ -119,16 +119,12 @@ def run_fock_squeeze(config: ExperimentConfig) -> RunResult:
     ext = 2.0 * config.grid.half_extent
     schedule = schedule_for_mu(mu, phys.phi, phys.ancilla_vsq)
     fock = wigner_fock(1, ext, res)
-    target_grid = apply_gaussian_channel(fock, ideal_target_map(mu, phys.phi))
-
-    def squeezed_grid(loss: LossConfig) -> WignerGrid:
-        return apply_gaussian_channel(fock, mechanical_squeezer(schedule, loss))
-
-    grids = {"target": target_grid,
-             "ideal": squeezed_grid(LossConfig(omega_m=phys.omega_m))}
+    lossless = LossConfig(omega_m=phys.omega_m)
+    grids = {"target": fock.evolve(ideal_target_map(mu, phys.phi)),
+             "ideal": fock.evolve(mechanical_squeezer(schedule, lossless))}
     rows = [[0.0, negativity_eta(grids["ideal"])]]
     for eps in eps_grid:
-        grid = squeezed_grid(_loss(config, epsilon=eps))
+        grid = fock.evolve(mechanical_squeezer(schedule, _loss(config, epsilon=eps)))
         grids[f"eps_{eps:.0e}"] = grid
         rows.append([eps, negativity_eta(grid)])
     table = ResultTable(["epsilon", "eta"], rows, _metadata(config))
@@ -192,7 +188,7 @@ def run_impulse(config: ExperimentConfig) -> RunResult:
     loss = _loss(config)
     chi_ro = config.readout.chi_ro
     default_mus = tuple(10.0 ** (-db / 20.0) for db in np.linspace(-10, 10, 21))
-    mus = config.sweep.mu_values(default_mus)
+    mus = config.sweep.mu or default_mus
     rows = []
     for nbar_in in config.impulse.nbar_in:
         fulls = d_min_full(np.array(mus), nbar_in, chi_ro, phys.ancilla_vsq, phys.phi, loss)
@@ -222,20 +218,23 @@ def run_cat_decay(config: ExperimentConfig) -> RunResult:
     """Negativity half-lives of odd cats with and without pre-squeezing, plus
     a dense eta(t) series for the decay-rate-modulation diagnostic."""
     cat_cfg = config.cat
+    phys = config.physical
     loss = _loss(config)
     period = 2.0 * math.pi / loss.omega_m
     tables: dict[str, ResultTable] = {}
 
-    def cat_half_life(alpha: float, mu_pre: float | None):
-        pre = None if mu_pre is None else schedule_for_mu(
-            mu_pre, config.physical.phi, config.physical.ancilla_vsq)
-        return half_life(CatSpec(alpha, "odd"), loss, pre,
-                         samples_per_period=cat_cfg.samples_per_period,
+    def pre_squeezed(cat: GaussianSum, mu_pre: float) -> GaussianSum:
+        schedule = schedule_for_mu(mu_pre, phys.phi, phys.ancilla_vsq)
+        return cat.evolve(mechanical_squeezer(schedule, loss))
+
+    def cat_half_life(state0: GaussianSum):
+        return half_life(state0, loss, samples_per_period=cat_cfg.samples_per_period,
                          max_periods=cat_cfg.max_periods)
 
     half_rows = []
     for alpha, label, mu_pre in _cat_scenarios(config):
-        result = cat_half_life(alpha, None if label == "none" else mu_pre)
+        cat = GaussianSum.cat(CatSpec(alpha, "odd"))
+        result = cat_half_life(cat if label == "none" else pre_squeezed(cat, mu_pre))
         half_rows.append([alpha, mu_pre, result.tau, result.tau / period,
                           1.0 if result.reached else 0.0, result.eta_initial])
 
@@ -243,16 +242,16 @@ def run_cat_decay(config: ExperimentConfig) -> RunResult:
     alpha_series = max(config.sweep.alpha)
     n_samples = int(cat_cfg.series_periods * cat_cfg.samples_per_period)
     times = np.arange(1, n_samples + 1) * (period / cat_cfg.samples_per_period)
-    etas = eta_series(GaussianSum.cat(CatSpec(alpha_series, "odd")), loss, times)
+    cat_series = GaussianSum.cat(CatSpec(alpha_series, "odd"))
+    etas = eta_series(cat_series, loss, times)
     tables["decay_series"] = ResultTable(
         ["t", "eta"], [[t, e] for t, e in zip(times, etas)], _metadata(config))
 
     # optional half-life sweep over mu for the largest cat
-    mus = config.sweep.mu_values(())
-    if mus:
+    if config.sweep.mu:
         sweep_rows = []
-        for mu_pre in mus:
-            result = cat_half_life(alpha_series, mu_pre)
+        for mu_pre in config.sweep.mu:
+            result = cat_half_life(pre_squeezed(cat_series, mu_pre))
             sweep_rows.append([mu_pre, result.tau, result.tau / period,
                                1.0 if result.reached else 0.0])
         tables["half_life_mu_sweep"] = ResultTable(
@@ -303,7 +302,7 @@ def run_multimode(config: ExperimentConfig) -> RunResult:
     All three modes start in vacuum; reported against the mode-1 target.
     """
     layout = ModeLayout(("mech", "mech2", "opt"))
-    (mu,) = config.sweep.mu_values((math.sqrt(2.0),))
+    (mu,) = config.sweep.mu or (math.sqrt(2.0),)
     phi = config.physical.phi
     omega2_ratio = 2.0
     schedule = schedule_for_mu(mu, phi, ancilla_vsq=1.0)  # vacuum ancilla
@@ -332,7 +331,7 @@ def run_multimode(config: ExperimentConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 def run_photon_budget(config: ExperimentConfig) -> RunResult:
-    mus = config.sweep.mu_values(log_grid("-0.5:0.5:21"))
+    mus = config.sweep.mu or log_grid("-0.5:0.5:21")
     phi = config.physical.phi
     rows = []
     for mu in mus:

@@ -13,8 +13,12 @@ Two representations share one interface (``value_at`` and ``evolve``):
   space, so a singular noise covariance needs no regularization.  The grid
   serves Fock states, CSV export and as a test oracle for the exact sums.
 
-Multi-sample decay curves re-evolve from t = 0 at each sample instead of
-accumulating error.
+A state moves only through its ``evolve`` method.  The negativity helpers
+(:func:`eta_at`, :func:`eta_series`, :func:`half_life`) take the t = 0 state
+of either type, and multi-sample decay curves re-evolve from it at each sample
+instead of accumulating error.  Callers build that state (a cat, a Fock grid,
+or either one passed through the squeezer); the module depends only on
+``channels``.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from .channels import GaussianChannel, LossConfig, damped_evolution
-from .squeezer import PulseSchedule, mechanical_squeezer
 
 DEFAULT_HALF_EXTENT = 8.0
 DEFAULT_RESOLUTION = 512
@@ -345,15 +348,6 @@ class HalfLifeResult:
     eta_initial: float
 
 
-def pre_squeezed_cat(spec: CatSpec, loss: LossConfig,
-                     pre_squeeze: PulseSchedule | None) -> GaussianSum:
-    """Cat state, optionally passed through the lossy squeezer at t = 0."""
-    state = GaussianSum.cat(spec)
-    if pre_squeeze is None:
-        return state
-    return state.evolve(mechanical_squeezer(pre_squeeze, loss))
-
-
 def eta_at(state0: GaussianSum | WignerGrid, loss: LossConfig, t: float) -> float:
     """Negativity after damped thermal evolution for time t, in one exact step
     from the t = 0 state."""
@@ -368,27 +362,26 @@ def eta_series(state0: GaussianSum | WignerGrid, loss: LossConfig,
     return np.array([eta_at(state0, loss, t) for t in times])
 
 
-def half_life(spec: CatSpec, loss: LossConfig, pre_squeeze: PulseSchedule | None = None,
+def half_life(state0: GaussianSum | WignerGrid, loss: LossConfig,
               samples_per_period: int = 64, max_periods: float = 40.0) -> HalfLifeResult:
     """Time for the origin negativity to fall to 1/2 (absolute threshold).
 
     Scans eta(t) at ``samples_per_period`` per mechanical period (each sample
-    is a single exact propagation of the Gaussian sum from t = 0), then
-    bisects 20 times between the first bracketing pair.  If eta never crosses
-    1/2 within ``max_periods`` the horizon is returned with ``reached=False``.
+    is a single exact propagation of the state from t = 0), then bisects 20
+    times between the first bracketing pair.  A state that starts below 1/2
+    (an even cat, or a heavily lossy pre-squeezed one) returns tau = 0 with
+    ``reached=True``; if eta never crosses 1/2 within ``max_periods`` the
+    horizon is returned with ``reached=False``.
     """
-    if spec.parity != "odd":
-        raise ValueError("half-life is defined for odd cats (eta(0) = 1)")
     if samples_per_period < 64:
         raise ValueError("need at least 64 samples per mechanical period")
-    state0 = pre_squeezed_cat(spec, loss, pre_squeeze)
     eta0 = negativity_eta(state0)
+    if eta0 < 0.5:
+        return HalfLifeResult(0.0, True, eta0)
     period = 2.0 * math.pi / loss.omega_m
     dt = period / samples_per_period
     horizon = max_periods * period
     t_lo = 0.0
-    if eta0 < 0.5:
-        return HalfLifeResult(0.0, True, eta0)
     t = dt
     while t <= horizon:
         if eta_at(state0, loss, t) < 0.5:

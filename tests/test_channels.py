@@ -394,7 +394,7 @@ def test_batched_values_check_every_element_and_matching_batches():
         _channel(rotation("mech", [0.0, 0.5, 1.0, 1.5], MECH).matrix, mean=np.zeros((3, 2)))
 
 
-def test_noise_term_rejects_negative_covariance():
+def test_is_physical_rejects_negative_noise_covariance():
     # the constructor checks structure only; is_physical catches the sign
     assert not is_physical(_channel(np.eye(2), cov=np.diag([1.0, -1.0])))
 

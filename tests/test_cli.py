@@ -135,6 +135,9 @@ def test_empty_decay_series_is_validation_error(periods, tmp_path, monkeypatch, 
     (["fock-squeeze", "--set", "sweep.mu=1,2"], "sweep.mu"),
     (["fidelity-sweep", "--mu", "0:1:0"], "sweep.mu"),
     (["fidelity-sweep", "--set", "experiment=photon-budget"], "experiment"),
+    (["multimode", "--set", "sweep.g2_ratio="], "sweep.g2_ratio"),
+    (["impulse", "--set", "impulse.nbar_in="], "impulse.nbar_in"),
+    (["cat-decay", "--set", "sweep.alpha="], "sweep.alpha"),
 ])
 def test_rejected_option_names_its_key(args, key, tmp_path, monkeypatch, capsys):
     rc = run(args, monkeypatch, tmp_path)

@@ -27,7 +27,7 @@ def make_config(experiment: str, **physical) -> ExperimentConfig:
 
 # -- config ---------------------------------------------------------------------
 
-def test_mu_log_grid():
+def test_log_grid():
     grid = log_grid("-1:1:3")
     assert grid == pytest.approx((0.1, 1.0, 10.0))
     for bad in ("oops", "1:2", "0:1:0", "inf:1:3", "0:1:2.5"):
@@ -35,6 +35,11 @@ def test_mu_log_grid():
             log_grid(bad)
     with pytest.raises(OverflowError):
         log_grid("0:400:2")
+
+
+def test_log_grid_overflow_names_the_range_and_the_float_limit():
+    with pytest.raises(OverflowError, match=r"'-400:400:3'.*10\^400.*1\.8e\+308"):
+        log_grid("-400:400:3")
 
 
 def test_every_list_key_takes_a_range():
@@ -138,6 +143,20 @@ def test_validate_rejects_non_completely_positive_delay(q, sweep_q):
         cfg.validate()
     cfg.physical.nbar_m = 14.0
     cfg.validate()
+
+
+def test_validate_rejects_empty_lists_that_have_no_default():
+    # sweep.mu, sweep.q and sweep.epsilon default to empty: the runner's grid
+    for experiment in EXPERIMENTS:
+        cfg = make_config(experiment)
+        for key in ("sweep.mu", "sweep.q", "sweep.epsilon"):
+            cfg.set_key(key, "")
+        cfg.validate()
+    for key in ("sweep.alpha", "sweep.g2_ratio", "impulse.nbar_in"):
+        cfg = make_config("impulse")
+        cfg.set_key(key, "")
+        with pytest.raises(ConfigError, match=rf"{re.escape(key)}.*at least one value"):
+            cfg.validate()
 
 
 def test_validate_rejects_fields_set_directly():
@@ -343,7 +362,7 @@ def test_cat_half_life_peaks_near_mu_opt():
 
 
 @pytest.mark.parametrize("experiment", ["fock-squeeze", "multimode", "cat-decay"])
-def test_single_mu_runners_read_mu_log_range(experiment):
+def test_single_mu_runners_read_a_one_point_mu_range(experiment):
     # a one-point log10 range of sweep.mu runs exactly the mu it expands to
     def tables(mu: str):
         cfg = make_config(experiment)

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pulsox import (CatSpec, GaussianChannel, GaussianState, GaussianSum,
-                    GridClippingError, LossConfig, MECH, WignerGrid,
+                    GridClippingError, HalfLifeResult, LossConfig, MECH, WignerGrid,
                     ancilla_state, apply_channel, apply_gaussian_channel,
                     build_lossy_squeezer, compose, damped_evolution, eta_series,
                     fringe_ellipse, grid_from_csv, grid_to_csv, half_life,
-                    mechanical_reduced_channel, mu_opt, negativity_eta,
-                    quadrature_scaling, rotation, schedule_for_mu, wigner_cat,
-                    wigner_fock, wigner_gaussian)
+                    mechanical_reduced_channel, mechanical_squeezer, mu_opt,
+                    negativity_eta, quadrature_scaling, rotation, schedule_for_mu,
+                    wigner_cat, wigner_fock, wigner_gaussian)
 
 TWO_PI = 2.0 * math.pi
 
@@ -257,8 +257,10 @@ def test_exact_sum_matches_grid_oracle(alpha, mu_pre, t):
 def test_criterion_10_half_lives_are_pinned(alpha, label, tau):
     loss = LossConfig.from_q(1e7, nbar_m=4e4, epsilon=1e-3)
     mu = {"position": mu_opt(alpha), "momentum": 0.5}.get(label)
-    pre = None if mu is None else schedule_for_mu(mu, math.pi / 50, 0.5)
-    result = half_life(CatSpec(alpha, "odd"), loss, pre)
+    state0 = GaussianSum.cat(CatSpec(alpha, "odd"))
+    if mu is not None:
+        state0 = state0.evolve(mechanical_squeezer(schedule_for_mu(mu, math.pi / 50, 0.5), loss))
+    result = half_life(state0, loss)
     assert result.reached
     assert result.tau == pytest.approx(tau, rel=1e-3)
 
@@ -354,30 +356,32 @@ def test_mu_opt_small_alpha_limit():
 # -- half-life ----------------------------------------------------------------
 
 def test_half_life_monotone_in_bath_occupancy():
-    spec = CatSpec(1.0, "odd")
-    hot = half_life(spec, LossConfig.from_q(1e6, nbar_m=8e4))
-    cold = half_life(spec, LossConfig.from_q(1e6, nbar_m=2e4))
+    cat = GaussianSum.cat(CatSpec(1.0, "odd"))
+    hot = half_life(cat, LossConfig.from_q(1e6, nbar_m=8e4))
+    cold = half_life(cat, LossConfig.from_q(1e6, nbar_m=2e4))
     assert hot.reached and cold.reached
     assert hot.tau < cold.tau
 
 
 def test_half_life_horizon_flag():
-    res = half_life(CatSpec(1.0, "odd"), LossConfig.from_q(1e9, nbar_m=1.0),
+    res = half_life(GaussianSum.cat(CatSpec(1.0, "odd")), LossConfig.from_q(1e9, nbar_m=1.0),
                     max_periods=0.5)
     assert not res.reached
     assert res.tau == pytest.approx(0.5 * TWO_PI)
 
 
-def test_half_life_rejects_even_cats():
-    with pytest.raises(ValueError, match="odd"):
-        half_life(CatSpec(1.0, "even"), LossConfig.from_q(1e6, nbar_m=1e4))
+def test_half_life_of_an_even_cat_is_zero():
+    # an even cat has W(0, 0) > 0, so eta(0) = 0 is already below 1/2
+    even = GaussianSum.cat(CatSpec(1.0, "even"))
+    assert half_life(even, LossConfig.from_q(1e6, nbar_m=1e4)) == HalfLifeResult(0.0, True, 0.0)
 
 
 def test_half_life_with_pre_squeeze_runs():
     loss = LossConfig.from_q(1e7, nbar_m=4e4, epsilon=1e-3)
     pre = schedule_for_mu(mu_opt(1.0), math.pi / 50, 0.5)
-    with_pre = half_life(CatSpec(1.0, "odd"), loss, pre)
-    without = half_life(CatSpec(1.0, "odd"), loss, None)
+    cat = GaussianSum.cat(CatSpec(1.0, "odd"))
+    with_pre = half_life(cat.evolve(mechanical_squeezer(pre, loss)), loss)
+    without = half_life(cat, loss)
     assert with_pre.reached and without.reached
     assert with_pre.tau > without.tau
 
