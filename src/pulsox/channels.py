@@ -9,6 +9,15 @@ evolution) complete the missing commutator with their noise.  All values are
 immutable, every operation is a pure function, and :func:`compose` is the one
 way to chain them.
 
+Under the channel type sits a private layer of raw stages: a stage is the
+``(matrix, mean, cov)`` triple of arrays a channel would hold, and a noiseless
+stage carries the shared ``_zero_noise(d)`` pair.  The arithmetic of every
+stage the squeezer protocols chain, and of the composition, is written once
+as a function on stages; the public constructors and :func:`compose` wrap its
+result in one :class:`GaussianChannel`.  A caller that chains many stages
+into one result (the squeezer) works on stages and builds, and so validates,
+only that result.
+
 A channel checks structure only (shape, finiteness, noise symmetry).  It may
 carry a leading batch axis (``(..., d, d)`` matrix and covariance,
 ``(..., d)`` mean), checked once per object.  The lossless constructors and
@@ -133,37 +142,60 @@ class GaussianChannel:
         return self.matrix[..., i:i + 2, j:j + 2].copy()
 
 
-def _noiseless(m: np.ndarray, layout: ModeLayout) -> GaussianChannel:
-    return GaussianChannel(m, *_zero_noise(layout.dim), layout)
+# A raw stage: the (matrix, mean, cov) arrays of one channel, unvalidated.
+_Stage = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _noiseless(m: np.ndarray) -> _Stage:
+    return (m, *_zero_noise(m.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
 # lossless constructors
 # ---------------------------------------------------------------------------
 
-def _qnd(chi, entries: Sequence[tuple[int, int]]) -> GaussianChannel:
+_XX = ((MECH_OPT.p_index("opt"), MECH_OPT.x_index("mech")),
+       (MECH_OPT.p_index("mech"), MECH_OPT.x_index("opt")))
+_PP = ((MECH_OPT.x_index("opt"), MECH_OPT.p_index("mech")),
+       (MECH_OPT.x_index("mech"), MECH_OPT.p_index("opt")))
+
+
+def _qnd(chi, entries: Sequence[tuple[int, int]]) -> _Stage:
     """Identity on (mech, opt) with ``chi`` at each (row, column) of ``entries``."""
     chi = np.asarray(chi, dtype=float)
     m = _identity(chi.shape, MECH_OPT.dim)
     for i, j in entries:
         m[..., i, j] = chi
-    return _noiseless(m, MECH_OPT)
+    return _noiseless(m)
+
+
+def _qnd_xx(chi) -> _Stage:
+    return _qnd(chi, _XX)
 
 
 def qnd_xx(chi) -> GaussianChannel:
     """Position-position QND pulse on (mech, opt): both X unchanged,
     P_opt += chi X_mech, P_mech += chi X_opt.  An array ``chi`` gives a batch."""
-    layout = MECH_OPT
-    return _qnd(chi, ((layout.p_index("opt"), layout.x_index("mech")),
-                      (layout.p_index("mech"), layout.x_index("opt"))))
+    return GaussianChannel(*_qnd_xx(chi), MECH_OPT)
 
 
 def qnd_pp(chi) -> GaussianChannel:
     """Momentum-momentum QND pulse on (mech, opt): both P unchanged,
     X_opt += chi P_mech, X_mech += chi P_opt.  An array ``chi`` gives a batch."""
-    layout = MECH_OPT
-    return _qnd(chi, ((layout.x_index("opt"), layout.p_index("mech")),
-                      (layout.x_index("mech"), layout.p_index("opt"))))
+    return GaussianChannel(*_qnd(chi, _PP), MECH_OPT)
+
+
+def _rotation(mode: str, angle, layout: ModeLayout) -> _Stage:
+    angle = np.asarray(angle, dtype=float)
+    if not np.isfinite(angle).all():
+        raise ValueError("non-finite rotation angle")
+    c, s = np.cos(angle), np.sin(angle)
+    m = _identity(angle.shape, layout.dim)
+    i = layout.x_index(mode)
+    m[..., i, i] = m[..., i + 1, i + 1] = c
+    m[..., i, i + 1] = s
+    m[..., i + 1, i] = -s
+    return _noiseless(m)
 
 
 def rotation(mode: str, angle, layout: ModeLayout = MECH_OPT) -> GaussianChannel:
@@ -174,16 +206,7 @@ def rotation(mode: str, angle, layout: ModeLayout = MECH_OPT) -> GaussianChannel
     P -> -X.  Free mechanical evolution through an angle ``omega * t`` uses the
     same convention (it is the zero-damping limit of :func:`damped_evolution`).
     """
-    angle = np.asarray(angle, dtype=float)
-    if not np.isfinite(angle).all():
-        raise ValueError("non-finite rotation angle")
-    c, s = np.cos(angle), np.sin(angle)
-    m = _identity(angle.shape, layout.dim)
-    i = layout.x_index(mode)
-    m[..., i, i] = m[..., i + 1, i + 1] = c
-    m[..., i, i + 1] = s
-    m[..., i + 1, i] = -s
-    return _noiseless(m, layout)
+    return GaussianChannel(*_rotation(mode, angle, layout), layout)
 
 
 def quadrature_scaling(sx, sp, mode: str = "mech",
@@ -194,20 +217,11 @@ def quadrature_scaling(sx, sp, mode: str = "mech",
     i = layout.x_index(mode)
     m[..., i, i] = sx
     m[..., i + 1, i + 1] = sp
-    return _noiseless(m, layout)
+    return GaussianChannel(*_noiseless(m), layout)
 
 
-def qnd_xx_collective(couplings: Sequence[float], chi_total: float,
-                      layout: ModeLayout) -> GaussianChannel:
-    """X-X QND pulse addressing every mechanical mode of ``layout`` (all modes
-    but ``"opt"``, in layout order) through the optical mode.
-
-    The optical phase picks up the coupling-weighted collective position
-    chi_total * (sum_j g_j X_j) / (sum_j g_j), and each mechanical momentum
-    receives its share chi_j = chi_total * g_j / sum(g) of the back-action, so
-    the collective (X, P) pair stays canonically conjugate.  With a single
-    mechanical mode this reduces to :func:`qnd_xx`.
-    """
+def _qnd_xx_collective(couplings: Sequence[float], chi_total: float,
+                       layout: ModeLayout) -> _Stage:
     if not math.isfinite(chi_total):
         raise ValueError("non-finite pulse strength")
     mech_modes = [lab for lab in layout.labels if lab != "opt"]
@@ -227,7 +241,21 @@ def qnd_xx_collective(couplings: Sequence[float], chi_total: float,
         chi_j = chi_total * gj / total
         m[layout.p_index(lab), layout.x_index("opt")] += chi_j
         m[ip_l, layout.x_index(lab)] += chi_j
-    return _noiseless(m, layout)
+    return _noiseless(m)
+
+
+def qnd_xx_collective(couplings: Sequence[float], chi_total: float,
+                      layout: ModeLayout) -> GaussianChannel:
+    """X-X QND pulse addressing every mechanical mode of ``layout`` (all modes
+    but ``"opt"``, in layout order) through the optical mode.
+
+    The optical phase picks up the coupling-weighted collective position
+    chi_total * (sum_j g_j X_j) / (sum_j g_j), and each mechanical momentum
+    receives its share chi_j = chi_total * g_j / sum(g) of the back-action, so
+    the collective (X, P) pair stays canonically conjugate.  With a single
+    mechanical mode this reduces to :func:`qnd_xx`.
+    """
+    return GaussianChannel(*_qnd_xx_collective(couplings, chi_total, layout), layout)
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +311,7 @@ class LossConfig:
 LOSSLESS = LossConfig()
 
 
-def damped_evolution(loss: LossConfig, t: float,
-                     layout: ModeLayout = MECH) -> GaussianChannel:
-    """Exact channel of the damped thermal mechanics over time ``t``.
-
-    Solves Xdot = omega P, Pdot = -omega X - gamma P plus the bath's momentum
-    noise, with omega, gamma and nbar_m from ``loss``.  The map carries an
-    overall e^(-gamma t / 2) decay on a rotation through sigma * omega * t; its
-    determinant is exactly e^(-gamma t), and gamma = 0 gives
-    ``rotation("mech", omega * t)``.
-
-    The noise has zero mean.  Its covariance vanishes at t = 0, equilibrates
-    to (2 nbar + 1) I for t >> 1/gamma, and at short times is dominated by the
-    momentum entry 2 gamma t (2 nbar + 1); the position entry grows as t^3.
-    It is written in expm1 form so the small-t cancellations stay accurate.
-
-    Momentum-only damping is the high-temperature Brownian-motion model: the
-    channel is not completely positive unless roughly (2 nbar_m + 1) omega t
-    exceeds sqrt(3).
-    """
+def _damped_evolution(loss: LossConfig, t: float, layout: ModeLayout) -> _Stage:
     if t < 0:
         raise ValueError("negative evolution time")
     gamma, omega = loss.gamma, loss.omega_m
@@ -324,20 +334,42 @@ def damped_evolution(loss: LossConfig, t: float,
     v12 = n_total * 2.0 * g / sig2 * decay * math.sin(a) ** 2
     cov = np.zeros((layout.dim, layout.dim))
     cov[i:i + 2, i:i + 2] = [[v11, v12], [v12, v22]]
-    return GaussianChannel(m, np.zeros(layout.dim), cov, layout)
+    return m, np.zeros(layout.dim), cov
+
+
+def damped_evolution(loss: LossConfig, t: float,
+                     layout: ModeLayout = MECH) -> GaussianChannel:
+    """Exact channel of the damped thermal mechanics over time ``t``.
+
+    Solves Xdot = omega P, Pdot = -omega X - gamma P plus the bath's momentum
+    noise, with omega, gamma and nbar_m from ``loss``.  The map carries an
+    overall e^(-gamma t / 2) decay on a rotation through sigma * omega * t; its
+    determinant is exactly e^(-gamma t), and gamma = 0 gives
+    ``rotation("mech", omega * t)``.
+
+    The noise has zero mean.  Its covariance vanishes at t = 0, equilibrates
+    to (2 nbar + 1) I for t >> 1/gamma, and at short times is dominated by the
+    momentum entry 2 gamma t (2 nbar + 1); the position entry grows as t^3.
+    It is written in expm1 form so the small-t cancellations stay accurate.
+
+    Momentum-only damping is the high-temperature Brownian-motion model: the
+    channel is not completely positive unless roughly (2 nbar_m + 1) omega t
+    exceeds sqrt(3).
+    """
+    return GaussianChannel(*_damped_evolution(loss, t, layout), layout)
+
+
+def _damped_delay(phi: float, loss: LossConfig, layout: ModeLayout) -> _Stage:
+    return _damped_evolution(loss, phi / (loss.sigma * loss.omega_m), layout)
 
 
 def damped_delay(phi: float, loss: LossConfig, layout: ModeLayout = MECH) -> GaussianChannel:
     """Damped thermal evolution of the mechanics while it rotates through
     phi, which takes t = phi / (sigma * omega_m)."""
-    t = phi / (loss.sigma * loss.omega_m)
-    return damped_evolution(loss, t, layout)
+    return GaussianChannel(*_damped_delay(phi, loss, layout), layout)
 
 
-def beamsplitter_loss(loss: LossConfig) -> GaussianChannel:
-    """Beamsplitter loss on the light of (mech, opt): both optical quadratures
-    scaled by sqrt(1 - epsilon), with thermal noise of variance
-    epsilon * (2 nbar_l + 1) coupled in."""
+def _beamsplitter_loss(loss: LossConfig) -> _Stage:
     layout = MECH_OPT
     amp = math.sqrt(1.0 - loss.epsilon)
     m = np.eye(layout.dim)
@@ -345,7 +377,14 @@ def beamsplitter_loss(loss: LossConfig) -> GaussianChannel:
     m[i, i] = m[i + 1, i + 1] = amp
     cov = np.zeros((layout.dim, layout.dim))
     cov[i, i] = cov[i + 1, i + 1] = loss.epsilon * (2.0 * loss.nbar_l + 1.0)
-    return GaussianChannel(m, np.zeros(layout.dim), cov, layout)
+    return m, np.zeros(layout.dim), cov
+
+
+def beamsplitter_loss(loss: LossConfig) -> GaussianChannel:
+    """Beamsplitter loss on the light of (mech, opt): both optical quadratures
+    scaled by sqrt(1 - epsilon), with thermal noise of variance
+    epsilon * (2 nbar_l + 1) coupled in."""
+    return GaussianChannel(*_beamsplitter_loss(loss), MECH_OPT)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +394,20 @@ def beamsplitter_loss(loss: LossConfig) -> GaussianChannel:
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product over broadcast batch axes."""
     return (m @ v[..., None])[..., 0]
+
+
+def _compose(stages: Sequence[_Stage]) -> _Stage:
+    d = stages[0][0].shape[-1]
+    zero_mean, zero_cov = _zero_noise(d)
+    m_tot, mean_tot, cov_tot = np.eye(d), zero_mean, zero_cov
+    for m, mean, cov in stages:
+        m_tot = m @ m_tot
+        if cov_tot is not zero_cov or cov is not zero_cov:
+            cov_tot = m @ cov_tot @ _transpose(m) + cov
+            mean_tot = _apply(m, mean_tot) + mean
+    if cov_tot is zero_cov:
+        return m_tot, zero_mean, zero_cov
+    return m_tot, mean_tot, 0.5 * (cov_tot + _transpose(cov_tot))
 
 
 def compose(channels: Iterable[GaussianChannel]) -> GaussianChannel:
@@ -370,20 +423,10 @@ def compose(channels: Iterable[GaussianChannel]) -> GaussianChannel:
     if not channels:
         raise ValueError("nothing to compose")
     layout = channels[0].layout
-    d = layout.dim
-    zero_mean, zero_cov = _zero_noise(d)
-    m_tot, mean_tot, cov_tot = np.eye(d), zero_mean, zero_cov
-    for ch in channels:
-        if ch.layout != layout:
-            raise ValueError("layout mismatch in channel composition")
-        m = ch.matrix
-        m_tot = m @ m_tot
-        if cov_tot is not zero_cov or ch.cov is not zero_cov:
-            cov_tot = m @ cov_tot @ _transpose(m) + ch.cov
-            mean_tot = _apply(m, mean_tot) + ch.mean
-    if cov_tot is zero_cov:
-        return GaussianChannel(m_tot, zero_mean, zero_cov, layout)
-    return GaussianChannel(m_tot, mean_tot, 0.5 * (cov_tot + _transpose(cov_tot)), layout)
+    if any(ch.layout != layout for ch in channels):
+        raise ValueError("layout mismatch in channel composition")
+    return GaussianChannel(*_compose([(ch.matrix, ch.mean, ch.cov) for ch in channels]),
+                           layout)
 
 
 def is_physical(channel: GaussianChannel) -> bool:

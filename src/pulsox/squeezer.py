@@ -7,6 +7,9 @@ short mechanical rotation phi, and cancels the residual Kerr term with an
 extra optical rotation theta.  :func:`_four_pulse` writes that protocol out
 once; the lossy squeezer (whose ``LOSSLESS`` case is the lossless one) and
 the multimode study differ only in the pulse and the delay they pass it.
+The protocol is a list of raw stages (see :mod:`pulsox.channels`);
+:func:`mechanical_squeezer` composes and reduces it on arrays and validates
+only the channel it returns.
 
 Momentum is rescaled by mu (P' = mu P, X' = X / mu): mu < 1 squeezes
 momentum, mu > 1 squeezes position.
@@ -22,13 +25,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
-from .channels import (LOSSLESS, GaussianChannel, LossConfig, _apply, _transpose,
-                       beamsplitter_loss, compose, damped_delay, qnd_pp, qnd_xx,
-                       quadrature_scaling, rotation)
+from .channels import (LOSSLESS, GaussianChannel, LossConfig, _apply, _beamsplitter_loss,
+                       _compose, _damped_delay, _qnd_xx, _rotation, _Stage, _transpose,
+                       compose, qnd_pp, qnd_xx, quadrature_scaling, rotation)
 from .modes import MECH, MECH_OPT, ModeLayout, OPT
-from .states import GaussianState, apply_channel, fidelity_zero_mean, squeezed, vacuum
+from .states import (GaussianState, _squeezed_cov, apply_channel, fidelity_zero_mean,
+                     squeezed, vacuum)
 
 
 def _elementwise(fn: Callable, nin: int) -> Callable:
@@ -146,17 +149,22 @@ def build_ideal_squeezer(chi1: float, chi3: float) -> GaussianChannel:
     return compose([qnd_xx(chi1), qnd_pp(chi2_for(chi1, chi3)), qnd_xx(chi3)])
 
 
-def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], GaussianChannel],
-                delay: Sequence[GaussianChannel], layout: ModeLayout) -> list[GaussianChannel]:
-    """The four-pulse protocol in temporal order, as channels on ``layout``.
+def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], _Stage],
+                delay: Sequence[_Stage], layout: ModeLayout) -> list[_Stage]:
+    """The four-pulse protocol in temporal order, as raw stages on ``layout``.
 
     ``pulse(chi)`` is the X-X interaction of strength chi and ``delay`` the
     stages between the second and third pulses, during which the mechanics
     rotates through phi.
     """
-    return [pulse(schedule.chi1), rotation("opt", math.pi / 2.0, layout),
+    return [pulse(schedule.chi1), _rotation("opt", math.pi / 2.0, layout),
             pulse(schedule.lam), *delay, pulse(schedule.chi2_second_pulse),
-            rotation("opt", schedule.theta - math.pi / 2.0, layout), pulse(schedule.chi3)]
+            _rotation("opt", schedule.theta - math.pi / 2.0, layout), pulse(schedule.chi3)]
+
+
+def _lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> _Stage:
+    delay = [_beamsplitter_loss(loss), _damped_delay(schedule.phi, loss, MECH_OPT)]
+    return _compose(_four_pulse(schedule, _qnd_xx, delay, MECH_OPT))
 
 
 def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianChannel:
@@ -170,8 +178,7 @@ def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianC
     plain squeezer form X' = X/mu + (1-mu) tan(phi) P + optical noise,
     P' = mu P.
     """
-    delay = [beamsplitter_loss(loss), damped_delay(schedule.phi, loss, MECH_OPT)]
-    return compose(_four_pulse(schedule, qnd_xx, delay, MECH_OPT))
+    return GaussianChannel(*_lossy_squeezer(schedule, loss), MECH_OPT)
 
 
 def ideal_target_map(mu, phi: float, mode: str = "mech",
@@ -197,6 +204,17 @@ def ancilla_state(schedule: PulseSchedule) -> GaussianState:
     return squeezed(schedule.ancilla_vsq, schedule.ancilla_angle, OPT)
 
 
+def _reduced(stage: _Stage, ancilla_mean: np.ndarray, ancilla_cov: np.ndarray,
+             layout: ModeLayout) -> _Stage:
+    i = layout.x_index("mech")
+    j = layout.x_index("opt")
+    m, mean, cov = stage
+    m_mo = m[..., i:i + 2, j:j + 2]
+    return (m[..., i:i + 2, i:i + 2],
+            _apply(m_mo, ancilla_mean) + mean[..., i:i + 2],
+            m_mo @ ancilla_cov @ _transpose(m_mo) + cov[..., i:i + 2, i:i + 2])
+
+
 def mechanical_reduced_channel(channel: GaussianChannel,
                                ancilla: GaussianState) -> GaussianChannel:
     """Marginalize the optical ancilla out of a two-mode (mech, opt) channel.
@@ -205,26 +223,20 @@ def mechanical_reduced_channel(channel: GaussianChannel,
     the ancilla's covariance feeds the mechanical output through the
     mech-from-optical block and is absorbed into the channel noise.
     """
-    layout = channel.layout
-    if layout.mode_count != 2:
+    if channel.layout.mode_count != 2:
         raise ValueError("reduction expects a two-mode channel")
     if ancilla.layout.mode_count != 1:
         raise ValueError("ancilla must be single-mode")
-    i = layout.x_index("mech")
-    j = layout.x_index("opt")
-    m = channel.matrix
-    m_mm = m[..., i:i + 2, i:i + 2]
-    m_mo = m[..., i:i + 2, j:j + 2]
-    cov = m_mo @ ancilla.cov @ _transpose(m_mo) + channel.cov[..., i:i + 2, i:i + 2]
-    mean = _apply(m_mo, ancilla.mean) + channel.mean[..., i:i + 2]
-    return GaussianChannel(m_mm, mean, cov, MECH)
+    stage = (channel.matrix, channel.mean, channel.cov)
+    return GaussianChannel(*_reduced(stage, ancilla.mean, ancilla.cov, channel.layout), MECH)
 
 
 def mechanical_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianChannel:
     """Single-mode mechanical channel of the (lossy) squeezer, with the
     schedule's own ancilla marginalized out."""
-    return mechanical_reduced_channel(build_lossy_squeezer(schedule, loss),
-                                      ancilla_state(schedule))
+    ancilla_cov = _squeezed_cov(schedule.ancilla_vsq, schedule.ancilla_angle)
+    return GaussianChannel(*_reduced(_lossy_squeezer(schedule, loss), np.zeros(2),
+                                     ancilla_cov, MECH_OPT), MECH)
 
 
 def squeezer_output(schedule: PulseSchedule, loss: LossConfig,
@@ -352,8 +364,13 @@ def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
     than the seed; ``converged`` is False if the simplex hit its 2000-iteration
     cap.
     """
+    # Imported here so that importing pulsox, and so every CLI run, does not
+    # load scipy.
+    from scipy import optimize
+
     seed = schedule_for_mu(mu_target, phi, ancilla_vsq)
-    target = ideal_target_state(vacuum(MECH), mu_target, phi)
+    vac = vacuum(MECH)
+    target = ideal_target_state(vac, mu_target, phi)
 
     def make(params) -> PulseSchedule:
         if include_angles:
@@ -366,7 +383,7 @@ def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
 
     def infidelity(params) -> float:
         try:
-            out = squeezer_output(make(params), loss, vacuum(MECH))
+            out = squeezer_output(make(params), loss, vac)
             return 1.0 - fidelity_zero_mean(out, target)
         except ValueError:
             return 1e6  # outside the physical branch

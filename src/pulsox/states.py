@@ -61,30 +61,38 @@ def thermal(nbar: float, layout: ModeLayout) -> GaussianState:
     return GaussianState(np.zeros(layout.dim), (2.0 * nbar + 1.0) * np.eye(layout.dim), layout)
 
 
-def squeezed(v_sq, angle=0.0, layout: ModeLayout | None = None) -> GaussianState:
-    """Pure single-mode squeezed vacuum; arrays of ``v_sq`` or ``angle`` give a batch.
-
-    The quadrature X cos(angle) + P sin(angle) has variance ``v_sq``; the
-    orthogonal one has 1 / v_sq.
-    """
+def _squeezed_cov(v_sq, angle) -> np.ndarray:
+    """Symmetrized covariance of :func:`squeezed`, as the state would hold it."""
     v_sq = np.asarray(v_sq, dtype=float)
     if np.any(v_sq <= 0):
         raise ValueError("squeezed variance must be positive")
-    layout = layout or ModeLayout(("opt",))
-    if layout.mode_count != 1:
-        raise ValueError("squeezed() builds single-mode states")
     # r is the matrix of rotation(-angle): in the package's sign convention,
     # rotating by -angle carries X onto the direction at angle
     angle = -np.asarray(angle, dtype=float)
     if not np.isfinite(angle).all():
         raise ValueError("non-finite squeezing angle")
     c, s = np.cos(angle), np.sin(angle)
-    r = np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)], axis=-2)
+    r = np.empty(c.shape + (2, 2))
+    r[..., 0, 0] = r[..., 1, 1] = c
+    r[..., 0, 1] = s
+    r[..., 1, 0] = -s
     scale = np.zeros(v_sq.shape + (2, 2))
     scale[..., 0, 0] = v_sq
     scale[..., 1, 1] = 1.0 / v_sq
     cov = r @ scale @ _transpose(r)
-    return GaussianState(np.zeros(2), cov, layout)
+    return 0.5 * (cov + _transpose(cov))
+
+
+def squeezed(v_sq, angle=0.0, layout: ModeLayout | None = None) -> GaussianState:
+    """Pure single-mode squeezed vacuum; arrays of ``v_sq`` or ``angle`` give a batch.
+
+    The quadrature X cos(angle) + P sin(angle) has variance ``v_sq``; the
+    orthogonal one has 1 / v_sq.
+    """
+    layout = layout or ModeLayout(("opt",))
+    if layout.mode_count != 1:
+        raise ValueError("squeezed() builds single-mode states")
+    return GaussianState(np.zeros(2), _squeezed_cov(v_sq, angle), layout)
 
 
 def coherent(mean: Sequence[float], layout: ModeLayout) -> GaussianState:

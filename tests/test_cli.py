@@ -1,6 +1,9 @@
 """Command-line interface behavior and output files."""
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from pulsox.table import ResultTable
 from pulsox.wigner import grid_from_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args, monkeypatch, tmp_path):
@@ -60,6 +64,15 @@ def test_readme_config_example_loads():
     config = ExperimentConfig.from_items(parse_config_text(block.group(1)))
     config.validate()
     assert config.sweep.q == log_grid("4:7:7")
+
+
+def test_importing_the_cli_does_not_load_scipy_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = "import sys, pulsox.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_photon_budget_prints_summary(tmp_path, monkeypatch, capsys):

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pulsox import (LOSSLESS, LossConfig, MECH, MECH_OPT, PulseSchedule,
-                    ancilla_state, approx_photon_budget, build_ideal_squeezer,
-                    build_lossy_squeezer, chi2_for, compose,
+from pulsox import (LOSSLESS, GaussianChannel, GaussianState, LossConfig, MECH, MECH_OPT,
+                    PulseSchedule, ancilla_state, approx_photon_budget, beamsplitter_loss,
+                    build_ideal_squeezer, build_lossy_squeezer, chi2_for, compose,
                     chi3_for, chi_from_physical, fidelity_zero_mean,
                     ideal_target_state, is_physical, marginal,
                     mechanical_reduced_channel, mechanical_squeezer,
                     optimize_schedule,
-                    photon_budget, photons_for_chi, product, regime_check,
+                    photon_budget, photons_for_chi, product, qnd_xx, regime_check,
                     rotation, schedule_for_mu, squeezed, squeezer_output,
                     apply_channel, symplectic_form, theta_for, thermal,
                     vacuum)
+from pulsox.channels import damped_delay
 from pulsox.experiments import d_min_full
 
 PHI = math.pi / 50
@@ -325,6 +326,50 @@ def test_batched_squeezer_equals_scalar_calls(kind, data):
         one_fidelity = float(fidelity_zero_mean(one, ideal_target_state(vacuum(MECH), mu, phi)))
         _assert_close(fidelity[k], one_fidelity)
         _assert_close(d_min[k], float(d_min_full(mu, nbar_in, 3.0, v_sq, phi, loss)))
+
+
+# -- the stage kernel against the public objects -------------------------------------
+
+def _public_stages(s, loss):
+    """The four-pulse protocol written out with the public constructors."""
+    return [qnd_xx(s.chi1), rotation("opt", math.pi / 2.0), qnd_xx(s.lam),
+            beamsplitter_loss(loss), damped_delay(s.phi, loss, MECH_OPT),
+            qnd_xx(s.chi2_second_pulse), rotation("opt", s.theta - math.pi / 2.0),
+            qnd_xx(s.chi3)]
+
+
+def _assert_same_channel(a, b):
+    for field in ("matrix", "mean", "cov"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+_MUS = st.one_of(st.just(1.0), st.floats(-1.2, 1.2).map(lambda e: 10.0 ** e),
+                 _mu_batches())
+
+
+@pytest.mark.parametrize("kind", ["lossless", "lossy"])
+@given(mu=_MUS, phi=st.floats(0.01, 1.5), v_sq=st.floats(0.05, 2.0), data=st.data())
+def test_squeezer_kernel_equals_the_public_objects_bit_for_bit(kind, mu, phi, v_sq, data):
+    loss = LOSSLESS if kind == "lossless" else data.draw(_losses())
+    s = schedule_for_mu(mu, phi, v_sq)
+    composed = compose(_public_stages(s, loss))
+    _assert_same_channel(build_lossy_squeezer(s, loss), composed)
+    _assert_same_channel(mechanical_squeezer(s, loss),
+                         mechanical_reduced_channel(composed, ancilla_state(s)))
+
+
+def test_lossy_squeezer_output_validates_one_channel_and_one_state(monkeypatch):
+    s = schedule_for_mu(SQRT2, PHI)
+    loss = LossConfig.from_q(1e6, nbar_m=100.0, epsilon=1e-3)
+    mech_in = vacuum(MECH)
+    built = []
+    for cls in (GaussianChannel, GaussianState):
+        def counted(self, check=cls.__post_init__):
+            built.append(type(self))
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    squeezer_output(s, loss, mech_in)
+    assert sorted(c.__name__ for c in built) == ["GaussianChannel", "GaussianState"]
 
 
 # -- ancilla reduction -------------------------------------------------------------
