@@ -22,7 +22,8 @@ A channel checks structure only (shape, finiteness, noise symmetry).  It may
 carry a leading batch axis (``(..., d, d)`` matrix and covariance,
 ``(..., d)`` mean), checked once per object.  The lossless constructors and
 ``compose`` broadcast over it; the loss constructors take one scalar
-:class:`LossConfig`.
+:class:`LossConfig`, and :func:`damped_evolution` also takes an array of
+times.
 
 A channel is physical when it is completely positive, which
 :func:`is_physical` tests exactly and composition preserves.  The named
@@ -311,7 +312,11 @@ class LossConfig:
 LOSSLESS = LossConfig()
 
 
-def _damped_evolution(loss: LossConfig, t: float, layout: ModeLayout) -> _Stage:
+def _damped_entries(loss: LossConfig, t: float) -> tuple[float, ...]:
+    """The mechanical block of the damped evolution over one time ``t``: map
+    entries m11, m12, m21, m22, then noise entries v11, v12, v12, v22.  Each
+    transcendental is a ``math`` call, whose result numpy's vector kernels do
+    not always reproduce."""
     if t < 0:
         raise ValueError("negative evolution time")
     gamma, omega = loss.gamma, loss.omega_m
@@ -320,10 +325,6 @@ def _damped_evolution(loss: LossConfig, t: float, layout: ModeLayout) -> _Stage:
     a = sig * omega * t
     d = math.exp(-gamma * t / 2.0)
     c, s = math.cos(a), math.sin(a)
-    i = layout.x_index("mech")
-    m = np.eye(layout.dim)
-    m[i:i + 2, i:i + 2] = d * np.array([[c + (g / sig) * s, s / sig],
-                                        [-s / sig, c - (g / sig) * s]])
     sig2 = sig * sig
     decay = math.exp(-gamma * t)
     em1 = -math.expm1(-gamma * t)  # 1 - e^(-gamma t)
@@ -332,14 +333,27 @@ def _damped_evolution(loss: LossConfig, t: float, layout: ModeLayout) -> _Stage:
     v11 = n_total / sig2 * (em1 + g * g * (decay * c2 - 1.0) - decay * g * sig * s2)
     v22 = n_total / sig2 * (em1 + g * g * (decay * c2 - 1.0) + decay * g * sig * s2)
     v12 = n_total * 2.0 * g / sig2 * decay * math.sin(a) ** 2
-    cov = np.zeros((layout.dim, layout.dim))
-    cov[i:i + 2, i:i + 2] = [[v11, v12], [v12, v22]]
-    return m, np.zeros(layout.dim), cov
+    return (d * (c + (g / sig) * s), d * (s / sig), d * (-s / sig), d * (c - (g / sig) * s),
+            v11, v12, v12, v22)
 
 
-def damped_evolution(loss: LossConfig, t: float,
-                     layout: ModeLayout = MECH) -> GaussianChannel:
+def _damped_evolution(loss: LossConfig, t, layout: ModeLayout) -> _Stage:
+    """The damped evolution stage over a float ``t`` or, batched, over every
+    element of an array ``t``."""
+    t = np.asarray(t, dtype=float)
+    blocks = np.array([_damped_entries(loss, x) for x in t.ravel().tolist()])
+    i = layout.x_index("mech")
+    stage = np.zeros(t.shape + (2, layout.dim, layout.dim))  # map, noise covariance
+    stage[..., 0, :, :] = _eye(layout.dim)
+    stage[..., i:i + 2, i:i + 2] = blocks.reshape(t.shape + (2, 2, 2))
+    return stage[..., 0, :, :], np.zeros(t.shape + (layout.dim,)), stage[..., 1, :, :]
+
+
+def damped_evolution(loss: LossConfig, t, layout: ModeLayout = MECH) -> GaussianChannel:
     """Exact channel of the damped thermal mechanics over time ``t``.
+
+    An array ``t`` gives a batch of shape ``t.shape``, every element equal bit
+    for bit to the channel of its time alone; a negative element raises.
 
     Solves Xdot = omega P, Pdot = -omega X - gamma P plus the bath's momentum
     noise, with omega, gamma and nbar_m from ``loss``.  The map carries an

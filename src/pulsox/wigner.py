@@ -16,12 +16,16 @@ Two representations share one interface (``value_at`` and ``evolve``):
 A state moves only through its ``evolve`` method.  The negativity helpers
 (:func:`eta_at`, :func:`eta_series`, :func:`half_life`) take the t = 0 state
 of either type, and multi-sample decay curves re-evolve from it at each sample
-instead of accumulating error.  Callers build that state (a cat, a Fock grid,
-or either one passed through the squeezer); the module depends only on
-``channels``.
+instead of accumulating error.  A sum evolves the samples of a curve or a
+half-life scan in blocks of up to ``ETA_BLOCK``: one batched damped channel
+and one batched sum per block, each element bit-identical to its sample's own
+:func:`eta_at`.  A grid takes one step per sample.  Callers build the t = 0
+state (a cat, a Fock grid, or either one passed through the squeezer); the
+module depends only on ``channels``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,6 +37,13 @@ from .channels import GaussianChannel, LossConfig, damped_evolution
 DEFAULT_HALF_EXTENT = 8.0
 DEFAULT_RESOLUTION = 512
 MASS_DRIFT_TOL = 1e-3
+# Samples per batched evolution of a GaussianSum in eta_series: memory stays
+# that of one block (about 200 B a sample) however long the series, and a
+# half-life scan overshoots its crossing by less than one block.
+ETA_BLOCK = 64
+# Grid rows per GaussianSum evaluation in sample: its temporaries hold every
+# term of every point, so a whole 512-point grid would take tens of MB.
+_SAMPLE_ROWS = 32
 
 
 class GridClippingError(ArithmeticError):
@@ -131,6 +142,11 @@ class GaussianSum:
     inside one exponent instead of overflowing.  One covariance is exact for
     terms that start with the same one, because a Gaussian channel's
     covariance update does not depend on the mean.
+
+    A sum may hold a batch of states that share the weights: ``means`` of
+    shape ``(..., K, 2)`` and ``cov`` of shape ``(..., 2, 2)``, as a batched
+    channel makes them.  ``value_at`` then returns an array of the batch's
+    shape, each element equal bit for bit to the value of its state alone.
     """
 
     log_weights: np.ndarray
@@ -141,10 +157,14 @@ class GaussianSum:
         log_weights = np.array(self.log_weights, dtype=complex)
         means = np.array(self.means, dtype=complex)
         cov = np.array(self.cov, dtype=float)
-        if log_weights.ndim != 1 or means.shape != (log_weights.size, 2):
+        if log_weights.ndim != 1 or means.shape[-2:] != (log_weights.size, 2):
             raise ValueError("need one complex 2-vector mean per weight")
-        if cov.shape != (2, 2) or cov[0, 0] <= 0 or np.linalg.det(cov) <= 0:
+        if (cov.shape[-2:] != (2, 2) or np.any(cov[..., 0, 0] <= 0)
+                or np.any(np.linalg.det(cov) <= 0)):
             raise ValueError("covariance must be a positive-definite 2x2 matrix")
+        if means.shape[:-2] != cov.shape[:-2]:
+            raise ValueError(f"batch shapes {means.shape[:-2]} of the means and "
+                             f"{cov.shape[:-2]} of the covariance differ")
         for name, value in (("log_weights", log_weights), ("means", means), ("cov", cov)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -165,30 +185,41 @@ class GaussianSum:
 
     def evolve(self, channel: GaussianChannel) -> "GaussianSum":
         """Exact action of a single-mode Gaussian channel on every term:
-        m -> S m + d and V -> S V S^T + N; the weights do not change."""
+        m -> S m + d and V -> S V S^T + N; the weights do not change.  A
+        batched channel or sum gives their broadcast batch."""
         if channel.layout.mode_count != 1:
             raise ValueError("the Wigner engine evolves single-mode channels")
         s = channel.matrix
-        return GaussianSum(self.log_weights, self.means @ s.T + channel.mean,
-                           s @ self.cov @ s.T + channel.cov)
+        s_t = s.swapaxes(-1, -2)
+        return GaussianSum(self.log_weights, self.means @ s_t + channel.mean[..., None, :],
+                           s @ self.cov @ s_t + channel.cov)
 
     def _values(self, x, p) -> np.ndarray:
-        inv = np.linalg.inv(self.cov)
+        """W at the points (x, p), which broadcast against the batch."""
+        inv = np.linalg.inv(self.cov)[..., None, :, :]  # shared by the K terms
+        dx = np.asarray(x)[..., None] - self.means[..., 0]
+        dp = np.asarray(p)[..., None] - self.means[..., 1]
+        quad = (inv[..., 0, 0] * dx * dx + 2.0 * inv[..., 0, 1] * dx * dp
+                + inv[..., 1, 1] * dp * dp)
         total = 0.0
-        for log_weight, (mx, mp) in zip(self.log_weights, self.means):
-            dx = x - mx
-            dp = p - mp
-            quad = inv[0, 0] * dx * dx + 2.0 * inv[0, 1] * dx * dp + inv[1, 1] * dp * dp
-            total = total + np.exp(log_weight - 0.5 * quad)
-        return np.real(total) / (2.0 * math.pi * math.sqrt(np.linalg.det(self.cov)))
+        for term in np.moveaxis(np.exp(self.log_weights - 0.5 * quad), -1, 0):
+            total = total + term  # term by term, in order, as a scalar sum adds
+        return np.real(total) / (2.0 * math.pi * np.sqrt(np.linalg.det(self.cov)))
 
-    def value_at(self, x: float, p: float) -> float:
-        return float(self._values(float(x), float(p)))
+    def value_at(self, x: float, p: float) -> float | np.ndarray:
+        """W(x, p): a float, or an array of the batch's shape for a batch."""
+        values = self._values(float(x), float(p))
+        return values if values.ndim else float(values)
 
     def sample(self, half_extent: float, resolution: int) -> WignerGrid:
         """The sum evaluated on the nodes of a grid."""
+        if self.cov.ndim != 2:
+            raise ValueError(f"a grid samples one state, not a batch of shape "
+                             f"{self.cov.shape[:-2]}")
         ax = _axis(half_extent, resolution)
-        return WignerGrid(half_extent, resolution, self._values(ax[:, None], ax[None, :]))
+        rows = [self._values(ax[i:i + _SAMPLE_ROWS, None], ax)
+                for i in range(0, resolution, _SAMPLE_ROWS)]
+        return WignerGrid(half_extent, resolution, np.concatenate(rows))
 
 
 def _bilinear(values: np.ndarray, half_extent: float, step: float,
@@ -276,6 +307,9 @@ def apply_gaussian_channel(grid: WignerGrid, channel: GaussianChannel) -> Wigner
     if channel.layout.mode_count != 1:
         raise ValueError("the Wigner engine evolves single-mode channels")
     s = channel.matrix
+    if s.ndim != 2:
+        raise ValueError(f"the grid engine evolves one channel, not a batch of shape "
+                         f"{s.shape[:-2]}")
     det = float(np.linalg.det(s))
     if abs(det) <= 1e-12:
         raise ValueError("singular channel map")
@@ -308,10 +342,14 @@ def apply_gaussian_channel(grid: WignerGrid, channel: GaussianChannel) -> Wigner
     return WignerGrid(grid.half_extent, grid.resolution, w / total)
 
 
-def negativity_eta(state: GaussianSum | WignerGrid) -> float:
-    """Normalized origin negativity max(-2 pi W(0, 0), 0), clamped to [0, 1 + 1e-6]."""
-    eta = -2.0 * math.pi * state.value_at(0.0, 0.0)
-    return min(max(eta, 0.0), 1.0 + 1e-6)
+def negativity_eta(state: GaussianSum | WignerGrid) -> float | np.ndarray:
+    """Normalized origin negativity max(-2 pi W(0, 0), 0), clamped to [0, 1 + 1e-6];
+    an array, clamped element by element, for a batch of states."""
+    eta = -2.0 * math.pi * np.asarray(state.value_at(0.0, 0.0))
+    # min(max(eta, 0.0), 1 + 1e-6) element by element, keeping -0.0 and nan as
+    # the builtins do
+    eta = np.where(0.0 > eta, 0.0, np.where(eta > 1.0 + 1e-6, 1.0 + 1e-6, eta))
+    return eta if eta.ndim else float(eta)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +396,21 @@ def eta_at(state0: GaussianSum | WignerGrid, loss: LossConfig, t: float) -> floa
 
 def eta_series(state0: GaussianSum | WignerGrid, loss: LossConfig,
                times: Sequence[float]) -> np.ndarray:
-    """eta(t) over a time grid; each sample evolves from t = 0 independently."""
-    return np.array([eta_at(state0, loss, t) for t in times])
+    """eta(t) over a time grid; each sample evolves from t = 0 independently.
+
+    A :class:`GaussianSum` evolves once per block of up to ``ETA_BLOCK``
+    samples, through one batched damped channel, so memory stays flat however
+    many samples there are; every element equals :func:`eta_at` at its time
+    bit for bit.  A :class:`WignerGrid` takes one grid step per sample.
+    """
+    times = np.asarray(times, dtype=float)
+    if isinstance(state0, WignerGrid):
+        return np.array([eta_at(state0, loss, t) for t in times.tolist()])
+    etas = np.empty(times.shape)
+    for i in range(0, times.size, ETA_BLOCK):
+        block = times[i:i + ETA_BLOCK]
+        etas[i:i + ETA_BLOCK] = negativity_eta(state0.evolve(damped_evolution(loss, block)))
+    return etas
 
 
 def half_life(state0: GaussianSum | WignerGrid, loss: LossConfig,
@@ -368,10 +419,14 @@ def half_life(state0: GaussianSum | WignerGrid, loss: LossConfig,
 
     Scans eta(t) at ``samples_per_period`` per mechanical period (each sample
     is a single exact propagation of the state from t = 0), then bisects 20
-    times between the first bracketing pair.  A state that starts below 1/2
-    (an even cat, or a heavily lossy pre-squeezed one) returns tau = 0 with
-    ``reached=True``; if eta never crosses 1/2 within ``max_periods`` the
-    horizon is returned with ``reached=False``.
+    times, with one :func:`eta_at` each, between the first sample below 1/2
+    and the one before it.  The scan of a :class:`GaussianSum` runs through
+    :func:`eta_series` one block at a time, so it stops within a block of the
+    crossing, and the result is bit-identical to a scan of one :func:`eta_at`
+    per sample.  A state that starts below 1/2 (an even cat, or a heavily
+    lossy pre-squeezed one) returns tau = 0 with ``reached=True``; if eta never
+    crosses 1/2 within ``max_periods`` the horizon is returned with
+    ``reached=False``.
     """
     if samples_per_period < 64:
         raise ValueError("need at least 64 samples per mechanical period")
@@ -381,10 +436,19 @@ def half_life(state0: GaussianSum | WignerGrid, loss: LossConfig,
     period = 2.0 * math.pi / loss.omega_m
     dt = period / samples_per_period
     horizon = max_periods * period
+    # dt, 2 dt, ... by repeated addition, in blocks; a grid steps once per
+    # sample, so it scans one sample at a time
+    times = itertools.takewhile(lambda t: t <= horizon,
+                                itertools.accumulate(itertools.repeat(dt)))
+    size = 1 if isinstance(state0, WignerGrid) else ETA_BLOCK
     t_lo = 0.0
-    t = dt
-    while t <= horizon:
-        if eta_at(state0, loss, t) < 0.5:
+    for block in iter(lambda: list(itertools.islice(times, size)), []):
+        below = np.flatnonzero(eta_series(state0, loss, block) < 0.5)
+        if below.size:
+            k = below[0]
+            t = block[k]
+            if k:
+                t_lo = block[k - 1]
             for _ in range(20):
                 t_mid = 0.5 * (t_lo + t)
                 if eta_at(state0, loss, t_mid) >= 0.5:
@@ -392,8 +456,7 @@ def half_life(state0: GaussianSum | WignerGrid, loss: LossConfig,
                 else:
                     t = t_mid
             return HalfLifeResult(0.5 * (t_lo + t), True, eta0)
-        t_lo = t
-        t += dt
+        t_lo = block[-1]
     return HalfLifeResult(horizon, False, eta0)
 
 

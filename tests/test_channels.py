@@ -155,6 +155,27 @@ def test_damped_map_converges_linearly_in_gamma():
     assert errs[0] < 2e-3 and errs[1] < 2e-4 and errs[2] < 2e-5
 
 
+@settings(max_examples=40)
+@given(q=st.floats(0.6, 1e9), nbar_m=st.floats(0.0, 1e5),
+       ts=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=1, max_size=10),
+       two_d=st.booleans(), layout=st.sampled_from([MECH, MECH_OPT]))
+def test_batched_damped_evolution_equals_the_stacked_scalar_calls(q, nbar_m, ts, two_d,
+                                                                   layout):
+    loss = LossConfig.from_q(q, nbar_m=nbar_m)
+    times = np.array(ts * 2).reshape(2, -1) if two_d else np.array(ts)
+    batch = damped_evolution(loss, times, layout)
+    alone = [damped_evolution(loss, t, layout) for t in times.ravel().tolist()]
+    d = layout.dim
+    for name, shape in (("matrix", (d, d)), ("mean", (d,)), ("cov", (d, d))):
+        stacked = np.stack([getattr(ch, name) for ch in alone])
+        assert getattr(batch, name).shape == times.shape + shape
+        assert np.array_equal(getattr(batch, name), stacked.reshape(times.shape + shape))
+    bad = times.copy()
+    bad.flat[-1] = -1e-300
+    with pytest.raises(ValueError, match="negative evolution time"):
+        damped_evolution(loss, bad, layout)
+
+
 def test_thermal_noise_zero_time():
     noise = damped_evolution(LossConfig(gamma=0.1, nbar_m=10.0), 0.0)
     assert np.allclose(noise.cov, 0.0)

@@ -341,6 +341,29 @@ def test_dominant_modulation_frequency_synthetic():
 
 # -- cat decay runner ---------------------------------------------------------------------
 
+def test_default_cat_decay_builds_a_fixed_number_of_damped_channels(monkeypatch):
+    # one damped channel per block of eta samples and per bisection step; a
+    # channel per sample would build 1,250
+    from pulsox import wigner
+    from pulsox.experiments import run_cat_decay
+
+    built = []
+    original = wigner.damped_evolution
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(wigner, "damped_evolution", counted)
+    cfg = make_config("cat-decay")
+    counts = []
+    for _ in range(2):
+        built.clear()
+        run_cat_decay(cfg)
+        counts.append(len(built))
+    assert counts == [141, 141]
+
+
 def test_cat_half_life_peaks_near_mu_opt():
     # coarse mu sweep around the fringe-symmetrizing optimum for alpha = 2
     from pulsox.experiments import run_cat_decay

@@ -15,8 +15,28 @@ from pulsox import (CatSpec, GaussianChannel, GaussianState, GaussianSum,
                     mechanical_reduced_channel, mechanical_squeezer, mu_opt,
                     negativity_eta, quadrature_scaling, rotation, schedule_for_mu,
                     wigner_cat, wigner_fock, wigner_gaussian)
+from pulsox.wigner import ETA_BLOCK, eta_at
 
 TWO_PI = 2.0 * math.pi
+CRITERION_10_LOSS = LossConfig.from_q(1e7, nbar_m=4e4, epsilon=1e-3)
+
+
+def _criterion_10_state(alpha, label):
+    """An odd cat, pre-squeezed at mu_opt ("position") or mu = 0.5 ("momentum")."""
+    mu = {"position": mu_opt(alpha), "momentum": 0.5}.get(label)
+    state0 = GaussianSum.cat(CatSpec(alpha, "odd"))
+    if mu is None:
+        return state0
+    return state0.evolve(mechanical_squeezer(schedule_for_mu(mu, math.pi / 50, 0.5),
+                                             CRITERION_10_LOSS))
+
+
+def _displaced_cat():
+    """A rotated, displaced cat.  Its means mix real and imaginary parts, so
+    the complex products in its values round, where a cat's are exact."""
+    shift = GaussianChannel(np.eye(2), [0.3, -0.2], np.zeros((2, 2)), MECH)
+    return GaussianSum.cat(CatSpec(1.0, "odd")).evolve(compose([rotation("mech", 0.4, MECH),
+                                                                shift]))
 
 
 def test_grid_requires_power_of_two():
@@ -247,6 +267,31 @@ def test_exact_sum_matches_grid_oracle(alpha, mu_pre, t):
     assert err.max() < bound
 
 
+def _scalar_scan_half_life(state0, loss, samples_per_period=64, max_periods=40.0):
+    """The half-life search with one eta_at per scan sample, as it was before
+    the scan was batched: the oracle a batched scan must match bit for bit."""
+    eta0 = negativity_eta(state0)
+    if eta0 < 0.5:
+        return HalfLifeResult(0.0, True, eta0)
+    period = 2.0 * math.pi / loss.omega_m
+    dt = period / samples_per_period
+    horizon = max_periods * period
+    t_lo = 0.0
+    t = dt
+    while t <= horizon:
+        if eta_at(state0, loss, t) < 0.5:
+            for _ in range(20):
+                t_mid = 0.5 * (t_lo + t)
+                if eta_at(state0, loss, t_mid) >= 0.5:
+                    t_lo = t_mid
+                else:
+                    t = t_mid
+            return HalfLifeResult(0.5 * (t_lo + t), True, eta0)
+        t_lo = t
+        t += dt
+    return HalfLifeResult(horizon, False, eta0)
+
+
 # Exact criterion-10 half-lives (q = 1e7, nbar_m = 4e4, epsilon = 1e-3,
 # phi = pi / 50): no pre-squeeze, position squeeze at mu_opt, momentum squeeze
 # at mu = 0.5.
@@ -255,14 +300,87 @@ def test_exact_sum_matches_grid_oracle(alpha, mu_pre, t):
     (2.0, "none", 9.975), (2.0, "position", 17.644), (2.0, "momentum", 2.209),
 ])
 def test_criterion_10_half_lives_are_pinned(alpha, label, tau):
-    loss = LossConfig.from_q(1e7, nbar_m=4e4, epsilon=1e-3)
-    mu = {"position": mu_opt(alpha), "momentum": 0.5}.get(label)
-    state0 = GaussianSum.cat(CatSpec(alpha, "odd"))
-    if mu is not None:
-        state0 = state0.evolve(mechanical_squeezer(schedule_for_mu(mu, math.pi / 50, 0.5), loss))
-    result = half_life(state0, loss)
+    state0 = _criterion_10_state(alpha, label)
+    result = half_life(state0, CRITERION_10_LOSS)
     assert result.reached
     assert result.tau == pytest.approx(tau, rel=1e-3)
+    assert result == _scalar_scan_half_life(state0, CRITERION_10_LOSS)
+
+
+@pytest.mark.parametrize("alpha,samples_per_period,max_periods", [
+    (1.0, 142, 40.0),  # a block spans less than half a period
+    (2.0, 81, 40.0),   # the crossing is the first sample of the third block
+    (2.0, 64, 3.3),    # the horizon ends inside a block, before the crossing
+])
+def test_block_scan_equals_the_scalar_scan(alpha, samples_per_period, max_periods):
+    state0 = _criterion_10_state(alpha, "none")
+    result = half_life(state0, CRITERION_10_LOSS, samples_per_period, max_periods)
+    assert result == _scalar_scan_half_life(state0, CRITERION_10_LOSS, samples_per_period,
+                                            max_periods)
+    if samples_per_period == 81:
+        dt = TWO_PI / samples_per_period
+        etas = eta_series(state0, CRITERION_10_LOSS, np.cumsum(np.full(3 * ETA_BLOCK, dt)))
+        assert np.flatnonzero(etas < 0.5)[0] == 2 * ETA_BLOCK
+
+
+@pytest.mark.parametrize("label", ["none", "position", "momentum", "displaced"])
+def test_eta_series_equals_eta_at_sample_by_sample(label):
+    state0 = _displaced_cat() if label == "displaced" else _criterion_10_state(2.0, label)
+    times = np.concatenate([[0.0], np.arange(1, 2 * ETA_BLOCK + 10) * (TWO_PI / 64)])
+    etas = eta_series(state0, CRITERION_10_LOSS, times)
+    assert etas.shape == times.shape
+    assert np.array_equal(etas, [eta_at(state0, CRITERION_10_LOSS, t) for t in times])
+
+
+def test_batched_sum_evolves_and_reads_each_state_alone():
+    state0 = _displaced_cat()
+    loss = LossConfig.from_q(1e6, nbar_m=4e4)
+    times = np.linspace(0.0, 3.0, 6).reshape(2, 3)
+    batch = state0.evolve(damped_evolution(loss, times))
+    assert batch.means.shape == (2, 3, 4, 2) and batch.cov.shape == (2, 3, 2, 2)
+    values = batch.value_at(0.4, -0.3)
+    assert values.shape == (2, 3)
+    for index, t in np.ndenumerate(times):
+        alone = state0.evolve(damped_evolution(loss, t))
+        assert np.array_equal(batch.means[index], alone.means)
+        assert np.array_equal(batch.cov[index], alone.cov)
+        assert values[index] == alone.value_at(0.4, -0.3)
+
+
+def test_batched_negativity_clamps_element_by_element():
+    # one term with W(0, 0) = -2 exp(-s^2 / 2) / (2 pi) at shift s: eta 2 is
+    # clamped to 1 + 1e-6, and at s = 40 W underflows to a zero that gives
+    # eta = -0.0, as the scalar max keeps it
+    shifts = np.array([0.0, 1.5, 3.0, 40.0])
+    means = np.stack([shifts, np.zeros(4)], axis=-1)[:, None, :]
+    covs = np.broadcast_to(np.eye(2), (4, 2, 2))
+    batch = GaussianSum([math.log(2.0) + 1j * math.pi], means, covs)
+    builtin = [min(max(-2.0 * math.pi * float(w), 0.0), 1.0 + 1e-6)
+               for w in batch.value_at(0.0, 0.0)]
+    alone = [negativity_eta(GaussianSum(batch.log_weights, m, np.eye(2))) for m in means]
+    etas = negativity_eta(batch)
+    assert etas[0] == 1.0 + 1e-6 and 0.0 < etas[2] < etas[1] < 1.0
+    for got in (etas, alone):
+        assert np.array_equal(got, builtin)
+        assert [math.copysign(1.0, e) for e in got] == [math.copysign(1.0, e) for e in builtin]
+    assert np.array_equal(negativity_eta(GaussianSum([0.0], means, covs)), np.zeros(4))
+
+
+def test_gaussian_sum_checks_every_batch_element():
+    covs = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    with pytest.raises(ValueError, match="positive-definite"):
+        GaussianSum([0.0], np.zeros((2, 1, 2)), covs)
+    with pytest.raises(ValueError, match="batch shapes"):
+        GaussianSum([0.0], np.zeros((3, 1, 2)), np.stack([np.eye(2)] * 2))
+    batch = GaussianSum([0.0], np.zeros((2, 1, 2)), np.stack([np.eye(2)] * 2))
+    with pytest.raises(ValueError, match=r"batch of shape \(2,\)"):
+        batch.sample(8.0, 64)
+
+
+def test_grid_rejects_a_batched_channel():
+    grid = wigner_cat(CatSpec(1.0, "odd"), resolution=64)
+    with pytest.raises(ValueError, match=r"batch of shape \(3,\)"):
+        grid.evolve(rotation("mech", [0.1, 0.2, 0.3], MECH))
 
 
 # -- negativity ---------------------------------------------------------------
