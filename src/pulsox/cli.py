@@ -93,7 +93,6 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                   if getattr(args, key) is not None]
     for key, value in overrides:
         config.set_key(key, value)
-    config.validate()
     return config
 
 
@@ -183,7 +182,7 @@ def cli_main(argv) -> int:
         for path in written:
             print(f"  wrote {path}")
         return 0
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ArithmeticError, OSError) as exc:

@@ -12,13 +12,16 @@ Grammar (one assignment per line; ``#`` starts a comment)::
 
 Values are parsed by the field they land in: floats, whole-number ints,
 strings, or float lists.  A float list is comma-separated values or one
-``a:b:n`` range, n values with log10 uniform on [a, b].  Unknown or malformed
-keys raise :class:`ConfigError` carrying the dotted key path.
+``a:b:n`` range, n values with log10 uniform on [a, b].  Each section field
+is the one declaration of its key: its type, its default and, for a ruled key,
+the range every value must meet.  Every numeric value must also be finite.
+Unknown, malformed or out-of-range keys raise :class:`ConfigError` carrying
+the dotted key path.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
@@ -63,97 +66,79 @@ def log_grid(spec: str) -> tuple[float, ...]:
                             f"float (about {np.finfo(float).max:.2g})") from None
 
 
-# Allowed values of each ruled key (every element, for list keys); every
-# numeric key must also be finite.  q > 1/2 is gamma < 2 omega_m: the model
-# has no overdamped mechanics.
-_RANGES = {
-    "physical.q": (lambda v: v > 0.5, "must be > 0.5 (underdamped)"),
-    "physical.omega_m": (lambda v: v > 0, "must be > 0"),
-    "physical.nbar_m": (lambda v: v >= 0, "must be >= 0"),
-    "physical.nbar_l": (lambda v: v >= 0, "must be >= 0"),
-    "physical.epsilon": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-    "physical.ancilla_vsq": (lambda v: v > 0, "must be > 0"),
-    "physical.phi": (lambda v: 0 < v < math.pi / 2, "must lie in (0, pi/2)"),
-    "sweep.mu": (lambda v: v > 0, "must be > 0"),
-    "sweep.q": (lambda v: v > 0.5, "must be > 0.5 (underdamped)"),
-    "sweep.epsilon": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-    "sweep.alpha": (lambda v: v > 0, "must be > 0"),
-    "sweep.g2_ratio": (lambda v: v >= 0, "must be >= 0"),
-    "readout.chi_ro": (lambda v: v > 0, "must be > 0"),
-    "impulse.nbar_in": (lambda v: v >= 0, "must be >= 0"),
-    "grid.resolution": (lambda v: isinstance(v, int) and v >= 4 and v & (v - 1) == 0,
-                        "must be a power of two >= 4"),
-    "grid.half_extent": (lambda v: v > 0, "must be > 0"),
-    "cat.samples_per_period": (lambda v: v >= 64, "must be >= 64"),
-    "cat.max_periods": (lambda v: v > 0, "must be > 0"),
-    "cat.series_periods": (lambda v: v > 0, "must be > 0"),
-    "cat.momentum_mu": (lambda v: v > 0, "must be > 0"),
-    "output.format": (lambda v: v in ("csv", "json"), "must be csv or json"),
-}
+def _key(default, rule, why):
+    """A ruled field: every value (every element, for a list key) must pass
+    ``rule``; ``why`` states the allowed range in the error."""
+    return field(default=default, metadata={"rule": rule, "why": why})
 
 
-def _check_value(key: str, value) -> None:
+def _check_value(key: str, value, spec: Field) -> None:
+    """Every numeric value must be finite and pass the rule ``spec`` carries."""
     values = value if isinstance(value, tuple) else (value,)
     for v in values:
         if isinstance(v, (int, float)) and not math.isfinite(v):
             raise ConfigError(key, f"{v!r} is not finite")
-    rule = _RANGES.get(key)
-    if rule is not None and not all(rule[0](v) for v in values):
-        raise ConfigError(key, f"{value!r} {rule[1]}")
+    rule = spec.metadata.get("rule")
+    if rule is not None and not all(rule(v) for v in values):
+        raise ConfigError(key, f"{value!r} {spec.metadata['why']}")
 
 
 @dataclass
 class PhysicalConfig:
     """Loss model plus the ancilla squeezing used by the squeezer."""
 
-    q: float = 1e7
-    omega_m: float = 1.0
-    nbar_m: float = 4e4
-    epsilon: float = 0.0
-    nbar_l: float = 0.0
-    ancilla_vsq: float = 0.5
-    phi: float = 2.0 * math.pi / 100.0
+    # q > 1/2 is gamma < 2 omega_m: the model has no overdamped mechanics
+    q: float = _key(1e7, lambda v: v > 0.5, "must be > 0.5 (underdamped)")
+    omega_m: float = _key(1.0, lambda v: v > 0, "must be > 0")
+    nbar_m: float = _key(4e4, lambda v: v >= 0, "must be >= 0")
+    epsilon: float = _key(0.0, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+    nbar_l: float = _key(0.0, lambda v: v >= 0, "must be >= 0")
+    ancilla_vsq: float = _key(0.5, lambda v: v > 0, "must be > 0")
+    phi: float = _key(2.0 * math.pi / 100.0, lambda v: 0 < v < math.pi / 2,
+                      "must lie in (0, pi/2)")
 
 
 @dataclass
 class SweepConfig:
-    mu: tuple[float, ...] = ()
-    q: tuple[float, ...] = ()
-    epsilon: tuple[float, ...] = ()
-    alpha: tuple[float, ...] = (1.0, 2.0)
-    g2_ratio: tuple[float, ...] = (0.0, 0.1, 0.2, 0.5, 1.0)
+    mu: tuple[float, ...] = _key((), lambda v: v > 0, "must be > 0")
+    q: tuple[float, ...] = _key((), lambda v: v > 0.5, "must be > 0.5 (underdamped)")
+    epsilon: tuple[float, ...] = _key((), lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+    alpha: tuple[float, ...] = _key((1.0, 2.0), lambda v: v > 0, "must be > 0")
+    g2_ratio: tuple[float, ...] = _key((0.0, 0.1, 0.2, 0.5, 1.0), lambda v: v >= 0,
+                                       "must be >= 0")
 
 
 @dataclass
 class ReadoutConfig:
-    chi_ro: float = 3.0
+    chi_ro: float = _key(3.0, lambda v: v > 0, "must be > 0")
 
 
 @dataclass
 class ImpulseConfig:
-    nbar_in: tuple[float, ...] = (1.0, 3.0)
+    nbar_in: tuple[float, ...] = _key((1.0, 3.0), lambda v: v >= 0, "must be >= 0")
 
 
 @dataclass
 class GridConfig:
-    resolution: int = 512
-    half_extent: float = 8.0
+    resolution: int = _key(512, lambda v: isinstance(v, int) and v >= 4 and v & (v - 1) == 0,
+                           "must be a power of two >= 4")
+    half_extent: float = _key(8.0, lambda v: v > 0, "must be > 0")
 
 
 @dataclass
 class CatConfig:
-    samples_per_period: int = 64
-    max_periods: float = 40.0
-    series_periods: float = 2.0
+    samples_per_period: int = _key(64, lambda v: v >= 64, "must be >= 64")
+    max_periods: float = _key(40.0, lambda v: v > 0, "must be > 0")
+    series_periods: float = _key(2.0, lambda v: v > 0, "must be > 0")
     series_resolution: int = 512
     tau_resolution: int = 256
-    momentum_mu: float = 0.5
+    momentum_mu: float = _key(0.5, lambda v: v > 0, "must be > 0")
 
 
 @dataclass
 class OutputConfig:
     path: str = ""
-    format: str = "csv"
+    format: str = _key("csv", lambda v: v in ("csv", "json"), "must be csv or json")
 
 
 @dataclass
@@ -180,7 +165,7 @@ class ExperimentConfig:
                     # field's own default is empty
                     if value == () and sub.default != ():
                         raise ConfigError(key, "needs at least one value")
-                    _check_value(key, value)
+                    _check_value(key, value, sub)
         if self.experiment in SINGLE_MU_EXPERIMENTS and len(self.sweep.mu) > 1:
             raise ConfigError("sweep.mu", f"{self.experiment} runs at one mu, "
                               f"got {len(self.sweep.mu)}")
@@ -208,7 +193,8 @@ class ExperimentConfig:
         target = getattr(self, section, None)
         if target is None or not hasattr(target, "__dataclass_fields__"):
             raise ConfigError(key, "unknown section")
-        if name not in {f.name for f in fields(target)}:
+        spec = target.__dataclass_fields__.get(name)
+        if spec is None:
             raise ConfigError(key, "unknown key")
         current = getattr(target, name)
         try:
@@ -225,7 +211,7 @@ class ExperimentConfig:
                 value = raw.strip()
         except (ValueError, OverflowError) as exc:
             raise ConfigError(key, f"cannot parse {raw!r}: {exc}") from None
-        _check_value(key, value)
+        _check_value(key, value, spec)
         setattr(target, name, value)
 
     def flatten(self) -> dict[str, str]:

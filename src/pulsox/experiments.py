@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .channels import (GaussianChannel, LossConfig, _compose, _qnd_xx_collective,
                        _rotation, damped_delay, qnd_xx)
-from .config import ExperimentConfig, log_grid
+from .config import ConfigError, ExperimentConfig, log_grid
 from .modes import MECH, ModeLayout, OPT
 from .squeezer import (_four_pulse, approx_photon_budget, ideal_target_map,
                        ideal_target_state, mechanical_squeezer, photon_budget,
@@ -59,6 +59,18 @@ def config_from_metadata(metadata: dict[str, str]) -> ExperimentConfig:
     return ExperimentConfig.from_items(items)
 
 
+def _labels(key: str, template: str, values) -> list[str]:
+    """``template`` filled with each value; raises ConfigError naming ``key``
+    when two values share a label, as one output would then hide the other."""
+    seen: dict[str, float] = {}
+    for value in values:
+        label = template.format(value)
+        if label in seen:
+            raise ConfigError(key, f"{seen[label]!r} and {value!r} share the label {label!r}")
+        seen[label] = value
+    return list(seen)
+
+
 def _loss(config: ExperimentConfig, *, epsilon: float | None = None) -> LossConfig:
     phys = config.physical
     return LossConfig.from_q(phys.q, nbar_m=phys.nbar_m,
@@ -87,8 +99,8 @@ def run_fidelity_sweep(config: ExperimentConfig) -> RunResult:
     q_grid = config.sweep.q or log_grid(DEFAULT_Q_GRID)
     eps_grid = config.sweep.epsilon or log_grid(DEFAULT_EPS_GRID)
     columns = ["mu", "infidelity_ideal", "classical_bound"]
-    columns += [f"infidelity_q_{q:.3e}" for q in q_grid]
-    columns += [f"infidelity_eps_{e:.3e}" for e in eps_grid]
+    columns += _labels("sweep.q", "infidelity_q_{:.3e}", q_grid)
+    columns += _labels("sweep.epsilon", "infidelity_eps_{:.3e}", eps_grid)
     losses = [LossConfig(omega_m=phys.omega_m)]
     losses += [LossConfig.from_q(q, nbar_m=phys.nbar_m, epsilon=0.0, omega_m=phys.omega_m)
                for q in q_grid]
@@ -113,6 +125,7 @@ def run_fock_squeeze(config: ExperimentConfig) -> RunResult:
     phys = config.physical
     (mu,) = config.sweep.mu or (2.0,)
     eps_grid = config.sweep.epsilon or (1e-2, 5e-2)
+    names = _labels("sweep.epsilon", "eps_{:.0e}", eps_grid)
     res = config.grid.resolution
     # a fixed factor 2 on the extent, sized for the default mu = 2: from
     # about mu = 4 (or 1/4) the anti-squeezed tails leave the grid
@@ -123,10 +136,9 @@ def run_fock_squeeze(config: ExperimentConfig) -> RunResult:
     grids = {"target": fock.evolve(ideal_target_map(mu, phys.phi)),
              "ideal": fock.evolve(mechanical_squeezer(schedule, lossless))}
     rows = [[0.0, negativity_eta(grids["ideal"])]]
-    for eps in eps_grid:
-        grid = fock.evolve(mechanical_squeezer(schedule, _loss(config, epsilon=eps)))
-        grids[f"eps_{eps:.0e}"] = grid
-        rows.append([eps, negativity_eta(grid)])
+    for name, eps in zip(names, eps_grid):
+        grids[name] = fock.evolve(mechanical_squeezer(schedule, _loss(config, epsilon=eps)))
+        rows.append([eps, negativity_eta(grids[name])])
     table = ResultTable(["epsilon", "eta"], rows, _metadata(config))
     return RunResult(tables={"fock_squeeze": table}, grids=grids,
                      summary=f"fock squeeze eta: {', '.join(f'{r[1]:.3f}' for r in rows)}")

@@ -319,10 +319,13 @@ def regime_check(g0: float, omega_m: float, kappa: float, pulse_bandwidth: float
     coupling (g0 << omega_m), pulse shorter than the period
     (omega_m << bandwidth), no cavity distortion of the pulse
     (bandwidth << kappa), and the unresolved-sideband condition
-    (omega_m << kappa).
+    (omega_m << kappa).  The margin must exceed 1, or a >= b would pass as
+    a << b.
     """
     if min(g0, omega_m, kappa, pulse_bandwidth) <= 0:
         raise ValueError("all rates must be positive")
+    if not margin > 1:
+        raise ValueError(f"margin {margin!r} must exceed 1")
 
     def check(name, small, big):
         ratio = big / small

@@ -14,12 +14,12 @@ Two representations share one interface (``value_at`` and ``evolve``):
   serves Fock states, CSV export and as a test oracle for the exact sums.
 
 A state moves only through its ``evolve`` method.  The negativity helpers
-(:func:`eta_at`, :func:`eta_series`, :func:`half_life`) take the t = 0 state
-of either type, and multi-sample decay curves re-evolve from it at each sample
-instead of accumulating error.  A sum evolves the samples of a curve or a
-half-life scan in blocks of up to ``ETA_BLOCK``: one batched damped channel
-and one batched sum per block, each element bit-identical to its sample's own
-:func:`eta_at`.  A grid takes one step per sample.  Callers build the t = 0
+evolve from the t = 0 state at each sample instead of accumulating error.
+:func:`eta_at` takes a state of either type; :func:`eta_series` and
+:func:`half_life` take the exact sum, which they evolve in blocks of up to
+``ETA_BLOCK`` samples: one batched damped channel and one batched sum per
+block, each element bit-identical to its sample's own :func:`eta_at`.  A grid
+steps one channel at a time, so they reject it.  Callers build the t = 0
 state (a cat, a Fock grid, or either one passed through the squeezer); the
 module depends only on ``channels``.
 """
@@ -394,18 +394,16 @@ def eta_at(state0: GaussianSum | WignerGrid, loss: LossConfig, t: float) -> floa
     return negativity_eta(state0.evolve(damped_evolution(loss, t)))
 
 
-def eta_series(state0: GaussianSum | WignerGrid, loss: LossConfig,
-               times: Sequence[float]) -> np.ndarray:
+def eta_series(state0: GaussianSum, loss: LossConfig, times: Sequence[float]) -> np.ndarray:
     """eta(t) over a time grid; each sample evolves from t = 0 independently.
 
-    A :class:`GaussianSum` evolves once per block of up to ``ETA_BLOCK``
-    samples, through one batched damped channel, so memory stays flat however
-    many samples there are; every element equals :func:`eta_at` at its time
-    bit for bit.  A :class:`WignerGrid` takes one grid step per sample.
+    The sum evolves once per block of up to ``ETA_BLOCK`` samples, through one
+    batched damped channel, so memory stays flat however many samples there
+    are; every element equals :func:`eta_at` at its time bit for bit.  A
+    :class:`WignerGrid` raises the grid engine's ``ValueError`` for a batched
+    channel.
     """
     times = np.asarray(times, dtype=float)
-    if isinstance(state0, WignerGrid):
-        return np.array([eta_at(state0, loss, t) for t in times.tolist()])
     etas = np.empty(times.shape)
     for i in range(0, times.size, ETA_BLOCK):
         block = times[i:i + ETA_BLOCK]
@@ -413,20 +411,20 @@ def eta_series(state0: GaussianSum | WignerGrid, loss: LossConfig,
     return etas
 
 
-def half_life(state0: GaussianSum | WignerGrid, loss: LossConfig,
+def half_life(state0: GaussianSum, loss: LossConfig,
               samples_per_period: int = 64, max_periods: float = 40.0) -> HalfLifeResult:
     """Time for the origin negativity to fall to 1/2 (absolute threshold).
 
     Scans eta(t) at ``samples_per_period`` per mechanical period (each sample
     is a single exact propagation of the state from t = 0), then bisects 20
     times, with one :func:`eta_at` each, between the first sample below 1/2
-    and the one before it.  The scan of a :class:`GaussianSum` runs through
-    :func:`eta_series` one block at a time, so it stops within a block of the
-    crossing, and the result is bit-identical to a scan of one :func:`eta_at`
-    per sample.  A state that starts below 1/2 (an even cat, or a heavily
-    lossy pre-squeezed one) returns tau = 0 with ``reached=True``; if eta never
-    crosses 1/2 within ``max_periods`` the horizon is returned with
-    ``reached=False``.
+    and the one before it.  The scan runs through :func:`eta_series` one
+    block at a time, so it stops within a block of the crossing and a
+    :class:`WignerGrid` fails as it does there; the result is bit-identical to
+    a scan of one :func:`eta_at` per sample.  A state that starts below 1/2
+    (an even cat, or a heavily lossy pre-squeezed one) returns tau = 0 with
+    ``reached=True``; if eta never crosses 1/2 within ``max_periods`` the
+    horizon is returned with ``reached=False``.
     """
     if samples_per_period < 64:
         raise ValueError("need at least 64 samples per mechanical period")
@@ -436,13 +434,11 @@ def half_life(state0: GaussianSum | WignerGrid, loss: LossConfig,
     period = 2.0 * math.pi / loss.omega_m
     dt = period / samples_per_period
     horizon = max_periods * period
-    # dt, 2 dt, ... by repeated addition, in blocks; a grid steps once per
-    # sample, so it scans one sample at a time
+    # dt, 2 dt, ... by repeated addition, in blocks
     times = itertools.takewhile(lambda t: t <= horizon,
                                 itertools.accumulate(itertools.repeat(dt)))
-    size = 1 if isinstance(state0, WignerGrid) else ETA_BLOCK
     t_lo = 0.0
-    for block in iter(lambda: list(itertools.islice(times, size)), []):
+    for block in iter(lambda: list(itertools.islice(times, ETA_BLOCK)), []):
         below = np.flatnonzero(eta_series(state0, loss, block) < 0.5)
         if below.size:
             k = below[0]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pulsox.cli import cli_main
+from pulsox.cli import _EXPERIMENT_FLAGS, cli_main
 from pulsox.config import ExperimentConfig, log_grid, parse_config_text
 from pulsox.experiments import config_from_metadata, run_experiment
 from pulsox.table import ResultTable
@@ -151,12 +151,37 @@ def test_empty_decay_series_is_validation_error(periods, tmp_path, monkeypatch, 
     (["multimode", "--set", "sweep.g2_ratio="], "sweep.g2_ratio"),
     (["impulse", "--set", "impulse.nbar_in="], "impulse.nbar_in"),
     (["cat-decay", "--set", "sweep.alpha="], "sweep.alpha"),
+    # two values whose output labels coincide would overwrite one grid or
+    # give two columns one name
+    (["fock-squeeze", "--epsilon", "0.011,0.012", "--resolution", "64"], "sweep.epsilon"),
+    (["fidelity-sweep", "--q", "1e4,1.0001e4"], "sweep.q"),
+    (["fidelity-sweep", "--epsilon", "0.1,0.1"], "sweep.epsilon"),
+    (["regime-check", "--g0", "1e7", "--omega-m", "1e6", "--kappa", "1e9",
+      "--pulse-bandwidth", "1e8", "--margin", "0"], "margin"),
 ])
 def test_rejected_option_names_its_key(args, key, tmp_path, monkeypatch, capsys):
     rc = run(args, monkeypatch, tmp_path)
     assert rc == 1
     assert key in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_every_experiment_flag_names_a_config_key():
+    keys = ExperimentConfig().flatten()
+    assert [key for _, key, _ in _EXPERIMENT_FLAGS if key not in keys] == []
+
+
+def test_one_run_validates_once(tmp_path, monkeypatch):
+    calls = []
+    validate = ExperimentConfig.validate
+
+    def counted(config):
+        calls.append(config)
+        validate(config)
+
+    monkeypatch.setattr(ExperimentConfig, "validate", counted)
+    assert run(["photon-budget", "--mu", "1,2"], monkeypatch, tmp_path) == 0
+    assert len(calls) == 1
 
 
 def test_missing_config_file(tmp_path, monkeypatch, capsys):

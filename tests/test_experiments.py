@@ -120,6 +120,7 @@ def test_validate_rejects_unknown_experiment():
     ("grid.half_extent", "0"), ("grid.resolution", "2"),
     ("grid.resolution", "500"), ("grid.resolution", "256.7"),
     ("cat.samples_per_period", "64.9"), ("output.format", "xml"),
+    ("physical.omega_m", "0"),
 ])
 def test_set_key_rejects_non_finite_and_out_of_range(key, raw):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):

@@ -470,6 +470,11 @@ def test_regime_check_pass_and_fail():
     assert "unresolved-sideband" in bad.failed()
     bad2 = regime_check(1.0, 1e6, 1e9, 1e9)
     assert "pulse-distortion" in bad2.failed()
+    assert regime_check(1.0, 1e6, 1e9, 1e8, margin=1.5).ok
+    # a margin of 1 or less would pass a >= b as a << b
+    for margin in (1.0, 0.0, -10.0, math.nan):
+        with pytest.raises(ValueError, match="margin"):
+            regime_check(1e7, 1e6, 1e9, 1e8, margin)
 
 
 # -- optimizer ---------------------------------------------------------------------

@@ -506,10 +506,21 @@ def test_half_life_with_pre_squeeze_runs():
 
 def test_eta_series_monotone_envelope():
     loss = LossConfig.from_q(1e6, nbar_m=4e4)
-    grid = wigner_cat(CatSpec(1.0, "odd"), resolution=256)
     times = np.linspace(0.5, 4.0, 6)
-    etas = eta_series(grid, loss, times)
+    etas = eta_series(GaussianSum.cat(CatSpec(1.0, "odd")), loss, times)
     assert np.all(np.diff(etas) < 0)
+
+
+def test_eta_series_and_half_life_reject_a_grid():
+    # the series and the scan evolve a block of times as one batch, which the
+    # grid engine refuses; eta_at still steps a grid one time at a time
+    loss = LossConfig.from_q(1e6, nbar_m=4e4)
+    grid = wigner_cat(CatSpec(1.0, "odd"), resolution=64)
+    with pytest.raises(ValueError, match="batch"):
+        eta_series(grid, loss, [0.5])
+    with pytest.raises(ValueError, match="batch"):
+        half_life(grid, loss)
+    assert eta_at(grid, loss, 0.5) < negativity_eta(grid)
 
 
 # -- IO -------------------------------------------------------------------------
