@@ -20,6 +20,7 @@ stay scalars shared by the whole batch.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -319,10 +320,10 @@ def regime_check(g0: float, omega_m: float, kappa: float, pulse_bandwidth: float
     coupling (g0 << omega_m), pulse shorter than the period
     (omega_m << bandwidth), no cavity distortion of the pulse
     (bandwidth << kappa), and the unresolved-sideband condition
-    (omega_m << kappa).  The margin must exceed 1, or a >= b would pass as
-    a << b.
+    (omega_m << kappa).  Every rate must be positive (NaN is rejected) and
+    the margin must exceed 1, or a >= b would pass as a << b.
     """
-    if min(g0, omega_m, kappa, pulse_bandwidth) <= 0:
+    if not all(rate > 0 for rate in (g0, omega_m, kappa, pulse_bandwidth)):
         raise ValueError("all rates must be positive")
     if not margin > 1:
         raise ValueError(f"margin {margin!r} must exceed 1")
@@ -352,58 +353,143 @@ class ScheduleOptimization:
     n_evaluations: int
 
 
+def _free_schedule(x: np.ndarray, phi: float, ancilla_vsq: float,
+                   ancilla_angle: float) -> PulseSchedule:
+    """The schedule at the optimizer coordinates ``x``: (chi1, lam, chi3) with
+    theta tied to lam and the ancilla at ``ancilla_angle``, or (chi1, lam,
+    chi3, theta, ancilla angle).  A 2-D ``x`` gives a batch, one row each."""
+    chi1, lam, chi3, *angles = x.T
+    theta, ancilla_angle = angles or (theta_for(lam, phi), ancilla_angle)
+    return PulseSchedule(chi1=chi1, lam=lam, chi3=chi3, phi=phi, theta=theta,
+                         ancilla_vsq=ancilla_vsq, ancilla_angle=ancilla_angle)
+
+
+def _infidelities(x: np.ndarray, phi: float, loss: LossConfig, ancilla_vsq: float,
+                  ancilla_angle: float, target: GaussianState) -> np.ndarray:
+    """Infidelity against ``target`` of the squeezer output on vacuum, for
+    each row of the optimizer coordinates ``x``, in one batched call.
+
+    Rows with 1 + lam chi1 tan(phi) <= 0 have no positive mu and score 1e6
+    (outside the physical branch); they are masked out before the schedule
+    is built, so they do not fail the rest of the batch.
+    """
+    values = np.full(len(x), 1e6)
+    inside = 1.0 + x[:, 1] * x[:, 0] * math.tan(phi) > 0
+    if inside.any():
+        schedule = _free_schedule(x[inside], phi, ancilla_vsq, ancilla_angle)
+        out = squeezer_output(schedule, loss, vacuum(MECH))
+        values[inside] = 1.0 - fidelity_zero_mean(out, target)
+    return values
+
+
+def _stencil(n: int) -> np.ndarray:
+    """Offsets, in units of the step, of the central-difference stencil that
+    gives the value, gradient and Hessian in n dimensions: the centre, +-e_i,
+    and the four corners +-e_i +-e_j of each pair i < j (1 + 2n + 2n(n - 1)
+    points)."""
+    eye = np.eye(n)
+    rows = [np.zeros(n), *eye, *-eye]
+    for i, j in itertools.combinations(range(n), 2):
+        rows += [eye[i] + eye[j], eye[i] - eye[j], eye[j] - eye[i], -eye[i] - eye[j]]
+    return np.array(rows)
+
+
+def _derivatives(f: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value, gradient and Hessian from the values ``f`` on ``_stencil``
+    scaled per coordinate by ``h``."""
+    n = len(h)
+    plus, minus = f[1:n + 1], f[n + 1:2 * n + 1]
+    grad = (plus - minus) / (2.0 * h)
+    hess = np.diag((plus - 2.0 * f[0] + minus) / h ** 2)
+    corners = f[2 * n + 1:].reshape(-1, 4)
+    for (i, j), (pp, pm, mp, mm) in zip(itertools.combinations(range(n), 2), corners):
+        hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * h[i] * h[j])
+    return f[0], grad, hess
+
+
+# Levenberg-Marquardt dampings, relative to the Hessian's largest curvature,
+# and the fractions of each damped Newton step tried in one candidate batch.
+_DAMPINGS = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+_STEP_LENGTHS = (1.0, 0.5, 0.1)
+_STEP_FRACTION = 1e-4     # finite-difference step, as a fraction of the box half-width
+_STEP_ATOL = 1e-10
+_MAX_ITERATIONS = 100
+
+
+def _candidates(x: np.ndarray, grad: np.ndarray, hess: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> np.ndarray:
+    """Damped Newton steps from ``x`` for every damping and step length,
+    clipped to the box [lo, hi].
+
+    Each step is -(|H| + d)^-1 g, with |H| the Hessian with its eigenvalues
+    made positive, so every step points downhill.  Coordinates held at a
+    bound by the gradient stay there and the step is taken in the others,
+    so that clipping does not bend it.
+    """
+    free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+    w, v = np.linalg.eigh(hess[np.ix_(free, free)])
+    w = np.abs(w)
+    scale = w.max(initial=0.0)
+    floor = max(np.finfo(float).eps * scale, np.finfo(float).tiny)
+    g = v.T @ grad[free]
+    steps = np.zeros((len(_DAMPINGS) * len(_STEP_LENGTHS), len(x)))
+    steps[:, free] = [-length * (v @ (g / np.maximum(w + d * scale, floor)))
+                      for d in _DAMPINGS for length in _STEP_LENGTHS]
+    return np.clip(x + steps, lo, hi)
+
+
 def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
                       ancilla_vsq: float = 0.5,
                       include_angles: bool = False) -> ScheduleOptimization:
-    """Local derivative-free re-optimization of the pulse strengths.
+    """Local damped-Newton re-optimization of the pulse strengths.
 
     Minimizes the infidelity between the squeezer output on vacuum and the
     ideal target over (chi1, lam, chi3), seeded at and box-bounded around the
-    analytic schedule, with theta and the ancilla angle tied to their analytic
-    rules.  ``include_angles=True`` frees those two as well; with the extra
-    freedom the lossless problem admits exactly unitary solutions even for a
-    finitely squeezed ancilla, so the tied mode is the default to keep the
-    optimum comparable to the analytic schedule.  Never returns anything worse
-    than the seed; ``converged`` is False if the simplex hit its 2000-iteration
-    cap.
+    analytic schedule (x0 +- max(|x0| / 2, 1/2)), with theta and the ancilla
+    angle tied to their analytic rules.  ``include_angles=True`` frees those
+    two as well; with the extra freedom the lossless problem admits exactly
+    unitary solutions even for a finitely squeezed ancilla, so the tied mode
+    is the default to keep the optimum comparable to the analytic schedule.
+
+    Each iteration makes two batched squeezer calls: a central-difference
+    stencil (19 schedules, 51 with the angles) for the value, gradient and
+    Hessian, then 18 Levenberg-Marquardt damped Newton steps clipped to the
+    box, of which the best replaces the current point if it is lower.
+    Schedules with no positive mu score 1e6.  ``converged`` is True when the
+    current point beats every candidate or the accepted step is below 1e-10,
+    and False if the 100-iteration cap stops the search first.
+    ``n_evaluations`` counts the schedules evaluated, stencil and candidate
+    rows alike.  Never returns anything worse than the seed.
     """
-    # Imported here so that importing pulsox, and so every CLI run, does not
-    # load scipy.
-    from scipy import optimize
-
     seed = schedule_for_mu(mu_target, phi, ancilla_vsq)
-    vac = vacuum(MECH)
-    target = ideal_target_state(vac, mu_target, phi)
-
-    def make(params) -> PulseSchedule:
-        if include_angles:
-            chi1, lam, chi3, theta, angle = params
-        else:
-            chi1, lam, chi3 = params
-            theta, angle = theta_for(lam, phi), seed.ancilla_angle
-        return PulseSchedule(chi1=chi1, lam=lam, chi3=chi3, phi=phi, theta=theta,
-                             ancilla_vsq=ancilla_vsq, ancilla_angle=angle)
-
-    def infidelity(params) -> float:
-        try:
-            out = squeezer_output(make(params), loss, vac)
-            return 1.0 - fidelity_zero_mean(out, target)
-        except ValueError:
-            return 1e6  # outside the physical branch
-
-    x0 = np.array([seed.chi1, seed.lam, seed.chi3])
+    target = ideal_target_state(vacuum(MECH), mu_target, phi)
+    x = np.array([seed.chi1, seed.lam, seed.chi3])
     if include_angles:
-        x0 = np.append(x0, [seed.theta, seed.ancilla_angle])
-    seed_objective = infidelity(x0)
-    span = np.maximum(0.5 * np.abs(x0), 0.5)
-    bounds = optimize.Bounds(x0 - span, x0 + span)
-    res = optimize.minimize(infidelity, x0, method="Nelder-Mead", bounds=bounds,
-                            options={"maxiter": 2000, "xatol": 1e-10, "fatol": 1e-14})
-    n_eval = int(res.nfev)
-    if res.fun <= seed_objective:
-        best, best_obj = make(res.x), float(res.fun)
-    else:
-        best, best_obj = seed, seed_objective
-    return ScheduleOptimization(schedule=best, objective=best_obj,
-                                seed_objective=seed_objective,
-                                converged=bool(res.success), n_evaluations=n_eval)
+        x = np.append(x, [seed.theta, seed.ancilla_angle])
+    span = np.maximum(0.5 * np.abs(x), 0.5)
+    lo, hi = x - span, x + span
+    h = _STEP_FRACTION * span
+    offsets = _stencil(len(x)) * h
+
+    def objective(points):
+        return _infidelities(points, phi, loss, ancilla_vsq, seed.ancilla_angle, target)
+
+    n_eval = 0
+    for _ in range(_MAX_ITERATIONS):
+        f, grad, hess = _derivatives(objective(x + offsets), h)
+        if n_eval == 0:
+            seed_objective = f
+        trial = _candidates(x, grad, hess, lo, hi)
+        values = objective(trial)
+        n_eval += len(offsets) + len(trial)
+        k = int(np.argmin(values))
+        if not values[k] < f:
+            converged = True
+            break
+        converged = np.max(np.abs(trial[k] - x)) < _STEP_ATOL
+        x, f = trial[k], values[k]
+        if converged:
+            break
+    return ScheduleOptimization(schedule=_free_schedule(x, phi, ancilla_vsq, seed.ancilla_angle),
+                                objective=float(f), seed_objective=float(seed_objective),
+                                converged=bool(converged), n_evaluations=n_eval)

@@ -419,13 +419,17 @@ def half_life(state0: GaussianSum, loss: LossConfig,
     is a single exact propagation of the state from t = 0), then bisects 20
     times, with one :func:`eta_at` each, between the first sample below 1/2
     and the one before it.  The scan runs through :func:`eta_series` one
-    block at a time, so it stops within a block of the crossing and a
-    :class:`WignerGrid` fails as it does there; the result is bit-identical to
-    a scan of one :func:`eta_at` per sample.  A state that starts below 1/2
+    block at a time, so it stops within a block of the crossing; the result
+    is bit-identical to a scan of one :func:`eta_at` per sample.  Any state
+    but a :class:`GaussianSum` is rejected before eta(0) is read, as
+    :func:`eta_series` rejects a grid.  A state that starts below 1/2
     (an even cat, or a heavily lossy pre-squeezed one) returns tau = 0 with
     ``reached=True``; if eta never crosses 1/2 within ``max_periods`` the
     horizon is returned with ``reached=False``.
     """
+    if not isinstance(state0, GaussianSum):
+        raise ValueError(f"half_life scans a batch of times, which a "
+                         f"{type(state0).__name__} cannot evolve; pass a GaussianSum")
     if samples_per_period < 64:
         raise ValueError("need at least 64 samples per mechanical period")
     eta0 = negativity_eta(state0)

@@ -75,6 +75,17 @@ def test_importing_the_cli_does_not_load_scipy_optimize():
     assert done.stdout.strip() == "False"
 
 
+def test_optimizing_a_schedule_does_not_load_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = ("import math, sys, pulsox\n"
+             "pulsox.optimize_schedule(math.sqrt(2), math.pi / 50, pulsox.LOSSLESS)\n"
+             "print('scipy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_photon_budget_prints_summary(tmp_path, monkeypatch, capsys):
     # one mu writes a one-row table, as any number of mu does
     rc = run(["photon-budget", "--mu", "1.4142", "--phi", "0.0628"],

@@ -16,6 +16,7 @@ from pulsox import (LOSSLESS, GaussianChannel, GaussianState, LossConfig, MECH, 
                     rotation, schedule_for_mu, squeezed, squeezer_output,
                     apply_channel, symplectic_form, theta_for, thermal,
                     vacuum)
+from pulsox import squeezer
 from pulsox.channels import damped_delay
 from pulsox.experiments import d_min_full
 
@@ -475,6 +476,11 @@ def test_regime_check_pass_and_fail():
     for margin in (1.0, 0.0, -10.0, math.nan):
         with pytest.raises(ValueError, match="margin"):
             regime_check(1e7, 1e6, 1e9, 1e8, margin)
+    # NaN compares false both ways, so it must not slip past "rate <= 0"
+    for rates in ((math.nan, 1e6, 1e9, 1e8), (1.0, math.nan, 1e9, 1e8),
+                  (1.0, 1e6, math.nan, 1e8), (1.0, 1e6, 1e9, math.nan)):
+        with pytest.raises(ValueError, match="positive"):
+            regime_check(*rates)
 
 
 # -- optimizer ---------------------------------------------------------------------
@@ -526,3 +532,68 @@ def test_optimizer_with_free_angles_reaches_unitary_squeezer():
                             include_angles=True)
     assert res.objective < 1e-7
     assert res.objective < res.seed_objective
+
+
+# The benchmark's optimize loss and targets, and the objectives bounded
+# Nelder-Mead reached on them; at Q = 1e4 the optimum presses lam against its
+# bound.
+BENCH_LOSS = LossConfig.from_q(1e7, nbar_m=4e4, epsilon=1e-3)
+NELDER_MEAD = [(1.0 / SQRT2, BENCH_LOSS, 3.898779598905e-3),
+               (SQRT2, BENCH_LOSS, 2.641757201202e-3),
+               (2.0, BENCH_LOSS, 5.141211266276e-3),
+               (SQRT2, LossConfig.from_q(1e4, nbar_m=4e4), 1.4032894654702e-1)]
+
+
+@pytest.mark.parametrize("mu, loss, objective", NELDER_MEAD,
+                         ids=["inv-sqrt2", "sqrt2", "2", "sqrt2-q1e4"])
+def test_optimizer_matches_nelder_mead_inside_the_box(mu, loss, objective):
+    res = optimize_schedule(mu, PHI, loss)
+    assert res.converged
+    assert res.objective == pytest.approx(objective, rel=1e-9)
+    seed = schedule_for_mu(mu, PHI)
+    x0 = np.array([seed.chi1, seed.lam, seed.chi3])
+    span = np.maximum(0.5 * np.abs(x0), 0.5)
+    x = np.array([res.schedule.chi1, res.schedule.lam, res.schedule.chi3])
+    assert np.all(x >= x0 - span) and np.all(x <= x0 + span)
+
+
+@pytest.mark.parametrize("include_angles", [False, True])
+def test_optimizer_counts_every_schedule_evaluated(monkeypatch, include_angles):
+    rows = []
+    infidelities = squeezer._infidelities
+
+    def counting(x, *args):
+        rows.append(len(x))
+        return infidelities(x, *args)
+
+    monkeypatch.setattr(squeezer, "_infidelities", counting)
+    res = optimize_schedule(SQRT2, PHI, BENCH_LOSS, include_angles=include_angles)
+    assert res.n_evaluations == sum(rows)
+    # one stencil call and one candidate call per iteration
+    stencil = 51 if include_angles else 19
+    assert rows == [stencil, 18] * (len(rows) // 2)
+
+
+def test_optimizer_iteration_cap_is_not_convergence(monkeypatch):
+    monkeypatch.setattr(squeezer, "_MAX_ITERATIONS", 1)
+    res = optimize_schedule(SQRT2, PHI, BENCH_LOSS)
+    assert not res.converged
+    assert res.n_evaluations == 19 + 18
+    assert res.objective < res.seed_objective
+
+
+def test_rows_with_no_positive_mu_score_outside_branch():
+    # row 1 has 1 + lam chi1 tan(phi) < 0; the others must still be scored
+    seed = schedule_for_mu(SQRT2, PHI)
+    target = ideal_target_state(vacuum(MECH), SQRT2, PHI)
+    x = np.array([[seed.chi1, seed.lam, seed.chi3],
+                  [10.0, -10.0, seed.chi3],
+                  [1.1 * seed.chi1, seed.lam, seed.chi3]])
+    values = squeezer._infidelities(x, PHI, BENCH_LOSS, 0.5, seed.ancilla_angle, target)
+    assert values[1] == 1e6
+    for row in (0, 2):
+        chi1, lam, chi3 = x[row]
+        s = PulseSchedule(chi1=chi1, lam=lam, chi3=chi3, phi=PHI, theta=theta_for(lam, PHI),
+                          ancilla_vsq=0.5, ancilla_angle=seed.ancilla_angle)
+        scalar = 1.0 - fidelity_zero_mean(squeezer_output(s, BENCH_LOSS, vacuum(MECH)), target)
+        assert values[row] == pytest.approx(scalar, rel=1e-14)

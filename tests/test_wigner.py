@@ -521,6 +521,11 @@ def test_eta_series_and_half_life_reject_a_grid():
     with pytest.raises(ValueError, match="batch"):
         half_life(grid, loss)
     assert eta_at(grid, loss, 0.5) < negativity_eta(grid)
+    # an even cat starts below 1/2, which must not let a grid through either
+    even = wigner_cat(CatSpec(1.0, "even"), resolution=64)
+    assert negativity_eta(even) < 0.5
+    with pytest.raises(ValueError, match="batch"):
+        half_life(even, loss)
 
 
 # -- IO -------------------------------------------------------------------------
