@@ -312,36 +312,45 @@ class LossConfig:
 LOSSLESS = LossConfig()
 
 
-def _damped_entries(loss: LossConfig, t: float) -> tuple[float, ...]:
-    """The mechanical block of the damped evolution over one time ``t``: map
-    entries m11, m12, m21, m22, then noise entries v11, v12, v12, v22.  Each
-    transcendental is a ``math`` call, whose result numpy's vector kernels do
-    not always reproduce."""
-    if t < 0:
-        raise ValueError("negative evolution time")
+def _damped_entries(loss: LossConfig, times: Sequence[float]) -> list[float]:
+    """The mechanical block of the damped evolution over each time of
+    ``times``: map entries m11, m12, m21, m22, then noise entries v11, v12,
+    v12, v22, eight floats a time, flat.  Each transcendental is a ``math``
+    call, whose result numpy's vector kernels do not always reproduce.  The
+    factors that depend on ``loss`` alone are computed once, each a leading
+    (left-to-right) part of the per-time expression it came from, so every
+    entry keeps the rounding of the one-time formula."""
     gamma, omega = loss.gamma, loss.omega_m
     sig = loss.sigma
     g = gamma / (2.0 * omega)
-    a = sig * omega * t
-    d = math.exp(-gamma * t / 2.0)
-    c, s = math.cos(a), math.sin(a)
+    sig_omega, gg, g_sig = sig * omega, g * g, g / sig
     sig2 = sig * sig
-    decay = math.exp(-gamma * t)
-    em1 = -math.expm1(-gamma * t)  # 1 - e^(-gamma t)
-    c2, s2 = math.cos(2 * a), math.sin(2 * a)
     n_total = 2.0 * loss.nbar_m + 1.0
-    v11 = n_total / sig2 * (em1 + g * g * (decay * c2 - 1.0) - decay * g * sig * s2)
-    v22 = n_total / sig2 * (em1 + g * g * (decay * c2 - 1.0) + decay * g * sig * s2)
-    v12 = n_total * 2.0 * g / sig2 * decay * math.sin(a) ** 2
-    return (d * (c + (g / sig) * s), d * (s / sig), d * (-s / sig), d * (c - (g / sig) * s),
-            v11, v12, v12, v22)
+    k_diag, k_off = n_total / sig2, n_total * 2.0 * g / sig2
+    entries = []
+    for t in times:
+        if t < 0:
+            raise ValueError("negative evolution time")
+        a = sig_omega * t
+        gt = -gamma * t
+        d = math.exp(gt / 2.0)
+        c, s = math.cos(a), math.sin(a)
+        decay = math.exp(gt)
+        em1 = -math.expm1(gt)  # 1 - e^(-gamma t)
+        c2, s2 = math.cos(2 * a), math.sin(2 * a)
+        even = em1 + gg * (decay * c2 - 1.0)
+        odd = decay * g * sig * s2
+        v12 = k_off * decay * s ** 2
+        entries += (d * (c + g_sig * s), d * (s / sig), d * (-s / sig), d * (c - g_sig * s),
+                    k_diag * (even - odd), v12, v12, k_diag * (even + odd))
+    return entries
 
 
 def _damped_evolution(loss: LossConfig, t, layout: ModeLayout) -> _Stage:
     """The damped evolution stage over a float ``t`` or, batched, over every
     element of an array ``t``."""
     t = np.asarray(t, dtype=float)
-    blocks = np.array([_damped_entries(loss, x) for x in t.ravel().tolist()])
+    blocks = np.array(_damped_entries(loss, t.ravel().tolist()))
     i = layout.x_index("mech")
     stage = np.zeros(t.shape + (2, layout.dim, layout.dim))  # map, noise covariance
     stage[..., 0, :, :] = _eye(layout.dim)

@@ -1,4 +1,5 @@
 """Gaussian channels: constructors, composition and physicality."""
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from pulsox import (LOSSLESS, GaussianChannel, LossConfig, MECH, MECH_OPT, ModeL
                     beamsplitter_loss, build_lossy_squeezer, compose, damped_evolution,
                     is_physical, qnd_pp, qnd_xx, qnd_xx_collective, rotation,
                     schedule_for_mu, symplectic_form)
+from pulsox.channels import damped_delay
 
 OMEGA2 = symplectic_form(2)
 
@@ -174,6 +176,77 @@ def test_batched_damped_evolution_equals_the_stacked_scalar_calls(q, nbar_m, ts,
     bad.flat[-1] = -1e-300
     with pytest.raises(ValueError, match="negative evolution time"):
         damped_evolution(loss, bad, layout)
+
+
+def _one_time_damped_entries(loss, t):
+    """The damped block over one time, written out per sample as it was before
+    the loss-only factors moved out of the loop over times: the oracle the
+    hoisted formula must match bit for bit."""
+    if t < 0:
+        raise ValueError("negative evolution time")
+    gamma, omega = loss.gamma, loss.omega_m
+    sig = loss.sigma
+    g = gamma / (2.0 * omega)
+    a = sig * omega * t
+    d = math.exp(-gamma * t / 2.0)
+    c, s = math.cos(a), math.sin(a)
+    sig2 = sig * sig
+    decay = math.exp(-gamma * t)
+    em1 = -math.expm1(-gamma * t)  # 1 - e^(-gamma t)
+    c2, s2 = math.cos(2 * a), math.sin(2 * a)
+    n_total = 2.0 * loss.nbar_m + 1.0
+    v11 = n_total / sig2 * (em1 + g * g * (decay * c2 - 1.0) - decay * g * sig * s2)
+    v22 = n_total / sig2 * (em1 + g * g * (decay * c2 - 1.0) + decay * g * sig * s2)
+    v12 = n_total * 2.0 * g / sig2 * decay * math.sin(a) ** 2
+    return (d * (c + (g / sig) * s), d * (s / sig), d * (-s / sig), d * (c - (g / sig) * s),
+            v11, v12, v12, v22)
+
+
+def _one_time_damped_channel(loss, t, layout):
+    """The damped evolution over one time with its block from the oracle."""
+    entries = np.reshape(_one_time_damped_entries(loss, t), (2, 2, 2))
+    i = layout.x_index("mech")
+    m, cov = np.eye(layout.dim), np.zeros((layout.dim, layout.dim))
+    m[i:i + 2, i:i + 2] = entries[0]
+    cov[i:i + 2, i:i + 2] = entries[1]
+    return GaussianChannel(m, np.zeros(layout.dim), cov, layout)
+
+
+_DAMPED_LOSSES = st.builds(
+    lambda ratio, omega, nbar_m: LossConfig(gamma=ratio * omega, omega_m=omega, nbar_m=nbar_m),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(0.1, 10.0),
+    st.floats(0.0, 1e5))
+
+
+@settings(max_examples=60)
+@given(loss=_DAMPED_LOSSES, periods=st.lists(st.floats(0.0, 40.0), max_size=20))
+def test_damped_entries_equal_the_one_time_formula_bit_for_bit(loss, periods):
+    period = 2.0 * math.pi / loss.omega_m
+    times = [0.0, 1e-6, 40.0 * period] + [x * period for x in periods]
+    batch = damped_evolution(loss, times)
+    oracle = np.array([_one_time_damped_entries(loss, t) for t in times]).reshape(-1, 2, 2, 2)
+    assert np.array_equal(batch.matrix, oracle[:, 0])
+    assert np.array_equal(batch.cov, oracle[:, 1])
+    with pytest.raises(ValueError, match="negative evolution time"):
+        damped_evolution(loss, times[:2] + [-period] + times[2:])
+
+
+@settings(max_examples=20)
+@given(loss=_DAMPED_LOSSES, epsilon=st.floats(0.0, 0.1), mu=st.floats(0.3, 3.0),
+       phi=st.floats(0.01, 1.5))
+def test_damped_delay_of_the_lossy_squeezer_equals_the_one_time_formula(loss, epsilon, mu,
+                                                                        phi):
+    loss = dataclasses.replace(loss, epsilon=epsilon)
+    oracle = _one_time_damped_channel(loss, phi / (loss.sigma * loss.omega_m), MECH_OPT)
+    delay = damped_delay(phi, loss, MECH_OPT)
+    s = schedule_for_mu(mu, phi)
+    stages = [qnd_xx(s.chi1), rotation("opt", math.pi / 2.0), qnd_xx(s.lam),
+              beamsplitter_loss(loss), oracle, qnd_xx(s.chi2_second_pulse),
+              rotation("opt", s.theta - math.pi / 2.0), qnd_xx(s.chi3)]
+    squeezer, composed = build_lossy_squeezer(s, loss), compose(stages)
+    for name in ("matrix", "mean", "cov"):
+        assert np.array_equal(getattr(delay, name), getattr(oracle, name)), name
+        assert np.array_equal(getattr(squeezer, name), getattr(composed, name)), name
 
 
 def test_thermal_noise_zero_time():

@@ -343,8 +343,9 @@ def test_dominant_modulation_frequency_synthetic():
 # -- cat decay runner ---------------------------------------------------------------------
 
 def test_default_cat_decay_builds_a_fixed_number_of_damped_channels(monkeypatch):
-    # one damped channel per block of eta samples and per bisection step; a
-    # channel per sample would build 1,250
+    # one damped channel per block of eta samples (21) and per round of four
+    # bisection steps (5 for each of the 6 half-lives); a channel per sample
+    # would build 1,250, and one per bisection step 141
     from pulsox import wigner
     from pulsox.experiments import run_cat_decay
 
@@ -362,7 +363,7 @@ def test_default_cat_decay_builds_a_fixed_number_of_damped_channels(monkeypatch)
         built.clear()
         run_cat_decay(cfg)
         counts.append(len(built))
-    assert counts == [141, 141]
+    assert counts == [51, 51]
 
 
 def test_cat_half_life_peaks_near_mu_opt():

@@ -323,6 +323,44 @@ def test_block_scan_equals_the_scalar_scan(alpha, samples_per_period, max_period
         assert np.flatnonzero(etas < 0.5)[0] == 2 * ETA_BLOCK
 
 
+def test_bisection_tree_from_a_crossing_at_the_first_sample():
+    # the cat falls below 1/2 before the first sample, so the bracket starts
+    # at t_lo = 0
+    loss = LossConfig.from_q(1e5, nbar_m=4e4)
+    state0 = GaussianSum.cat(CatSpec(2.0, "odd"))
+    dt = TWO_PI / 64
+    assert negativity_eta(state0) >= 0.5 > eta_at(state0, loss, dt)
+    result = half_life(state0, loss)
+    assert result.reached and 0.0 < result.tau < dt
+    assert result == _scalar_scan_half_life(state0, loss)
+
+
+def test_bisection_tree_of_a_displaced_cat():
+    state0 = _displaced_cat()
+    result = half_life(state0, CRITERION_10_LOSS)
+    assert result.reached
+    assert result == _scalar_scan_half_life(state0, CRITERION_10_LOSS)
+
+
+def test_bisection_tree_after_a_lossy_pre_squeeze():
+    loss = LossConfig.from_q(3e6, nbar_m=1e4, epsilon=5e-3)
+    cat = GaussianSum.cat(CatSpec(1.5, "odd"))
+    state0 = cat.evolve(mechanical_squeezer(schedule_for_mu(1.7, math.pi / 50, 0.5), loss))
+    result = half_life(state0, loss)
+    assert result.reached
+    assert result == _scalar_scan_half_life(state0, loss)
+
+
+@settings(max_examples=10)
+@given(alpha=st.floats(0.5, 2.5), mu_pre=st.floats(0.3, 3.0),
+       log_q=st.floats(5.0, 8.0))
+def test_bisection_tree_equals_the_scalar_bisection(alpha, mu_pre, log_q):
+    loss = LossConfig.from_q(10.0 ** log_q, nbar_m=4e4, epsilon=1e-3)
+    cat = GaussianSum.cat(CatSpec(alpha, "odd"))
+    state0 = cat.evolve(mechanical_squeezer(schedule_for_mu(mu_pre, math.pi / 50, 0.5), loss))
+    assert half_life(state0, loss) == _scalar_scan_half_life(state0, loss)
+
+
 @pytest.mark.parametrize("label", ["none", "position", "momentum", "displaced"])
 def test_eta_series_equals_eta_at_sample_by_sample(label):
     state0 = _displaced_cat() if label == "displaced" else _criterion_10_state(2.0, label)
