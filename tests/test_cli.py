@@ -1,4 +1,5 @@
 """Command-line interface behavior and output files."""
+import multiprocessing
 import os
 import re
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from pulsox import cli
 from pulsox.cli import _EXPERIMENT_FLAGS, cli_main
 from pulsox.config import ExperimentConfig, log_grid, parse_config_text
 from pulsox.experiments import config_from_metadata, run_experiment
@@ -66,24 +68,31 @@ def test_readme_config_example_loads():
     assert config.sweep.q == log_grid("4:7:7")
 
 
-def test_importing_the_cli_does_not_load_scipy_optimize():
+def probe(code):
+    """Standard output of ``code`` run in a fresh interpreter that imports ./src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    probe = "import sys, pulsox.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_importing_the_cli_does_not_load_scipy_optimize():
+    assert probe("import sys, pulsox.cli; print('scipy.optimize' in sys.modules)") == "False"
 
 
 def test_optimizing_a_schedule_does_not_load_scipy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    probe = ("import math, sys, pulsox\n"
-             "pulsox.optimize_schedule(math.sqrt(2), math.pi / 50, pulsox.LOSSLESS)\n"
-             "print('scipy' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    assert probe("import math, sys, pulsox\n"
+                 "pulsox.optimize_schedule(math.sqrt(2), math.pi / 50, pulsox.LOSSLESS)\n"
+                 "print('scipy' in sys.modules)") == "False"
+
+
+def test_a_table_only_run_does_not_load_multiprocessing(tmp_path):
+    # the grid writers import it; a run that writes no grid pays nothing
+    code = ("import sys, pulsox.cli\n"
+            f"pulsox.cli.cli_main(['photon-budget', '--output', {str(tmp_path / 'b')!r}])\n"
+            "print('multiprocessing' in sys.modules)")
+    assert probe(code).splitlines()[-1] == "False"
 
 
 def test_photon_budget_prints_summary(tmp_path, monkeypatch, capsys):
@@ -257,3 +266,92 @@ def test_byte_identical_rerun(tmp_path, monkeypatch):
     echoed = config_from_metadata(ResultTable.from_csv(first.decode()).metadata)
     assert len(echoed.sweep.mu) == 5
     assert run_experiment(echoed).tables["photon_budget"].to_csv().encode() == first
+
+
+FOCK_GRIDS = ("target", "ideal", "eps_1e-02", "eps_5e-02")  # the order of the grid jobs
+FOCK_SMALL = ["fock-squeeze", "--resolution", "64"]
+
+
+# None keeps this machine's count; 2 and 4 fork 1 and 3 writers on any machine
+@pytest.mark.parametrize("cpus", [None, 2, len(FOCK_GRIDS)])
+def test_grid_files_do_not_depend_on_the_cpu_count(cpus, tmp_path, monkeypatch, capfd):
+    serial, forked = tmp_path / "serial", tmp_path / "forked"
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert run(FOCK_SMALL, monkeypatch, serial) == 0
+    monkeypatch.undo()
+    if cpus is not None:
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    assert run(FOCK_SMALL, monkeypatch, forked) == 0
+    names = ["fock_squeeze.csv"] + [f"fock_squeeze_grid_{g}.csv" for g in FOCK_GRIDS]
+    assert sorted(p.name for p in forked.iterdir()) == sorted(names)
+    for name in names:
+        assert (forked / name).read_bytes() == (serial / name).read_bytes(), name
+    # a forked writer never flushes a copy of the parent's buffered stdout
+    lines = capfd.readouterr().out.splitlines()
+    for directory in (serial, forked):
+        for name in names:
+            assert lines.count(f"  wrote {directory / name}") == 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("grid", ["target", "ideal"])  # the parent's share, a child's share
+def test_a_failed_grid_write_exits_2_and_names_its_path(grid, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    blocked = tmp_path / f"fock_squeeze_grid_{grid}.csv"
+    blocked.mkdir()
+    assert run(FOCK_SMALL, monkeypatch, tmp_path) == 2
+    assert str(blocked) in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_a_writer_that_dies_without_a_word_exits_2_and_names_its_paths(tmp_path, monkeypatch,
+                                                                        capsys):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    write = cli.grid_to_csv
+
+    def dying(grid, path):
+        if path.name.endswith("_ideal.csv"):
+            os._exit(3)
+        write(grid, path)
+
+    monkeypatch.setattr(cli, "grid_to_csv", dying)
+    assert run(FOCK_SMALL, monkeypatch, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "exited with code 3" in err
+    assert str(tmp_path / "fock_squeeze_grid_ideal.csv") in err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("raised,code", [(ValueError("bad grid"), 1),
+                                         (ArithmeticError("overflow"), 2)])
+def test_a_childs_error_keeps_its_exit_code(raised, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    write = cli.grid_to_csv
+
+    def failing(grid, path):
+        if path.name.endswith("_ideal.csv"):
+            raise raised
+        write(grid, path)
+
+    monkeypatch.setattr(cli, "grid_to_csv", failing)
+    assert run(FOCK_SMALL, monkeypatch, tmp_path) == code
+    assert str(raised) in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_in_the_parent_joins_the_children(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    parent, write = os.getpid(), cli.grid_to_csv
+
+    def interrupted(grid, path):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        write(grid, path)
+
+    monkeypatch.setattr(cli, "grid_to_csv", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(FOCK_SMALL, monkeypatch, tmp_path)
+    assert multiprocessing.active_children() == []
+    # the child's share was written in full before the interrupt went on
+    for grid in FOCK_GRIDS[1::2]:
+        assert grid_from_csv(tmp_path / f"fock_squeeze_grid_{grid}.csv").resolution == 64
