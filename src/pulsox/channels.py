@@ -9,18 +9,15 @@ evolution) complete the missing commutator with their noise.  All values are
 immutable, every operation is a pure function, and :func:`compose` is the one
 way to chain them.
 
-Under the channel type sits a private layer of raw stages: a stage is the
-``(matrix, mean, cov)`` triple of arrays a channel would hold, and a noiseless
-stage carries the shared ``_zero_noise(d)`` pair.  The arithmetic of every
-stage the squeezer protocols chain, and of the composition, is written once
-as a function on stages; the public constructors and :func:`compose` wrap its
-result in one :class:`GaussianChannel`.  A caller that chains many stages
-into one result (the squeezer) works on stages and builds, and so validates,
-only that result.
+Input is checked where it enters.  A ``GaussianChannel(...)`` built from
+outside arrays checks structure (shape, finiteness, noise symmetry).  The
+named constructors check their scalar input and build their channel with
+``_built``, which checks nothing, since its arrays are valid by construction;
+noiseless ones share the ``_zero_noise(d)`` pair.  :func:`compose` checks
+layouts and the finiteness of its result.
 
-A channel checks structure only (shape, finiteness, noise symmetry).  It may
-carry a leading batch axis (``(..., d, d)`` matrix and covariance,
-``(..., d)`` mean), checked once per object.  The lossless constructors and
+A channel may carry a leading batch axis (``(..., d, d)`` matrix and
+covariance, ``(..., d)`` mean).  The lossless constructors and
 ``compose`` broadcast over it; the loss constructors take one scalar
 :class:`LossConfig`, and :func:`damped_evolution` also takes an array of
 times.
@@ -29,7 +26,8 @@ A channel is physical when it is completely positive, which
 :func:`is_physical` tests exactly and composition preserves.  The named
 constructors guarantee that, the loss ones through the rules of the
 :class:`LossConfig` they take, except for the momentum-damped delay at low
-bath occupancy, which ``ExperimentConfig.validate`` rejects.
+bath occupancy, which ``ExperimentConfig.validate`` rejects over the
+squeezer's delay and over cat-decay's first sample time.
 """
 from __future__ import annotations
 
@@ -121,9 +119,6 @@ class GaussianChannel:
         if not np.isfinite(m).all():
             raise ValueError("map contains non-finite entries")
         object.__setattr__(self, "matrix", _frozen(m))
-        zero_mean, zero_cov = _zero_noise(d)
-        if self.mean is zero_mean and self.cov is zero_cov:  # shared, already checked
-            return
         mean, cov = _checked_moments(self.mean, self.cov, d, "noise", m.shape[:-2])
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -143,12 +138,28 @@ class GaussianChannel:
         return self.matrix[..., i:i + 2, j:j + 2].copy()
 
 
-# A raw stage: the (matrix, mean, cov) arrays of one channel, unvalidated.
-_Stage = tuple[np.ndarray, np.ndarray, np.ndarray]
+def _built(m: np.ndarray, mean: np.ndarray, cov: np.ndarray,
+           layout: ModeLayout) -> GaussianChannel:
+    """The channel of float arrays that are valid by construction, frozen in
+    place and not checked."""
+    for a in (m, mean, cov):
+        if a.flags.writeable:
+            a.flags.writeable = False
+    channel = object.__new__(GaussianChannel)
+    channel.__dict__.update(matrix=m, mean=mean, cov=cov, layout=layout)
+    return channel
 
 
-def _noiseless(m: np.ndarray) -> _Stage:
-    return (m, *_zero_noise(m.shape[-1]))
+def _noiseless(m: np.ndarray, layout: ModeLayout) -> GaussianChannel:
+    return _built(m, *_zero_noise(m.shape[-1]), layout)
+
+
+def _finite(values, what: str) -> np.ndarray:
+    """``values`` as a float array; a non-finite entry raises, naming ``what``."""
+    values = np.asarray(values, dtype=float)
+    if not (np.isfinite(values).all() if values.ndim else math.isfinite(values)):
+        raise ValueError(f"non-finite {what}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -161,42 +172,25 @@ _PP = ((MECH_OPT.x_index("opt"), MECH_OPT.p_index("mech")),
        (MECH_OPT.x_index("mech"), MECH_OPT.p_index("opt")))
 
 
-def _qnd(chi, entries: Sequence[tuple[int, int]]) -> _Stage:
+def _qnd(chi, entries: Sequence[tuple[int, int]]) -> GaussianChannel:
     """Identity on (mech, opt) with ``chi`` at each (row, column) of ``entries``."""
-    chi = np.asarray(chi, dtype=float)
+    chi = _finite(chi, "pulse strength")
     m = _identity(chi.shape, MECH_OPT.dim)
     for i, j in entries:
         m[..., i, j] = chi
-    return _noiseless(m)
-
-
-def _qnd_xx(chi) -> _Stage:
-    return _qnd(chi, _XX)
+    return _noiseless(m, MECH_OPT)
 
 
 def qnd_xx(chi) -> GaussianChannel:
     """Position-position QND pulse on (mech, opt): both X unchanged,
     P_opt += chi X_mech, P_mech += chi X_opt.  An array ``chi`` gives a batch."""
-    return GaussianChannel(*_qnd_xx(chi), MECH_OPT)
+    return _qnd(chi, _XX)
 
 
 def qnd_pp(chi) -> GaussianChannel:
     """Momentum-momentum QND pulse on (mech, opt): both P unchanged,
     X_opt += chi P_mech, X_mech += chi P_opt.  An array ``chi`` gives a batch."""
-    return GaussianChannel(*_qnd(chi, _PP), MECH_OPT)
-
-
-def _rotation(mode: str, angle, layout: ModeLayout) -> _Stage:
-    angle = np.asarray(angle, dtype=float)
-    if not np.isfinite(angle).all():
-        raise ValueError("non-finite rotation angle")
-    c, s = np.cos(angle), np.sin(angle)
-    m = _identity(angle.shape, layout.dim)
-    i = layout.x_index(mode)
-    m[..., i, i] = m[..., i + 1, i + 1] = c
-    m[..., i, i + 1] = s
-    m[..., i + 1, i] = -s
-    return _noiseless(m)
+    return _qnd(chi, _PP)
 
 
 def rotation(mode: str, angle, layout: ModeLayout = MECH_OPT) -> GaussianChannel:
@@ -207,26 +201,43 @@ def rotation(mode: str, angle, layout: ModeLayout = MECH_OPT) -> GaussianChannel
     P -> -X.  Free mechanical evolution through an angle ``omega * t`` uses the
     same convention (it is the zero-damping limit of :func:`damped_evolution`).
     """
-    return GaussianChannel(*_rotation(mode, angle, layout), layout)
+    angle = _finite(angle, "rotation angle")
+    c, s = np.cos(angle), np.sin(angle)
+    m = _identity(angle.shape, layout.dim)
+    i = layout.x_index(mode)
+    m[..., i, i] = m[..., i + 1, i + 1] = c
+    m[..., i, i + 1] = s
+    m[..., i + 1, i] = -s
+    return _noiseless(m, layout)
 
 
 def quadrature_scaling(sx, sp, mode: str = "mech",
                        layout: ModeLayout = MECH) -> GaussianChannel:
     """diag(sx, sp) on one mode; symplectic iff sx * sp = 1.  Arrays give a batch."""
-    sx, sp = np.broadcast_arrays(np.asarray(sx, dtype=float), np.asarray(sp, dtype=float))
+    sx, sp = np.broadcast_arrays(_finite(sx, "quadrature scaling"),
+                                 _finite(sp, "quadrature scaling"))
     m = _identity(sx.shape, layout.dim)
     i = layout.x_index(mode)
     m[..., i, i] = sx
     m[..., i + 1, i + 1] = sp
-    return GaussianChannel(*_noiseless(m), layout)
+    return _noiseless(m, layout)
 
 
-def _qnd_xx_collective(couplings: Sequence[float], chi_total: float,
-                       layout: ModeLayout) -> _Stage:
+def qnd_xx_collective(couplings: Sequence[float], chi_total: float,
+                      layout: ModeLayout) -> GaussianChannel:
+    """X-X QND pulse addressing every mechanical mode of ``layout`` (all modes
+    but ``"opt"``, in layout order) through the optical mode.
+
+    The optical phase picks up the coupling-weighted collective position
+    chi_total * (sum_j g_j X_j) / (sum_j g_j), and each mechanical momentum
+    receives its share chi_j = chi_total * g_j / sum(g) of the back-action, so
+    the collective (X, P) pair stays canonically conjugate.  With a single
+    mechanical mode this reduces to :func:`qnd_xx`.
+    """
     if not math.isfinite(chi_total):
         raise ValueError("non-finite pulse strength")
     mech_modes = [lab for lab in layout.labels if lab != "opt"]
-    g = np.asarray(couplings, dtype=float)
+    g = _finite(couplings, "coupling")
     if len(mech_modes) < 1:
         raise ValueError("need at least one mechanical mode")
     if g.shape != (len(mech_modes),):
@@ -242,21 +253,7 @@ def _qnd_xx_collective(couplings: Sequence[float], chi_total: float,
         chi_j = chi_total * gj / total
         m[layout.p_index(lab), layout.x_index("opt")] += chi_j
         m[ip_l, layout.x_index(lab)] += chi_j
-    return _noiseless(m)
-
-
-def qnd_xx_collective(couplings: Sequence[float], chi_total: float,
-                      layout: ModeLayout) -> GaussianChannel:
-    """X-X QND pulse addressing every mechanical mode of ``layout`` (all modes
-    but ``"opt"``, in layout order) through the optical mode.
-
-    The optical phase picks up the coupling-weighted collective position
-    chi_total * (sum_j g_j X_j) / (sum_j g_j), and each mechanical momentum
-    receives its share chi_j = chi_total * g_j / sum(g) of the back-action, so
-    the collective (X, P) pair stays canonically conjugate.  With a single
-    mechanical mode this reduces to :func:`qnd_xx`.
-    """
-    return GaussianChannel(*_qnd_xx_collective(couplings, chi_total, layout), layout)
+    return _noiseless(m, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +312,12 @@ LOSSLESS = LossConfig()
 def _damped_entries(loss: LossConfig, times: Sequence[float]) -> list[float]:
     """The mechanical block of the damped evolution over each time of
     ``times``: map entries m11, m12, m21, m22, then noise entries v11, v12,
-    v12, v22, eight floats a time, flat.  Each transcendental is a ``math``
-    call, whose result numpy's vector kernels do not always reproduce.  The
-    factors that depend on ``loss`` alone are computed once, each a leading
-    (left-to-right) part of the per-time expression it came from, so every
-    entry keeps the rounding of the one-time formula."""
+    v12, v22, eight floats a time, flat; a negative or non-finite time
+    raises.  Each transcendental is a ``math`` call, whose result numpy's
+    vector kernels do not always reproduce.  The factors that depend on
+    ``loss`` alone are computed once, each a leading (left-to-right) part of
+    the per-time expression it came from, so every entry keeps the rounding
+    of the one-time formula."""
     gamma, omega = loss.gamma, loss.omega_m
     sig = loss.sigma
     g = gamma / (2.0 * omega)
@@ -329,8 +327,8 @@ def _damped_entries(loss: LossConfig, times: Sequence[float]) -> list[float]:
     k_diag, k_off = n_total / sig2, n_total * 2.0 * g / sig2
     entries = []
     for t in times:
-        if t < 0:
-            raise ValueError("negative evolution time")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"{'negative' if t < 0 else 'non-finite'} evolution time")
         a = sig_omega * t
         gt = -gamma * t
         d = math.exp(gt / 2.0)
@@ -346,23 +344,12 @@ def _damped_entries(loss: LossConfig, times: Sequence[float]) -> list[float]:
     return entries
 
 
-def _damped_evolution(loss: LossConfig, t, layout: ModeLayout) -> _Stage:
-    """The damped evolution stage over a float ``t`` or, batched, over every
-    element of an array ``t``."""
-    t = np.asarray(t, dtype=float)
-    blocks = np.array(_damped_entries(loss, t.ravel().tolist()))
-    i = layout.x_index("mech")
-    stage = np.zeros(t.shape + (2, layout.dim, layout.dim))  # map, noise covariance
-    stage[..., 0, :, :] = _eye(layout.dim)
-    stage[..., i:i + 2, i:i + 2] = blocks.reshape(t.shape + (2, 2, 2))
-    return stage[..., 0, :, :], np.zeros(t.shape + (layout.dim,)), stage[..., 1, :, :]
-
-
 def damped_evolution(loss: LossConfig, t, layout: ModeLayout = MECH) -> GaussianChannel:
     """Exact channel of the damped thermal mechanics over time ``t``.
 
     An array ``t`` gives a batch of shape ``t.shape``, every element equal bit
-    for bit to the channel of its time alone; a negative element raises.
+    for bit to the channel of its time alone; a negative or non-finite element
+    raises.
 
     Solves Xdot = omega P, Pdot = -omega X - gamma P plus the bath's momentum
     noise, with omega, gamma and nbar_m from ``loss``.  The map carries an
@@ -379,20 +366,28 @@ def damped_evolution(loss: LossConfig, t, layout: ModeLayout = MECH) -> Gaussian
     channel is not completely positive unless roughly (2 nbar_m + 1) omega t
     exceeds sqrt(3).
     """
-    return GaussianChannel(*_damped_evolution(loss, t, layout), layout)
-
-
-def _damped_delay(phi: float, loss: LossConfig, layout: ModeLayout) -> _Stage:
-    return _damped_evolution(loss, phi / (loss.sigma * loss.omega_m), layout)
+    t = np.asarray(t, dtype=float)
+    blocks = np.array(_damped_entries(loss, t.ravel().tolist()))
+    if not np.isfinite(blocks).all():  # (2 nbar_m + 1) / sigma^2 near the float range
+        raise ValueError(f"nbar_m = {loss.nbar_m!r} overflows the damped noise")
+    i = layout.x_index("mech")
+    buffer = np.zeros(t.shape + (2, layout.dim, layout.dim))  # map, noise covariance
+    buffer[..., 0, :, :] = _eye(layout.dim)
+    buffer[..., i:i + 2, i:i + 2] = blocks.reshape(t.shape + (2, 2, 2))
+    return _built(buffer[..., 0, :, :], np.zeros(t.shape + (layout.dim,)),
+                  buffer[..., 1, :, :], layout)
 
 
 def damped_delay(phi: float, loss: LossConfig, layout: ModeLayout = MECH) -> GaussianChannel:
     """Damped thermal evolution of the mechanics while it rotates through
     phi, which takes t = phi / (sigma * omega_m)."""
-    return GaussianChannel(*_damped_delay(phi, loss, layout), layout)
+    return damped_evolution(loss, phi / (loss.sigma * loss.omega_m), layout)
 
 
-def _beamsplitter_loss(loss: LossConfig) -> _Stage:
+def beamsplitter_loss(loss: LossConfig) -> GaussianChannel:
+    """Beamsplitter loss on the light of (mech, opt): both optical quadratures
+    scaled by sqrt(1 - epsilon), with thermal noise of variance
+    epsilon * (2 nbar_l + 1) coupled in."""
     layout = MECH_OPT
     amp = math.sqrt(1.0 - loss.epsilon)
     m = np.eye(layout.dim)
@@ -400,14 +395,7 @@ def _beamsplitter_loss(loss: LossConfig) -> _Stage:
     m[i, i] = m[i + 1, i + 1] = amp
     cov = np.zeros((layout.dim, layout.dim))
     cov[i, i] = cov[i + 1, i + 1] = loss.epsilon * (2.0 * loss.nbar_l + 1.0)
-    return m, np.zeros(layout.dim), cov
-
-
-def beamsplitter_loss(loss: LossConfig) -> GaussianChannel:
-    """Beamsplitter loss on the light of (mech, opt): both optical quadratures
-    scaled by sqrt(1 - epsilon), with thermal noise of variance
-    epsilon * (2 nbar_l + 1) coupled in."""
-    return GaussianChannel(*_beamsplitter_loss(loss), MECH_OPT)
+    return _built(m, np.zeros(layout.dim), cov, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -417,20 +405,6 @@ def beamsplitter_loss(loss: LossConfig) -> GaussianChannel:
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product over broadcast batch axes."""
     return (m @ v[..., None])[..., 0]
-
-
-def _compose(stages: Sequence[_Stage]) -> _Stage:
-    d = stages[0][0].shape[-1]
-    zero_mean, zero_cov = _zero_noise(d)
-    m_tot, mean_tot, cov_tot = np.eye(d), zero_mean, zero_cov
-    for m, mean, cov in stages:
-        m_tot = m @ m_tot
-        if cov_tot is not zero_cov or cov is not zero_cov:
-            cov_tot = m @ cov_tot @ _transpose(m) + cov
-            mean_tot = _apply(m, mean_tot) + mean
-    if cov_tot is zero_cov:
-        return m_tot, zero_mean, zero_cov
-    return m_tot, mean_tot, 0.5 * (cov_tot + _transpose(cov_tot))
 
 
 def compose(channels: Iterable[GaussianChannel]) -> GaussianChannel:
@@ -446,10 +420,23 @@ def compose(channels: Iterable[GaussianChannel]) -> GaussianChannel:
     if not channels:
         raise ValueError("nothing to compose")
     layout = channels[0].layout
-    if any(ch.layout != layout for ch in channels):
+    if any(ch.layout is not layout and ch.layout != layout for ch in channels):
         raise ValueError("layout mismatch in channel composition")
-    return GaussianChannel(*_compose([(ch.matrix, ch.mean, ch.cov) for ch in channels]),
-                           layout)
+    d = layout.dim
+    zero_mean, zero_cov = _zero_noise(d)
+    m_tot, mean_tot, cov_tot = np.eye(d), zero_mean, zero_cov
+    for ch in channels:
+        m = ch.matrix
+        m_tot = m @ m_tot
+        if cov_tot is not zero_cov or ch.cov is not zero_cov:
+            cov_tot = m @ cov_tot @ _transpose(m) + ch.cov
+            mean_tot = _apply(m, mean_tot) + ch.mean
+    if cov_tot is not zero_cov:
+        cov_tot = 0.5 * (cov_tot + _transpose(cov_tot))
+    if not (np.isfinite(m_tot).all() and np.isfinite(mean_tot).all()
+            and np.isfinite(cov_tot).all()):
+        raise ValueError("composed channel contains non-finite entries")
+    return _built(m_tot, mean_tot, cov_tot, layout)
 
 
 def is_physical(channel: GaussianChannel) -> bool:
@@ -459,8 +446,10 @@ def is_physical(channel: GaussianChannel) -> bool:
     state, including the halves of entangled ones, to a physical state.  For
     one mode it reads N >= 0 and det N >= (1 - det M)^2.  The tolerance is
     ``CP_RTOL`` (64 machine epsilons) times the size of the terms: 1, the
-    2N-term sums of M Omega M^T (each at most max|M|^2) and max|N|.  A batch
-    is physical when every element is, each against its own tolerance.
+    2N-term sums of M Omega M^T (each at most max|M|^2) and max|N|.  That
+    size is at least 1, so the tolerance has an absolute floor: a violation
+    smaller than ``CP_RTOL`` (about 1.4e-14) always passes.  A batch is
+    physical when every element is, each against its own tolerance.
     """
     omega = symplectic_form(channel.layout.mode_count)
     m = channel.matrix

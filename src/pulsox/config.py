@@ -25,7 +25,7 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .channels import LossConfig, damped_delay, is_physical
+from .channels import LossConfig, damped_delay, damped_evolution, is_physical
 
 EXPERIMENTS = ("fidelity-sweep", "fock-squeeze", "impulse", "cat-decay",
                "multimode", "photon-budget")
@@ -180,6 +180,14 @@ class ExperimentConfig:
                 raise ConfigError("physical.nbar_m", f"{phys.nbar_m!r} leaves the damped delay "
                                   f"at q={q!r}, phi={phys.phi!r} not completely positive "
                                   "(momentum damping needs about (2 nbar_m + 1) phi >= sqrt(3))")
+        if self.experiment == "cat-decay":  # its scan and series start one sample in
+            loss = LossConfig.from_q(phys.q, nbar_m=phys.nbar_m, omega_m=phys.omega_m)
+            t = 2.0 * math.pi / phys.omega_m / self.cat.samples_per_period
+            if not is_physical(damped_evolution(loss, t)):
+                raise ConfigError("physical.nbar_m", f"{phys.nbar_m!r} leaves the damped "
+                                  f"evolution over the first cat-decay sample, t={t!r}, at "
+                                  f"q={phys.q!r} not completely positive (momentum damping "
+                                  "needs about (2 nbar_m + 1) omega_m t >= sqrt(3))")
 
     # -- flat key-value view -------------------------------------------------
 

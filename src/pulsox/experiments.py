@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channels import (GaussianChannel, LossConfig, _compose, _qnd_xx_collective,
-                       _rotation, damped_delay, qnd_xx)
+from .channels import (LossConfig, compose, damped_delay, qnd_xx, qnd_xx_collective,
+                       rotation)
 from .config import ConfigError, ExperimentConfig, log_grid
 from .modes import MECH, ModeLayout, OPT
 from .squeezer import (_four_pulse, approx_photon_budget, ideal_target_map,
@@ -325,11 +325,10 @@ def run_multimode(config: ExperimentConfig) -> RunResult:
         scale = 1.0 + ratio
 
         def pulse(chi):
-            return _qnd_xx_collective(couplings, chi * scale, layout)
+            return qnd_xx_collective(couplings, chi * scale, layout)
 
-        delay = [_rotation("mech", phi, layout),
-                 _rotation("mech2", omega2_ratio * phi, layout)]
-        full = GaussianChannel(*_compose(_four_pulse(schedule, pulse, delay, layout)), layout)
+        delay = [rotation("mech", phi, layout), rotation("mech2", omega2_ratio * phi, layout)]
+        full = compose(_four_pulse(schedule, pulse, delay, layout))
         out = marginal(apply_channel(vacuum(layout), full), ["mech"])
         rows.append([ratio, 1.0 - fidelity_zero_mean(out, target)])
     table = ResultTable(["g2_over_g1", "infidelity"], rows, _metadata(config))

@@ -7,9 +7,10 @@ short mechanical rotation phi, and cancels the residual Kerr term with an
 extra optical rotation theta.  :func:`_four_pulse` writes that protocol out
 once; the lossy squeezer (whose ``LOSSLESS`` case is the lossless one) and
 the multimode study differ only in the pulse and the delay they pass it.
-The protocol is a list of raw stages (see :mod:`pulsox.channels`);
-:func:`mechanical_squeezer` composes and reduces it on arrays and validates
-only the channel it returns.
+The protocol is a list of channels, each of which checks its input where it
+enters (see :mod:`pulsox.channels`); like :func:`~pulsox.channels.compose`,
+the ancilla reduction checks only that its result is finite, so a lossy
+:func:`squeezer_output` validates one state and no channel.
 
 Momentum is rescaled by mu (P' = mu P, X' = X / mu): mu < 1 squeezes
 momentum, mu > 1 squeezes position.
@@ -27,9 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import (LOSSLESS, GaussianChannel, LossConfig, _apply, _beamsplitter_loss,
-                       _compose, _damped_delay, _qnd_xx, _rotation, _Stage, _transpose,
-                       compose, qnd_pp, qnd_xx, quadrature_scaling, rotation)
+from .channels import (LOSSLESS, GaussianChannel, LossConfig, _apply, _built, _transpose,
+                       beamsplitter_loss, compose, damped_delay, qnd_pp, qnd_xx,
+                       quadrature_scaling, rotation)
 from .modes import MECH, MECH_OPT, ModeLayout, OPT
 from .states import (GaussianState, _squeezed_cov, apply_channel, fidelity_zero_mean,
                      squeezed, vacuum)
@@ -150,22 +151,17 @@ def build_ideal_squeezer(chi1: float, chi3: float) -> GaussianChannel:
     return compose([qnd_xx(chi1), qnd_pp(chi2_for(chi1, chi3)), qnd_xx(chi3)])
 
 
-def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], _Stage],
-                delay: Sequence[_Stage], layout: ModeLayout) -> list[_Stage]:
-    """The four-pulse protocol in temporal order, as raw stages on ``layout``.
+def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], GaussianChannel],
+                delay: Sequence[GaussianChannel], layout: ModeLayout) -> list[GaussianChannel]:
+    """The four-pulse protocol on ``layout``, as channels in temporal order.
 
     ``pulse(chi)`` is the X-X interaction of strength chi and ``delay`` the
-    stages between the second and third pulses, during which the mechanics
+    channels between the second and third pulses, during which the mechanics
     rotates through phi.
     """
-    return [pulse(schedule.chi1), _rotation("opt", math.pi / 2.0, layout),
+    return [pulse(schedule.chi1), rotation("opt", math.pi / 2.0, layout),
             pulse(schedule.lam), *delay, pulse(schedule.chi2_second_pulse),
-            _rotation("opt", schedule.theta - math.pi / 2.0, layout), pulse(schedule.chi3)]
-
-
-def _lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> _Stage:
-    delay = [_beamsplitter_loss(loss), _damped_delay(schedule.phi, loss, MECH_OPT)]
-    return _compose(_four_pulse(schedule, _qnd_xx, delay, MECH_OPT))
+            rotation("opt", schedule.theta - math.pi / 2.0, layout), pulse(schedule.chi3)]
 
 
 def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianChannel:
@@ -179,7 +175,8 @@ def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianC
     plain squeezer form X' = X/mu + (1-mu) tan(phi) P + optical noise,
     P' = mu P.
     """
-    return GaussianChannel(*_lossy_squeezer(schedule, loss), MECH_OPT)
+    delay = [beamsplitter_loss(loss), damped_delay(schedule.phi, loss, MECH_OPT)]
+    return compose(_four_pulse(schedule, qnd_xx, delay, MECH_OPT))
 
 
 def ideal_target_map(mu, phi: float, mode: str = "mech",
@@ -205,15 +202,19 @@ def ancilla_state(schedule: PulseSchedule) -> GaussianState:
     return squeezed(schedule.ancilla_vsq, schedule.ancilla_angle, OPT)
 
 
-def _reduced(stage: _Stage, ancilla_mean: np.ndarray, ancilla_cov: np.ndarray,
-             layout: ModeLayout) -> _Stage:
-    i = layout.x_index("mech")
-    j = layout.x_index("opt")
-    m, mean, cov = stage
-    m_mo = m[..., i:i + 2, j:j + 2]
-    return (m[..., i:i + 2, i:i + 2],
-            _apply(m_mo, ancilla_mean) + mean[..., i:i + 2],
-            m_mo @ ancilla_cov @ _transpose(m_mo) + cov[..., i:i + 2, i:i + 2])
+def _reduced(channel: GaussianChannel, ancilla_mean: np.ndarray,
+             ancilla_cov: np.ndarray) -> GaussianChannel:
+    """The mechanical channel of a (mech, opt) channel fed the ancilla moments.
+    Its noise is symmetrized: the product ``m_mo V m_mo^T`` rounds unevenly."""
+    i = channel.layout.x_index("mech")
+    j = channel.layout.x_index("opt")
+    m_mo = channel.matrix[..., i:i + 2, j:j + 2]
+    mean = _apply(m_mo, ancilla_mean) + channel.mean[..., i:i + 2]
+    cov = m_mo @ ancilla_cov @ _transpose(m_mo) + channel.cov[..., i:i + 2, i:i + 2]
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError("reduced channel contains non-finite entries")
+    return _built(channel.matrix[..., i:i + 2, i:i + 2], mean,
+                  0.5 * (cov + _transpose(cov)), MECH)
 
 
 def mechanical_reduced_channel(channel: GaussianChannel,
@@ -228,16 +229,14 @@ def mechanical_reduced_channel(channel: GaussianChannel,
         raise ValueError("reduction expects a two-mode channel")
     if ancilla.layout.mode_count != 1:
         raise ValueError("ancilla must be single-mode")
-    stage = (channel.matrix, channel.mean, channel.cov)
-    return GaussianChannel(*_reduced(stage, ancilla.mean, ancilla.cov, channel.layout), MECH)
+    return _reduced(channel, ancilla.mean, ancilla.cov)
 
 
 def mechanical_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianChannel:
     """Single-mode mechanical channel of the (lossy) squeezer, with the
     schedule's own ancilla marginalized out."""
     ancilla_cov = _squeezed_cov(schedule.ancilla_vsq, schedule.ancilla_angle)
-    return GaussianChannel(*_reduced(_lossy_squeezer(schedule, loss), np.zeros(2),
-                                     ancilla_cov, MECH_OPT), MECH)
+    return _reduced(build_lossy_squeezer(schedule, loss), np.zeros(2), ancilla_cov)
 
 
 def squeezer_output(schedule: PulseSchedule, loss: LossConfig,

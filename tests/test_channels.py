@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from pulsox import (LOSSLESS, GaussianChannel, LossConfig, MECH, MECH_OPT, ModeLayout,
                     beamsplitter_loss, build_lossy_squeezer, compose, damped_evolution,
-                    is_physical, qnd_pp, qnd_xx, qnd_xx_collective, rotation,
-                    schedule_for_mu, symplectic_form)
+                    is_physical, mechanical_squeezer, qnd_pp, qnd_xx, qnd_xx_collective,
+                    quadrature_scaling, rotation, schedule_for_mu, symplectic_form)
 from pulsox.channels import damped_delay
 
 OMEGA2 = symplectic_form(2)
@@ -486,6 +486,55 @@ def test_batched_values_check_every_element_and_matching_batches():
             _channel(np.eye(2), mean=mean, cov=cov)
     with pytest.raises(ValueError, match="batch shapes"):
         _channel(rotation("mech", [0.0, 0.5, 1.0, 1.5], MECH).matrix, mean=np.zeros((3, 2)))
+
+
+_TWO_MECH = ModeLayout(("mech", "mech2", "opt"))
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: qnd_pp(math.nan), "pulse strength"),
+    (lambda: quadrature_scaling(math.nan, 1.0), "quadrature scaling"),
+    (lambda: qnd_xx_collective([math.nan, 1.0], 1.0, _TWO_MECH), "coupling"),
+    (lambda: damped_evolution(LossConfig(gamma=0.1), math.nan), "evolution time"),
+    (lambda: damped_evolution(LossConfig(gamma=0.1), math.inf), "evolution time"),
+], ids=["qnd_pp", "quadrature_scaling", "qnd_xx_collective", "damped_evolution-nan",
+        "damped_evolution-inf"])
+def test_constructors_reject_non_finite_input_by_name(make, match):
+    with pytest.raises(ValueError, match=f"non-finite {match}"):
+        make()
+
+
+def test_damped_evolution_rejects_a_bath_whose_noise_overflows():
+    with pytest.raises(ValueError, match="nbar_m = 1e[+]308 overflows"):
+        damped_evolution(LossConfig(gamma=0.1, nbar_m=1e308), [0.5, 1.0])
+
+
+def test_compose_rejects_a_product_that_overflows():
+    huge = quadrature_scaling(1e200, 1e-200)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="composed .* non-finite"):
+        compose([huge, huge])
+
+
+def _built_channels():
+    """One channel of every constructor, and the composed and reduced squeezer
+    over a batch of mu, none of which runs ``GaussianChannel.__post_init__``."""
+    loss = LossConfig.from_q(1e4, nbar_m=10.0, epsilon=1e-2, nbar_l=0.5)
+    s = schedule_for_mu(np.geomspace(0.2, 5.0, 25), math.pi / 50, ancilla_vsq=0.3)
+    return {"qnd_xx": qnd_xx(0.5), "qnd_pp": qnd_pp([0.5, -1.0]),
+            "rotation": rotation("opt", [0.3, 1.0]),
+            "quadrature_scaling": quadrature_scaling(2.0, 0.5),
+            "qnd_xx_collective": qnd_xx_collective([1.0, 2.0], 0.7, _TWO_MECH),
+            "damped_evolution": damped_evolution(loss, [0.1, 0.2]),
+            "damped_delay": damped_delay(0.3, loss, MECH_OPT),
+            "beamsplitter_loss": beamsplitter_loss(loss),
+            "compose": build_lossy_squeezer(s, loss), "reduction": mechanical_squeezer(s, loss)}
+
+
+def test_built_channels_are_frozen_with_exactly_symmetric_noise():
+    for name, channel in _built_channels().items():
+        for array in (channel.matrix, channel.mean, channel.cov):
+            assert not array.flags.writeable, name
+        assert np.array_equal(channel.cov, np.swapaxes(channel.cov, -1, -2)), name
 
 
 def test_is_physical_rejects_negative_noise_covariance():

@@ -178,6 +178,8 @@ def test_empty_decay_series_is_validation_error(periods, tmp_path, monkeypatch, 
     (["fidelity-sweep", "--epsilon", "0.1,0.1"], "sweep.epsilon"),
     (["regime-check", "--g0", "1e7", "--omega-m", "1e6", "--kappa", "1e9",
       "--pulse-bandwidth", "1e8", "--margin", "0"], "margin"),
+    # the delay at phi = 1 is completely positive, the first decay sample is not
+    (["cat-decay", "--phi", "1.0", "--set", "physical.nbar_m=5"], "physical.nbar_m"),
 ])
 def test_rejected_option_names_its_key(args, key, tmp_path, monkeypatch, capsys):
     rc = run(args, monkeypatch, tmp_path)

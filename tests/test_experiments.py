@@ -146,6 +146,19 @@ def test_validate_rejects_non_completely_positive_delay(q, sweep_q):
     cfg.validate()
 
 
+def test_validate_rejects_a_cat_decay_sample_that_is_not_completely_positive():
+    # (2 nbar_m + 1) phi = 11 passes the delay; the first sample, omega_m t = 2 pi / 64,
+    # gives 1.08 < sqrt(3)
+    cfg = make_config("cat-decay", phi=1.0, nbar_m=5.0)
+    t = re.escape(repr(2.0 * math.pi / 64))
+    with pytest.raises(ConfigError, match=rf"physical\.nbar_m.*t={t},.*not completely positive"):
+        cfg.validate()
+    cfg.experiment = "impulse"
+    cfg.validate()
+    cfg.experiment, cfg.physical.nbar_m = "cat-decay", 9.0
+    cfg.validate()
+
+
 def test_validate_rejects_empty_lists_that_have_no_default():
     # sweep.mu, sweep.q and sweep.epsilon default to empty: the runner's grid
     for experiment in EXPERIMENTS:

@@ -27,6 +27,13 @@ ALLOWED = {
     "cli": _LIBRARY | {"experiments"},
     "__init__": {"channels", "modes", "squeezer", "states", "wigner"},
 }
+# The ``_``-names (dunders aside) a module imports from another, by source
+# module: every private helper shared across modules is entered here.
+PRIVATE = {
+    "states": {"channels": {"_apply", "_checked_moments", "_transpose"}},
+    "squeezer": {"channels": {"_apply", "_built", "_transpose"}, "states": {"_squeezed_cov"}},
+    "experiments": {"squeezer": {"_four_pulse"}},
+}
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -53,3 +60,20 @@ def test_module_imports_only_lower_layers(module):
     imported = _imported_modules(SRC / f"{module}.py")
     assert imported <= ALLOWED[module], f"{module} imports {sorted(imported - ALLOWED[module])}"
 
+
+def _private_imports(path: Path) -> dict[str, set[str]]:
+    """The ``_``-names, dunders aside, of the file's ``from .x import``
+    statements, by module x."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            names = {alias.name for alias in node.names
+                     if alias.name.startswith("_") and not alias.name.startswith("__")}
+            if names:
+                found.setdefault(node.module.split(".")[0], set()).update(names)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_module_imports_only_the_listed_private_names(module):
+    assert _private_imports(SRC / f"{module}.py") == PRIVATE.get(module, {})

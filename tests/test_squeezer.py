@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pulsox import (LOSSLESS, GaussianChannel, GaussianState, LossConfig, MECH, MECH_OPT,
+from pulsox import (LOSSLESS, GaussianChannel, GaussianState, LossConfig, MECH, MECH_OPT, OPT,
                     PulseSchedule, ancilla_state, approx_photon_budget, beamsplitter_loss,
                     build_ideal_squeezer, build_lossy_squeezer, chi2_for, compose,
                     chi3_for, chi_from_physical, fidelity_zero_mean,
@@ -359,7 +359,7 @@ def test_squeezer_kernel_equals_the_public_objects_bit_for_bit(kind, mu, phi, v_
                          mechanical_reduced_channel(composed, ancilla_state(s)))
 
 
-def test_lossy_squeezer_output_validates_one_channel_and_one_state(monkeypatch):
+def test_lossy_squeezer_output_validates_one_state_and_no_channel(monkeypatch):
     s = schedule_for_mu(SQRT2, PHI)
     loss = LossConfig.from_q(1e6, nbar_m=100.0, epsilon=1e-3)
     mech_in = vacuum(MECH)
@@ -370,7 +370,7 @@ def test_lossy_squeezer_output_validates_one_channel_and_one_state(monkeypatch):
             check(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
     squeezer_output(s, loss, mech_in)
-    assert sorted(c.__name__ for c in built) == ["GaussianChannel", "GaussianState"]
+    assert [c.__name__ for c in built] == ["GaussianState"]
 
 
 # -- ancilla reduction -------------------------------------------------------------
@@ -380,6 +380,12 @@ def test_reduced_channel_identity():
     reduced = mechanical_reduced_channel(ident, squeezed(0.3, 0.2))
     assert np.allclose(reduced.matrix, np.eye(2))
     assert np.allclose(reduced.cov, 0.0)
+
+
+def test_reduction_rejects_fed_noise_that_overflows():
+    # P_mech picks up 1e200 X_opt, so the vacuum ancilla feeds it a variance of 1e400
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="reduced .* non-finite"):
+        mechanical_reduced_channel(qnd_xx(1e200), vacuum(OPT))
 
 
 def test_reduced_channel_strong_ancilla_squeezing_kills_fed_noise():
