@@ -27,7 +27,8 @@ from .squeezer import (PulseSchedule, ancilla_state, approx_photon_budget,
                        chi_from_physical, ideal_target_map, ideal_target_state,
                        mechanical_reduced_channel, mechanical_squeezer,
                        optimize_schedule, photon_budget, photons_for_chi,
-                       regime_check, schedule_for_mu, squeezer_output, theta_for)
+                       regime_check, schedule_for_mu, squeezer_output, theta_for,
+                       vacuum_infidelity)
 from .states import (GaussianState, apply_channel, classical_bound, coherent,
                      fidelity_zero_mean, marginal, mean_distance, product,
                      pure_fidelity, squeezed, thermal, vacuum)

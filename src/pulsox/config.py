@@ -25,7 +25,7 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .channels import LossConfig, damped_delay, damped_evolution, is_physical
+from .channels import LossConfig, damped_evolution, is_physical
 
 EXPERIMENTS = ("fidelity-sweep", "fock-squeeze", "impulse", "cat-decay",
                "multimode", "photon-budget")
@@ -174,20 +174,19 @@ class ExperimentConfig:
                               f"{self.cat.series_periods!r} periods give no decay-series "
                               f"sample at {self.cat.samples_per_period} per period")
         phys = self.physical
-        for q in (phys.q, *self.sweep.q):
-            loss = LossConfig.from_q(q, nbar_m=phys.nbar_m, omega_m=phys.omega_m)
-            if not is_physical(damped_delay(phys.phi, loss)):
-                raise ConfigError("physical.nbar_m", f"{phys.nbar_m!r} leaves the damped delay "
-                                  f"at q={q!r}, phi={phys.phi!r} not completely positive "
-                                  "(momentum damping needs about (2 nbar_m + 1) phi >= sqrt(3))")
-        if self.experiment == "cat-decay":  # its scan and series start one sample in
-            loss = LossConfig.from_q(phys.q, nbar_m=phys.nbar_m, omega_m=phys.omega_m)
-            t = 2.0 * math.pi / phys.omega_m / self.cat.samples_per_period
-            if not is_physical(damped_evolution(loss, t)):
+        losses = {q: LossConfig.from_q(q, nbar_m=phys.nbar_m, omega_m=phys.omega_m)
+                  for q in (phys.q, *self.sweep.q)}
+        # each (q, t) of a damped evolution a run starts with: the squeezer's
+        # delay at every q, and the first sample of cat-decay's scan and series
+        steps = [(q, phys.phi / (loss.sigma * loss.omega_m)) for q, loss in losses.items()]
+        if self.experiment == "cat-decay":
+            steps.append((phys.q, 2.0 * math.pi / phys.omega_m / self.cat.samples_per_period))
+        for q, t in steps:
+            if not is_physical(damped_evolution(losses[q], t)):
                 raise ConfigError("physical.nbar_m", f"{phys.nbar_m!r} leaves the damped "
-                                  f"evolution over the first cat-decay sample, t={t!r}, at "
-                                  f"q={phys.q!r} not completely positive (momentum damping "
-                                  "needs about (2 nbar_m + 1) omega_m t >= sqrt(3))")
+                                  f"evolution over t={t!r}, at q={q!r}, not completely "
+                                  "positive (momentum damping needs about "
+                                  "(2 nbar_m + 1) omega_m t >= sqrt(3))")
 
     # -- flat key-value view -------------------------------------------------
 

@@ -20,7 +20,7 @@ from .config import ConfigError, ExperimentConfig, log_grid
 from .modes import MECH, ModeLayout, OPT
 from .squeezer import (_four_pulse, approx_photon_budget, ideal_target_map,
                        ideal_target_state, mechanical_squeezer, photon_budget,
-                       schedule_for_mu, squeezer_output)
+                       schedule_for_mu, squeezer_output, vacuum_infidelity)
 from .states import (apply_channel, classical_bound, fidelity_zero_mean,
                      marginal, product, thermal, vacuum)
 from .table import ResultTable
@@ -82,18 +82,10 @@ def _loss(config: ExperimentConfig, *, epsilon: float | None = None) -> LossConf
 # fidelity sweep
 # ---------------------------------------------------------------------------
 
-def _squeeze_infidelity(mu, phi: float, ancilla_vsq: float, loss: LossConfig):
-    """1 - F of the squeezer on vacuum against its target; an array of mu is
-    one batched squeezer call."""
-    schedule = schedule_for_mu(mu, phi, ancilla_vsq)
-    out = squeezer_output(schedule, loss, vacuum(MECH))
-    target = ideal_target_state(vacuum(MECH), mu, phi)
-    return 1.0 - fidelity_zero_mean(out, target)
-
-
 def run_fidelity_sweep(config: ExperimentConfig) -> RunResult:
     """Infidelity of the squeezer on vacuum across mu, for the ideal map and
-    for grids of mechanical Q (epsilon = 0) and optical loss (gamma = 0)."""
+    for grids of mechanical Q (epsilon = 0) and optical loss (gamma = 0): one
+    batched schedule and target, and one :func:`vacuum_infidelity` per column."""
     phys = config.physical
     mus = np.array(config.sweep.mu or log_grid(DEFAULT_MU_GRID))
     q_grid = config.sweep.q or log_grid(DEFAULT_Q_GRID)
@@ -106,8 +98,9 @@ def run_fidelity_sweep(config: ExperimentConfig) -> RunResult:
                for q in q_grid]
     losses += [LossConfig(omega_m=phys.omega_m, epsilon=eps, nbar_l=phys.nbar_l)
                for eps in eps_grid]
-    infidelities = [_squeeze_infidelity(mus, phys.phi, phys.ancilla_vsq, loss)
-                    for loss in losses]
+    schedule = schedule_for_mu(mus, phys.phi, phys.ancilla_vsq)
+    target = ideal_target_state(vacuum(MECH), mus, phys.phi)
+    infidelities = [vacuum_infidelity(schedule, loss, target) for loss in losses]
     bound = [1.0 - classical_bound(mu) for mu in mus]
     rows = np.column_stack([mus, infidelities[0], bound, *infidelities[1:]]).tolist()
     table = ResultTable(columns, rows, _metadata(config))
@@ -342,12 +335,11 @@ def run_multimode(config: ExperimentConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 def run_photon_budget(config: ExperimentConfig) -> RunResult:
-    mus = config.sweep.mu or log_grid("-0.5:0.5:21")
+    mus = np.array(config.sweep.mu or log_grid("-0.5:0.5:21"))
     phi = config.physical.phi
-    rows = []
-    for mu in mus:
-        schedule = schedule_for_mu(mu, phi, config.physical.ancilla_vsq)
-        rows.append([mu, photon_budget(schedule), approx_photon_budget(mu, phi)])
+    schedule = schedule_for_mu(mus, phi, config.physical.ancilla_vsq)
+    rows = np.column_stack([mus, photon_budget(schedule),
+                            approx_photon_budget(mus, phi)]).tolist()
     table = ResultTable(["mu", "budget_exact", "budget_approx"], rows,
                         _metadata(config))
     return RunResult(tables={"photon_budget": table},

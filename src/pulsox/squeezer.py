@@ -246,32 +246,38 @@ def squeezer_output(schedule: PulseSchedule, loss: LossConfig,
     return apply_channel(input_state, mechanical_squeezer(schedule, loss))
 
 
+def vacuum_infidelity(schedule: PulseSchedule, loss: LossConfig, target: GaussianState):
+    """1 - F of the squeezer output on mechanical vacuum against ``target``;
+    a batched schedule gives one value per schedule."""
+    return 1.0 - fidelity_zero_mean(squeezer_output(schedule, loss, vacuum(MECH)), target)
+
+
 # ---------------------------------------------------------------------------
 # budgets and regime diagnostics
 # ---------------------------------------------------------------------------
 
-def photon_budget(schedule: PulseSchedule) -> float:
-    """Sum of squared pulse strengths chi1^2 + lam^2 + lam2^2 + chi3^2.
-
-    In physical terms this is the total pulse photon number scaled by
-    64 g0^2 / kappa^2 (equivalently, N ~ budget * (kappa / g0)^2 up to that
-    factor-64 normalization, depending on the reading).
-    """
-    return (schedule.chi1 ** 2 + schedule.lam ** 2
-            + schedule.chi2_second_pulse ** 2 + schedule.chi3 ** 2)
+def photon_budget(schedule: PulseSchedule):
+    """Sum of squared pulse strengths chi1^2 + lam^2 + lam2^2 + chi3^2, squared
+    by libm's ``pow`` so a batch equals the unbatched budgets bit for bit.
+    Times kappa^2 / (64 g0^2) it is the four pulses' total photon number, the
+    sum of :func:`photons_for_chi` (the inverse of :func:`chi_from_physical`)."""
+    return (_pow(schedule.chi1, 2.0) + _pow(schedule.lam, 2.0)
+            + _pow(schedule.chi2_second_pulse, 2.0) + _pow(schedule.chi3, 2.0))
 
 
-def approx_photon_budget(mu: float, phi: float) -> float:
+def approx_photon_budget(mu, phi: float):
     """Small-phi closed-form estimate |1 - 1/mu| (3 + (1 + (1 - 1/mu)^2) / mu^2) / tan(phi).
 
     Kept as the documented interface even though it tracks the exact
     pulse-strength sum only near mu = 1; for strong squeezing the two diverge
     (the exact sum is nearly symmetric under mu <-> 1/mu, the estimate is not).
+    An array of mu gives an array.
     """
-    if mu <= 0:
+    mu = np.asarray(mu, dtype=float)
+    if np.any(mu <= 0):
         raise ValueError("mu must be positive")
     r = 1.0 - 1.0 / mu
-    return abs(r) * (3.0 + (1.0 + r * r) / (mu * mu)) / math.tan(phi)
+    return np.abs(r) * (3.0 + (1.0 + r * r) / (mu * mu)) / math.tan(phi)
 
 
 def chi_from_physical(g0: float, n_photons: float, kappa: float) -> float:
@@ -376,8 +382,7 @@ def _infidelities(x: np.ndarray, phi: float, loss: LossConfig, ancilla_vsq: floa
     inside = 1.0 + x[:, 1] * x[:, 0] * math.tan(phi) > 0
     if inside.any():
         schedule = _free_schedule(x[inside], phi, ancilla_vsq, ancilla_angle)
-        out = squeezer_output(schedule, loss, vacuum(MECH))
-        values[inside] = 1.0 - fidelity_zero_mean(out, target)
+        values[inside] = vacuum_infidelity(schedule, loss, target)
     return values
 
 

@@ -586,3 +586,23 @@ def test_thermal_noise_matches_quadrature_oracle(gamma, t):
     v12 = quad(lambda u: 2 * gamma * n_total * m12(u) * m22(u), 0, t)[0]
     got = damped_evolution(loss, t).cov
     assert np.allclose(got, [[v11, v12], [v12, v22]], atol=1e-9 * n_total)
+
+
+_THREE_MODES = ModeLayout(("mech", "mech2", "opt"))
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: qnd_xx_collective([1.0, 1.0], math.nan, _THREE_MODES), "non-finite pulse strength"),
+    (lambda: qnd_xx_collective([], 1.0, ModeLayout(("opt",))), "at least one mechanical mode"),
+    (lambda: qnd_xx_collective([1.0], 1.0, _THREE_MODES), "one coupling per mechanical mode"),
+    (lambda: qnd_xx_collective([1.0, -0.5], 1.0, _THREE_MODES), "must be nonnegative"),
+    (lambda: qnd_xx_collective([0.0, 0.0], 1.0, _THREE_MODES), "all couplings are zero"),
+    (lambda: LossConfig(omega_m=0.0), "mechanical frequency must be positive"),
+    (lambda: LossConfig.from_q(0.0), "quality factor must be positive"),
+    (lambda: compose([]), "nothing to compose"),
+    (lambda: ModeLayout(()), "at least one mode"),
+], ids=["collective-nan-chi", "collective-no-mech", "collective-count", "collective-negative",
+        "collective-zero", "omega-m", "q", "compose-empty", "empty-layout"])
+def test_bad_input_is_rejected_with_its_reason(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()

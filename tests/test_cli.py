@@ -180,6 +180,8 @@ def test_empty_decay_series_is_validation_error(periods, tmp_path, monkeypatch, 
       "--pulse-bandwidth", "1e8", "--margin", "0"], "margin"),
     # the delay at phi = 1 is completely positive, the first decay sample is not
     (["cat-decay", "--phi", "1.0", "--set", "physical.nbar_m=5"], "physical.nbar_m"),
+    (["fidelity-sweep", "--set", "sweep.q"], "'sweep.q': expected KEY=VALUE"),
+    (["squeeze", "--mu", "abc", "--phi", "0.1"], "--mu: 'abc' is not a finite number"),
 ])
 def test_rejected_option_names_its_key(args, key, tmp_path, monkeypatch, capsys):
     rc = run(args, monkeypatch, tmp_path)

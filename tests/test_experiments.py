@@ -7,13 +7,14 @@ import pytest
 
 from pulsox.config import (EXPERIMENTS, ConfigError, ExperimentConfig,
                            load_config, log_grid, parse_config_text)
-from pulsox.experiments import (RUNNERS, _squeeze_infidelity, config_from_metadata,
+from pulsox.experiments import (RUNNERS, config_from_metadata,
                                 d_min_approx, d_min_full,
                                 decay_rate_series, dominant_modulation_frequency,
                                 estimate_fiber_epsilon, run_experiment,
                                 run_fidelity_sweep, run_impulse, run_multimode,
                                 run_photon_budget)
 from pulsox.channels import LOSSLESS, LossConfig
+from pulsox import MECH, ideal_target_state, schedule_for_mu, vacuum, vacuum_infidelity
 from pulsox.table import ResultTable
 
 
@@ -157,6 +158,19 @@ def test_validate_rejects_a_cat_decay_sample_that_is_not_completely_positive():
     cfg.validate()
     cfg.experiment, cfg.physical.nbar_m = "cat-decay", 9.0
     cfg.validate()
+
+
+@pytest.mark.parametrize("error, build, fragment", [
+    (ConfigError, lambda: ExperimentConfig().set_key("bogus", "1"),
+     "'bogus': unknown top-level key"),
+    (ConfigError, lambda: parse_config_text("physical.q = 1e7\nphysical.phi 0.1"),
+     "'line 2': expected 'key = value'"),
+    (ValueError, lambda: d_min_approx(0.0, 1.0, 3.0, 0.5, 0.1, LOSSLESS),
+     "mu and chi_ro must be positive"),
+], ids=["top-level-key", "line-without-equals", "d-min-approx-mu"])
+def test_bad_input_is_rejected_with_its_reason(error, build, fragment):
+    with pytest.raises(error, match=fragment):
+        build()
 
 
 def test_validate_rejects_empty_lists_that_have_no_default():
@@ -320,7 +334,9 @@ def test_multimode_uncoupled_row_is_the_single_mode_squeezer(multimode_table):
     # three-mode run must reproduce the two-mode squeezer with a vacuum ancilla
     ratios = multimode_table.column("g2_over_g1")
     infid = multimode_table.column("infidelity")[ratios.index(0.0)]
-    single = _squeeze_infidelity(math.sqrt(2.0), math.pi / 50, 1.0, LOSSLESS)
+    mu, phi = math.sqrt(2.0), math.pi / 50
+    single = vacuum_infidelity(schedule_for_mu(mu, phi, 1.0), LOSSLESS,
+                               ideal_target_state(vacuum(MECH), mu, phi))
     assert infid == pytest.approx(single, abs=1e-12)
 
 
@@ -419,6 +435,24 @@ def test_photon_budget_runner():
     cfg.sweep.mu = (math.sqrt(2.0),)
     table = run_photon_budget(cfg).tables["photon_budget"]
     assert table.rows[0][2] == pytest.approx(16.4936, abs=1e-3)
+
+
+@pytest.mark.parametrize("experiment", ["fidelity-sweep", "photon-budget"])
+def test_default_mu_sweep_builds_one_batched_schedule(monkeypatch, experiment):
+    # the whole mu axis is one batched schedule; one schedule per loss column
+    # would build 15 for the fidelity sweep, one per mu 21 for the photon budget
+    from pulsox import experiments
+
+    built = []
+    original = experiments.schedule_for_mu
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(experiments, "schedule_for_mu", counted)
+    run_experiment(make_config(experiment))
+    assert len(built) == 1
 
 
 def test_fiber_epsilon_values():

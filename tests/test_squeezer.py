@@ -9,7 +9,7 @@ from pulsox import (LOSSLESS, GaussianChannel, GaussianState, LossConfig, MECH, 
                     PulseSchedule, ancilla_state, approx_photon_budget, beamsplitter_loss,
                     build_ideal_squeezer, build_lossy_squeezer, chi2_for, compose,
                     chi3_for, chi_from_physical, fidelity_zero_mean,
-                    ideal_target_state, is_physical, marginal,
+                    ideal_target_map, ideal_target_state, is_physical, marginal,
                     mechanical_reduced_channel, mechanical_squeezer,
                     optimize_schedule,
                     photon_budget, photons_for_chi, product, qnd_xx, regime_check,
@@ -18,6 +18,7 @@ from pulsox import (LOSSLESS, GaussianChannel, GaussianState, LossConfig, MECH, 
                     vacuum)
 from pulsox import squeezer
 from pulsox.channels import damped_delay
+from pulsox.config import log_grid
 from pulsox.experiments import d_min_full
 
 PHI = math.pi / 50
@@ -329,7 +330,7 @@ def test_batched_squeezer_equals_scalar_calls(kind, data):
         _assert_close(d_min[k], float(d_min_full(mu, nbar_in, 3.0, v_sq, phi, loss)))
 
 
-# -- the stage kernel against the public objects -------------------------------------
+# -- the squeezer against the protocol written out --------------------------------
 
 def _public_stages(s, loss):
     """The four-pulse protocol written out with the public constructors."""
@@ -350,7 +351,7 @@ _MUS = st.one_of(st.just(1.0), st.floats(-1.2, 1.2).map(lambda e: 10.0 ** e),
 
 @pytest.mark.parametrize("kind", ["lossless", "lossy"])
 @given(mu=_MUS, phi=st.floats(0.01, 1.5), v_sq=st.floats(0.05, 2.0), data=st.data())
-def test_squeezer_kernel_equals_the_public_objects_bit_for_bit(kind, mu, phi, v_sq, data):
+def test_squeezer_equals_the_protocol_written_out_bit_for_bit(kind, mu, phi, v_sq, data):
     loss = LOSSLESS if kind == "lossless" else data.draw(_losses())
     s = schedule_for_mu(mu, phi, v_sq)
     composed = compose(_public_stages(s, loss))
@@ -427,6 +428,23 @@ def test_exact_budget_values():
         pytest.approx(24.1342, abs=1e-3)
     assert photon_budget(schedule_for_mu(1.0 / SQRT2, 2 * math.pi / 100)) == \
         pytest.approx(23.6492, abs=1e-3)
+
+
+def test_batched_budgets_equal_the_per_mu_budgets_bit_for_bit():
+    mus = np.array(log_grid("-1:1:2001"))
+    exact = photon_budget(schedule_for_mu(mus, PHI))
+    approx = approx_photon_budget(mus, PHI)
+    assert exact.tolist() == [photon_budget(schedule_for_mu(mu, PHI)) for mu in mus.tolist()]
+    assert approx.tolist() == [approx_photon_budget(mu, PHI) for mu in mus.tolist()]
+
+
+def test_budget_is_the_pulse_photon_number_in_units_of_kappa2_over_64_g0_squared():
+    g0, kappa = 2e-3, 3.0
+    s = schedule_for_mu(SQRT2, PHI)
+    chis = (s.chi1, s.lam, s.chi2_second_pulse, s.chi3)
+    photons = sum(photons_for_chi(chi, g0, kappa) for chi in chis)
+    assert photons == pytest.approx(photon_budget(s) * kappa ** 2 / (64.0 * g0 ** 2),
+                                    rel=1e-14)
 
 
 def test_budget_agreement_near_unit_mu():
@@ -603,3 +621,30 @@ def test_rows_with_no_positive_mu_score_outside_branch():
                           ancilla_vsq=0.5, ancilla_angle=seed.ancilla_angle)
         scalar = 1.0 - fidelity_zero_mean(squeezer_output(s, BENCH_LOSS, vacuum(MECH)), target)
         assert values[row] == pytest.approx(scalar, rel=1e-14)
+
+
+# -- input checks ------------------------------------------------------------------
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: PulseSchedule(chi1=math.nan, lam=1.0, chi3=1.0, phi=PHI, theta=0.0),
+     "non-finite entries"),
+    (lambda: PulseSchedule(chi1=1.0, lam=1.0, chi3=1.0, phi=PHI, theta=0.0, ancilla_vsq=0.0),
+     "ancilla squeezed variance must be positive"),
+    # cos(phi) + lam chi1 sin(phi) = 0 at phi = pi/4, lam chi1 = -1
+    (lambda: chi3_for(1.0, -1.0, math.pi / 4), "singular chi3 denominator"),
+    (lambda: ideal_target_map(0.0, PHI), "mu must be positive"),
+    (lambda: ideal_target_state(vacuum(MECH_OPT), SQRT2, PHI), "single-mode"),
+    (lambda: mechanical_reduced_channel(rotation("mech", PHI, MECH), vacuum(OPT)),
+     "expects a two-mode channel"),
+    (lambda: mechanical_reduced_channel(qnd_xx(1.0), vacuum(MECH_OPT)),
+     "ancilla must be single-mode"),
+    (lambda: approx_photon_budget(0.0, PHI), "mu must be positive"),
+    (lambda: chi_from_physical(1e-3, 1e6, 0.0), "cavity linewidth must be positive"),
+    (lambda: chi_from_physical(1e-3, -1.0, 1.0), "photon number must be nonnegative"),
+    (lambda: photons_for_chi(1.0, 0.0, 1.0), "rates must be positive"),
+], ids=["schedule-nan", "schedule-ancilla", "chi3-singular", "target-map-mu",
+        "target-two-modes", "reduce-one-mode-channel", "reduce-two-mode-ancilla",
+        "approx-budget-mu", "chi-kappa", "chi-photons", "photons-rates"])
+def test_bad_input_is_rejected_with_its_reason(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()

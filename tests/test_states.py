@@ -259,3 +259,17 @@ def test_exceeds_classical_across_sweep():
         if abs(mu - 1.0) < 1e-12:
             continue
         assert pure_fidelity(mu, phi, 1.0, 0.5) > classical_bound(mu)
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: squeezed(0.0), "squeezed variance must be positive"),
+    (lambda: squeezed(0.5, math.nan), "non-finite squeezing angle"),
+    (lambda: squeezed(0.5, 0.0, MECH_OPT), "builds single-mode states"),
+    (lambda: mean_distance(vacuum(MECH), vacuum(OPT)), "layout mismatch"),
+    (lambda: pure_fidelity(0.0, 0.1, 1.0, 0.5), "must be positive"),
+    (lambda: classical_bound(0.0), "mu must be positive"),
+], ids=["squeezed-variance", "squeezed-angle", "squeezed-two-modes", "mean-distance-layouts",
+        "pure-fidelity-mu", "classical-bound-mu"])
+def test_bad_input_is_rejected_with_its_reason(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pulsox import (CatSpec, GaussianChannel, GaussianState, GaussianSum,
-                    GridClippingError, HalfLifeResult, LossConfig, MECH, WignerGrid,
+                    GridClippingError, HalfLifeResult, LossConfig, MECH, MECH_OPT, WignerGrid,
                     ancilla_state, apply_channel, apply_gaussian_channel,
                     build_lossy_squeezer, compose, damped_evolution, eta_series,
                     fringe_ellipse, grid_from_csv, grid_to_csv, half_life,
@@ -576,3 +576,34 @@ def test_grid_csv_round_trip(tmp_path):
     assert back.half_extent == g.half_extent
     assert back.resolution == g.resolution
     assert np.array_equal(back.values, g.values)
+
+
+def _headerless_csv(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("0.0,0.0\n0.0,0.0\n", encoding="utf-8")
+    return grid_from_csv(path)
+
+
+_TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda _: WignerGrid(0.0, 4, np.zeros((4, 4))), "half extent must be positive"),
+    (lambda _: WignerGrid(1.0, 4, np.zeros((4, 8))), r"values shape \(4, 8\)"),
+    (lambda _: CatSpec(0.0), "cat amplitude must be positive"),
+    (lambda _: CatSpec(1.0, "none"), "parity must be 'odd' or 'even'"),
+    (lambda _: GaussianSum.cat(CatSpec(1.0)).evolve(_TWO_MODE_CHANNEL), "single-mode channels"),
+    (lambda _: apply_gaussian_channel(wigner_fock(0, 4.0, 16), _TWO_MODE_CHANNEL),
+     "single-mode channels"),
+    (lambda _: wigner_gaussian([0.0, 0.0], np.diag([1.0, -1.0])), "positive definite"),
+    (lambda _: fringe_ellipse(1.0, 0.0), "alpha and mu must be positive"),
+    (lambda _: mu_opt(0.0), "alpha must be positive"),
+    (lambda _: half_life(GaussianSum.cat(CatSpec(1.0)), LossConfig(), samples_per_period=32),
+     "at least 64 samples"),
+    (_headerless_csv, "missing header"),
+], ids=["grid-extent", "grid-shape", "cat-alpha", "cat-parity", "sum-two-mode-channel",
+        "grid-two-mode-channel", "gaussian-covariance", "fringe-mu", "mu-opt-alpha",
+        "half-life-samples", "csv-header"])
+def test_bad_input_is_rejected_with_its_reason(build, fragment, tmp_path):
+    with pytest.raises(ValueError, match=fragment):
+        build(tmp_path)
