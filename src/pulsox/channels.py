@@ -27,7 +27,8 @@ A channel is physical when it is completely positive, which
 constructors guarantee that, the loss ones through the rules of the
 :class:`LossConfig` they take, except for the momentum-damped delay at low
 bath occupancy, which ``ExperimentConfig.validate`` rejects over the
-squeezer's delay and over cat-decay's first sample time.
+squeezer's delay and over cat-decay's first sample time by
+:func:`damped_is_physical`.
 """
 from __future__ import annotations
 
@@ -382,6 +383,17 @@ def damped_delay(phi: float, loss: LossConfig, layout: ModeLayout = MECH) -> Gau
     """Damped thermal evolution of the mechanics while it rotates through
     phi, which takes t = phi / (sigma * omega_m)."""
     return damped_evolution(loss, phi / (loss.sigma * loss.omega_m), layout)
+
+
+def damped_is_physical(loss: LossConfig, t: float) -> bool:
+    """Complete positivity of ``damped_evolution(loss, t)`` by its closed-form
+    margin, N >= 0 and det N >= expm1(-gamma t)^2 (det M = e^(-gamma t)), to
+    ``CP_RTOL`` of its own terms: no absolute floor, unlike :func:`is_physical`,
+    hides a short delay's violation of order (gamma t)^2."""
+    v11, v12, _, v22 = _damped_entries(loss, [t])[4:]
+    loss_term = math.expm1(-loss.gamma * t) ** 2
+    margin = v11 * v22 - v12 * v12 - loss_term
+    return min(v11, v22) >= 0.0 and margin >= -CP_RTOL * max(v11 * v22, v12 * v12, loss_term)
 
 
 def beamsplitter_loss(loss: LossConfig) -> GaussianChannel:

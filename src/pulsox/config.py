@@ -25,7 +25,7 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .channels import LossConfig, damped_evolution, is_physical
+from .channels import LossConfig, damped_is_physical
 
 EXPERIMENTS = ("fidelity-sweep", "fock-squeeze", "impulse", "cat-decay",
                "multimode", "photon-budget")
@@ -182,7 +182,7 @@ class ExperimentConfig:
         if self.experiment == "cat-decay":
             steps.append((phys.q, 2.0 * math.pi / phys.omega_m / self.cat.samples_per_period))
         for q, t in steps:
-            if not is_physical(damped_evolution(losses[q], t)):
+            if not damped_is_physical(losses[q], t):
                 raise ConfigError("physical.nbar_m", f"{phys.nbar_m!r} leaves the damped "
                                   f"evolution over t={t!r}, at q={q!r}, not completely "
                                   "positive (momentum damping needs about "

@@ -212,59 +212,54 @@ def run_impulse(config: ExperimentConfig) -> RunResult:
 # cat decay
 # ---------------------------------------------------------------------------
 
-def _cat_scenarios(config: ExperimentConfig):
-    for alpha in config.sweep.alpha:
-        yield alpha, "none", 1.0
-        yield alpha, "position", mu_opt(alpha)
-        yield alpha, "momentum", config.cat.momentum_mu
-
-
 def run_cat_decay(config: ExperimentConfig) -> RunResult:
-    """Negativity half-lives of odd cats with and without pre-squeezing, plus
-    a dense eta(t) series for the decay-rate-modulation diagnostic."""
+    """Negativity half-lives of odd cats with and without pre-squeezing (at
+    mu_opt and ``cat.momentum_mu``, one batched schedule per cat), all in one
+    batched :func:`half_life` search, the optional ``sweep.mu`` half-lives in
+    a second, plus a dense eta(t) series for the decay-rate diagnostic."""
     cat_cfg = config.cat
     phys = config.physical
     loss = _loss(config)
     period = 2.0 * math.pi / loss.omega_m
+    md = _metadata(config)
     tables: dict[str, ResultTable] = {}
 
-    def pre_squeezed(cat: GaussianSum, mu_pre: float) -> GaussianSum:
-        schedule = schedule_for_mu(mu_pre, phys.phi, phys.ancilla_vsq)
+    def pre_squeezed(cat: GaussianSum, mus) -> GaussianSum:
+        schedule = schedule_for_mu(np.array(mus), phys.phi, phys.ancilla_vsq)
         return cat.evolve(mechanical_squeezer(schedule, loss))
 
-    def cat_half_life(state0: GaussianSum):
-        return half_life(state0, loss, samples_per_period=cat_cfg.samples_per_period,
-                         max_periods=cat_cfg.max_periods)
+    def half_lives(states: list[GaussianSum]):
+        return half_life(GaussianSum.concatenate(states), loss,
+                         cat_cfg.samples_per_period, cat_cfg.max_periods)
 
-    half_rows = []
-    for alpha, label, mu_pre in _cat_scenarios(config):
+    scenarios, states = [], []
+    for alpha in config.sweep.alpha:
         cat = GaussianSum.cat(CatSpec(alpha, "odd"))
-        result = cat_half_life(cat if label == "none" else pre_squeezed(cat, mu_pre))
-        half_rows.append([alpha, mu_pre, result.tau, result.tau / period,
-                          1.0 if result.reached else 0.0, result.eta_initial])
+        mus = [mu_opt(alpha), cat_cfg.momentum_mu]
+        scenarios += [(alpha, mu_pre) for mu_pre in (1.0, *mus)]
+        states += [cat, pre_squeezed(cat, mus)]
+    half_rows = [[alpha, mu_pre, r.tau, r.tau / period, float(r.reached), r.eta_initial]
+                 for (alpha, mu_pre), r in zip(scenarios, half_lives(states))]
 
     # dense series for the largest unsqueezed cat
-    alpha_series = max(config.sweep.alpha)
     n_samples = int(cat_cfg.series_periods * cat_cfg.samples_per_period)
     times = np.arange(1, n_samples + 1) * (period / cat_cfg.samples_per_period)
-    cat_series = GaussianSum.cat(CatSpec(alpha_series, "odd"))
+    cat_series = GaussianSum.cat(CatSpec(max(config.sweep.alpha), "odd"))
     etas = eta_series(cat_series, loss, times)
-    tables["decay_series"] = ResultTable(
-        ["t", "eta"], [[t, e] for t, e in zip(times, etas)], _metadata(config))
+    tables["decay_series"] = ResultTable(["t", "eta"], np.column_stack([times, etas]),
+                                         dict(md))
 
     # optional half-life sweep over mu for the largest cat
     if config.sweep.mu:
-        sweep_rows = []
-        for mu_pre in config.sweep.mu:
-            result = cat_half_life(pre_squeezed(cat_series, mu_pre))
-            sweep_rows.append([mu_pre, result.tau, result.tau / period,
-                               1.0 if result.reached else 0.0])
+        results = half_lives([pre_squeezed(cat_series, config.sweep.mu)])
+        sweep_rows = [[mu_pre, r.tau, r.tau / period, float(r.reached)]
+                      for mu_pre, r in zip(config.sweep.mu, results)]
         tables["half_life_mu_sweep"] = ResultTable(
-            ["mu_pre", "tau", "tau_periods", "reached"], sweep_rows, _metadata(config))
+            ["mu_pre", "tau", "tau_periods", "reached"], sweep_rows, dict(md))
 
     tables["half_life"] = ResultTable(
         ["alpha", "mu_pre", "tau", "tau_periods", "reached", "eta_initial"],
-        half_rows, _metadata(config))
+        half_rows, dict(md))
     return RunResult(tables=tables,
                      summary=f"cat decay: {len(half_rows)} half-life scenarios")
 

@@ -12,29 +12,41 @@ import io
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["ResultTable"]
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-@dataclass
+@dataclass(eq=False)
 class ResultTable:
+    """Column names, metadata and the body as one read-only float64 array
+    ``values`` of shape (rows, columns), a fraction of the memory of lists of
+    Python floats; ``rows`` and ``column`` build fresh lists from it."""
+
     columns: list[str]
-    rows: list[list[float]]
+    values: np.ndarray
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         ncol = len(self.columns)
-        for r in self.rows:
-            if len(r) != ncol:
-                raise ValueError("ragged row in result table")
-        self.rows = [[float(v) for v in r] for r in self.rows]
+        rows = self.values
+        if not isinstance(rows, np.ndarray) and any(len(r) != ncol for r in rows):
+            raise ValueError("ragged row in result table")
+        self.values = np.array(rows, dtype=float).reshape(len(rows), ncol)
+        self.values.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ResultTable):
+            return NotImplemented
+        return (self.columns == other.columns and self.metadata == other.metadata
+                and np.array_equal(self.values, other.values))
+
+    @property
+    def rows(self) -> list[list[float]]:
+        return self.values.tolist()
 
     def column(self, name: str) -> list[float]:
-        i = self.columns.index(name)
-        return [r[i] for r in self.rows]
+        return self.values[:, self.columns.index(name)].tolist()
 
     # -- CSV ---------------------------------------------------------------
 
@@ -44,8 +56,7 @@ class ResultTable:
             buf.write(f"# {key} = {self.metadata[key]}\n")
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(map(repr, row) for row in self.rows)
         return buf.getvalue()
 
     @classmethod
@@ -58,10 +69,8 @@ class ResultTable:
                 metadata[key] = value
             elif line.strip():
                 lines.append(line)
-        reader = csv.reader(lines)
-        columns = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-        return cls(columns=columns, rows=rows, metadata=metadata)
+        columns, *rows = csv.reader(lines)
+        return cls(columns, [[float(v) for v in row] for row in rows], metadata)
 
     # -- JSON --------------------------------------------------------------
 
@@ -73,9 +82,8 @@ class ResultTable:
     @classmethod
     def from_json(cls, text: str) -> "ResultTable":
         payload = json.loads(text)
-        return cls(columns=list(payload["columns"]),
-                   rows=[list(map(float, r)) for r in payload["rows"]],
-                   metadata={str(k): str(v) for k, v in payload["metadata"].items()})
+        return cls(list(payload["columns"]), [list(map(float, r)) for r in payload["rows"]],
+                   {str(k): str(v) for k, v in payload["metadata"].items()})
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":

@@ -18,10 +18,9 @@ evolve from the t = 0 state at each sample instead of accumulating error.
 :func:`eta_at` takes a state of either type; :func:`eta_series` and
 :func:`half_life` take the exact sum, which they evolve in blocks of up to
 ``ETA_BLOCK`` samples: one batched damped channel and one batched sum per
-block, each element bit-identical to its sample's own :func:`eta_at`.  The
-half-life search batches its bisection too: a tree of the next
-``BISECTION_DEPTH`` (4) steps, 15 midpoints in one :func:`eta_series` call,
-replaces 4 scalar steps and gives the scalar bisection's result bit for bit.
+block, each element bit-identical to its sample's own :func:`eta_at`.
+:func:`half_life` searches a batch of states at once, and bisects with a tree
+of the next ``BISECTION_DEPTH`` (4) steps of every state in one evolution.
 A grid steps one channel at a time, so these helpers reject it.  Callers
 build the t = 0 state (a cat, a Fock grid, or either one passed through the
 squeezer); the module depends only on ``channels``.
@@ -40,14 +39,14 @@ from .channels import GaussianChannel, LossConfig, damped_evolution
 DEFAULT_HALF_EXTENT = 8.0
 DEFAULT_RESOLUTION = 512
 MASS_DRIFT_TOL = 1e-3
-# Samples per batched evolution of a GaussianSum in eta_series: memory stays
-# that of one block (about 200 B a sample) however long the series, and a
-# half-life scan overshoots its crossing by less than one block.
+# Times per batched evolution in eta_series and half_life: memory stays that
+# of one block (about 200 B a sample and state) however long the series, and a
+# half-life scan overshoots its last crossing by less than one block.
 ETA_BLOCK = 64
 # Bisection steps of a half-life and the tree depth that batches them, which
-# divides them: one eta_series call of 2^depth - 1 times does the work of
-# depth scalar steps.  Six default bisections took 7.0 ms at depth 4 and
-# 7.4 ms at depth 5: wider calls stop paying.
+# divides them: 2^depth - 1 times a state in one evolution do the work of
+# depth scalar steps.  Batched over cat-decay's six states, a default run took
+# about 6 ms at depths 2, 4 and 5 alike.
 BISECTIONS = 20
 BISECTION_DEPTH = 4
 # Grid rows per GaussianSum evaluation in sample: its temporaries hold every
@@ -152,10 +151,11 @@ class GaussianSum:
     terms that start with the same one, because a Gaussian channel's
     covariance update does not depend on the mean.
 
-    A sum may hold a batch of states that share the weights: ``means`` of
-    shape ``(..., K, 2)`` and ``cov`` of shape ``(..., 2, 2)``, as a batched
-    channel makes them.  ``value_at`` then returns an array of the batch's
-    shape, each element equal bit for bit to the value of its state alone.
+    A sum may hold a batch of states: ``means`` of shape ``(..., K, 2)`` and
+    ``cov`` of shape ``(..., 2, 2)``, with ``log_weights`` of shape ``(K,)`` or
+    ``(..., K)`` broadcasting against that batch.  ``value_at`` then returns
+    an array of the batch's shape, each element equal bit for bit to the
+    value of its state alone.
     """
 
     log_weights: np.ndarray
@@ -166,7 +166,7 @@ class GaussianSum:
         log_weights = np.array(self.log_weights, dtype=complex)
         means = np.array(self.means, dtype=complex)
         cov = np.array(self.cov, dtype=float)
-        if log_weights.ndim != 1 or means.shape[-2:] != (log_weights.size, 2):
+        if log_weights.ndim == 0 or means.shape[-2:] != (log_weights.shape[-1], 2):
             raise ValueError("need one complex 2-vector mean per weight")
         if (cov.shape[-2:] != (2, 2) or np.any(cov[..., 0, 0] <= 0)
                 or np.any(np.linalg.det(cov) <= 0)):
@@ -174,6 +174,9 @@ class GaussianSum:
         if means.shape[:-2] != cov.shape[:-2]:
             raise ValueError(f"batch shapes {means.shape[:-2]} of the means and "
                              f"{cov.shape[:-2]} of the covariance differ")
+        if np.broadcast_shapes(log_weights.shape[:-1], cov.shape[:-2]) != cov.shape[:-2]:
+            raise ValueError(f"batch shape {log_weights.shape[:-1]} of the log-weights "
+                             f"does not broadcast to {cov.shape[:-2]}")
         for name, value in (("log_weights", log_weights), ("means", means), ("cov", cov)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -191,6 +194,15 @@ class GaussianSum:
         return cls([-log_norm, -log_norm, fringe, fringe],
                    [[2.0 * a, 0.0], [-2.0 * a, 0.0], [0.0, 2.0j * a], [0.0, -2.0j * a]],
                    np.eye(2))
+
+    @classmethod
+    def concatenate(cls, sums: Sequence["GaussianSum"]) -> "GaussianSum":
+        """The states of ``sums`` (each batch flattened, one term count for all)
+        in order, as one batch of shape ``(N,)`` whose log-weights carry it."""
+        return cls(np.concatenate([np.broadcast_to(s.log_weights, s.means.shape[:-1])
+                                   .reshape(-1, s.means.shape[-2]) for s in sums]),
+                   np.concatenate([s.means.reshape(-1, *s.means.shape[-2:]) for s in sums]),
+                   np.concatenate([s.cov.reshape(-1, 2, 2) for s in sums]))
 
     def evolve(self, channel: GaussianChannel) -> "GaussianSum":
         """Exact action of a single-mode Gaussian channel on every term:
@@ -420,74 +432,85 @@ def eta_series(state0: GaussianSum, loss: LossConfig, times: Sequence[float]) ->
     return etas
 
 
-def _bisect(state0: GaussianSum, loss: LossConfig, t_lo: float, t_hi: float) -> float:
-    """Midpoint of the bracket [t_lo, t_hi] of the eta = 1/2 crossing after
-    ``BISECTIONS`` bisection steps, taken ``BISECTION_DEPTH`` at a time.
+def _etas(states: GaussianSum, index: list[int], loss: LossConfig,
+          times: np.ndarray) -> np.ndarray:
+    """eta of the states ``index`` of a concatenated batch at ``times``, shared
+    (T,) or one row per state (len(index), T), in one batched evolution."""
+    rows = GaussianSum(states.log_weights[index, None], states.means[index, None],
+                       states.cov[index, None])
+    return negativity_eta(rows.evolve(damped_evolution(loss, times)))
 
-    Each round computes the 2^depth - 1 midpoints every path of the next
-    ``BISECTION_DEPTH`` steps could visit, level by level with the scalar
-    step's own ``0.5 * (lo + hi)``, evaluates them in one :func:`eta_series`
-    call and walks down the tree with the scalar step's ``>= 0.5`` test, so
-    the result equals that of one :func:`eta_at` per step bit for bit."""
+
+def _bisect(states: GaussianSum, index: list[int], loss: LossConfig,
+            t_lo: np.ndarray, t_hi: np.ndarray) -> np.ndarray:
+    """Midpoints of the brackets [t_lo, t_hi] of the states ``index`` after
+    ``BISECTIONS`` steps.  A round evaluates the 2^depth - 1 midpoints every
+    path of a state's next ``BISECTION_DEPTH`` steps could visit, made with the
+    scalar step's ``0.5 * (lo + hi)``, and walks each tree with its ``>= 0.5``
+    test: the result equals one :func:`eta_at` per step bit for bit."""
+    rows = np.arange(len(index))
     for _ in range(BISECTIONS // BISECTION_DEPTH):
-        edges = [t_lo, t_hi]  # sorted bracket ends of every node of the tree
+        edges = np.stack([t_lo, t_hi], axis=-1)  # sorted bracket ends of every node
         for _ in range(BISECTION_DEPTH):
-            edges = [*itertools.chain.from_iterable(
-                (lo, 0.5 * (lo + hi)) for lo, hi in itertools.pairwise(edges)), t_hi]
-        above = eta_series(state0, loss, edges[1:-1]) >= 0.5
-        lo, hi = 0, len(edges) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if above[mid - 1]:
-                lo = mid
-            else:
-                hi = mid
-        t_lo, t_hi = edges[lo], edges[hi]
+            mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+            edges = np.insert(edges, range(1, edges.shape[1]), mids, axis=1)
+        above = _etas(states, index, loss, edges[:, 1:-1]) >= 0.5
+        lo = np.zeros_like(rows)  # a step halves the bracket [edges[lo], edges[lo + 2 half]]
+        for half in 2 ** np.arange(BISECTION_DEPTH)[::-1]:
+            lo = np.where(above[rows, lo + half - 1], lo + half, lo)
+        t_lo, t_hi = edges[rows, lo], edges[rows, lo + 1]
     return 0.5 * (t_lo + t_hi)
 
 
-def half_life(state0: GaussianSum, loss: LossConfig,
-              samples_per_period: int = 64, max_periods: float = 40.0) -> HalfLifeResult:
+def half_life(state0: GaussianSum, loss: LossConfig, samples_per_period: int = 64,
+              max_periods: float = 40.0) -> HalfLifeResult | list[HalfLifeResult]:
     """Time for the origin negativity to fall to 1/2 (absolute threshold).
 
     Scans eta(t) at ``samples_per_period`` per mechanical period (each sample
-    is a single exact propagation of the state from t = 0), then bisects
-    ``BISECTIONS`` (20) times between the first sample below 1/2 and the one
-    before it.  The scan runs through :func:`eta_series` one block at a
-    time, so it stops within a block of the crossing.  The bisection
-    evaluates a depth-4 tree of midpoints per :func:`eta_series` call, 5
-    calls in all.  The result is bit-identical to a scan and a bisection of
-    one :func:`eta_at` per sample and per step.  Any state
-    but a :class:`GaussianSum` is rejected before eta(0) is read, as
-    :func:`eta_series` rejects a grid.  A state that starts below 1/2
-    (an even cat, or a heavily lossy pre-squeezed one) returns tau = 0 with
-    ``reached=True``; if eta never crosses 1/2 within ``max_periods`` the
-    horizon is returned with ``reached=False``.
+    one exact propagation from t = 0), then bisects ``BISECTIONS`` (20) times
+    between the first sample below 1/2 and the one before it.  A batch of
+    shape ``(B,)`` gives a list of B results: its states share one damped
+    channel per block of ``ETA_BLOCK`` scan times and per round of the depth-4
+    bisection tree, and each result equals one :func:`eta_at` per sample and
+    step of its state alone, bit for bit.  Anything but a :class:`GaussianSum`
+    of batch shape ``()`` or ``(B,)`` is rejected.  A state that starts below
+    1/2 (an even cat, or a heavily lossy pre-squeezed one) gets tau = 0 with
+    ``reached=True``; one that does not cross within ``max_periods`` gets the
+    horizon with ``reached=False``.
     """
     if not isinstance(state0, GaussianSum):
         raise ValueError(f"half_life scans a batch of times, which a "
                          f"{type(state0).__name__} cannot evolve; pass a GaussianSum")
+    batch = state0.cov.shape[:-2]
+    if len(batch) > 1:
+        raise ValueError(f"half_life searches a batch of shape () or (B,), not {batch}")
     if samples_per_period < 64:
         raise ValueError("need at least 64 samples per mechanical period")
-    eta0 = negativity_eta(state0)
-    if eta0 < 0.5:
-        return HalfLifeResult(0.0, True, eta0)
+    states = GaussianSum.concatenate([state0])
+    eta0 = negativity_eta(states).tolist()
     period = 2.0 * math.pi / loss.omega_m
     dt = period / samples_per_period
     horizon = max_periods * period
     # dt, 2 dt, ... by repeated addition, in blocks
     times = itertools.takewhile(lambda t: t <= horizon,
                                 itertools.accumulate(itertools.repeat(dt)))
+    scanning = [i for i, eta in enumerate(eta0) if eta >= 0.5]
+    brackets = {}  # state -> the samples around its first eta below 1/2
     t_lo = 0.0
-    for block in iter(lambda: list(itertools.islice(times, ETA_BLOCK)), []):
-        below = np.flatnonzero(eta_series(state0, loss, block) < 0.5)
-        if below.size:
-            k = below[0]
-            if k:
-                t_lo = block[k - 1]
-            return HalfLifeResult(_bisect(state0, loss, t_lo, block[k]), True, eta0)
+    while scanning and (block := list(itertools.islice(times, ETA_BLOCK))):
+        for i, below in zip(scanning, _etas(states, scanning, loss, block) < 0.5):
+            if below.any():
+                k = int(below.argmax())
+                brackets[i] = (block[k - 1] if k else t_lo, block[k])
+        scanning = [i for i in scanning if i not in brackets]
         t_lo = block[-1]
-    return HalfLifeResult(horizon, False, eta0)
+    taus = {i: 0.0 for i, eta in enumerate(eta0) if eta < 0.5}
+    if brackets:
+        lo, hi = np.array(list(brackets.values())).T
+        taus.update(zip(brackets, _bisect(states, list(brackets), loss, lo, hi).tolist()))
+    results = [HalfLifeResult(taus.get(i, horizon), i in taus, eta)
+               for i, eta in enumerate(eta0)]
+    return results if batch else results[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Gaussian channels: constructors, composition and physicality."""
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from pulsox import (LOSSLESS, GaussianChannel, LossConfig, MECH, MECH_OPT, ModeL
                     beamsplitter_loss, build_lossy_squeezer, compose, damped_evolution,
                     is_physical, mechanical_squeezer, qnd_pp, qnd_xx, qnd_xx_collective,
                     quadrature_scaling, rotation, schedule_for_mu, symplectic_form)
-from pulsox.channels import damped_delay
+from pulsox.channels import damped_delay, damped_is_physical
 
 OMEGA2 = symplectic_form(2)
 
@@ -448,6 +449,26 @@ def test_is_physical_is_the_single_mode_cp_condition(entries, a, b, c):
     "det N < (1 - e^(-gamma t))^2, while (2 nbar + 1) omega t < ~sqrt(3)"))
 def test_damped_evolution_physical_at_low_occupancy():
     assert is_physical(damped_evolution(LossConfig(gamma=0.1), 0.125, layout=MECH))
+
+
+def test_damped_closed_form_cp_test_sees_short_time_violations():
+    # 168 delays t = phi / (sigma omega_m): the closed form agrees with the
+    # generic test except in 7, all short and far below (2 nbar + 1) omega t =
+    # sqrt(3), whose violations lie under the generic test's absolute floor
+    disagree = []
+    for q, nbar, phi in itertools.product((10.0, 1e2, 1e4, 1e7),
+                                          (0.0, 0.01, 0.1, 1.0, 10.0, 1e3),
+                                          (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5)):
+        loss = LossConfig.from_q(q, nbar_m=nbar)
+        t = phi / loss.sigma
+        closed_form = damped_is_physical(loss, t)
+        if closed_form is not is_physical(damped_evolution(loss, t)):
+            disagree.append((2.0 * nbar + 1.0) * t)
+            assert not closed_form and phi <= 1e-4
+    assert len(disagree) == 7 and max(disagree) < math.sqrt(3.0) / 8.0
+    # at the boundary (an equilibrated pure-loss delay, det N = (1 - det M)^2)
+    # rounding passes
+    assert damped_is_physical(LossConfig.from_q(0.5000001), 99.3)
 
 
 def test_batched_values_check_every_element_and_matching_batches():

@@ -190,6 +190,18 @@ def test_rejected_option_names_its_key(args, key, tmp_path, monkeypatch, capsys)
     assert not list(tmp_path.iterdir())
 
 
+def test_a_short_delay_that_is_not_completely_positive_is_a_validation_error(
+        tmp_path, monkeypatch, capsys):
+    # (2 nbar_m + 1) omega_m t = 0.2, far below sqrt(3): det N = 1.3e-24 against
+    # (1 - det M)^2 = 1.0e-22, a gap below the generic test's absolute floor
+    rc = run(["fidelity-sweep", "--phi", "1e-4", "--set", "physical.nbar_m=1000",
+              "--mu", "0:0.3:2"], monkeypatch, tmp_path)
+    assert rc == 1
+    assert re.search(r"physical\.nbar_m.*t=0\.0001.*not completely positive",
+                     capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
 def test_every_experiment_flag_names_a_config_key():
     keys = ExperimentConfig().flatten()
     assert [key for _, key, _ in _EXPERIMENT_FLAGS if key not in keys] == []

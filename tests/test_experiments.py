@@ -1,6 +1,9 @@
 """Experiment runners: sweeps, tables, and reproducibility round trips."""
+import gc
+import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,8 +208,50 @@ def test_table_round_trips():
 
 
 def test_table_rejects_ragged_rows():
-    with pytest.raises(ValueError, match="ragged"):
+    with pytest.raises(ValueError, match="^ragged row in result table$"):
         ResultTable(["a"], [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="^ragged row in result table$"):
+        ResultTable(["a", "b"], [[1.0, 2.0], [3.0]])
+
+
+def test_table_body_is_one_read_only_float64_array():
+    t = ResultTable(["a", "b"], [[1, np.float64(2.5)], [3.0, -0.125]])
+    assert t.values.dtype == np.float64 and t.values.shape == (2, 2)
+    assert not t.values.flags.writeable
+    with pytest.raises(ValueError):
+        t.values[0, 0] = 7.0
+    assert ResultTable(["a"], []).values.shape == (0, 1)
+
+
+def test_table_rows_and_columns_are_fresh_python_floats():
+    t = ResultTable(["a", "b"], np.array([[1.0, 2.5], [3.0, -0.125]]))
+    rows, column = t.rows, t.column("b")
+    assert rows == [[1.0, 2.5], [3.0, -0.125]] and column == [2.5, -0.125]
+    assert all(type(v) is float for v in [*rows[0], *rows[1], *column])
+    rows[0][0] = column[0] = 99.0
+    assert t.rows == [[1.0, 2.5], [3.0, -0.125]] and t.column("b") == [2.5, -0.125]
+
+
+def test_table_equality_compares_columns_values_and_metadata():
+    t = ResultTable(["a", "b"], [[1.0, 2.0]], {"k": "v"})
+    assert t == ResultTable(["a", "b"], np.array([[1.0, 2.0]]), {"k": "v"})
+    assert t != ResultTable(["a", "c"], [[1.0, 2.0]], {"k": "v"})
+    assert t != ResultTable(["a", "b"], [[1.0, 2.5]], {"k": "v"})
+    assert t != ResultTable(["a", "b"], [[1.0, 2.0], [1.0, 2.0]], {"k": "v"})
+    assert t != ResultTable(["a", "b"], [[1.0, 2.0]], {"k": "w"})
+    assert t != [[1.0, 2.0]]
+
+
+def test_table_bytes_of_special_values_are_pinned():
+    t = ResultTable(["n", "x"], [[3, np.float64(0.1)], [-0.0, math.nan], [math.inf, 1e-300]],
+                    {"k": "v", "a": "b"})
+    assert t.to_csv() == "# a = b\n# k = v\nn,x\n3.0,0.1\n-0.0,nan\ninf,1e-300\n"
+    assert t.to_json() == (
+        '{\n  "metadata": {\n    "a": "b",\n    "k": "v"\n  },\n'
+        '  "columns": [\n    "n",\n    "x"\n  ],\n'
+        '  "rows": [\n    [\n      3.0,\n      0.1\n    ],\n'
+        '    [\n      -0.0,\n      NaN\n    ],\n'
+        '    [\n      Infinity,\n      1e-300\n    ]\n  ]\n}\n')
 
 
 def test_table_render_deterministic():
@@ -372,9 +417,11 @@ def test_dominant_modulation_frequency_synthetic():
 # -- cat decay runner ---------------------------------------------------------------------
 
 def test_default_cat_decay_builds_a_fixed_number_of_damped_channels(monkeypatch):
-    # one damped channel per block of eta samples (21) and per round of four
-    # bisection steps (5 for each of the 6 half-lives); a channel per sample
-    # would build 1,250, and one per bisection step 141
+    # the six half-lives are one batched search: one damped channel per block
+    # of scan times shared by every state still scanning (5, up to the last
+    # crossing), one per round of four bisection steps of all six states (5),
+    # and one per block of the decay series (2); six separate searches built
+    # 49, a channel per sample would build 1,250
     from pulsox import wigner
     from pulsox.experiments import run_cat_decay
 
@@ -392,7 +439,28 @@ def test_default_cat_decay_builds_a_fixed_number_of_damped_channels(monkeypatch)
         built.clear()
         run_cat_decay(cfg)
         counts.append(len(built))
-    assert counts == [51, 51]
+    assert counts == [12, 12]
+
+
+def test_default_cat_decay_results_are_small_to_keep():
+    # a caller that keeps every run (a benchmark's timed loop) holds 100
+    # results: 2.8 MB with each row a list of Python floats and each table's
+    # metadata keys built anew, 0.85 MB with one float64 array per table and
+    # one metadata dict per run
+    from pulsox.experiments import run_cat_decay
+
+    cfg = make_config("cat-decay")
+    run_cat_decay(cfg)  # fill the lazy caches before measuring
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = [run_cat_decay(cfg) for _ in range(100)]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 100 and held < 1.5e6
 
 
 def test_cat_half_life_peaks_near_mu_opt():
@@ -425,6 +493,28 @@ def test_single_mu_runners_read_a_one_point_mu_range(experiment):
         return {name: t.rows for name, t in run_experiment(cfg).tables.items()}
 
     assert tables("0.25:0.25:1") == tables(repr(10.0 ** 0.25))
+
+
+# The SHA-256 of each default table's column and row lines (its CSV without
+# the "# " metadata lines).  fock_squeeze is left out: its eta comes from grid
+# nodes whose bytes depend on the CPU's SIMD path (ROADMAP item 15).
+DEFAULT_TABLE_SHA256 = {
+    "fidelity_sweep": "06d52d8420ea0606ad4dc0253a0fa2f244a05bd846e99d56ede374b35e519b8a",
+    "impulse": "8c9902631dfc7df88bca027107a6de82642a7e350cfb49bb1eb38ddbafb7909f",
+    "multimode": "c22b604ad4bc680acd0e7af987a9eef2eb2c47d7696955697e5d20eeace32cf0",
+    "photon_budget": "75891e0f0eaba7d8941f5aa75ca9de80c441359722cb4f0e219f68a00d316993",
+    "half_life": "724f23be4393690ef2b0abeb319164ef9a535ac9780c12395f48d222cd67186f",
+    "decay_series": "4fa47f9a84e33e19feede32016e23d0b7a78b445ab6db2136ff4617984cbf8eb",
+}
+
+
+@pytest.mark.parametrize("experiment", ["fidelity-sweep", "impulse", "multimode",
+                                        "photon-budget", "cat-decay"])
+def test_default_tables_keep_their_bytes(experiment):
+    for name, table in run_experiment(make_config(experiment)).tables.items():
+        body = "".join(line + "\n" for line in table.to_csv().splitlines()
+                       if not line.startswith("# "))
+        assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_TABLE_SHA256[name], name
 
 
 # -- photon budget / fiber ----------------------------------------------------------------

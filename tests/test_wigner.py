@@ -307,6 +307,37 @@ def test_criterion_10_half_lives_are_pinned(alpha, label, tau):
     assert result == _scalar_scan_half_life(state0, CRITERION_10_LOSS)
 
 
+def test_a_batched_search_equals_the_scalar_search_of_each_state():
+    # one batch of nine: the six criterion-10 scenarios, an even cat (tau = 0),
+    # four coincident terms of weight -10, whose eta = 10 / sqrt(det V) never
+    # falls to 1/2 here (reached=False), and an alpha = 2 cat evolved to just
+    # before its crossing, which crosses before the first sample (k = 0)
+    loss, dt = CRITERION_10_LOSS, TWO_PI / 64
+    scenarios = [_criterion_10_state(alpha, label) for alpha in (1.0, 2.0)
+                 for label in ("none", "position", "momentum")]
+    even = GaussianSum.cat(CatSpec(1.0, "even"))
+    never = GaussianSum([math.log(2.5) + 1j * math.pi] * 4, np.zeros((4, 2)), np.eye(2))
+    first = scenarios[3].evolve(damped_evolution(loss, 9.975 - dt / 2))
+    assert negativity_eta(first) >= 0.5 > eta_at(first, loss, dt)
+    states = [scenarios[0], even, *scenarios[1:4], never, first, *scenarios[4:]]
+    results = half_life(GaussianSum.concatenate(states), loss)
+    assert len(results) == len(states)
+    for state, result in zip(states, results):
+        assert result == _scalar_scan_half_life(state, loss)
+    assert results[1] == HalfLifeResult(0.0, True, 0.0)
+    assert not results[5].reached and results[5].tau == 40.0 * TWO_PI
+    assert results[6].reached and 0.0 < results[6].tau < dt
+    taus = [r.tau for r in results[:1] + results[2:5] + results[7:]]
+    assert taus == pytest.approx([25.511, 27.287, 8.304, 9.975, 17.644, 2.209], rel=1e-3)
+
+
+def test_half_life_rejects_a_batch_of_rank_two():
+    cat = GaussianSum.cat(CatSpec(1.0, "odd"))
+    batch = cat.evolve(damped_evolution(CRITERION_10_LOSS, np.ones((2, 3))))
+    with pytest.raises(ValueError, match=r"not \(2, 3\)"):
+        half_life(batch, CRITERION_10_LOSS)
+
+
 @pytest.mark.parametrize("alpha,samples_per_period,max_periods", [
     (1.0, 142, 40.0),  # a block spans less than half a period
     (2.0, 81, 40.0),   # the crossing is the first sample of the third block
@@ -402,6 +433,23 @@ def test_batched_negativity_clamps_element_by_element():
         assert np.array_equal(got, builtin)
         assert [math.copysign(1.0, e) for e in got] == [math.copysign(1.0, e) for e in builtin]
     assert np.array_equal(negativity_eta(GaussianSum([0.0], means, covs)), np.zeros(4))
+
+
+def test_concatenated_sums_give_each_state_its_own_weights():
+    odd, even = GaussianSum.cat(CatSpec(1.0, "odd")), GaussianSum.cat(CatSpec(1.0, "even"))
+    rotated = odd.evolve(rotation("mech", [0.3, 0.9], MECH))
+    batch = GaussianSum.concatenate([odd, even, rotated])
+    assert batch.log_weights.shape == (4, 4) and batch.means.shape == (4, 4, 2)
+    alone = [odd, even, *(GaussianSum(odd.log_weights, m, c)
+                          for m, c in zip(rotated.means, rotated.cov))]
+    assert np.array_equal(batch.value_at(0.4, -0.3), [s.value_at(0.4, -0.3) for s in alone])
+    # a batch of higher rank is flattened in order
+    square = odd.evolve(rotation("mech", [[0.3, 0.9], [0.1, 0.2]], MECH))
+    assert np.array_equal(GaussianSum.concatenate([square]).means, square.means.reshape(4, 4, 2))
+    with pytest.raises(ValueError, match="log-weights does not broadcast"):
+        GaussianSum(np.zeros((3, 2, 1)), np.zeros((2, 1, 2)), np.stack([np.eye(2)] * 2))
+    with pytest.raises(ValueError):  # a different number of terms
+        GaussianSum.concatenate([odd, GaussianSum([0.0], np.zeros((1, 2)), np.eye(2))])
 
 
 def test_gaussian_sum_checks_every_batch_element():
