@@ -85,7 +85,7 @@ def _loss(config: ExperimentConfig, *, epsilon: float | None = None) -> LossConf
 def run_fidelity_sweep(config: ExperimentConfig) -> RunResult:
     """Infidelity of the squeezer on vacuum across mu, for the ideal map and
     for grids of mechanical Q (epsilon = 0) and optical loss (gamma = 0): one
-    batched schedule and target, and one :func:`vacuum_infidelity` per column."""
+    batched schedule and target, and one :func:`vacuum_infidelity` of all losses."""
     phys = config.physical
     mus = np.array(config.sweep.mu or log_grid(DEFAULT_MU_GRID))
     q_grid = config.sweep.q or log_grid(DEFAULT_Q_GRID)
@@ -93,14 +93,12 @@ def run_fidelity_sweep(config: ExperimentConfig) -> RunResult:
     columns = ["mu", "infidelity_ideal", "classical_bound"]
     columns += _labels("sweep.q", "infidelity_q_{:.3e}", q_grid)
     columns += _labels("sweep.epsilon", "infidelity_eps_{:.3e}", eps_grid)
-    losses = [LossConfig(omega_m=phys.omega_m)]
-    losses += [LossConfig.from_q(q, nbar_m=phys.nbar_m, epsilon=0.0, omega_m=phys.omega_m)
-               for q in q_grid]
-    losses += [LossConfig(omega_m=phys.omega_m, epsilon=eps, nbar_l=phys.nbar_l)
-               for eps in eps_grid]
+    losses = [LossConfig(omega_m=phys.omega_m),
+              *(LossConfig.from_q(q, nbar_m=phys.nbar_m, omega_m=phys.omega_m) for q in q_grid),
+              *(LossConfig(omega_m=phys.omega_m, epsilon=e, nbar_l=phys.nbar_l) for e in eps_grid)]
     schedule = schedule_for_mu(mus, phys.phi, phys.ancilla_vsq)
     target = ideal_target_state(vacuum(MECH), mus, phys.phi)
-    infidelities = [vacuum_infidelity(schedule, loss, target) for loss in losses]
+    infidelities = vacuum_infidelity(schedule, losses, target)
     bound = [1.0 - classical_bound(mu) for mu in mus]
     rows = np.column_stack([mus, infidelities[0], bound, *infidelities[1:]]).tolist()
     table = ResultTable(columns, rows, _metadata(config))
@@ -160,24 +158,22 @@ def d_min_approx(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: flo
     return math.sqrt(base) * (1.0 + loss.gamma / (8.0 * loss.omega_m) * corr / base)
 
 
-def d_min_full(mu, nbar_in: float, chi_ro: float, v_sq: float, phi: float,
+def d_min_full(mu, nbar_in, chi_ro: float, v_sq: float, phi: float,
                loss: LossConfig):
     """Minimum detectable kick from full Gaussian propagation.
 
     Pipeline: thermal input -> lossy squeezer -> (kick enters P) -> damped
     quarter-cycle rotation -> X readout via an X-X pulse of strength chi_ro on
     a coherent probe.  The detection threshold is SNR = 1: the estimator's
-    standard deviation divided by its kick gain.  An array of mu gives an
-    array of thresholds.
+    standard deviation divided by its kick gain.  Arrays of mu and nbar_in
+    give the thresholds over their broadcast shape.
     """
-    schedule = schedule_for_mu(mu, phi, v_sq)
-    state = squeezer_output(schedule, loss, thermal(nbar_in, MECH))
+    state = squeezer_output(schedule_for_mu(mu, phi, v_sq), loss, thermal(nbar_in, MECH))
     quarter = damped_delay(math.pi / 2.0, loss)
     state = apply_channel(state, quarter)
 
-    probe = vacuum(OPT)  # coherent readout pulse: vacuum fluctuations
-    readout = qnd_xx(chi_ro)
-    out = apply_channel(product(state, probe), readout)
+    # the readout pulse is coherent: its probe carries vacuum fluctuations
+    out = apply_channel(product(state, vacuum(OPT)), qnd_xx(chi_ro))
     var_estimator = out.variance("opt", "p") / chi_ro ** 2
 
     # kick gain: a P displacement reaches the estimator through X(t) <- P(0)
@@ -188,19 +184,19 @@ def d_min_full(mu, nbar_in: float, chi_ro: float, v_sq: float, phi: float,
 
 def run_impulse(config: ExperimentConfig) -> RunResult:
     """Minimum detectable momentum kick vs pre-squeezing, with the closed-form
-    estimate and the naive mu * sqrt(2 nbar + 1) prediction alongside."""
+    estimate and the naive mu * sqrt(2 nbar + 1) prediction alongside; one
+    :func:`d_min_full` call covers the (nbar_in, mu) grid."""
     phys = config.physical
     loss = _loss(config)
     chi_ro = config.readout.chi_ro
     default_mus = tuple(10.0 ** (-db / 20.0) for db in np.linspace(-10, 10, 21))
     mus = config.sweep.mu or default_mus
-    rows = []
-    for nbar_in in config.impulse.nbar_in:
-        fulls = d_min_full(np.array(mus), nbar_in, chi_ro, phys.ancilla_vsq, phys.phi, loss)
-        for mu, full in zip(mus, fulls.tolist()):
-            approx = d_min_approx(mu, nbar_in, chi_ro, phys.ancilla_vsq, phys.phi, loss)
-            naive = mu * math.sqrt(2.0 * nbar_in + 1.0)
-            rows.append([nbar_in, mu, -20.0 * math.log10(mu), full, approx, naive])
+    nbars = config.impulse.nbar_in
+    fulls = d_min_full(mus, np.array(nbars)[:, None], chi_ro, phys.ancilla_vsq, phys.phi, loss)
+    rows = [[nbar_in, mu, -20.0 * math.log10(mu), full,
+             d_min_approx(mu, nbar_in, chi_ro, phys.ancilla_vsq, phys.phi, loss),
+             mu * math.sqrt(2.0 * nbar_in + 1.0)]
+            for nbar_in, row in zip(nbars, fulls.tolist()) for mu, full in zip(mus, row)]
     table = ResultTable(
         ["nbar_in", "mu", "squeezing_db", "d_min_full", "d_min_approx", "d_min_naive"],
         rows, _metadata(config))

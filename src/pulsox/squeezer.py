@@ -16,8 +16,8 @@ Momentum is rescaled by mu (P' = mu P, X' = X / mu): mu < 1 squeezes
 momentum, mu > 1 squeezes position.
 
 ``schedule_for_mu`` takes an array of mu; everything built from a schedule
-broadcasts over that batch axis, while ``LossConfig``, ``phi`` and the delay
-stay scalars shared by the whole batch.
+broadcasts over that batch axis, with ``phi`` a scalar.  A sequence of L
+losses adds a leading axis of length L, stacked from each loss's own delay.
 """
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ def _elementwise(fn: Callable, nin: int) -> Callable:
 
 _atan = _elementwise(math.atan, 1)
 _pow = _elementwise(math.pow, 2)
+Losses = LossConfig | Sequence[LossConfig]
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,21 @@ def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], GaussianChanne
             rotation("opt", schedule.theta - math.pi / 2.0, layout), pulse(schedule.chi3)]
 
 
-def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianChannel:
+def _delay(schedule: PulseSchedule, loss: Losses) -> list[GaussianChannel]:
+    """The delay's beamsplitter loss and damped mechanics.  For a sequence of L
+    losses the L channels of each kind, built alone, are stacked unchecked into
+    one of batch shape (L, 1, ..., 1), a 1 per batch axis of ``schedule``."""
+    if isinstance(loss, LossConfig):
+        return [beamsplitter_loss(loss), damped_delay(schedule.phi, loss, MECH_OPT)]
+    if not loss:
+        raise ValueError("empty loss sequence")
+    lead = (len(loss),) + (1,) * np.broadcast(*vars(schedule).values()).ndim
+    return [_built(*(np.stack(a).reshape(lead + a[0].shape) for a in
+                     zip(*((ch.matrix, ch.mean, ch.cov) for ch in stage))), MECH_OPT)
+            for stage in zip(*(_delay(schedule, one) for one in loss))]
+
+
+def build_lossy_squeezer(schedule: PulseSchedule, loss: Losses) -> GaussianChannel:
     """Four-pulse squeezer with delay-line loss and mechanical damping.
 
     During the delay the mechanics evolves under the damped propagator for
@@ -173,10 +188,10 @@ def build_lossy_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianC
     exactly ``rotation("mech", phi)`` and the map is symplectic: its
     mechanical rows equal the mechanical rotation through phi applied to the
     plain squeezer form X' = X/mu + (1-mu) tan(phi) P + optical noise,
-    P' = mu P.
+    P' = mu P.  A sequence of L losses adds a leading axis of length L (a (49,)
+    schedule gives (L, 49)), each element the squeezer of its loss bit for bit.
     """
-    delay = [beamsplitter_loss(loss), damped_delay(schedule.phi, loss, MECH_OPT)]
-    return compose(_four_pulse(schedule, qnd_xx, delay, MECH_OPT))
+    return compose(_four_pulse(schedule, qnd_xx, _delay(schedule, loss), MECH_OPT))
 
 
 def ideal_target_map(mu, phi: float, mode: str = "mech",
@@ -232,23 +247,23 @@ def mechanical_reduced_channel(channel: GaussianChannel,
     return _reduced(channel, ancilla.mean, ancilla.cov)
 
 
-def mechanical_squeezer(schedule: PulseSchedule, loss: LossConfig) -> GaussianChannel:
-    """Single-mode mechanical channel of the (lossy) squeezer, with the
-    schedule's own ancilla marginalized out."""
+def mechanical_squeezer(schedule: PulseSchedule, loss: Losses) -> GaussianChannel:
+    """Single-mode mechanical channel of the (lossy) squeezer (``loss`` as for
+    :func:`build_lossy_squeezer`), with the schedule's own ancilla traced out."""
     ancilla_cov = _squeezed_cov(schedule.ancilla_vsq, schedule.ancilla_angle)
     return _reduced(build_lossy_squeezer(schedule, loss), np.zeros(2), ancilla_cov)
 
 
-def squeezer_output(schedule: PulseSchedule, loss: LossConfig,
+def squeezer_output(schedule: PulseSchedule, loss: Losses,
                     input_state: GaussianState) -> GaussianState:
     """Apply the (lossy) squeezer to a single-mode mechanical input using the
     schedule's own ancilla."""
     return apply_channel(input_state, mechanical_squeezer(schedule, loss))
 
 
-def vacuum_infidelity(schedule: PulseSchedule, loss: LossConfig, target: GaussianState):
+def vacuum_infidelity(schedule: PulseSchedule, loss: Losses, target: GaussianState):
     """1 - F of the squeezer output on mechanical vacuum against ``target``;
-    a batched schedule gives one value per schedule."""
+    a batched schedule gives one value per schedule, and L losses L rows."""
     return 1.0 - fidelity_zero_mean(squeezer_output(schedule, loss, vacuum(MECH)), target)
 
 

@@ -54,11 +54,13 @@ def vacuum(layout: ModeLayout) -> GaussianState:
     return GaussianState(np.zeros(layout.dim), np.eye(layout.dim), layout)
 
 
-def thermal(nbar: float, layout: ModeLayout) -> GaussianState:
-    """Thermal state with occupancy ``nbar`` in every mode of the layout."""
-    if nbar < 0:
+def thermal(nbar, layout: ModeLayout) -> GaussianState:
+    """Thermal state with occupancy ``nbar`` in every mode; an array gives a batch."""
+    nbar = np.asarray(nbar, dtype=float)
+    if np.any(nbar < 0):
         raise ValueError("occupancy must be nonnegative")
-    return GaussianState(np.zeros(layout.dim), (2.0 * nbar + 1.0) * np.eye(layout.dim), layout)
+    cov = (2.0 * nbar[..., None, None] + 1.0) * np.eye(layout.dim)
+    return GaussianState(np.zeros(layout.dim), cov, layout)
 
 
 def _squeezed_cov(v_sq, angle) -> np.ndarray:
@@ -121,12 +123,13 @@ def product(*states: GaussianState) -> GaussianState:
 
 
 def apply_channel(state: GaussianState, channel: GaussianChannel) -> GaussianState:
-    """Propagate the state through X' = M X + F."""
+    """Propagate the state through X' = M X + F; the output mean is broadcast
+    to the joint batch of state and channel, as its covariance is."""
     if state.layout != channel.layout:
         raise ValueError("state and channel layouts differ")
     m = channel.matrix
-    mean = _apply(m, state.mean) + channel.mean
     cov = m @ state.cov @ _transpose(m) + channel.cov
+    mean = np.broadcast_to(_apply(m, state.mean) + channel.mean, cov.shape[:-1])
     return GaussianState(mean, cov, state.layout)
 
 

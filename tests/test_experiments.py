@@ -545,6 +545,25 @@ def test_default_mu_sweep_builds_one_batched_schedule(monkeypatch, experiment):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("experiment, name", [
+    ("fidelity-sweep", "vacuum_infidelity"),   # one per loss column would be 15
+    ("impulse", "squeezer_output"),            # one per nbar_in would be 2
+])
+def test_default_loss_and_occupancy_axes_make_one_squeezer_call(monkeypatch, experiment, name):
+    from pulsox import experiments
+
+    made = []
+    original = getattr(experiments, name)
+
+    def counted(*args):
+        made.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(experiments, name, counted)
+    run_experiment(make_config(experiment))
+    assert len(made) == 1
+
+
 def test_fiber_epsilon_values():
     assert estimate_fiber_epsilon(0.0, 0.4) == 0.0
     assert 0.9e-3 < estimate_fiber_epsilon(0.012, 0.4) < 1.3e-3

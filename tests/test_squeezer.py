@@ -15,7 +15,7 @@ from pulsox import (LOSSLESS, GaussianChannel, GaussianState, LossConfig, MECH, 
                     photon_budget, photons_for_chi, product, qnd_xx, regime_check,
                     rotation, schedule_for_mu, squeezed, squeezer_output,
                     apply_channel, symplectic_form, theta_for, thermal,
-                    vacuum)
+                    vacuum, vacuum_infidelity)
 from pulsox import squeezer
 from pulsox.channels import damped_delay
 from pulsox.config import log_grid
@@ -330,6 +330,34 @@ def test_batched_squeezer_equals_scalar_calls(kind, data):
         _assert_close(d_min[k], float(d_min_full(mu, nbar_in, 3.0, v_sq, phi, loss)))
 
 
+# -- the loss axis --------------------------------------------------------------------
+
+_MIXED_LOSSES = st.lists(st.one_of(*_LOSS_KINDS.values()), min_size=1, max_size=5)
+
+
+@settings(max_examples=60)
+@given(mu=st.one_of(st.floats(-1.2, 1.2).map(lambda e: 10.0 ** e), _mu_batches()),
+       losses=_MIXED_LOSSES)
+def test_loss_batch_elements_equal_their_own_calls_bit_for_bit(mu, losses):
+    s = schedule_for_mu(mu, PHI)
+    target = ideal_target_state(vacuum(MECH), mu, PHI)
+    full = build_lossy_squeezer(s, losses)
+    mech = mechanical_squeezer(s, losses)
+    infidelity = vacuum_infidelity(s, losses, target)
+    assert full.matrix.shape[:-2] == infidelity.shape == (len(losses),) + np.shape(mu)
+    for k, loss in enumerate(losses):
+        for batch, one in ((full, build_lossy_squeezer(s, loss)),
+                           (mech, mechanical_squeezer(s, loss))):
+            for field in ("matrix", "mean", "cov"):
+                assert np.array_equal(getattr(batch, field)[k], getattr(one, field)), field
+        assert np.array_equal(infidelity[k], vacuum_infidelity(s, loss, target))
+
+
+def test_empty_loss_sequence_raises():
+    with pytest.raises(ValueError, match="empty loss sequence"):
+        build_lossy_squeezer(schedule_for_mu(SQRT2, PHI), [])
+
+
 # -- the squeezer against the protocol written out --------------------------------
 
 def _public_stages(s, loss):
@@ -371,6 +399,10 @@ def test_lossy_squeezer_output_validates_one_state_and_no_channel(monkeypatch):
             check(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
     squeezer_output(s, loss, mech_in)
+    assert [c.__name__ for c in built] == ["GaussianState"]
+    # a loss sequence stacks its delay channels unchecked too
+    built.clear()
+    squeezer_output(schedule_for_mu(np.array([0.5, SQRT2]), PHI), [LOSSLESS, loss], mech_in)
     assert [c.__name__ for c in built] == ["GaussianState"]
 
 

@@ -42,6 +42,18 @@ def test_thermal_covariance():
         thermal(-1.0, MECH)
 
 
+def test_thermal_batch_equals_its_occupancies_alone():
+    nbars = np.array([[0.0, 2.5], [1e-3, 7.0]])
+    batch = thermal(nbars, MECH_OPT)
+    assert batch.cov.shape == (2, 2, 4, 4)
+    for index, nbar in np.ndenumerate(nbars):
+        one = thermal(float(nbar), MECH_OPT)
+        assert np.array_equal(batch.cov[index], one.cov)
+        assert np.array_equal(np.broadcast_to(batch.mean, (2, 2, 4))[index], one.mean)
+    with pytest.raises(ValueError, match="nonnegative"):
+        thermal([1.0, -1e-9], MECH)
+
+
 def test_squeezed_eigenvalues_and_angle():
     v = 0.25
     for angle in (0.0, math.pi / 4, -math.pi / 4, 1.1):
@@ -128,6 +140,21 @@ def test_apply_thermal_through_loss():
     expected = (1 - eps) * (2 * nbar + 1) + eps
     assert out.variance("opt", "x") == pytest.approx(expected, rel=1e-12)
     assert out.variance("opt", "p") == pytest.approx(expected, rel=1e-12)
+
+
+def test_apply_channel_broadcasts_a_shared_mean_to_the_joint_batch():
+    # one shared mean, a (2,) batch of covariances and a (4,) batch of channels
+    state = GaussianState(np.zeros(2), np.array([1.0, 3.0])[:, None, None, None] * np.eye(2),
+                          MECH)
+    angles = np.linspace(0, 1, 4)
+    out = apply_channel(state, rotation("mech", angles, MECH))
+    assert out.mean.shape == (2, 4, 2) and out.cov.shape == (2, 4, 2, 2)
+    for i, scale in enumerate((1.0, 3.0)):
+        for j, angle in enumerate(angles.tolist()):
+            one = apply_channel(GaussianState(np.zeros(2), scale * np.eye(2), MECH),
+                                rotation("mech", angle, MECH))
+            assert np.array_equal(out.cov[i, j], one.cov)
+            assert np.array_equal(out.mean[i, j], one.mean)
 
 
 def test_apply_channel_layout_mismatch():
