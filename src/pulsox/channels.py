@@ -7,7 +7,9 @@ a mean drift and a covariance.  Lossless constructors (QND pulses, rotations,
 scalings) return noiseless channels; lossy ones (beamsplitter, damped
 evolution) complete the missing commutator with their noise.  All values are
 immutable, every operation is a pure function, and :func:`compose` is the one
-way to chain them.
+way to chain them.  An X-X pulse couples one mechanical mode of a layout to
+``"opt"``; a pulse on several mechanical modes is the composition of one per
+mode.
 
 Input is checked where it enters.  A ``GaussianChannel(...)`` built from
 outside arrays checks structure (shape, finiteness, noise symmetry).  The
@@ -167,31 +169,32 @@ def _finite(values, what: str) -> np.ndarray:
 # lossless constructors
 # ---------------------------------------------------------------------------
 
-_XX = ((MECH_OPT.p_index("opt"), MECH_OPT.x_index("mech")),
-       (MECH_OPT.p_index("mech"), MECH_OPT.x_index("opt")))
-_PP = ((MECH_OPT.x_index("opt"), MECH_OPT.p_index("mech")),
-       (MECH_OPT.x_index("mech"), MECH_OPT.p_index("opt")))
-
-
-def _qnd(chi, entries: Sequence[tuple[int, int]]) -> GaussianChannel:
-    """Identity on (mech, opt) with ``chi`` at each (row, column) of ``entries``."""
+def _qnd(chi, kicked: int, mode: str, layout: ModeLayout) -> GaussianChannel:
+    """Identity on ``layout`` with ``chi`` coupling mechanical ``mode`` to
+    ``"opt"``: quadrature ``kicked`` (0 for X, 1 for P) of each mode is kicked
+    by the other quadrature of the other mode."""
+    if mode == "opt":
+        raise ValueError("a QND pulse couples a mechanical mode to 'opt', not 'opt' itself")
+    i, j, k = layout.x_index(mode), layout.x_index("opt"), 1 - kicked
     chi = _finite(chi, "pulse strength")
-    m = _identity(chi.shape, MECH_OPT.dim)
-    for i, j in entries:
-        m[..., i, j] = chi
-    return _noiseless(m, MECH_OPT)
+    m = _identity(chi.shape, layout.dim)
+    m[..., j + kicked, i + k] = m[..., i + kicked, j + k] = chi
+    return _noiseless(m, layout)
 
 
-def qnd_xx(chi) -> GaussianChannel:
-    """Position-position QND pulse on (mech, opt): both X unchanged,
-    P_opt += chi X_mech, P_mech += chi X_opt.  An array ``chi`` gives a batch."""
-    return _qnd(chi, _XX)
+def qnd_xx(chi, mode: str = "mech", layout: ModeLayout = MECH_OPT) -> GaussianChannel:
+    """Position-position QND pulse between mechanical ``mode`` and ``"opt"``:
+    both X unchanged, P_opt += chi X_mode, P_mode += chi X_opt.  An array
+    ``chi`` gives a batch.  A pulse on several mechanical modes is the
+    :func:`compose` of one per mode: they commute and their strengths add
+    exactly, since each pulse's coupling term times another's is zero."""
+    return _qnd(chi, 1, mode, layout)
 
 
 def qnd_pp(chi) -> GaussianChannel:
     """Momentum-momentum QND pulse on (mech, opt): both P unchanged,
     X_opt += chi P_mech, X_mech += chi P_opt.  An array ``chi`` gives a batch."""
-    return _qnd(chi, _PP)
+    return _qnd(chi, 0, "mech", MECH_OPT)
 
 
 def rotation(mode: str, angle, layout: ModeLayout = MECH_OPT) -> GaussianChannel:
@@ -221,39 +224,6 @@ def quadrature_scaling(sx, sp, mode: str = "mech",
     i = layout.x_index(mode)
     m[..., i, i] = sx
     m[..., i + 1, i + 1] = sp
-    return _noiseless(m, layout)
-
-
-def qnd_xx_collective(couplings: Sequence[float], chi_total: float,
-                      layout: ModeLayout) -> GaussianChannel:
-    """X-X QND pulse addressing every mechanical mode of ``layout`` (all modes
-    but ``"opt"``, in layout order) through the optical mode.
-
-    The optical phase picks up the coupling-weighted collective position
-    chi_total * (sum_j g_j X_j) / (sum_j g_j), and each mechanical momentum
-    receives its share chi_j = chi_total * g_j / sum(g) of the back-action, so
-    the collective (X, P) pair stays canonically conjugate.  With a single
-    mechanical mode this reduces to :func:`qnd_xx`.
-    """
-    if not math.isfinite(chi_total):
-        raise ValueError("non-finite pulse strength")
-    mech_modes = [lab for lab in layout.labels if lab != "opt"]
-    g = _finite(couplings, "coupling")
-    if len(mech_modes) < 1:
-        raise ValueError("need at least one mechanical mode")
-    if g.shape != (len(mech_modes),):
-        raise ValueError("one coupling per mechanical mode required")
-    if np.any(g < 0):
-        raise ValueError("couplings must be nonnegative")
-    total = g.sum()
-    if total <= 0:
-        raise ValueError("all couplings are zero")
-    m = np.eye(layout.dim)
-    ip_l = layout.p_index("opt")
-    for lab, gj in zip(mech_modes, g):
-        chi_j = chi_total * gj / total
-        m[layout.p_index(lab), layout.x_index("opt")] += chi_j
-        m[ip_l, layout.x_index(lab)] += chi_j
     return _noiseless(m, layout)
 
 

@@ -6,7 +6,9 @@ the P-P pulse with two X-X pulses wrapped in optical quarter turns around a
 short mechanical rotation phi, and cancels the residual Kerr term with an
 extra optical rotation theta.  :func:`_four_pulse` writes that protocol out
 once; the lossy squeezer (whose ``LOSSLESS`` case is the lossless one) and
-the multimode study differ only in the pulse and the delay they pass it.
+the multimode study differ only in the pulse and the delay they pass it: the
+squeezer's pulse is ``qnd_xx``, the multimode study's the composition of one
+``qnd_xx`` per mechanical mode, batched over its g2/g1 ratios.
 The protocol is a list of channels, each of which checks its input where it
 enters (see :mod:`pulsox.channels`); like :func:`~pulsox.channels.compose`,
 the ancilla reduction checks only that its result is finite, so a lossy

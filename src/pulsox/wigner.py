@@ -79,8 +79,8 @@ class WignerGrid:
         res = self.resolution
         if res < 4 or res & (res - 1):
             raise ValueError("resolution must be a power of two (>= 4)")
-        if self.half_extent <= 0:
-            raise ValueError("half extent must be positive")
+        if not 0 < self.half_extent < math.inf:
+            raise ValueError("half extent must be positive and finite")
         v = np.asarray(self.values, dtype=float)
         if v.shape != (res, res):
             raise ValueError(f"values shape {v.shape} does not match resolution {res}")
@@ -129,8 +129,8 @@ class CatSpec:
     parity: str = "odd"
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("cat amplitude must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("cat amplitude must be positive and finite")
         if self.parity not in ("odd", "even"):
             raise ValueError("parity must be 'odd' or 'even'")
 
@@ -383,8 +383,8 @@ def fringe_ellipse(alpha: float, mu: float) -> tuple[float, float]:
     Solves mu^2 x^2 / 2 * (4 a^2/(e^(2a^2)-1) + 1) + p^2/(2 mu^2) *
     (4 a^2/(1-e^(-2a^2)) + 1) = 1 for the axis intercepts.
     """
-    if alpha <= 0 or mu <= 0:
-        raise ValueError("alpha and mu must be positive")
+    if not (0 < alpha < math.inf and 0 < mu < math.inf):
+        raise ValueError("alpha and mu must be positive and finite")
     a2 = 2.0 * alpha * alpha
     cx = 4.0 * alpha * alpha / math.expm1(a2) + 1.0
     cp = 4.0 * alpha * alpha / (-math.expm1(-a2)) + 1.0
@@ -393,8 +393,8 @@ def fringe_ellipse(alpha: float, mu: float) -> tuple[float, float]:
 
 def mu_opt(alpha: float) -> float:
     """Squeeze factor that makes the central fringe circular."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     a2 = 2.0 * alpha * alpha
     e = math.exp(a2)
     return ((e * (1.0 + 2.0 * a2) - 1.0) / (e + 2.0 * a2 - 1.0)) ** 0.25
@@ -476,7 +476,8 @@ def half_life(state0: GaussianSum, loss: LossConfig, samples_per_period: int = 6
     of batch shape ``()`` or ``(B,)`` is rejected.  A state that starts below
     1/2 (an even cat, or a heavily lossy pre-squeezed one) gets tau = 0 with
     ``reached=True``; one that does not cross within ``max_periods`` gets the
-    horizon with ``reached=False``.
+    horizon with ``reached=False``.  ``samples_per_period`` must be finite and
+    at least 64, ``max_periods`` finite and positive.
     """
     if not isinstance(state0, GaussianSum):
         raise ValueError(f"half_life scans a batch of times, which a "
@@ -484,8 +485,11 @@ def half_life(state0: GaussianSum, loss: LossConfig, samples_per_period: int = 6
     batch = state0.cov.shape[:-2]
     if len(batch) > 1:
         raise ValueError(f"half_life searches a batch of shape () or (B,), not {batch}")
-    if samples_per_period < 64:
-        raise ValueError("need at least 64 samples per mechanical period")
+    if not 64 <= samples_per_period < math.inf:
+        raise ValueError(f"samples_per_period = {samples_per_period!r}: need a finite "
+                         f"number of at least 64 samples per mechanical period")
+    if not 0 < max_periods < math.inf:
+        raise ValueError(f"max_periods = {max_periods!r} must be positive and finite")
     states = GaussianSum.concatenate([state0])
     eta0 = negativity_eta(states).tolist()
     period = 2.0 * math.pi / loss.omega_m

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from pulsox import (LOSSLESS, GaussianChannel, LossConfig, MECH, MECH_OPT, ModeLayout,
                     beamsplitter_loss, build_lossy_squeezer, compose, damped_evolution,
-                    is_physical, mechanical_squeezer, qnd_pp, qnd_xx, qnd_xx_collective,
-                    quadrature_scaling, rotation, schedule_for_mu, symplectic_form)
+                    is_physical, mechanical_squeezer, qnd_pp, qnd_xx, quadrature_scaling,
+                    rotation, schedule_for_mu, symplectic_form)
 from pulsox.channels import damped_delay, damped_is_physical
 
 OMEGA2 = symplectic_form(2)
@@ -358,33 +358,56 @@ def test_compose_layout_mismatch():
         compose([qnd_xx(1.0), rotation("mech", 1.0, MECH)])
 
 
-# -- collective pulse --------------------------------------------------------
+# -- collective pulse: one qnd_xx per mechanical mode, composed ----------------
 
 THREE = ModeLayout(("mech", "mech2", "opt"))
 
 
+def _collective(chi1, chi2):
+    return [qnd_xx(chi1, "mech", THREE), qnd_xx(chi2, "mech2", THREE)]
+
+
 def test_collective_single_mode_reduction():
-    lone = qnd_xx_collective([0.4], 1.7, MECH_OPT)
-    assert np.allclose(lone.matrix, qnd_xx(1.7).matrix)
-
-
-def test_collective_preserves_commutators():
-    m = qnd_xx_collective([1.0, 0.5], 2.0, THREE)
-    assert m.is_symplectic()
+    lone = compose(_collective(1.7, 0.0)).matrix
+    keep = [THREE.x_index("mech"), THREE.p_index("mech"), THREE.x_index("opt"),
+            THREE.p_index("opt")]
+    assert np.array_equal(lone[np.ix_(keep, keep)], qnd_xx(1.7).matrix)
+    assert np.array_equal(qnd_xx(1.7, "mech", MECH_OPT).matrix, qnd_xx(1.7).matrix)
 
 
 def test_collective_equal_couplings_split_evenly():
     chi = 1.6
-    m = qnd_xx_collective([1.0, 1.0], chi, THREE)
+    m = compose(_collective(chi / 2, chi / 2)).matrix
     pl = THREE.p_index("opt")
-    assert m.matrix[pl, THREE.x_index("mech")] == pytest.approx(chi / 2)
-    assert m.matrix[pl, THREE.x_index("mech2")] == pytest.approx(chi / 2)
-    assert m.matrix[THREE.p_index("mech"), THREE.x_index("opt")] == pytest.approx(chi / 2)
+    assert m[pl, THREE.x_index("mech")] == m[pl, THREE.x_index("mech2")] == chi / 2
+    assert m[THREE.p_index("mech"), THREE.x_index("opt")] == chi / 2
 
 
-def test_collective_rejects_zero_couplings():
-    with pytest.raises(ValueError):
-        qnd_xx_collective([0.0, 0.0], 1.0, THREE)
+@given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+def test_collective_preserves_commutators(chi1, chi2):
+    # the per-mode pulses commute and add their strengths exactly
+    forward = compose(_collective(chi1, chi2))
+    backward = compose(_collective(chi1, chi2)[::-1])
+    assert np.array_equal(forward.matrix, backward.matrix)
+    expected = np.eye(THREE.dim)
+    x_opt, p_opt = THREE.x_index("opt"), THREE.p_index("opt")
+    for mode, chi in (("mech", chi1), ("mech2", chi2)):
+        expected[p_opt, THREE.x_index(mode)] = expected[THREE.p_index(mode), x_opt] = chi
+    assert np.array_equal(forward.matrix, expected)
+    assert forward.is_symplectic()
+
+
+def test_batched_qnd_xx_gives_each_element_its_own_channel():
+    chis = np.random.default_rng(3).normal(size=(2, 3)) * 2
+    for mode in ("mech", "mech2"):
+        batch = qnd_xx(chis, mode, THREE)
+        assert batch.matrix.shape == (2, 3, 6, 6)
+        for idx in np.ndindex(chis.shape):
+            assert np.array_equal(batch.matrix[idx], qnd_xx(chis[idx], mode, THREE).matrix)
+    pulse = compose(_collective(chis, chis[0]))
+    for idx in np.ndindex(chis.shape):
+        alone = compose(_collective(chis[idx], chis[0][idx[1]]))
+        assert np.array_equal(pulse.matrix[idx], alone.matrix)
 
 
 # -- invariants --------------------------------------------------------------
@@ -509,17 +532,12 @@ def test_batched_values_check_every_element_and_matching_batches():
         _channel(rotation("mech", [0.0, 0.5, 1.0, 1.5], MECH).matrix, mean=np.zeros((3, 2)))
 
 
-_TWO_MECH = ModeLayout(("mech", "mech2", "opt"))
-
-
 @pytest.mark.parametrize("make,match", [
     (lambda: qnd_pp(math.nan), "pulse strength"),
     (lambda: quadrature_scaling(math.nan, 1.0), "quadrature scaling"),
-    (lambda: qnd_xx_collective([math.nan, 1.0], 1.0, _TWO_MECH), "coupling"),
     (lambda: damped_evolution(LossConfig(gamma=0.1), math.nan), "evolution time"),
     (lambda: damped_evolution(LossConfig(gamma=0.1), math.inf), "evolution time"),
-], ids=["qnd_pp", "quadrature_scaling", "qnd_xx_collective", "damped_evolution-nan",
-        "damped_evolution-inf"])
+], ids=["qnd_pp", "quadrature_scaling", "damped_evolution-nan", "damped_evolution-inf"])
 def test_constructors_reject_non_finite_input_by_name(make, match):
     with pytest.raises(ValueError, match=f"non-finite {match}"):
         make()
@@ -544,7 +562,7 @@ def _built_channels():
     return {"qnd_xx": qnd_xx(0.5), "qnd_pp": qnd_pp([0.5, -1.0]),
             "rotation": rotation("opt", [0.3, 1.0]),
             "quadrature_scaling": quadrature_scaling(2.0, 0.5),
-            "qnd_xx_collective": qnd_xx_collective([1.0, 2.0], 0.7, _TWO_MECH),
+            "collective": compose(_collective([0.7, 0.2], 1.4)),
             "damped_evolution": damped_evolution(loss, [0.1, 0.2]),
             "damped_delay": damped_delay(0.3, loss, MECH_OPT),
             "beamsplitter_loss": beamsplitter_loss(loss),
@@ -609,21 +627,18 @@ def test_thermal_noise_matches_quadrature_oracle(gamma, t):
     assert np.allclose(got, [[v11, v12], [v12, v22]], atol=1e-9 * n_total)
 
 
-_THREE_MODES = ModeLayout(("mech", "mech2", "opt"))
-
-
 @pytest.mark.parametrize("build, fragment", [
-    (lambda: qnd_xx_collective([1.0, 1.0], math.nan, _THREE_MODES), "non-finite pulse strength"),
-    (lambda: qnd_xx_collective([], 1.0, ModeLayout(("opt",))), "at least one mechanical mode"),
-    (lambda: qnd_xx_collective([1.0], 1.0, _THREE_MODES), "one coupling per mechanical mode"),
-    (lambda: qnd_xx_collective([1.0, -0.5], 1.0, _THREE_MODES), "must be nonnegative"),
-    (lambda: qnd_xx_collective([0.0, 0.0], 1.0, _THREE_MODES), "all couplings are zero"),
+    (lambda: qnd_xx(math.nan, "mech2", THREE), "non-finite pulse strength"),
+    (lambda: qnd_xx(1.0, "opt"), "not 'opt' itself"),
+    (lambda: qnd_xx(1.0, "opt", THREE), "not 'opt' itself"),
+    (lambda: qnd_xx(1.0, "mech2"), "unknown mode 'mech2'"),
+    (lambda: qnd_xx(1.0, "mech", MECH), "unknown mode 'opt'"),
     (lambda: LossConfig(omega_m=0.0), "mechanical frequency must be positive"),
     (lambda: LossConfig.from_q(0.0), "quality factor must be positive"),
     (lambda: compose([]), "nothing to compose"),
     (lambda: ModeLayout(()), "at least one mode"),
-], ids=["collective-nan-chi", "collective-no-mech", "collective-count", "collective-negative",
-        "collective-zero", "omega-m", "q", "compose-empty", "empty-layout"])
+], ids=["qnd_xx-nan-chi", "qnd_xx-opt", "qnd_xx-opt-three-modes", "qnd_xx-unknown-mode",
+        "qnd_xx-no-opt", "omega-m", "q", "compose-empty", "empty-layout"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment):
     with pytest.raises(ValueError, match=fragment):
         build()

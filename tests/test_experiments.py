@@ -375,7 +375,7 @@ def test_multimode_single_mode_endpoint(multimode_table):
 
 
 def test_multimode_uncoupled_row_is_the_single_mode_squeezer(multimode_table):
-    # with g2 = 0 the collective pulse is the single-mode X-X pulse, so the
+    # with g2 = 0 the composed pulse is the single-mode X-X pulse, so the
     # three-mode run must reproduce the two-mode squeezer with a vacuum ancilla
     ratios = multimode_table.column("g2_over_g1")
     infid = multimode_table.column("infidelity")[ratios.index(0.0)]
@@ -397,6 +397,36 @@ def test_multimode_reference_points(multimode_table):
 def test_multimode_monotone(multimode_table):
     infid = multimode_table.column("infidelity")
     assert all(a < b for a, b in zip(infid, infid[1:]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_multimode_ratio_batch_equals_one_run_per_ratio(seed):
+    rng = np.random.default_rng(seed)
+    cfg = make_config("multimode", phi=float(rng.uniform(0.01, 1.5)))
+    cfg.sweep.mu = (float(rng.uniform(0.3, 3.0)),)
+    cfg.sweep.g2_ratio = tuple(rng.uniform(0.0, 2.0, 6).tolist()) + (0.0,)
+    rows = run_multimode(cfg).tables["multimode"].rows
+    assert len(rows) == 7
+    for row in rows:
+        cfg.sweep.g2_ratio = (row[0],)
+        assert run_multimode(cfg).tables["multimode"].rows == [row]
+
+
+@pytest.mark.parametrize("name", ["_four_pulse", "fidelity_zero_mean"])
+def test_multimode_ratios_make_one_protocol_and_one_fidelity(monkeypatch, name):
+    # one per g2/g1 ratio would be 5
+    from pulsox import experiments
+
+    made = []
+    original = getattr(experiments, name)
+
+    def counted(*args):
+        made.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(experiments, name, counted)
+    run_experiment(make_config("multimode"))
+    assert len(made) == 1
 
 
 # -- cat decay helpers ------------------------------------------------------------------

@@ -632,6 +632,17 @@ def _headerless_csv(tmp_path):
     return grid_from_csv(path)
 
 
+def _infinite_extent_csv(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("# half_extent,inf\n# resolution,4\n" + "0.0,0.0,0.0,0.0\n" * 4,
+                    encoding="utf-8")
+    return grid_from_csv(path)
+
+
+def _half_life(**scan):
+    return half_life(GaussianSum.cat(CatSpec(1.0)), LossConfig.from_q(1e7, nbar_m=4e4), **scan)
+
+
 _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
 
 
@@ -649,9 +660,27 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
     (lambda _: half_life(GaussianSum.cat(CatSpec(1.0)), LossConfig(), samples_per_period=32),
      "at least 64 samples"),
     (_headerless_csv, "missing header"),
+    (lambda _: WignerGrid(math.inf, 4, np.zeros((4, 4))), "half extent must be positive and finite"),
+    (lambda _: WignerGrid(math.nan, 4, np.zeros((4, 4))), "half extent must be positive and finite"),
+    (_infinite_extent_csv, "half extent must be positive and finite"),
+    (lambda _: CatSpec(math.nan), "cat amplitude must be positive and finite"),
+    (lambda _: CatSpec(math.inf), "cat amplitude must be positive and finite"),
+    (lambda _: fringe_ellipse(math.nan, 1.0), "alpha and mu must be positive and finite"),
+    (lambda _: fringe_ellipse(1.0, math.inf), "alpha and mu must be positive and finite"),
+    (lambda _: mu_opt(math.nan), "alpha must be positive and finite"),
+    (lambda _: _half_life(samples_per_period=math.inf), "samples_per_period = inf"),
+    (lambda _: _half_life(samples_per_period=math.nan), "samples_per_period = nan"),
+    (lambda _: _half_life(max_periods=-1.0), "max_periods = -1.0"),
+    (lambda _: _half_life(max_periods=0.0), "max_periods = 0.0"),
+    (lambda _: _half_life(max_periods=math.nan), "max_periods = nan"),
+    (lambda _: _half_life(max_periods=math.inf), "max_periods = inf"),
 ], ids=["grid-extent", "grid-shape", "cat-alpha", "cat-parity", "sum-two-mode-channel",
         "grid-two-mode-channel", "gaussian-covariance", "fringe-mu", "mu-opt-alpha",
-        "half-life-samples", "csv-header"])
+        "half-life-samples", "csv-header", "grid-extent-inf", "grid-extent-nan",
+        "csv-extent-inf", "cat-alpha-nan", "cat-alpha-inf", "fringe-alpha-nan", "fringe-mu-inf",
+        "mu-opt-nan", "half-life-samples-inf", "half-life-samples-nan",
+        "half-life-periods-negative", "half-life-periods-zero", "half-life-periods-nan",
+        "half-life-periods-inf"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment, tmp_path):
     with pytest.raises(ValueError, match=fragment):
         build(tmp_path)
