@@ -249,11 +249,20 @@ def mechanical_reduced_channel(channel: GaussianChannel,
     return _reduced(channel, ancilla.mean, ancilla.cov)
 
 
+def _mechanical(schedule: PulseSchedule, delay: Sequence[GaussianChannel],
+                ancilla_cov: np.ndarray) -> GaussianChannel:
+    """The squeezer's mechanical channel from prebuilt ``delay`` channels and
+    ancilla covariance: the one core of :func:`mechanical_squeezer` and of the
+    optimizer's objective, which builds both once per search."""
+    return _reduced(compose(_four_pulse(schedule, qnd_xx, delay, MECH_OPT)), np.zeros(2),
+                    ancilla_cov)
+
+
 def mechanical_squeezer(schedule: PulseSchedule, loss: Losses) -> GaussianChannel:
     """Single-mode mechanical channel of the (lossy) squeezer (``loss`` as for
     :func:`build_lossy_squeezer`), with the schedule's own ancilla traced out."""
-    ancilla_cov = _squeezed_cov(schedule.ancilla_vsq, schedule.ancilla_angle)
-    return _reduced(build_lossy_squeezer(schedule, loss), np.zeros(2), ancilla_cov)
+    return _mechanical(schedule, _delay(schedule, loss),
+                       _squeezed_cov(schedule.ancilla_vsq, schedule.ancilla_angle))
 
 
 def squeezer_output(schedule: PulseSchedule, loss: Losses,
@@ -386,21 +395,36 @@ def _free_schedule(x: np.ndarray, phi: float, ancilla_vsq: float,
                          ancilla_vsq=ancilla_vsq, ancilla_angle=ancilla_angle)
 
 
-def _infidelities(x: np.ndarray, phi: float, loss: LossConfig, ancilla_vsq: float,
-                  ancilla_angle: float, target: GaussianState) -> np.ndarray:
-    """Infidelity against ``target`` of the squeezer output on vacuum, for
-    each row of the optimizer coordinates ``x``, in one batched call.
+def _objective(seed: PulseSchedule, loss: LossConfig, target: GaussianState,
+               include_angles: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """The optimizer's objective: for each row of the optimizer coordinates
+    ``x``, the infidelity against ``target`` of the squeezer output on vacuum,
+    in one batched call.
 
-    Rows with 1 + lam chi1 tan(phi) <= 0 have no positive mu and score 1e6
-    (outside the physical branch); they are masked out before the schedule
-    is built, so they do not fail the rest of the batch.
+    The delay channels (fixed by phi and ``loss``), the vacuum input and, with
+    the angles tied, the ancilla covariance are the same in every call, so
+    they are built once, here.  Rows with 1 + lam chi1 tan(phi) <= 0 have no
+    positive mu and score 1e6 (outside the physical branch); they are masked
+    out before the schedule is built, so they do not fail the rest of the batch.
     """
-    values = np.full(len(x), 1e6)
-    inside = 1.0 + x[:, 1] * x[:, 0] * math.tan(phi) > 0
-    if inside.any():
-        schedule = _free_schedule(x[inside], phi, ancilla_vsq, ancilla_angle)
-        values[inside] = vacuum_infidelity(schedule, loss, target)
-    return values
+    phi, ancilla_vsq, ancilla_angle = seed.phi, seed.ancilla_vsq, seed.ancilla_angle
+    tan_phi = math.tan(phi)
+    delay = _delay(seed, loss)
+    vac = vacuum(MECH)
+    tied_cov = _squeezed_cov(ancilla_vsq, ancilla_angle)
+
+    def infidelities(x: np.ndarray) -> np.ndarray:
+        values = np.full(len(x), 1e6)
+        inside = 1.0 + x[:, 1] * x[:, 0] * tan_phi > 0
+        if inside.any():
+            schedule = _free_schedule(x[inside], phi, ancilla_vsq, ancilla_angle)
+            cov = (_squeezed_cov(ancilla_vsq, schedule.ancilla_angle) if include_angles
+                   else tied_cov)
+            out = apply_channel(vac, _mechanical(schedule, delay, cov))
+            values[inside] = 1.0 - fidelity_zero_mean(out, target)
+        return values
+
+    return infidelities
 
 
 def _stencil(n: int) -> np.ndarray:
@@ -430,8 +454,8 @@ def _derivatives(f: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray, np.nd
 
 # Levenberg-Marquardt dampings, relative to the Hessian's largest curvature,
 # and the fractions of each damped Newton step tried in one candidate batch.
-_DAMPINGS = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-_STEP_LENGTHS = (1.0, 0.5, 0.1)
+_DAMPINGS = np.array([0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+_STEP_LENGTHS = np.array([1.0, 0.5, 0.1])
 _STEP_FRACTION = 1e-4     # finite-difference step, as a fraction of the box half-width
 _STEP_ATOL = 1e-10
 _MAX_ITERATIONS = 100
@@ -453,9 +477,10 @@ def _candidates(x: np.ndarray, grad: np.ndarray, hess: np.ndarray, lo: np.ndarra
     scale = w.max(initial=0.0)
     floor = max(np.finfo(float).eps * scale, np.finfo(float).tiny)
     g = v.T @ grad[free]
+    scaled = g / np.maximum(w + _DAMPINGS[:, None] * scale, floor)  # one row a damping
+    directions = np.array([v @ z for z in scaled])
     steps = np.zeros((len(_DAMPINGS) * len(_STEP_LENGTHS), len(x)))
-    steps[:, free] = [-length * (v @ (g / np.maximum(w + d * scale, floor)))
-                      for d in _DAMPINGS for length in _STEP_LENGTHS]
+    steps[:, free] = (-_STEP_LENGTHS[:, None] * directions[:, None, :]).reshape(len(steps), len(w))
     return np.clip(x + steps, lo, hi)
 
 
@@ -475,7 +500,11 @@ def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
     Each iteration makes two batched squeezer calls: a central-difference
     stencil (19 schedules, 51 with the angles) for the value, gradient and
     Hessian, then 18 Levenberg-Marquardt damped Newton steps clipped to the
-    box, of which the best replaces the current point if it is lower.
+    box, of which the best replaces the current point if it is lower.  The
+    objective is built once per search (:func:`_objective`): the delay
+    channels, the vacuum input and, with the angles tied, the ancilla
+    covariance are built once, and every call goes through the core that
+    :func:`mechanical_squeezer` uses.
     Schedules with no positive mu score 1e6.  ``converged`` is True when the
     current point beats every candidate or the accepted step is below 1e-10,
     and False if the 100-iteration cap stops the search first.
@@ -492,9 +521,7 @@ def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
     h = _STEP_FRACTION * span
     offsets = _stencil(len(x)) * h
 
-    def objective(points):
-        return _infidelities(points, phi, loss, ancilla_vsq, seed.ancilla_angle, target)
-
+    objective = _objective(seed, loss, target, include_angles)
     n_eval = 0
     for _ in range(_MAX_ITERATIONS):
         f, grad, hess = _derivatives(objective(x + offsets), h)

@@ -207,13 +207,24 @@ class GaussianSum:
     def evolve(self, channel: GaussianChannel) -> "GaussianSum":
         """Exact action of a single-mode Gaussian channel on every term:
         m -> S m + d and V -> S V S^T + N; the weights do not change.  A
-        batched channel or sum gives their broadcast batch."""
+        batched channel or sum gives their broadcast batch.
+
+        The result is built unchecked, since a physical channel keeps the
+        covariance positive definite and the shapes broadcast by
+        construction; only its covariance's finiteness is checked."""
         if channel.layout.mode_count != 1:
             raise ValueError("the Wigner engine evolves single-mode channels")
         s = channel.matrix
         s_t = s.swapaxes(-1, -2)
-        return GaussianSum(self.log_weights, self.means @ s_t + channel.mean[..., None, :],
-                           s @ self.cov @ s_t + channel.cov)
+        cov = s @ self.cov @ s_t + channel.cov
+        if not np.isfinite(cov).all():
+            raise ValueError("evolved covariance contains non-finite entries")
+        means = self.means @ s_t + channel.mean[..., None, :]
+        for value in (means, cov):
+            value.flags.writeable = False
+        evolved = object.__new__(GaussianSum)
+        evolved.__dict__.update(log_weights=self.log_weights, means=means, cov=cov)
+        return evolved
 
     def _values(self, x, p) -> np.ndarray:
         """W at the points (x, p), which broadcast against the batch."""
@@ -535,6 +546,8 @@ def grid_to_csv(grid: WignerGrid, path) -> None:
 
 
 def grid_from_csv(path) -> WignerGrid:
+    """The grid a :func:`grid_to_csv` file holds; a missing header or a
+    non-finite value raises ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
         header1 = fh.readline().strip()
         header2 = fh.readline().strip()
@@ -543,4 +556,6 @@ def grid_from_csv(path) -> WignerGrid:
         half_extent = float(header1.split(",", 1)[1])
         resolution = int(header2.split(",", 1)[1])
         values = np.loadtxt(fh, delimiter=",").reshape(resolution, resolution)
+    if not np.isfinite(values).all():
+        raise ValueError("grid CSV contains non-finite values")
     return WignerGrid(half_extent, resolution, values)

@@ -16,7 +16,7 @@ from pulsox import (LOSSLESS, GaussianChannel, GaussianState, LossConfig, MECH, 
                     rotation, schedule_for_mu, squeezed, squeezer_output,
                     apply_channel, symplectic_form, theta_for, thermal,
                     vacuum, vacuum_infidelity)
-from pulsox import squeezer
+from pulsox import channels, squeezer
 from pulsox.channels import damped_delay
 from pulsox.config import log_grid
 from pulsox.experiments import d_min_full
@@ -616,18 +616,80 @@ def test_optimizer_matches_nelder_mead_inside_the_box(mu, loss, objective):
 @pytest.mark.parametrize("include_angles", [False, True])
 def test_optimizer_counts_every_schedule_evaluated(monkeypatch, include_angles):
     rows = []
-    infidelities = squeezer._infidelities
+    build = squeezer._objective
 
-    def counting(x, *args):
-        rows.append(len(x))
-        return infidelities(x, *args)
+    def counting_objective(*args):
+        objective = build(*args)
 
-    monkeypatch.setattr(squeezer, "_infidelities", counting)
+        def counting(x):
+            rows.append(len(x))
+            return objective(x)
+
+        return counting
+
+    monkeypatch.setattr(squeezer, "_objective", counting_objective)
     res = optimize_schedule(SQRT2, PHI, BENCH_LOSS, include_angles=include_angles)
     assert res.n_evaluations == sum(rows)
     # one stencil call and one candidate call per iteration
     stencil = 51 if include_angles else 19
     assert rows == [stencil, 18] * (len(rows) // 2)
+
+
+# repr of (objective, seed objective, chi1, lam, chi3, theta, ancilla angle) and
+# n_evaluations of each search, as the per-call objective gave them before its
+# schedule-independent pieces were built once per search.
+EXACT_SEARCHES = [
+    ((1.0 / SQRT2, BENCH_LOSS, False),
+     ("0.0038987795989049445", "0.006894396407975845", "2.1067984879646726",
+      "2.957949865764338", "-1.7927754890464318", "-0.5032038538695927",
+      "0.7853981633974483"), 296),
+    ((SQRT2, BENCH_LOSS, False),
+     ("0.0026417572012015222", "0.011749301775166088", "1.855635502782638",
+      "-2.5866746222717323", "-2.4824261306422577", "-0.39843937850626626",
+      "-0.7853981633974483"), 259),
+    ((2.0, BENCH_LOSS, False),
+     ("0.005141211266275647", "0.035898675061565744", "2.531663995808383",
+      "-3.3323650704597774", "-4.833719810309004", "-0.60981652550344",
+      "-0.7853981633974483"), 259),
+    ((SQRT2, LossConfig.from_q(1e4, nbar_m=4e4), False),
+     ("0.14032894654701933", "0.1537919106233132", "1.5483004119123844",
+      "-3.2364579252652996", "-1.9232809994617925", "-0.5826829063100453",
+      "-0.7853981633974483"), 296),
+    ((SQRT2, BENCH_LOSS, True),
+     ("0.0022103773144644956", "0.011749301775166088", "2.1953522976127924",
+      "-2.2407703534172803", "-2.665184878510386", "-0.3134696387581827",
+      "-0.2853981633974483"), 759),
+]
+
+
+@pytest.mark.parametrize("args, reprs, n_evaluations", EXACT_SEARCHES,
+                         ids=["inv-sqrt2", "sqrt2", "2", "sqrt2-q1e4", "sqrt2-angles"])
+def test_optimizer_results_are_pinned_bit_for_bit(args, reprs, n_evaluations):
+    mu, loss, include_angles = args
+    res = optimize_schedule(mu, PHI, loss, include_angles=include_angles)
+    s = res.schedule
+    values = (res.objective, res.seed_objective, s.chi1, s.lam, s.chi3, s.theta,
+              s.ancilla_angle)
+    assert tuple(repr(float(v)) for v in values) == reprs
+    assert res.n_evaluations == n_evaluations
+    assert res.converged
+
+
+@pytest.mark.parametrize("include_angles", [False, True])
+def test_optimizer_builds_the_delay_once_per_search(monkeypatch, include_angles):
+    # the delay depends on phi and the loss alone, so one search builds one of each
+    built = []
+    for module, name in ((channels, "damped_evolution"), (squeezer, "beamsplitter_loss")):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            built.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    res = optimize_schedule(SQRT2, PHI, BENCH_LOSS, include_angles=include_angles)
+    assert res.n_evaluations > 2 * 19
+    assert sorted(built) == ["beamsplitter_loss", "damped_evolution"]
 
 
 def test_optimizer_iteration_cap_is_not_convergence(monkeypatch):
@@ -645,7 +707,7 @@ def test_rows_with_no_positive_mu_score_outside_branch():
     x = np.array([[seed.chi1, seed.lam, seed.chi3],
                   [10.0, -10.0, seed.chi3],
                   [1.1 * seed.chi1, seed.lam, seed.chi3]])
-    values = squeezer._infidelities(x, PHI, BENCH_LOSS, 0.5, seed.ancilla_angle, target)
+    values = squeezer._objective(seed, BENCH_LOSS, target, False)(x)
     assert values[1] == 1e6
     for row in (0, 2):
         chi1, lam, chi3 = x[row]

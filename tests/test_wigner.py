@@ -463,6 +463,24 @@ def test_gaussian_sum_checks_every_batch_element():
         batch.sample(8.0, 64)
 
 
+def test_evolved_sum_is_built_unchecked_but_finite():
+    # evolve skips the constructor's checks: its arrays equal a checked
+    # construction's and are read-only.  A covariance that overflows still
+    # raises, though the constructor's "<= 0" tests pass inf and NaN.
+    evolved = _displaced_cat().evolve(damped_evolution(LossConfig.from_q(1e6, nbar_m=4e4),
+                                                       [0.5, 1.0]))
+    checked = GaussianSum(evolved.log_weights, evolved.means, evolved.cov)
+    for name in ("log_weights", "means", "cov"):
+        got, want = getattr(evolved, name), getattr(checked, name)
+        assert not got.flags.writeable
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    wide = GaussianSum([0.0], np.zeros((1, 2)), np.diag([1e308, 1e-308]))
+    # S V S^T overflows to inf, and inf * 0 gives NaN off the diagonal
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="evolved covariance contains non-finite"):
+            wide.evolve(quadrature_scaling(10.0, 1.0, "mech", MECH))
+
+
 def test_grid_rejects_a_batched_channel():
     grid = wigner_cat(CatSpec(1.0, "odd"), resolution=64)
     with pytest.raises(ValueError, match=r"batch of shape \(3,\)"):
@@ -639,6 +657,13 @@ def _infinite_extent_csv(tmp_path):
     return grid_from_csv(path)
 
 
+def _non_finite_body_csv(tmp_path, value):
+    path = tmp_path / "grid.csv"
+    path.write_text("# half_extent,1.0\n# resolution,4\n" + "0.0,0.0,0.0,0.0\n" * 3
+                    + f"0.0,{value},0.0,0.0\n", encoding="utf-8")
+    return grid_from_csv(path)
+
+
 def _half_life(**scan):
     return half_life(GaussianSum.cat(CatSpec(1.0)), LossConfig.from_q(1e7, nbar_m=4e4), **scan)
 
@@ -663,6 +688,8 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
     (lambda _: WignerGrid(math.inf, 4, np.zeros((4, 4))), "half extent must be positive and finite"),
     (lambda _: WignerGrid(math.nan, 4, np.zeros((4, 4))), "half extent must be positive and finite"),
     (_infinite_extent_csv, "half extent must be positive and finite"),
+    (lambda path: _non_finite_body_csv(path, "nan"), "non-finite values"),
+    (lambda path: _non_finite_body_csv(path, "inf"), "non-finite values"),
     (lambda _: CatSpec(math.nan), "cat amplitude must be positive and finite"),
     (lambda _: CatSpec(math.inf), "cat amplitude must be positive and finite"),
     (lambda _: fringe_ellipse(math.nan, 1.0), "alpha and mu must be positive and finite"),
@@ -677,7 +704,7 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
 ], ids=["grid-extent", "grid-shape", "cat-alpha", "cat-parity", "sum-two-mode-channel",
         "grid-two-mode-channel", "gaussian-covariance", "fringe-mu", "mu-opt-alpha",
         "half-life-samples", "csv-header", "grid-extent-inf", "grid-extent-nan",
-        "csv-extent-inf", "cat-alpha-nan", "cat-alpha-inf", "fringe-alpha-nan", "fringe-mu-inf",
+        "csv-extent-inf", "csv-body-nan", "csv-body-inf", "cat-alpha-nan", "cat-alpha-inf", "fringe-alpha-nan", "fringe-mu-inf",
         "mu-opt-nan", "half-life-samples-inf", "half-life-samples-nan",
         "half-life-periods-negative", "half-life-periods-zero", "half-life-periods-nan",
         "half-life-periods-inf"])
