@@ -12,6 +12,9 @@ Two representations share one interface (``value_at`` and ``evolve``):
   convolution whose Gaussian kernel is evaluated analytically in Fourier
   space, so a singular noise covariance needs no regularization.  The grid
   serves Fock states, CSV export and as a test oracle for the exact sums.
+  :meth:`GaussianSum.sample` and the channel step fill their grid in blocks
+  of ``_SAMPLE_ROWS`` rows, so only the FFT's full-size arrays are alive at
+  once: a 512-point step holds about 7 MB at its peak, for a 2 MB result.
 
 A state moves only through its ``evolve`` method.  The negativity helpers
 evolve from the t = 0 state at each sample instead of accumulating error.
@@ -49,8 +52,10 @@ ETA_BLOCK = 64
 # about 6 ms at depths 2, 4 and 5 alike.
 BISECTIONS = 20
 BISECTION_DEPTH = 4
-# Grid rows per GaussianSum evaluation in sample: its temporaries hold every
-# term of every point, so a whole 512-point grid would take tens of MB.
+# Grid rows per block of GaussianSum.sample and of the channel step's bilinear
+# resample: their temporaries (every term of every point, or the corners and
+# weights of every pre-image) would take tens of MB for a whole 512-point grid.
+# Blocked, a 512-point step peaks at about 7 MB (tracemalloc), the FFT's arrays.
 _SAMPLE_ROWS = 32
 
 
@@ -58,9 +63,28 @@ class GridClippingError(ArithmeticError):
     """Raised when more than the tolerated probability mass leaves the grid."""
 
 
+def _check_size(half_extent: float, resolution: int) -> None:
+    if resolution < 4 or resolution & (resolution - 1):
+        raise ValueError("resolution must be a power of two (>= 4)")
+    if not 0 < half_extent < math.inf:
+        raise ValueError("half extent must be positive and finite")
+
+
 def _axis(half_extent: float, resolution: int) -> np.ndarray:
-    """Node coordinates x_i = -L + i * (2L / resolution) of one grid axis."""
+    """Node coordinates x_i = -L + i * (2L / resolution) of one grid axis,
+    after the checks of a grid's size."""
+    _check_size(half_extent, resolution)
     return np.linspace(-half_extent, half_extent, resolution, endpoint=False)
+
+
+def _by_rows(resolution: int, rows) -> np.ndarray:
+    """A square grid filled in blocks of ``_SAMPLE_ROWS`` rows, ``rows(block)``
+    giving the rows of the slice ``block``."""
+    out = np.empty((resolution, resolution))
+    for i in range(0, resolution, _SAMPLE_ROWS):
+        block = slice(i, i + _SAMPLE_ROWS)
+        out[block] = rows(block)
+    return out
 
 
 @dataclass(frozen=True)
@@ -68,7 +92,8 @@ class WignerGrid:
     """Wigner samples values[i, j] = W(x_i, p_j) on a uniform grid.
 
     The axes follow the FFT convention x_i = -L + i * (2L / resolution), so the
-    origin is a grid node and the resolution must be a power of two.
+    origin is a grid node and the resolution must be a power of two.  A grid
+    built from outside arrays copies them and rejects a non-finite value.
     """
 
     half_extent: float
@@ -77,13 +102,12 @@ class WignerGrid:
 
     def __post_init__(self):
         res = self.resolution
-        if res < 4 or res & (res - 1):
-            raise ValueError("resolution must be a power of two (>= 4)")
-        if not 0 < self.half_extent < math.inf:
-            raise ValueError("half extent must be positive and finite")
+        _check_size(self.half_extent, res)
         v = np.asarray(self.values, dtype=float)
         if v.shape != (res, res):
             raise ValueError(f"values shape {v.shape} does not match resolution {res}")
+        if not np.isfinite(v).all():
+            raise ValueError("grid contains non-finite values")
         v = np.array(v)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -119,6 +143,15 @@ class WignerGrid:
         vpp = (w.sum(axis=0) * dp ** 2).sum() / mass
         vxp = float(dx @ w @ dp) / mass
         return np.array([mx, mp]), np.array([[vxx, vxp], [vxp, vpp]])
+
+
+def _built(half_extent: float, resolution: int, values: np.ndarray) -> WignerGrid:
+    """The grid of a float array of the right shape that this module
+    computed, frozen in place, neither copied nor checked."""
+    values.flags.writeable = False
+    grid = object.__new__(WignerGrid)
+    grid.__dict__.update(half_extent=half_extent, resolution=resolution, values=values)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -166,6 +199,10 @@ class GaussianSum:
         log_weights = np.array(self.log_weights, dtype=complex)
         means = np.array(self.means, dtype=complex)
         cov = np.array(self.cov, dtype=float)
+        fields = {"log_weights": log_weights, "means": means, "cov": cov}
+        for name, value in fields.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"non-finite {name}")
         if log_weights.ndim == 0 or means.shape[-2:] != (log_weights.shape[-1], 2):
             raise ValueError("need one complex 2-vector mean per weight")
         if (cov.shape[-2:] != (2, 2) or np.any(cov[..., 0, 0] <= 0)
@@ -177,7 +214,7 @@ class GaussianSum:
         if np.broadcast_shapes(log_weights.shape[:-1], cov.shape[:-2]) != cov.shape[:-2]:
             raise ValueError(f"batch shape {log_weights.shape[:-1]} of the log-weights "
                              f"does not broadcast to {cov.shape[:-2]}")
-        for name, value in (("log_weights", log_weights), ("means", means), ("cov", cov)):
+        for name, value in fields.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -249,14 +286,13 @@ class GaussianSum:
             raise ValueError(f"a grid samples one state, not a batch of shape "
                              f"{self.cov.shape[:-2]}")
         ax = _axis(half_extent, resolution)
-        rows = [self._values(ax[i:i + _SAMPLE_ROWS, None], ax)
-                for i in range(0, resolution, _SAMPLE_ROWS)]
-        return WignerGrid(half_extent, resolution, np.concatenate(rows))
+        return _built(half_extent, resolution,
+                      _by_rows(resolution, lambda rows: self._values(ax[rows, None], ax)))
 
 
 def _bilinear(values: np.ndarray, half_extent: float, step: float,
               xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Sample W at arbitrary points, zero outside the grid."""
+    """Sample W at arbitrary points (any shape), zero outside the grid."""
     res = values.shape[0]
     fx = (xs + half_extent) / step
     fp = (ps + half_extent) / step
@@ -265,14 +301,12 @@ def _bilinear(values: np.ndarray, half_extent: float, step: float,
     tx = fx - i0
     tp = fp - j0
     inside = (i0 >= 0) & (i0 <= res - 2) & (j0 >= 0) & (j0 <= res - 2)
-    i0c = np.clip(i0, 0, res - 2)
-    j0c = np.clip(j0, 0, res - 2)
-    v00 = values[i0c, j0c]
-    v10 = values[i0c + 1, j0c]
-    v01 = values[i0c, j0c + 1]
-    v11 = values[i0c + 1, j0c + 1]
-    out = (v00 * (1 - tx) * (1 - tp) + v10 * tx * (1 - tp)
-           + v01 * (1 - tx) * tp + v11 * tx * tp)
+    k = np.clip(i0, 0, res - 2) * res + np.clip(j0, 0, res - 2)  # flat index of corner 00
+    flat = values.ravel()
+    sx = 1 - tx
+    sp = 1 - tp
+    out = (flat.take(k) * sx * sp + flat.take(k + res) * tx * sp
+           + flat.take(k + 1) * sx * tp + flat.take(k + res + 1) * tx * tp)
     return np.where(inside, out, 0.0)
 
 
@@ -296,7 +330,7 @@ def wigner_fock(n: int, half_extent: float = DEFAULT_HALF_EXTENT,
     ax = _axis(half_extent, resolution)
     r2 = ax[:, None] ** 2 + ax[None, :] ** 2
     w = (-1.0) ** n * _LAGUERRE[n](r2) * np.exp(-0.5 * r2) / (2.0 * math.pi)
-    return WignerGrid(half_extent, resolution, w)
+    return _built(half_extent, resolution, w)
 
 
 def wigner_cat(spec: CatSpec, half_extent: float = DEFAULT_HALF_EXTENT,
@@ -313,6 +347,8 @@ def wigner_gaussian(mean: Sequence[float], cov: np.ndarray,
     """Gaussian Wigner function exp(-d^T V^-1 d / 2) / (2 pi sqrt(|V|))."""
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError("non-finite mean or covariance")
     det = float(np.linalg.det(cov))
     if det <= 0:
         raise ValueError("covariance must be positive definite")
@@ -322,7 +358,7 @@ def wigner_gaussian(mean: Sequence[float], cov: np.ndarray,
     dp = ax[None, :] - mean[1]
     quad = inv[0, 0] * dx ** 2 + 2.0 * inv[0, 1] * dx * dp + inv[1, 1] * dp ** 2
     w = np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
-    return WignerGrid(half_extent, resolution, w)
+    return _built(half_extent, resolution, w)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +370,10 @@ def apply_gaussian_channel(grid: WignerGrid, channel: GaussianChannel) -> Wigner
 
     W'(v) = |det S|^-1 W(S^-1 (v - d)) convolved with the Gaussian of
     covariance N.  Raises :class:`GridClippingError` if more than 1e-3 of the
-    mass leaves the grid; smaller drifts are renormalized away.
+    mass leaves the grid (or the mass is not finite); smaller drifts are
+    renormalized away.  The resample runs in blocks of ``_SAMPLE_ROWS`` rows
+    and the convolution in place, each value computed as one whole-grid pass
+    would compute it.
     """
     if channel.layout.mode_count != 1:
         raise ValueError("the Wigner engine evolves single-mode channels")
@@ -352,26 +391,32 @@ def apply_gaussian_channel(grid: WignerGrid, channel: GaussianChannel) -> Wigner
     ax = grid.axis()
     x = ax[:, None] - d[0]
     p = ax[None, :] - d[1]
-    ux = s_inv[0, 0] * x + s_inv[0, 1] * p
-    up = s_inv[1, 0] * x + s_inv[1, 1] * p
-    w = _bilinear(grid.values, grid.half_extent, grid.step,
-                  ux.ravel(), up.ravel()).reshape(ux.shape) / abs(det)
+
+    def resampled(rows):  # |det S|^-1 W(S^-1 (v - d)) on a block of rows
+        return _bilinear(grid.values, grid.half_extent, grid.step,
+                         s_inv[0, 0] * x[rows] + s_inv[0, 1] * p,
+                         s_inv[1, 0] * x[rows] + s_inv[1, 1] * p) / abs(det)
+
+    # the resampled grid is freed once transformed, so that it and the inverse
+    # transform's arrays are never alive together
+    spec = np.fft.rfft2(_by_rows(grid.resolution, resampled))
 
     # spectral convolution with the analytic Fourier transform of the kernel
     kx = 2.0 * math.pi * np.fft.fftfreq(grid.resolution, d=grid.step)
     kp = 2.0 * math.pi * np.fft.rfftfreq(grid.resolution, d=grid.step)
     quad = (n[0, 0] * kx[:, None] ** 2 + 2.0 * n[0, 1] * kx[:, None] * kp[None, :]
             + n[1, 1] * kp[None, :] ** 2)
-    spec = np.fft.rfft2(w) * np.exp(-0.5 * quad)
-    w = np.fft.irfft2(spec, s=w.shape)
+    spec *= np.exp(-0.5 * quad)
+    w = np.fft.irfft2(spec, s=grid.values.shape)
 
     total = float(w.sum() * grid.step ** 2)
     drift = abs(1.0 - total)
-    if drift > MASS_DRIFT_TOL:
+    if not drift <= MASS_DRIFT_TOL:
         raise GridClippingError(
             f"probability mass drift {drift:.2e} exceeds {MASS_DRIFT_TOL} "
             "(state clipped by grid edges)")
-    return WignerGrid(grid.half_extent, grid.resolution, w / total)
+    w /= total
+    return _built(grid.half_extent, grid.resolution, w)
 
 
 def negativity_eta(state: GaussianSum | WignerGrid) -> float | np.ndarray:
@@ -556,6 +601,4 @@ def grid_from_csv(path) -> WignerGrid:
         half_extent = float(header1.split(",", 1)[1])
         resolution = int(header2.split(",", 1)[1])
         values = np.loadtxt(fh, delimiter=",").reshape(resolution, resolution)
-    if not np.isfinite(values).all():
-        raise ValueError("grid CSV contains non-finite values")
     return WignerGrid(half_extent, resolution, values)

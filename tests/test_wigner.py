@@ -1,6 +1,7 @@
 """Wigner grids and exact Gaussian sums: constructors, channel evolution, and
 cat metrics."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from pulsox import (CatSpec, GaussianChannel, GaussianState, GaussianSum,
                     mechanical_reduced_channel, mechanical_squeezer, mu_opt,
                     negativity_eta, quadrature_scaling, rotation, schedule_for_mu,
                     wigner_cat, wigner_fock, wigner_gaussian)
-from pulsox.wigner import ETA_BLOCK, eta_at
+from pulsox.wigner import _SAMPLE_ROWS, ETA_BLOCK, eta_at
 
 TWO_PI = 2.0 * math.pi
 CRITERION_10_LOSS = LossConfig.from_q(1e7, nbar_m=4e4, epsilon=1e-3)
@@ -158,6 +159,93 @@ def test_normalization_preserved_by_channel():
     ch = damped_evolution(LossConfig(gamma=1e-4, nbar_m=100.0), 1.7, layout=MECH)
     out = apply_gaussian_channel(g, ch)
     assert out.total_mass() == pytest.approx(1.0, abs=1e-3)
+
+
+def _one_shot_bilinear(values, half_extent, step, xs, ps):
+    # the resample over every point at once, gathering by row and column index
+    res = values.shape[0]
+    fx = (xs + half_extent) / step
+    fp = (ps + half_extent) / step
+    i0 = np.floor(fx).astype(int)
+    j0 = np.floor(fp).astype(int)
+    tx = fx - i0
+    tp = fp - j0
+    inside = (i0 >= 0) & (i0 <= res - 2) & (j0 >= 0) & (j0 <= res - 2)
+    i0c = np.clip(i0, 0, res - 2)
+    j0c = np.clip(j0, 0, res - 2)
+    out = (values[i0c, j0c] * (1 - tx) * (1 - tp) + values[i0c + 1, j0c] * tx * (1 - tp)
+           + values[i0c, j0c + 1] * (1 - tx) * tp + values[i0c + 1, j0c + 1] * tx * tp)
+    return np.where(inside, out, 0.0)
+
+
+def _one_shot_step(grid, channel):
+    """The channel step as one whole-grid pass: the reference that the
+    blocked step must equal bit for bit."""
+    s_inv = np.linalg.inv(channel.matrix)
+    d, n = channel.mean, channel.cov
+    ax = grid.axis()
+    x = ax[:, None] - d[0]
+    p = ax[None, :] - d[1]
+    ux = s_inv[0, 0] * x + s_inv[0, 1] * p
+    up = s_inv[1, 0] * x + s_inv[1, 1] * p
+    w = _one_shot_bilinear(grid.values, grid.half_extent, grid.step, ux.ravel(),
+                           up.ravel()).reshape(ux.shape) / abs(np.linalg.det(channel.matrix))
+    kx = TWO_PI * np.fft.fftfreq(grid.resolution, d=grid.step)
+    kp = TWO_PI * np.fft.rfftfreq(grid.resolution, d=grid.step)
+    quad = (n[0, 0] * kx[:, None] ** 2 + 2.0 * n[0, 1] * kx[:, None] * kp[None, :]
+            + n[1, 1] * kp[None, :] ** 2)
+    w = np.fft.irfft2(np.fft.rfft2(w) * np.exp(-0.5 * quad), s=w.shape)
+    total = float(w.sum() * grid.step ** 2)
+    assert abs(1.0 - total) <= 1e-3
+    return w / total
+
+
+_STEP_CHANNELS = {
+    "displaced": GaussianChannel(np.eye(2), [0.3, -0.2], np.zeros((2, 2)), MECH),
+    "off-diagonal": compose([quadrature_scaling(0.9, 1 / 0.9, "mech", MECH),
+                             rotation("mech", 0.4, MECH)]),
+    "correlated-noise": GaussianChannel(np.eye(2), np.zeros(2),
+                                        [[0.3, 0.1], [0.1, 0.2]], MECH),
+    # S^-1 stretches X by 1/0.95: the outer rows (one at each edge of a
+    # 16-point grid) sample outside the window, where only tails lie
+    "edge": GaussianChannel(np.diag([0.95, 1.0]), [0.1, 0.0], 0.05 * np.eye(2), MECH),
+}
+
+
+@pytest.mark.parametrize("grid", [wigner_fock(0, 5.0, 16), wigner_fock(1, 6.0, 512)],
+                         ids=["16", "512"])
+@pytest.mark.parametrize("label", list(_STEP_CHANNELS))
+def test_blocked_step_equals_the_one_shot_step_bit_for_bit(label, grid):
+    # 16 rows are fewer than one block, 512 are 16 blocks.  At 16 points the
+    # vacuum on [-5, 5) keeps the resample's mass drift below the step's 1e-3,
+    # and the Fock state 1 does not
+    channel = _STEP_CHANNELS[label]
+    got = apply_gaussian_channel(grid, channel).values
+    assert got.tobytes() == _one_shot_step(grid, channel).tobytes()
+
+
+@pytest.mark.parametrize("state", [GaussianSum.cat(CatSpec(1.0, "odd")), _displaced_cat()],
+                         ids=["cat", "displaced-cat"])
+def test_sample_fills_the_rows_each_block_computes(state):
+    ax = np.linspace(-8.0, 8.0, 512, endpoint=False)
+    blocks = [state._values(ax[i:i + _SAMPLE_ROWS, None], ax)
+              for i in range(0, 512, _SAMPLE_ROWS)]
+    assert state.sample(8.0, 512).values.tobytes() == np.concatenate(blocks).tobytes()
+
+
+def test_one_fock_step_holds_a_few_grids_at_its_peak():
+    # a whole-grid resample held about 17 full-size temporaries at once
+    # (about 36 MB traced); blocked, the FFT's arrays dominate (about 7 MB)
+    fock = wigner_fock(1, 16.0, 512)
+    squeezer = mechanical_squeezer(schedule_for_mu(2.0, TWO_PI / 100, 0.5),
+                                   LossConfig.from_q(1e7, nbar_m=4e4, epsilon=1e-2))
+    tracemalloc.start()
+    try:
+        out = fock.evolve(squeezer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.values.shape == (512, 512) and peak < 12e6
 
 
 def _random_one_mode_channel(rng):
@@ -690,6 +778,19 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
     (_infinite_extent_csv, "half extent must be positive and finite"),
     (lambda path: _non_finite_body_csv(path, "nan"), "non-finite values"),
     (lambda path: _non_finite_body_csv(path, "inf"), "non-finite values"),
+    (lambda _: WignerGrid(8.0, 4, np.diag([0.0, math.nan, 0.0, 0.0])), "non-finite values"),
+    (lambda _: WignerGrid(8.0, 4, np.diag([0.0, 0.0, -math.inf, 0.0])), "non-finite values"),
+    (lambda _: GaussianSum([math.nan], [[0.0, 0.0]], np.eye(2)), "non-finite log_weights"),
+    (lambda _: GaussianSum([0.0], [[0.0, complex(0.0, math.inf)]], np.eye(2)),
+     "non-finite means"),
+    # NaN passes the covariance's "<= 0" tests
+    (lambda _: GaussianSum([0.0], [[0.0, 0.0]], [[1.0, math.nan], [math.nan, 1.0]]),
+     "non-finite cov"),
+    (lambda _: wigner_gaussian([math.nan, 0.0], np.eye(2), 8.0, 4), "non-finite mean"),
+    (lambda _: wigner_gaussian([0.0, 0.0], np.diag([math.inf, 1.0]), 8.0, 4),
+     "non-finite mean or covariance"),
+    (lambda _: wigner_fock(1, 8.0, 6), "power of two"),
+    (lambda _: GaussianSum.cat(CatSpec(1.0)).sample(math.inf, 64), "half extent must be"),
     (lambda _: CatSpec(math.nan), "cat amplitude must be positive and finite"),
     (lambda _: CatSpec(math.inf), "cat amplitude must be positive and finite"),
     (lambda _: fringe_ellipse(math.nan, 1.0), "alpha and mu must be positive and finite"),
@@ -704,7 +805,10 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
 ], ids=["grid-extent", "grid-shape", "cat-alpha", "cat-parity", "sum-two-mode-channel",
         "grid-two-mode-channel", "gaussian-covariance", "fringe-mu", "mu-opt-alpha",
         "half-life-samples", "csv-header", "grid-extent-inf", "grid-extent-nan",
-        "csv-extent-inf", "csv-body-nan", "csv-body-inf", "cat-alpha-nan", "cat-alpha-inf", "fringe-alpha-nan", "fringe-mu-inf",
+        "csv-extent-inf", "csv-body-nan", "csv-body-inf", "grid-body-nan", "grid-body-inf",
+        "sum-log-weight-nan", "sum-mean-inf", "sum-cov-nan", "gaussian-mean-nan",
+        "gaussian-covariance-inf", "fock-resolution", "sample-extent-inf",
+        "cat-alpha-nan", "cat-alpha-inf", "fringe-alpha-nan", "fringe-mu-inf",
         "mu-opt-nan", "half-life-samples-inf", "half-life-samples-nan",
         "half-life-periods-negative", "half-life-periods-zero", "half-life-periods-nan",
         "half-life-periods-inf"])
