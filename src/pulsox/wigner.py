@@ -22,8 +22,8 @@ evolve from the t = 0 state at each sample instead of accumulating error.
 :func:`half_life` take the exact sum, which they evolve in blocks of up to
 ``ETA_BLOCK`` samples: one batched damped channel and one batched sum per
 block, each element bit-identical to its sample's own :func:`eta_at`.
-:func:`half_life` searches a batch of states at once, and bisects with a tree
-of the next ``BISECTION_DEPTH`` (4) steps of every state in one evolution.
+:func:`half_life` searches a batch of states at once, and each bisection
+step is one batched evolution of every crossing state at its own midpoint.
 A grid steps one channel at a time, so these helpers reject it.  Callers
 build the t = 0 state (a cat, a Fock grid, or either one passed through the
 squeezer); the module depends only on ``channels``.
@@ -46,12 +46,8 @@ MASS_DRIFT_TOL = 1e-3
 # of one block (about 200 B a sample and state) however long the series, and a
 # half-life scan overshoots its last crossing by less than one block.
 ETA_BLOCK = 64
-# Bisection steps of a half-life and the tree depth that batches them, which
-# divides them: 2^depth - 1 times a state in one evolution do the work of
-# depth scalar steps.  Batched over cat-decay's six states, a default run took
-# about 6 ms at depths 2, 4 and 5 alike.
+# Bisection steps of a half-life: they narrow its scan bracket 2^20-fold.
 BISECTIONS = 20
-BISECTION_DEPTH = 4
 # Grid rows per block of GaussianSum.sample and of the channel step's bilinear
 # resample: their temporaries (every term of every point, or the corners and
 # weights of every pre-image) would take tens of MB for a whole 512-point grid.
@@ -75,6 +71,15 @@ def _axis(half_extent: float, resolution: int) -> np.ndarray:
     after the checks of a grid's size."""
     _check_size(half_extent, resolution)
     return np.linspace(-half_extent, half_extent, resolution, endpoint=False)
+
+
+def _point(x: float, p: float) -> tuple[float, float]:
+    """The phase-space point (x, p) of a ``value_at``, as floats; a
+    non-finite coordinate raises ``ValueError``."""
+    x, p = float(x), float(p)
+    if not (math.isfinite(x) and math.isfinite(p)):
+        raise ValueError(f"W is evaluated at a finite point, not ({x!r}, {p!r})")
+    return x, p
 
 
 def _by_rows(resolution: int, rows) -> np.ndarray:
@@ -124,6 +129,7 @@ class WignerGrid:
 
     def value_at(self, x: float, p: float) -> float:
         """Bilinear interpolation; exact when (x, p) is a grid node."""
+        x, p = _point(x, p)
         return float(_bilinear(self.values, self.half_extent, self.step,
                                np.array([x]), np.array([p]))[0])
 
@@ -256,12 +262,7 @@ class GaussianSum:
         cov = s @ self.cov @ s_t + channel.cov
         if not np.isfinite(cov).all():
             raise ValueError("evolved covariance contains non-finite entries")
-        means = self.means @ s_t + channel.mean[..., None, :]
-        for value in (means, cov):
-            value.flags.writeable = False
-        evolved = object.__new__(GaussianSum)
-        evolved.__dict__.update(log_weights=self.log_weights, means=means, cov=cov)
-        return evolved
+        return _built_sum(self.log_weights, self.means @ s_t + channel.mean[..., None, :], cov)
 
     def _values(self, x, p) -> np.ndarray:
         """W at the points (x, p), which broadcast against the batch."""
@@ -277,7 +278,7 @@ class GaussianSum:
 
     def value_at(self, x: float, p: float) -> float | np.ndarray:
         """W(x, p): a float, or an array of the batch's shape for a batch."""
-        values = self._values(float(x), float(p))
+        values = self._values(*_point(x, p))
         return values if values.ndim else float(values)
 
     def sample(self, half_extent: float, resolution: int) -> WignerGrid:
@@ -288,6 +289,16 @@ class GaussianSum:
         ax = _axis(half_extent, resolution)
         return _built(half_extent, resolution,
                       _by_rows(resolution, lambda rows: self._values(ax[rows, None], ax)))
+
+
+def _built_sum(log_weights: np.ndarray, means: np.ndarray, cov: np.ndarray) -> GaussianSum:
+    """The sum of arrays that this module computed from a checked sum, frozen
+    in place, neither copied nor checked."""
+    for value in (log_weights, means, cov):
+        value.flags.writeable = False
+    state = object.__new__(GaussianSum)
+    state.__dict__.update(log_weights=log_weights, means=means, cov=cov)
+    return state
 
 
 def _bilinear(values: np.ndarray, half_extent: float, step: float,
@@ -328,8 +339,12 @@ def wigner_fock(n: int, half_extent: float = DEFAULT_HALF_EXTENT,
     if not 0 <= n <= 3:
         raise ValueError("Fock constructor supports n in 0..3")
     ax = _axis(half_extent, resolution)
-    r2 = ax[:, None] ** 2 + ax[None, :] ** 2
-    w = (-1.0) ** n * _LAGUERRE[n](r2) * np.exp(-0.5 * r2) / (2.0 * math.pi)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        r2 = ax[:, None] ** 2 + ax[None, :] ** 2
+        w = (-1.0) ** n * _LAGUERRE[n](r2) * np.exp(-0.5 * r2) / (2.0 * math.pi)
+    if not np.isfinite(w).all():  # L_n(inf) * exp(-inf) at overflowing nodes
+        raise ValueError(f"half extent {half_extent!r} overflows the Fock-state "
+                         f"closed form at the grid's edge")
     return _built(half_extent, resolution, w)
 
 
@@ -492,30 +507,9 @@ def _etas(states: GaussianSum, index: list[int], loss: LossConfig,
           times: np.ndarray) -> np.ndarray:
     """eta of the states ``index`` of a concatenated batch at ``times``, shared
     (T,) or one row per state (len(index), T), in one batched evolution."""
-    rows = GaussianSum(states.log_weights[index, None], states.means[index, None],
-                       states.cov[index, None])
+    rows = _built_sum(states.log_weights[index, None], states.means[index, None],
+                      states.cov[index, None])
     return negativity_eta(rows.evolve(damped_evolution(loss, times)))
-
-
-def _bisect(states: GaussianSum, index: list[int], loss: LossConfig,
-            t_lo: np.ndarray, t_hi: np.ndarray) -> np.ndarray:
-    """Midpoints of the brackets [t_lo, t_hi] of the states ``index`` after
-    ``BISECTIONS`` steps.  A round evaluates the 2^depth - 1 midpoints every
-    path of a state's next ``BISECTION_DEPTH`` steps could visit, made with the
-    scalar step's ``0.5 * (lo + hi)``, and walks each tree with its ``>= 0.5``
-    test: the result equals one :func:`eta_at` per step bit for bit."""
-    rows = np.arange(len(index))
-    for _ in range(BISECTIONS // BISECTION_DEPTH):
-        edges = np.stack([t_lo, t_hi], axis=-1)  # sorted bracket ends of every node
-        for _ in range(BISECTION_DEPTH):
-            mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
-            edges = np.insert(edges, range(1, edges.shape[1]), mids, axis=1)
-        above = _etas(states, index, loss, edges[:, 1:-1]) >= 0.5
-        lo = np.zeros_like(rows)  # a step halves the bracket [edges[lo], edges[lo + 2 half]]
-        for half in 2 ** np.arange(BISECTION_DEPTH)[::-1]:
-            lo = np.where(above[rows, lo + half - 1], lo + half, lo)
-        t_lo, t_hi = edges[rows, lo], edges[rows, lo + 1]
-    return 0.5 * (t_lo + t_hi)
 
 
 def half_life(state0: GaussianSum, loss: LossConfig, samples_per_period: int = 64,
@@ -526,11 +520,11 @@ def half_life(state0: GaussianSum, loss: LossConfig, samples_per_period: int = 6
     one exact propagation from t = 0), then bisects ``BISECTIONS`` (20) times
     between the first sample below 1/2 and the one before it.  A batch of
     shape ``(B,)`` gives a list of B results: its states share one damped
-    channel per block of ``ETA_BLOCK`` scan times and per round of the depth-4
-    bisection tree, and each result equals one :func:`eta_at` per sample and
-    step of its state alone, bit for bit.  Anything but a :class:`GaussianSum`
-    of batch shape ``()`` or ``(B,)`` is rejected.  A state that starts below
-    1/2 (an even cat, or a heavily lossy pre-squeezed one) gets tau = 0 with
+    channel per block of ``ETA_BLOCK`` scan times and per bisection step, and
+    each result equals one :func:`eta_at` per sample and step of its state
+    alone, bit for bit.  Anything but a :class:`GaussianSum` of batch shape
+    ``()`` or ``(B,)`` is rejected.  A state that starts below 1/2 (an even
+    cat, or a heavily lossy pre-squeezed one) gets tau = 0 with
     ``reached=True``; one that does not cross within ``max_periods`` gets the
     horizon with ``reached=False``.  ``samples_per_period`` must be finite and
     at least 64, ``max_periods`` finite and positive.
@@ -566,8 +560,13 @@ def half_life(state0: GaussianSum, loss: LossConfig, samples_per_period: int = 6
         t_lo = block[-1]
     taus = {i: 0.0 for i, eta in enumerate(eta0) if eta < 0.5}
     if brackets:
+        index = list(brackets)
         lo, hi = np.array(list(brackets.values())).T
-        taus.update(zip(brackets, _bisect(states, list(brackets), loss, lo, hi).tolist()))
+        for _ in range(BISECTIONS):  # the scalar step of every crossing state at once
+            mid = 0.5 * (lo + hi)
+            above = _etas(states, index, loss, mid[:, None])[:, 0] >= 0.5
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        taus.update(zip(index, (0.5 * (lo + hi)).tolist()))
     results = [HalfLifeResult(taus.get(i, horizon), i in taus, eta)
                for i, eta in enumerate(eta0)]
     return results if batch else results[0]

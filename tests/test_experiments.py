@@ -455,9 +455,9 @@ def test_dominant_modulation_frequency_synthetic():
 def test_default_cat_decay_builds_a_fixed_number_of_damped_channels(monkeypatch):
     # the six half-lives are one batched search: one damped channel per block
     # of scan times shared by every state still scanning (5, up to the last
-    # crossing), one per round of four bisection steps of all six states (5),
-    # and one per block of the decay series (2); six separate searches built
-    # 49, a channel per sample would build 1,250
+    # crossing), one per bisection step of all six states (20), and one per
+    # block of the decay series (2); six separate searches built 49, a channel
+    # per sample would build 1,250
     from pulsox import wigner
     from pulsox.experiments import run_cat_decay
 
@@ -475,7 +475,7 @@ def test_default_cat_decay_builds_a_fixed_number_of_damped_channels(monkeypatch)
         built.clear()
         run_cat_decay(cfg)
         counts.append(len(built))
-    assert counts == [12, 12]
+    assert counts == [27, 27]
 
 
 def test_default_cat_decay_results_are_small_to_keep():

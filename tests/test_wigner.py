@@ -480,6 +480,24 @@ def test_bisection_tree_equals_the_scalar_bisection(alpha, mu_pre, log_q):
     assert half_life(state0, loss) == _scalar_scan_half_life(state0, loss)
 
 
+def test_a_half_life_search_checks_its_states_once(monkeypatch):
+    # the scan blocks and bisection steps evolve index slices of the batch
+    # that half_life flattens with GaussianSum.concatenate, the one checked
+    # construction; re-checking each slice ran the check 11 times here
+    batch = GaussianSum.concatenate([GaussianSum.cat(CatSpec(1.0)),
+                                     GaussianSum.cat(CatSpec(2.0))])
+    checks = []
+    original = GaussianSum.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        original(self)
+
+    monkeypatch.setattr(GaussianSum, "__post_init__", counted)
+    assert all(result.reached for result in half_life(batch, CRITERION_10_LOSS))
+    assert len(checks) == 1
+
+
 @pytest.mark.parametrize("label", ["none", "position", "momentum", "displaced"])
 def test_eta_series_equals_eta_at_sample_by_sample(label):
     state0 = _displaced_cat() if label == "displaced" else _criterion_10_state(2.0, label)
@@ -802,6 +820,12 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
     (lambda _: _half_life(max_periods=0.0), "max_periods = 0.0"),
     (lambda _: _half_life(max_periods=math.nan), "max_periods = nan"),
     (lambda _: _half_life(max_periods=math.inf), "max_periods = inf"),
+    (lambda _: wigner_fock(1, 1e200, 4), r"half extent 1e\+200 overflows"),
+    (lambda _: wigner_fock(1, 1e154, 4), r"half extent 1e\+154 overflows"),
+    (lambda _: wigner_fock(1, 8.0, 64).value_at(math.nan, 0.0), r"not \(nan, 0.0\)"),
+    (lambda _: wigner_fock(1, 8.0, 64).value_at(0.0, -math.inf), r"not \(0.0, -inf\)"),
+    (lambda _: GaussianSum.cat(CatSpec(1.0)).value_at(math.nan, 0.0), r"not \(nan, 0.0\)"),
+    (lambda _: GaussianSum.cat(CatSpec(1.0)).value_at(math.inf, 0.0), r"not \(inf, 0.0\)"),
 ], ids=["grid-extent", "grid-shape", "cat-alpha", "cat-parity", "sum-two-mode-channel",
         "grid-two-mode-channel", "gaussian-covariance", "fringe-mu", "mu-opt-alpha",
         "half-life-samples", "csv-header", "grid-extent-inf", "grid-extent-nan",
@@ -811,7 +835,8 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
         "cat-alpha-nan", "cat-alpha-inf", "fringe-alpha-nan", "fringe-mu-inf",
         "mu-opt-nan", "half-life-samples-inf", "half-life-samples-nan",
         "half-life-periods-negative", "half-life-periods-zero", "half-life-periods-nan",
-        "half-life-periods-inf"])
+        "half-life-periods-inf", "fock-extent-1e200", "fock-extent-1e154",
+        "grid-value-at-nan", "grid-value-at-inf", "sum-value-at-nan", "sum-value-at-inf"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment, tmp_path):
     with pytest.raises(ValueError, match=fragment):
         build(tmp_path)
