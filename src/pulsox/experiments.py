@@ -146,8 +146,12 @@ def d_min_approx(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: flo
     the readout shot noise 1/chi_ro^2.  Reduces to mu * sqrt(2 nbar_in + 1)
     when readout and ancilla terms are negligible.
     """
-    if mu <= 0 or chi_ro <= 0:
-        raise ValueError("mu and chi_ro must be positive")
+    if not (0 < mu < math.inf and 0 < chi_ro < math.inf):
+        raise ValueError("mu and chi_ro must be positive and finite")
+    if not (0 <= nbar_in < math.inf and 0 < v_sq < math.inf):
+        raise ValueError("nbar_in must be nonnegative and v_sq positive, both finite")
+    if not 0.0 < phi < math.pi / 2:
+        raise ValueError("phi must lie in (0, pi/2)")
     n_in = 2.0 * nbar_in + 1.0
     n_m = 2.0 * loss.nbar_m + 1.0
     t = math.tan(phi)
@@ -339,8 +343,8 @@ def run_photon_budget(config: ExperimentConfig) -> RunResult:
 
 def estimate_fiber_epsilon(length_km: float, db_per_km: float = 0.4) -> float:
     """Beamsplitter loss fraction of a fiber delay line: 1 - 10^(-dB/10)."""
-    if length_km < 0 or db_per_km < 0:
-        raise ValueError("fiber length and attenuation must be nonnegative")
+    if not (0 <= length_km < math.inf and 0 <= db_per_km < math.inf):
+        raise ValueError("fiber length and attenuation must be nonnegative and finite")
     return 1.0 - 10.0 ** (-length_km * db_per_km / 10.0)
 
 

@@ -53,26 +53,23 @@ Losses = LossConfig | Sequence[LossConfig]
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """The four pulse strengths plus rotation angles and ancilla squeezing spec.
+    """The pulse strengths, the mechanical rotation and the ancilla squeezing spec.
 
     Every entry but ``phi`` may be an array; the schedule is then a batch of
     that shape.  The second X-X pulse's strength :attr:`chi2_second_pulse`
-    follows from lam and phi.  ``theta`` cancels the Kerr term for analytic
-    schedules (tan(theta) = -lam^2 tan(phi)) but is left free so the numerical
-    re-optimizer can adjust it.
+    and the Kerr-cancelling optical rotation :attr:`theta` follow from lam
+    and phi.
     """
 
     chi1: float
     lam: float
     chi3: float
     phi: float
-    theta: float
     ancilla_vsq: float = 0.5
     ancilla_angle: float = 0.0
 
     def __post_init__(self):
-        vals = (self.chi1, self.lam, self.chi3, self.phi, self.theta,
-                self.ancilla_vsq, self.ancilla_angle)
+        vals = (self.chi1, self.lam, self.chi3, self.phi, self.ancilla_vsq, self.ancilla_angle)
         if not all(np.isfinite(v).all() for v in vals):
             raise ValueError("schedule contains non-finite entries")
         if np.any(self.ancilla_vsq <= 0):
@@ -86,13 +83,14 @@ class PulseSchedule:
         return -self.lam / math.cos(self.phi)
 
     @property
+    def theta(self):
+        """Optical rotation arctan(-lam^2 tan(phi)) that cancels the Kerr term."""
+        return theta_for(self.lam, self.phi)
+
+    @property
     def mu(self):
         """Momentum rescaling factor (1 + lam chi1 tan(phi))^-1."""
         return 1.0 / (1.0 + self.lam * self.chi1 * math.tan(self.phi))
-
-    def kerr_cancellation_defect(self):
-        """|tan(theta) + lam^2 tan(phi)|; zero for analytic schedules."""
-        return np.abs(np.tan(self.theta) + self.lam ** 2 * math.tan(self.phi))
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +100,8 @@ class PulseSchedule:
 def chi2_for(chi1: float, chi3: float) -> float:
     """P-P strength -(1/chi1 + 1/chi3) that diagonalizes the three-pulse map
     and cancels the mechanical momentum's optical pickup."""
+    if not (math.isfinite(chi1) and math.isfinite(chi3)):
+        raise ValueError("non-finite pulse strength")
     if chi1 == 0 or chi3 == 0:
         raise ValueError("zero pulse strength has no matching chi2")
     return -(1.0 / chi1 + 1.0 / chi3)
@@ -139,8 +139,7 @@ def schedule_for_mu(mu, phi: float, ancilla_vsq: float = 0.5) -> PulseSchedule:
     chi1 = np.sqrt(np.abs(1.0 / mu - 1.0) / t)
     lam = np.copysign(chi1, 1.0 - mu)
     return PulseSchedule(chi1=chi1, lam=lam, chi3=chi3_for(chi1, lam, phi), phi=phi,
-                         theta=theta_for(lam, phi), ancilla_vsq=ancilla_vsq,
-                         ancilla_angle=np.sign(1.0 - mu) * math.pi / 4.0)
+                         ancilla_vsq=ancilla_vsq, ancilla_angle=np.sign(1.0 - mu) * math.pi / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +299,32 @@ def approx_photon_budget(mu, phi: float):
     An array of mu gives an array.
     """
     mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0):
-        raise ValueError("mu must be positive")
+    if not np.all((0 < mu) & (mu < math.inf)):
+        raise ValueError("mu must be positive and finite")
+    if not 0.0 < phi < math.pi / 2:
+        raise ValueError("phi must lie in (0, pi/2)")
     r = 1.0 - 1.0 / mu
     return np.abs(r) * (3.0 + (1.0 + r * r) / (mu * mu)) / math.tan(phi)
 
 
 def chi_from_physical(g0: float, n_photons: float, kappa: float) -> float:
     """Pulse strength -8 g0 sqrt(N) / kappa from physical drive parameters."""
-    if kappa <= 0:
-        raise ValueError("cavity linewidth must be positive")
-    if n_photons < 0:
-        raise ValueError("photon number must be nonnegative")
+    if not 0 < g0 < math.inf:
+        raise ValueError("coupling rate g0 must be positive and finite")
+    if not 0 < kappa < math.inf:
+        raise ValueError("cavity linewidth must be positive and finite")
+    if not 0 <= n_photons < math.inf:
+        raise ValueError("photon number must be nonnegative and finite")
     return -8.0 * g0 * math.sqrt(n_photons) / kappa
 
 
 def photons_for_chi(chi: float, g0: float, kappa: float) -> float:
     """Pulse photon number needed for strength ``chi``; inverse of
     :func:`chi_from_physical`."""
-    if g0 <= 0 or kappa <= 0:
-        raise ValueError("rates must be positive")
+    if not math.isfinite(chi):
+        raise ValueError("non-finite pulse strength")
+    if not (0 < g0 < math.inf and 0 < kappa < math.inf):
+        raise ValueError("rates must be positive and finite")
     return (chi * kappa / (8.0 * g0)) ** 2
 
 
@@ -384,43 +389,37 @@ class ScheduleOptimization:
     n_evaluations: int
 
 
-def _free_schedule(x: np.ndarray, phi: float, ancilla_vsq: float,
-                   ancilla_angle: float) -> PulseSchedule:
-    """The schedule at the optimizer coordinates ``x``: (chi1, lam, chi3) with
-    theta tied to lam and the ancilla at ``ancilla_angle``, or (chi1, lam,
-    chi3, theta, ancilla angle).  A 2-D ``x`` gives a batch, one row each."""
-    chi1, lam, chi3, *angles = x.T
-    theta, ancilla_angle = angles or (theta_for(lam, phi), ancilla_angle)
-    return PulseSchedule(chi1=chi1, lam=lam, chi3=chi3, phi=phi, theta=theta,
-                         ancilla_vsq=ancilla_vsq, ancilla_angle=ancilla_angle)
+def _free_schedule(x: np.ndarray, seed: PulseSchedule) -> PulseSchedule:
+    """The schedule at the optimizer coordinates ``x`` = (chi1, lam, chi3),
+    with phi and the ancilla of ``seed``.  A 2-D ``x`` gives a batch, one row
+    each."""
+    chi1, lam, chi3 = x.T
+    return PulseSchedule(chi1=chi1, lam=lam, chi3=chi3, phi=seed.phi,
+                         ancilla_vsq=seed.ancilla_vsq, ancilla_angle=seed.ancilla_angle)
 
 
-def _objective(seed: PulseSchedule, loss: LossConfig, target: GaussianState,
-               include_angles: bool) -> Callable[[np.ndarray], np.ndarray]:
+def _objective(seed: PulseSchedule, loss: LossConfig,
+               target: GaussianState) -> Callable[[np.ndarray], np.ndarray]:
     """The optimizer's objective: for each row of the optimizer coordinates
     ``x``, the infidelity against ``target`` of the squeezer output on vacuum,
     in one batched call.
 
-    The delay channels (fixed by phi and ``loss``), the vacuum input and, with
-    the angles tied, the ancilla covariance are the same in every call, so
-    they are built once, here.  Rows with 1 + lam chi1 tan(phi) <= 0 have no
-    positive mu and score 1e6 (outside the physical branch); they are masked
-    out before the schedule is built, so they do not fail the rest of the batch.
+    The delay channels (fixed by phi and ``loss``), the vacuum input and the
+    ancilla covariance are the same in every call, so they are built once,
+    here.  Rows with 1 + lam chi1 tan(phi) <= 0 have no positive mu and score
+    1e6 (outside the physical branch); they are masked out before the schedule
+    is built, so they do not fail the rest of the batch.
     """
-    phi, ancilla_vsq, ancilla_angle = seed.phi, seed.ancilla_vsq, seed.ancilla_angle
-    tan_phi = math.tan(phi)
+    tan_phi = math.tan(seed.phi)
     delay = _delay(seed, loss)
     vac = vacuum(MECH)
-    tied_cov = _squeezed_cov(ancilla_vsq, ancilla_angle)
+    cov = _squeezed_cov(seed.ancilla_vsq, seed.ancilla_angle)
 
     def infidelities(x: np.ndarray) -> np.ndarray:
         values = np.full(len(x), 1e6)
         inside = 1.0 + x[:, 1] * x[:, 0] * tan_phi > 0
         if inside.any():
-            schedule = _free_schedule(x[inside], phi, ancilla_vsq, ancilla_angle)
-            cov = (_squeezed_cov(ancilla_vsq, schedule.ancilla_angle) if include_angles
-                   else tied_cov)
-            out = apply_channel(vac, _mechanical(schedule, delay, cov))
+            out = apply_channel(vac, _mechanical(_free_schedule(x[inside], seed), delay, cov))
             values[inside] = 1.0 - fidelity_zero_mean(out, target)
         return values
 
@@ -485,26 +484,22 @@ def _candidates(x: np.ndarray, grad: np.ndarray, hess: np.ndarray, lo: np.ndarra
 
 
 def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
-                      ancilla_vsq: float = 0.5,
-                      include_angles: bool = False) -> ScheduleOptimization:
+                      ancilla_vsq: float = 0.5) -> ScheduleOptimization:
     """Local damped-Newton re-optimization of the pulse strengths.
 
     Minimizes the infidelity between the squeezer output on vacuum and the
     ideal target over (chi1, lam, chi3), seeded at and box-bounded around the
-    analytic schedule (x0 +- max(|x0| / 2, 1/2)), with theta and the ancilla
-    angle tied to their analytic rules.  ``include_angles=True`` frees those
-    two as well; with the extra freedom the lossless problem admits exactly
-    unitary solutions even for a finitely squeezed ancilla, so the tied mode
-    is the default to keep the optimum comparable to the analytic schedule.
+    analytic schedule (x0 +- max(|x0| / 2, 1/2)).  theta follows lam and phi
+    as in every schedule, and the ancilla angle stays at the seed's, so the
+    optimum stays comparable to the analytic schedule.
 
     Each iteration makes two batched squeezer calls: a central-difference
-    stencil (19 schedules, 51 with the angles) for the value, gradient and
-    Hessian, then 18 Levenberg-Marquardt damped Newton steps clipped to the
-    box, of which the best replaces the current point if it is lower.  The
-    objective is built once per search (:func:`_objective`): the delay
-    channels, the vacuum input and, with the angles tied, the ancilla
-    covariance are built once, and every call goes through the core that
-    :func:`mechanical_squeezer` uses.
+    stencil (19 schedules) for the value, gradient and Hessian, then 18
+    Levenberg-Marquardt damped Newton steps clipped to the box, of which the
+    best replaces the current point if it is lower.  The objective is built
+    once per search (:func:`_objective`): the delay channels, the vacuum input
+    and the ancilla covariance are built once, and every call goes through
+    the core that :func:`mechanical_squeezer` uses.
     Schedules with no positive mu score 1e6.  ``converged`` is True when the
     current point beats every candidate or the accepted step is below 1e-10,
     and False if the 100-iteration cap stops the search first.
@@ -514,14 +509,12 @@ def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
     seed = schedule_for_mu(mu_target, phi, ancilla_vsq)
     target = ideal_target_state(vacuum(MECH), mu_target, phi)
     x = np.array([seed.chi1, seed.lam, seed.chi3])
-    if include_angles:
-        x = np.append(x, [seed.theta, seed.ancilla_angle])
     span = np.maximum(0.5 * np.abs(x), 0.5)
     lo, hi = x - span, x + span
     h = _STEP_FRACTION * span
     offsets = _stencil(len(x)) * h
 
-    objective = _objective(seed, loss, target, include_angles)
+    objective = _objective(seed, loss, target)
     n_eval = 0
     for _ in range(_MAX_ITERATIONS):
         f, grad, hess = _derivatives(objective(x + offsets), h)
@@ -538,6 +531,6 @@ def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
         x, f = trial[k], values[k]
         if converged:
             break
-    return ScheduleOptimization(schedule=_free_schedule(x, phi, ancilla_vsq, seed.ancilla_angle),
+    return ScheduleOptimization(schedule=_free_schedule(x, seed),
                                 objective=float(f), seed_objective=float(seed_objective),
                                 converged=bool(converged), n_evaluations=n_eval)

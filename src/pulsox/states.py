@@ -16,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import GaussianChannel, _apply, _checked_moments, _transpose
-from .modes import ModeLayout
+from .channels import (GaussianChannel, _apply, _checked_moments, _transpose,
+                       quadrature_scaling, rotation)
+from .modes import OPT, ModeLayout
 
 _MEAN_ATOL = 1e-9
 # A covariance with det V - 1 below this is pure to rounding.  Taking it as
@@ -64,24 +65,12 @@ def thermal(nbar, layout: ModeLayout) -> GaussianState:
 
 
 def _squeezed_cov(v_sq, angle) -> np.ndarray:
-    """Symmetrized covariance of :func:`squeezed`, as the state would hold it."""
-    v_sq = np.asarray(v_sq, dtype=float)
-    if np.any(v_sq <= 0):
-        raise ValueError("squeezed variance must be positive")
-    # r is the matrix of rotation(-angle): in the package's sign convention,
-    # rotating by -angle carries X onto the direction at angle
-    angle = -np.asarray(angle, dtype=float)
-    if not np.isfinite(angle).all():
-        raise ValueError("non-finite squeezing angle")
-    c, s = np.cos(angle), np.sin(angle)
-    r = np.empty(c.shape + (2, 2))
-    r[..., 0, 0] = r[..., 1, 1] = c
-    r[..., 0, 1] = s
-    r[..., 1, 0] = -s
-    scale = np.zeros(v_sq.shape + (2, 2))
-    scale[..., 0, 0] = v_sq
-    scale[..., 1, 1] = 1.0 / v_sq
-    cov = r @ scale @ _transpose(r)
+    """Symmetrized covariance of :func:`squeezed`, as the state would hold it,
+    for a positive ``v_sq`` and a finite ``angle``."""
+    # in the package's sign convention, rotating by -angle carries X onto the
+    # direction at angle
+    r = rotation("opt", np.negative(angle), OPT).matrix
+    cov = r @ quadrature_scaling(v_sq, 1.0 / v_sq, "opt", OPT).matrix @ _transpose(r)
     return 0.5 * (cov + _transpose(cov))
 
 
@@ -91,9 +80,14 @@ def squeezed(v_sq, angle=0.0, layout: ModeLayout | None = None) -> GaussianState
     The quadrature X cos(angle) + P sin(angle) has variance ``v_sq``; the
     orthogonal one has 1 / v_sq.
     """
-    layout = layout or ModeLayout(("opt",))
+    layout = layout or OPT
     if layout.mode_count != 1:
         raise ValueError("squeezed() builds single-mode states")
+    v_sq, angle = np.asarray(v_sq, dtype=float), np.asarray(angle, dtype=float)
+    if not np.all(v_sq > 0):
+        raise ValueError("squeezed variance must be positive")
+    if not np.isfinite(angle).all():
+        raise ValueError("non-finite squeezing angle")
     return GaussianState(np.zeros(2), _squeezed_cov(v_sq, angle), layout)
 
 
@@ -185,8 +179,10 @@ def pure_fidelity(mu: float, phi: float, v_p: float, v_sq: float) -> float:
     ``v_p`` is the input momentum variance, ``v_sq`` the squeezed variance of
     the optical ancilla; phi is the mechanical rotation angle of the schedule.
     """
-    if mu <= 0 or v_p <= 0 or v_sq <= 0:
-        raise ValueError("mu, v_p and v_sq must be positive")
+    if not (0 < mu < math.inf and 0 < v_p < math.inf and 0 < v_sq < math.inf):
+        raise ValueError("mu, v_p and v_sq must be positive and finite")
+    if not 0.0 < phi < math.pi / 2:
+        raise ValueError("phi must lie in (0, pi/2)")
     t = math.tan(phi)
     m = mu * abs(1.0 - mu)
     return (1.0 + m * v_p * (v_sq + 0.25 * m * v_p * t) * t) ** -0.5
@@ -194,6 +190,6 @@ def pure_fidelity(mu: float, phi: float, v_p: float, v_sq: float) -> float:
 
 def classical_bound(mu: float) -> float:
     """Best fidelity of the measure-and-feedforward squeezer; at most 1/2."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
     return 1.0 / (1.0 + math.sqrt(0.5 + (mu * mu + mu ** -2) / 4.0))

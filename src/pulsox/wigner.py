@@ -128,8 +128,11 @@ class WignerGrid:
         return float(self.values.sum() * self.step ** 2)
 
     def value_at(self, x: float, p: float) -> float:
-        """Bilinear interpolation; exact when (x, p) is a grid node."""
-        x, p = _point(x, p)
+        """Bilinear interpolation; exact when (x, p) is a grid node.  A point
+        far outside is first clipped to twice the half extent, still outside,
+        so that its grid index stays within the integer range."""
+        bound = 2.0 * self.half_extent
+        x, p = np.clip(_point(x, p), -bound, bound)
         return float(_bilinear(self.values, self.half_extent, self.step,
                                np.array([x]), np.array([p]))[0])
 

@@ -176,7 +176,12 @@ def test_validate_rejects_a_cat_decay_sample_that_is_not_completely_positive():
      "'line 2': expected 'key = value'"),
     (ValueError, lambda: d_min_approx(0.0, 1.0, 3.0, 0.5, 0.1, LOSSLESS),
      "mu and chi_ro must be positive"),
-], ids=["top-level-key", "line-without-equals", "d-min-approx-mu"])
+    (ValueError, lambda: d_min_approx(1.0, math.nan, 3.0, 0.5, 0.1, LOSSLESS),
+     "nbar_in must be nonnegative"),
+    (ValueError, lambda: estimate_fiber_epsilon(math.inf),
+     "fiber length and attenuation must be nonnegative and finite"),
+], ids=["top-level-key", "line-without-equals", "d-min-approx-mu", "d-min-approx-nbar-nan",
+        "fiber-epsilon-length-inf"])
 def test_bad_input_is_rejected_with_its_reason(error, build, fragment):
     with pytest.raises(error, match=fragment):
         build()

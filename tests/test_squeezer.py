@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pulsox import (LOSSLESS, GaussianChannel, GaussianState, LossConfig, MECH, MECH_OPT, OPT,
                     PulseSchedule, ancilla_state, approx_photon_budget, beamsplitter_loss,
@@ -87,7 +87,7 @@ def test_schedule_momentum_branch():
 def test_schedule_mu_round_trip(mu):
     s = schedule_for_mu(mu, PHI)
     assert s.mu == pytest.approx(mu, abs=1e-12)
-    assert s.kerr_cancellation_defect() < 1e-12
+    assert abs(math.tan(s.theta) + s.lam ** 2 * math.tan(PHI)) < 1e-12
 
 
 def test_schedule_rejects_bad_inputs():
@@ -96,7 +96,7 @@ def test_schedule_rejects_bad_inputs():
     with pytest.raises(ValueError):
         schedule_for_mu(2.0, 2.0)  # phi >= pi/2
     with pytest.raises(ValueError):  # 1 + lam chi1 tan(phi) < 0
-        PulseSchedule(chi1=10.0, lam=-10.0, chi3=1.0, phi=0.1, theta=0.0)
+        PulseSchedule(chi1=10.0, lam=-10.0, chi3=1.0, phi=0.1)
 
 
 # -- ideal three-pulse squeezer -------------------------------------------------
@@ -223,6 +223,21 @@ def test_pulsed_squeezer_equals_conjugated_interaction_form():
     alt = compose([px.qnd_xx(s.chi1), wrapped, px.rotation("opt", s.theta),
                    px.qnd_xx(s.chi3)])
     assert np.allclose(alt.matrix, build_lossy_squeezer(s, LOSSLESS).matrix, atol=1e-13)
+
+
+_STRENGTHS = st.floats(-5.0, 5.0)
+
+
+@given(chi1=_STRENGTHS, lam=_STRENGTHS, chi3=_STRENGTHS, phi=st.floats(1e-3, 1.5))
+def test_theta_cancels_the_kerr_term_of_every_schedule(chi1, lam, chi3, phi):
+    # not only analytic schedules: any schedule in the physical branch leaves
+    # the light's X free of its own P after the middle section
+    assume(1.0 + lam * chi1 * math.tan(phi) > 0)
+    s = PulseSchedule(chi1=chi1, lam=lam, chi3=chi3, phi=phi)
+    middle = compose([rotation("opt", math.pi / 2), qnd_xx(s.lam), rotation("mech", s.phi),
+                      qnd_xx(s.chi2_second_pulse), rotation("opt", s.theta - math.pi / 2)])
+    i = MECH_OPT.x_index("opt")
+    assert abs(middle.matrix[i, i + 1]) < 1e-12
 
 
 def test_lossy_squeezer_optical_loss_degrades_output():
@@ -559,8 +574,7 @@ def test_symmetric_split_optimal_at_fixed_mu():
         chi1 = math.sqrt(abs(k)) * split
         lam = k / chi1
         s = PulseSchedule(chi1=chi1, lam=lam, chi3=chi3_for(chi1, lam, PHI), phi=PHI,
-                          theta=theta_for(lam, PHI), ancilla_vsq=v_sq,
-                          ancilla_angle=math.copysign(math.pi / 4, 1 - mu))
+                          ancilla_vsq=v_sq, ancilla_angle=math.copysign(math.pi / 4, 1 - mu))
         return 1.0 - fidelity_zero_mean(squeezer_output(s, LOSSLESS, vacuum(MECH)),
                                         target)
 
@@ -578,15 +592,6 @@ def test_optimizer_trivial_at_unit_mu():
 def test_optimizer_beats_analytic_seed_under_loss():
     loss = LossConfig.from_q(1e4, nbar_m=4e4)
     res = optimize_schedule(SQRT2, PHI, loss, ancilla_vsq=0.5)
-    assert res.objective < res.seed_objective
-
-
-def test_optimizer_with_free_angles_reaches_unitary_squeezer():
-    # freeing theta and the ancilla angle admits an exactly unitary solution
-    # even with a finitely squeezed ancilla
-    res = optimize_schedule(SQRT2, PHI, LOSSLESS, ancilla_vsq=0.5,
-                            include_angles=True)
-    assert res.objective < 1e-7
     assert res.objective < res.seed_objective
 
 
@@ -613,8 +618,8 @@ def test_optimizer_matches_nelder_mead_inside_the_box(mu, loss, objective):
     assert np.all(x >= x0 - span) and np.all(x <= x0 + span)
 
 
-@pytest.mark.parametrize("include_angles", [False, True])
-def test_optimizer_counts_every_schedule_evaluated(monkeypatch, include_angles):
+@pytest.mark.parametrize("lossless", [False, True])
+def test_optimizer_counts_every_schedule_evaluated(monkeypatch, lossless):
     rows = []
     build = squeezer._objective
 
@@ -628,45 +633,40 @@ def test_optimizer_counts_every_schedule_evaluated(monkeypatch, include_angles):
         return counting
 
     monkeypatch.setattr(squeezer, "_objective", counting_objective)
-    res = optimize_schedule(SQRT2, PHI, BENCH_LOSS, include_angles=include_angles)
+    res = optimize_schedule(SQRT2, PHI, LOSSLESS if lossless else BENCH_LOSS)
     assert res.n_evaluations == sum(rows)
     # one stencil call and one candidate call per iteration
-    stencil = 51 if include_angles else 19
-    assert rows == [stencil, 18] * (len(rows) // 2)
+    assert rows == [19, 18] * (len(rows) // 2)
 
 
 # repr of (objective, seed objective, chi1, lam, chi3, theta, ancilla angle) and
 # n_evaluations of each search, as the per-call objective gave them before its
 # schedule-independent pieces were built once per search.
 EXACT_SEARCHES = [
-    ((1.0 / SQRT2, BENCH_LOSS, False),
+    ((1.0 / SQRT2, BENCH_LOSS),
      ("0.0038987795989049445", "0.006894396407975845", "2.1067984879646726",
       "2.957949865764338", "-1.7927754890464318", "-0.5032038538695927",
       "0.7853981633974483"), 296),
-    ((SQRT2, BENCH_LOSS, False),
+    ((SQRT2, BENCH_LOSS),
      ("0.0026417572012015222", "0.011749301775166088", "1.855635502782638",
       "-2.5866746222717323", "-2.4824261306422577", "-0.39843937850626626",
       "-0.7853981633974483"), 259),
-    ((2.0, BENCH_LOSS, False),
+    ((2.0, BENCH_LOSS),
      ("0.005141211266275647", "0.035898675061565744", "2.531663995808383",
       "-3.3323650704597774", "-4.833719810309004", "-0.60981652550344",
       "-0.7853981633974483"), 259),
-    ((SQRT2, LossConfig.from_q(1e4, nbar_m=4e4), False),
+    ((SQRT2, LossConfig.from_q(1e4, nbar_m=4e4)),
      ("0.14032894654701933", "0.1537919106233132", "1.5483004119123844",
       "-3.2364579252652996", "-1.9232809994617925", "-0.5826829063100453",
       "-0.7853981633974483"), 296),
-    ((SQRT2, BENCH_LOSS, True),
-     ("0.0022103773144644956", "0.011749301775166088", "2.1953522976127924",
-      "-2.2407703534172803", "-2.665184878510386", "-0.3134696387581827",
-      "-0.2853981633974483"), 759),
 ]
 
 
 @pytest.mark.parametrize("args, reprs, n_evaluations", EXACT_SEARCHES,
-                         ids=["inv-sqrt2", "sqrt2", "2", "sqrt2-q1e4", "sqrt2-angles"])
+                         ids=["inv-sqrt2", "sqrt2", "2", "sqrt2-q1e4"])
 def test_optimizer_results_are_pinned_bit_for_bit(args, reprs, n_evaluations):
-    mu, loss, include_angles = args
-    res = optimize_schedule(mu, PHI, loss, include_angles=include_angles)
+    mu, loss = args
+    res = optimize_schedule(mu, PHI, loss)
     s = res.schedule
     values = (res.objective, res.seed_objective, s.chi1, s.lam, s.chi3, s.theta,
               s.ancilla_angle)
@@ -675,8 +675,8 @@ def test_optimizer_results_are_pinned_bit_for_bit(args, reprs, n_evaluations):
     assert res.converged
 
 
-@pytest.mark.parametrize("include_angles", [False, True])
-def test_optimizer_builds_the_delay_once_per_search(monkeypatch, include_angles):
+@pytest.mark.parametrize("lossless", [False, True])
+def test_optimizer_builds_the_delay_once_per_search(monkeypatch, lossless):
     # the delay depends on phi and the loss alone, so one search builds one of each
     built = []
     for module, name in ((channels, "damped_evolution"), (squeezer, "beamsplitter_loss")):
@@ -687,7 +687,7 @@ def test_optimizer_builds_the_delay_once_per_search(monkeypatch, include_angles)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    res = optimize_schedule(SQRT2, PHI, BENCH_LOSS, include_angles=include_angles)
+    res = optimize_schedule(SQRT2, PHI, LOSSLESS if lossless else BENCH_LOSS)
     assert res.n_evaluations > 2 * 19
     assert sorted(built) == ["beamsplitter_loss", "damped_evolution"]
 
@@ -707,12 +707,12 @@ def test_rows_with_no_positive_mu_score_outside_branch():
     x = np.array([[seed.chi1, seed.lam, seed.chi3],
                   [10.0, -10.0, seed.chi3],
                   [1.1 * seed.chi1, seed.lam, seed.chi3]])
-    values = squeezer._objective(seed, BENCH_LOSS, target, False)(x)
+    values = squeezer._objective(seed, BENCH_LOSS, target)(x)
     assert values[1] == 1e6
     for row in (0, 2):
         chi1, lam, chi3 = x[row]
-        s = PulseSchedule(chi1=chi1, lam=lam, chi3=chi3, phi=PHI, theta=theta_for(lam, PHI),
-                          ancilla_vsq=0.5, ancilla_angle=seed.ancilla_angle)
+        s = PulseSchedule(chi1=chi1, lam=lam, chi3=chi3, phi=PHI, ancilla_vsq=0.5,
+                          ancilla_angle=seed.ancilla_angle)
         scalar = 1.0 - fidelity_zero_mean(squeezer_output(s, BENCH_LOSS, vacuum(MECH)), target)
         assert values[row] == pytest.approx(scalar, rel=1e-14)
 
@@ -720,9 +720,8 @@ def test_rows_with_no_positive_mu_score_outside_branch():
 # -- input checks ------------------------------------------------------------------
 
 @pytest.mark.parametrize("build, fragment", [
-    (lambda: PulseSchedule(chi1=math.nan, lam=1.0, chi3=1.0, phi=PHI, theta=0.0),
-     "non-finite entries"),
-    (lambda: PulseSchedule(chi1=1.0, lam=1.0, chi3=1.0, phi=PHI, theta=0.0, ancilla_vsq=0.0),
+    (lambda: PulseSchedule(chi1=math.nan, lam=1.0, chi3=1.0, phi=PHI), "non-finite entries"),
+    (lambda: PulseSchedule(chi1=1.0, lam=1.0, chi3=1.0, phi=PHI, ancilla_vsq=0.0),
      "ancilla squeezed variance must be positive"),
     # cos(phi) + lam chi1 sin(phi) = 0 at phi = pi/4, lam chi1 = -1
     (lambda: chi3_for(1.0, -1.0, math.pi / 4), "singular chi3 denominator"),
@@ -736,9 +735,15 @@ def test_rows_with_no_positive_mu_score_outside_branch():
     (lambda: chi_from_physical(1e-3, 1e6, 0.0), "cavity linewidth must be positive"),
     (lambda: chi_from_physical(1e-3, -1.0, 1.0), "photon number must be nonnegative"),
     (lambda: photons_for_chi(1.0, 0.0, 1.0), "rates must be positive"),
+    (lambda: chi2_for(math.nan, 1.0), "non-finite pulse strength"),
+    (lambda: approx_photon_budget(math.inf, PHI), "mu must be positive and finite"),
+    (lambda: approx_photon_budget(SQRT2, math.nan), r"phi must lie in \(0, pi/2\)"),
+    (lambda: chi_from_physical(math.nan, 1e6, 1.0), "coupling rate g0 must be positive"),
+    (lambda: photons_for_chi(math.nan, 1e-3, 1.0), "non-finite pulse strength"),
 ], ids=["schedule-nan", "schedule-ancilla", "chi3-singular", "target-map-mu",
         "target-two-modes", "reduce-one-mode-channel", "reduce-two-mode-ancilla",
-        "approx-budget-mu", "chi-kappa", "chi-photons", "photons-rates"])
+        "approx-budget-mu", "chi-kappa", "chi-photons", "photons-rates", "chi2-nan",
+        "approx-budget-mu-inf", "approx-budget-phi-nan", "chi-g0-nan", "photons-chi-nan"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment):
     with pytest.raises(ValueError, match=fragment):
         build()

@@ -295,8 +295,11 @@ def test_exceeds_classical_across_sweep():
     (lambda: mean_distance(vacuum(MECH), vacuum(OPT)), "layout mismatch"),
     (lambda: pure_fidelity(0.0, 0.1, 1.0, 0.5), "must be positive"),
     (lambda: classical_bound(0.0), "mu must be positive"),
+    (lambda: pure_fidelity(math.inf, 0.1, 1.0, 0.5), "must be positive and finite"),
+    (lambda: classical_bound(math.inf), "mu must be positive and finite"),
 ], ids=["squeezed-variance", "squeezed-angle", "squeezed-two-modes", "mean-distance-layouts",
-        "pure-fidelity-mu", "classical-bound-mu"])
+        "pure-fidelity-mu", "classical-bound-mu", "pure-fidelity-mu-inf",
+        "classical-bound-mu-inf"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment):
     with pytest.raises(ValueError, match=fragment):
         build()

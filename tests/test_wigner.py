@@ -50,6 +50,12 @@ def test_grid_axis_contains_origin():
     assert 0.0 in g.axis().tolist()
 
 
+@pytest.mark.parametrize("x, p", [(1e19, 0.0), (0.0, -1e19), (-1e300, 0.0)])
+def test_grid_reads_zero_far_outside(x, p):
+    # so far out that the point's grid index would leave the integer range
+    assert wigner_fock(1, 8.0, 64).value_at(x, p) == 0.0
+
+
 # -- constructors -------------------------------------------------------------
 
 @pytest.mark.parametrize("n,w0", [(0, 1.0), (1, -1.0), (2, 1.0), (3, -1.0)])
