@@ -148,7 +148,8 @@ def _write_grids(jobs: list) -> None:
         # imported here: it costs about 9 ms, and most runs write no grid.
         # On Python >= 3.12, os.fork in a process that holds BLAS threads
         # emits a DeprecationWarning (an error under the tests' warning
-        # filter); the children run only repr and file writes, never BLAS.
+        # filter); the children run only the CSV kernel's integer ufuncs, a
+        # few repr calls and file writes, never BLAS.
         import multiprocessing
         if "fork" not in multiprocessing.get_all_start_methods():
             n = 1

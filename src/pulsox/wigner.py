@@ -12,6 +12,8 @@ Two representations share one interface (``value_at`` and ``evolve``):
   convolution whose Gaussian kernel is evaluated analytically in Fourier
   space, so a singular noise covariance needs no regularization.  The grid
   serves Fock states, CSV export and as a test oracle for the exact sums.
+  :func:`grid_to_csv` writes each value exactly as ``repr`` does, with
+  Ryu's shortest digits computed in numpy ``uint64`` arithmetic.
   :meth:`GaussianSum.sample` and the channel step fill their grid in blocks
   of ``_SAMPLE_ROWS`` rows, so only the FFT's full-size arrays are alive at
   once: a 512-point step holds about 7 MB at its peak, for a 2 MB result.
@@ -30,6 +32,7 @@ squeezer); the module depends only on ``channels``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -130,7 +133,7 @@ class WignerGrid:
     def value_at(self, x: float, p: float) -> float:
         """Bilinear interpolation; exact when (x, p) is a grid node.  A point
         far outside is first clipped to twice the half extent, still outside,
-        so that its grid index stays within the integer range."""
+        so that its coordinate in grid steps cannot overflow."""
         bound = 2.0 * self.half_extent
         x, p = np.clip(_point(x, p), -bound, bound)
         return float(_bilinear(self.values, self.half_extent, self.step,
@@ -306,16 +309,18 @@ def _built_sum(log_weights: np.ndarray, means: np.ndarray, cov: np.ndarray) -> G
 
 def _bilinear(values: np.ndarray, half_extent: float, step: float,
               xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Sample W at arbitrary points (any shape), zero outside the grid."""
+    """Sample W at arbitrary points (any shape), zero outside the grid.  A
+    point on the last row or column of nodes interpolates from the cell
+    before it, so that every node reads its own value."""
     res = values.shape[0]
     fx = (xs + half_extent) / step
     fp = (ps + half_extent) / step
-    i0 = np.floor(fx).astype(int)
-    j0 = np.floor(fp).astype(int)
+    i0 = np.clip(np.floor(fx), 0, res - 2).astype(int)
+    j0 = np.clip(np.floor(fp), 0, res - 2).astype(int)
     tx = fx - i0
     tp = fp - j0
-    inside = (i0 >= 0) & (i0 <= res - 2) & (j0 >= 0) & (j0 <= res - 2)
-    k = np.clip(i0, 0, res - 2) * res + np.clip(j0, 0, res - 2)  # flat index of corner 00
+    inside = (fx >= 0) & (fx <= res - 1) & (fp >= 0) & (fp <= res - 1)
+    k = i0 * res + j0  # flat index of corner 00
     flat = values.ravel()
     sx = 1 - tx
     sp = 1 - tp
@@ -579,17 +584,177 @@ def half_life(state0: GaussianSum, loss: LossConfig, samples_per_period: int = 6
 # grid export
 # ---------------------------------------------------------------------------
 
+_U32 = np.uint64(0xFFFFFFFF)
+
+
+@functools.cache
+def _ryu_table() -> tuple[np.ndarray, ...]:
+    """Ryu's constants for each biased exponent of a double (U. Adams, "Ryu:
+    fast float-to-string conversion", PLDI 2018; the e2 < 0 branch of d2s).
+
+    For an exponent below 2^53 it holds the top 125 bits of 5^i as four
+    32-bit limbs (shape (4, 2048)), the shift j - 96 of the product
+    m * 5^i / 2^j (22 to 26), the decimal exponent e10 and the mask of the q
+    low bits of mv that Ryu's trailing-zero path tests: a value whose mv has
+    none of them set, which includes every value with q <= 1, goes to
+    ``repr``.  Every other exponent (|x| >= 2^53, inf and nan) gets mask 0,
+    which sends all its values there.  Last come the powers 10 .. 10^16 that
+    count an output's digits.
+    """
+    limbs = np.zeros((4, 2048), np.uint64)
+    shift = np.zeros(2048, np.uint64)
+    e10 = np.zeros(2048, np.int64)
+    mask = np.zeros(2048, np.uint64)
+    for biased in range(1076):  # 2^53 has biased exponent 1076
+        e2 = max(biased, 1) - 1077  # bias 1023, 52 mantissa bits, 2 bits for the bounds
+        q = (-e2 * 732923 >> 20) - (e2 < -1)  # floor(log10(5^-e2)), less one below -1
+        five = 5 ** (-e2 - q)
+        top = (five << 125) >> five.bit_length()
+        limbs[:, biased] = [top >> (32 * k) & 0xFFFFFFFF for k in range(4)]
+        shift[biased] = q - (five.bit_length() - 125) - 96
+        e10[biased] = q + e2
+        mask[biased] = (1 << min(q, 63)) - 1  # mv, a multiple of 4, passes any q <= 2
+    return limbs, shift, e10, mask, np.array([10 ** k for k in range(1, 17)], np.uint64)
+
+
+def _limb_columns(m: np.ndarray, limbs: np.ndarray) -> list:
+    """The column sums, by weight 2^(32 c), of the 32-bit halves of the limb
+    products of m < 2^55 and A < 2^125 given as four 32-bit limbs: every
+    product is below 2^64 and every sum below 2^35."""
+    cols = [0] * 6
+    for a, half in enumerate((m & _U32, m >> 32)):
+        for b, limb in enumerate(limbs):
+            product = half * limb
+            cols[a + b] = cols[a + b] + (product & _U32)
+            cols[a + b + 1] = cols[a + b + 1] + (product >> 32)
+    return cols
+
+
+def _shifted(cols: list, shift: np.ndarray) -> np.ndarray:
+    """floor(sum_c cols[c] 2^(32 c) / 2^(96 + shift)), which is below 2^62, for
+    columns below 2^36 and a shift of 22 to 26."""
+    total = cols[0]
+    for col in cols[1:4]:
+        total = col + (total >> 32)
+    low = total & _U32  # bits 96 to 127
+    total = cols[4] + (total >> 32)
+    top = cols[5] + (total >> 32)  # bits 160 up
+    return ((low | ((total & _U32) << 32)) >> shift) | (top << (64 - shift))
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Ryu's shortest digits of the doubles with these bits: the digits as an
+    integer with n digits, n, and decpt, where the value is
+    0.d1..dn * 10^decpt, each one the shortest that reads back to the same
+    double and of those the closest to it, as ``repr`` writes it.
+
+    The last array marks the values that would take Ryu's trailing-zero path
+    (a short binary fraction such as 0.5 or an integer), the zeros and
+    |x| >= 2^53 (inf and nan too); they read 0 with n = 1 and decpt = 1, and
+    are left to ``repr``.  Every array in the uint64 arithmetic is uint64:
+    numpy < 2 turns uint64 with int64 into float64, which drops bits.
+    """
+    limbs, shift, e10, mask, pow10 = _ryu_table()
+    biased = ((bits >> 52) & 0x7FF).astype(np.intp)
+    mant = bits & 0xFFFFFFFFFFFFF
+    mv = np.where(biased > 0, mant | (1 << 52), mant) << 2
+    exact = (mv & mask[biased]) == 0
+    limbs = limbs[:, biased]
+    shift = shift[biased]
+    # mm = mv - 1 - s is the lower bound, mv the value, mp = mm + 3 + s the upper
+    s = ((mant != 0) | (biased <= 1)).astype(np.uint64)
+    cols = _limb_columns(mv - 1 - s, limbs)
+    vm = _shifted(cols, shift)
+    vr, vp = (_shifted([col + k * limb for col, limb in zip(cols, limbs)] + cols[4:], shift)
+              for k in (1 + s, 3 + s))
+
+    # remove digits while the interval (vm, vp) still holds a shorter number;
+    # each pass takes only the values that removed one in the pass before
+    removed = np.zeros(bits.size, np.intp)
+    round_up = np.zeros(bits.size, bool)
+    live = np.flatnonzero(~exact)
+    live_r, live_p, live_m = vr[live], vp[live], vm[live]
+    while live.size:
+        p10, m10 = live_p // 10, live_m // 10
+        cut = p10 > m10
+        live, live_r, live_p, live_m = live[cut], live_r[cut], p10[cut], m10[cut]
+        r10 = live_r // 10
+        round_up[live] = live_r - r10 * 10 >= 5
+        vr[live] = live_r = r10
+        vm[live] = live_m
+        removed[live] += 1
+    out = vr + ((vr == vm) | round_up)
+    out[exact] = 0
+    n = 1 + np.searchsorted(pow10, out, side="right")
+    return out, n, np.where(exact, 1, n + e10[biased] + removed), exact
+
+
+def _csv_rows(rows: np.ndarray) -> np.ndarray:
+    """The CSV lines of a 2-D block of floats as a uint8 array, each value
+    written as ``repr`` writes it: the digits of :func:`_shortest` laid out
+    by array operations, and the values it leaves to ``repr`` by ``repr``."""
+    bits = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1).view(np.uint64)
+    out, n, decpt, exact = _shortest(bits)
+
+    # repr uses the exponent form when decpt <= -4 (or decpt > 16, which
+    # takes |x| >= 2^53); a value left to repr is laid out as "0.0" here and
+    # then overwritten
+    sci = decpt <= -4
+    neg = (bits >> 63).astype(np.intp)
+    whole = (decpt > 0) & ~sci
+    dot = neg + np.where(whole, decpt, 1)  # the '.' of every layout
+    raw = neg + np.where(whole | sci, 0, 1 - decpt) + n - 1  # the last digit, before the '.'
+    last = raw + (raw >= dot)
+    length = np.where(sci, last + 5 + (decpt <= -99), np.maximum(last + 1, dot + 2))
+    fallback = np.flatnonzero(exact)
+    reprs = [repr(v).encode() for v in bits[fallback].view(np.float64).tolist()]
+    length[fallback] = [len(r) for r in reprs]
+    start = np.cumsum(length + 1) - length - 1
+    # prefilled with the padding zeros, and one more byte for stray writes
+    buf = np.full(start[-1] + length[-1] + 2, ord("0"), np.uint8)
+
+    # digits from the right; the zero digits beyond the n-th land on padding
+    # zeros, on bytes written after this loop (a sign, the '.') or, clipped,
+    # on the byte before the value, its ',' (the spare last byte for the first)
+    spot, before_dot = start + raw, raw - dot
+    for k in range(int(n.max())):
+        tens = out // 10
+        buf[np.maximum(spot - k + (k <= before_dot), start - 1)] = \
+            (out - tens * 10).astype(np.uint8) + ord("0")
+        out = tens
+    at = np.flatnonzero(sci)
+    e = start[at] + last[at]
+    buf[e + 1] = ord("e")
+    buf[e + 2] = ord("-")
+    power = 1 - decpt[at]  # 5 to 324
+    tens = power // 10
+    end = e + 4 + (power >= 100)
+    buf[e + 3] = power // 100 + ord("0")  # the tens of a two-digit power overwrite it
+    buf[end - 1] = tens - tens // 10 * 10 + ord("0")
+    buf[end] = power - tens * 10 + ord("0")
+    buf[start[neg == 1]] = ord("-")
+    buf[(start + dot)[(n > 1) | ~sci]] = ord(".")
+    buf[start + length] = ord(",")
+    buf[(start + length)[rows.shape[-1] - 1::rows.shape[-1]]] = ord("\n")
+    text = np.frombuffer(b"".join(reprs), np.uint8)
+    lengths = length[fallback]
+    buf[np.repeat(start[fallback] - np.cumsum(lengths) + lengths, lengths)
+        + np.arange(text.size)] = text
+    return buf[:-1]
+
+
 def grid_to_csv(grid: WignerGrid, path) -> None:
     """Write samples as CSV with a two-line header (half extent, resolution).
 
-    Row i holds W(x_i, p_j) for all j.
+    Row i holds W(x_i, p_j) for all j.  Each value is written exactly as
+    Python's ``repr`` writes it (the shortest digits that read back to the
+    same float), by a vectorized kernel over blocks of ``_SAMPLE_ROWS`` rows.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# half_extent,{grid.half_extent!r}\n")
-        fh.write(f"# resolution,{grid.resolution}\n")
-        for row in grid.values:  # a row at a time: the whole grid as floats takes 8 MB
-            fh.write(",".join(map(repr, row.tolist())))
-            fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# half_extent,{grid.half_extent!r}\n"
+                 f"# resolution,{grid.resolution}\n".encode())
+        for i in range(0, grid.resolution, _SAMPLE_ROWS):
+            fh.write(_csv_rows(grid.values[i:i + _SAMPLE_ROWS]))
 
 
 def grid_from_csv(path) -> WignerGrid:

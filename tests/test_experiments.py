@@ -3,15 +3,14 @@ import gc
 import hashlib
 import json
 import math
-import os
 import re
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import without_cpu_dispatch
 
 from pulsox.config import (EXPERIMENTS, ConfigError, ExperimentConfig,
                            load_config, log_grid, parse_config_text)
@@ -24,7 +23,6 @@ from pulsox.experiments import (RUNNERS, config_from_metadata,
 from pulsox.channels import LOSSLESS, LossConfig
 from pulsox import MECH, ideal_target_state, schedule_for_mu, vacuum, vacuum_infidelity
 from pulsox.table import ResultTable
-import pulsox
 
 
 def make_config(experiment: str, **physical) -> ExperimentConfig:
@@ -574,24 +572,12 @@ print(json.dumps(tables))
 
 def test_default_tables_do_not_depend_on_the_cpu_dispatch_path():
     """The seven default tables (grid CSVs excluded) keep their bytes when
-    numpy runs without its SIMD kernels above the build's baseline.
-
-    A subprocess disables, through ``NPY_DISABLE_CPU_FEATURES``, every dispatch
-    target of numpy's ``__cpu_dispatch__`` that ``__cpu_features__`` reports
-    enabled on this machine, and its tables are compared byte for byte with an
-    in-process run.  Only the targets this machine has are switched off: on a
-    machine without AVX-512 the AVX-512 kernels never ran, so the test checks
-    less, and on one with no target above the baseline it compares two runs
-    on the same path.
-    """
-    from numpy._core import _multiarray_umath as umath
-
-    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
-    path = [str(Path(pulsox.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
-               PYTHONPATH=os.pathsep.join(filter(None, path)))
-    run = subprocess.run([sys.executable, "-c", _TABLES_IN_SUBPROCESS], env=env,
-                         capture_output=True, text=True, check=True)
+    numpy runs without its SIMD kernels above the build's baseline: a
+    subprocess without them (``conftest.without_cpu_dispatch``) and an
+    in-process run write the same tables byte for byte."""
+    run = subprocess.run([sys.executable, "-c", _TABLES_IN_SUBPROCESS],
+                         env=without_cpu_dispatch(), capture_output=True, text=True,
+                         check=True)
     disabled = json.loads(run.stdout)
     in_process = {name: table.to_csv() for experiment in EXPERIMENTS
                   for name, table in run_experiment(make_config(experiment)).tables.items()}

@@ -1,12 +1,16 @@
 """Wigner grids and exact Gaussian sums: constructors, channel evolution, and
 cat metrics."""
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from conftest import without_cpu_dispatch
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pulsox import (CatSpec, GaussianChannel, GaussianState, GaussianSum,
                     GridClippingError, HalfLifeResult, LossConfig, MECH, MECH_OPT, WignerGrid,
@@ -16,7 +20,9 @@ from pulsox import (CatSpec, GaussianChannel, GaussianState, GaussianSum,
                     mechanical_reduced_channel, mechanical_squeezer, mu_opt,
                     negativity_eta, quadrature_scaling, rotation, schedule_for_mu,
                     wigner_cat, wigner_fock, wigner_gaussian)
-from pulsox.wigner import _SAMPLE_ROWS, ETA_BLOCK, eta_at
+from pulsox.config import ExperimentConfig
+from pulsox.experiments import run_experiment
+from pulsox.wigner import _SAMPLE_ROWS, ETA_BLOCK, _csv_rows, eta_at
 
 TWO_PI = 2.0 * math.pi
 CRITERION_10_LOSS = LossConfig.from_q(1e7, nbar_m=4e4, epsilon=1e-3)
@@ -48,6 +54,24 @@ def test_grid_requires_power_of_two():
 def test_grid_axis_contains_origin():
     g = wigner_fock(0, 8.0, 256)
     assert 0.0 in g.axis().tolist()
+
+
+def test_grid_reads_every_node_exactly_up_to_the_last_row_and_column():
+    g = wigner_gaussian([0.0, 0.0], 40.0 * np.eye(2), 4.0, 16)
+    ax = g.axis()
+    nodes = [(i, j) for i in (0, 15) for j in (0, 15)]
+    nodes += [(15, j) for j in range(16)] + [(i, 15) for i in range(16)]
+    for i, j in nodes:
+        assert g.value_at(ax[i], ax[j]) == g.values[i, j], (i, j)
+
+
+def test_identity_step_keeps_the_last_row_and_column():
+    # every node is its own pre-image; the last row and column read zero when
+    # a node on them counted as outside the grid
+    g = wigner_fock(0, 5.0, 16)
+    out = apply_gaussian_channel(g, GaussianChannel(np.eye(2), np.zeros(2),
+                                                    np.zeros((2, 2)), MECH))
+    np.testing.assert_allclose(out.values, g.values / g.total_mass(), rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("x, p", [(1e19, 0.0), (0.0, -1e19), (-1e300, 0.0)])
@@ -172,15 +196,13 @@ def _one_shot_bilinear(values, half_extent, step, xs, ps):
     res = values.shape[0]
     fx = (xs + half_extent) / step
     fp = (ps + half_extent) / step
-    i0 = np.floor(fx).astype(int)
-    j0 = np.floor(fp).astype(int)
+    i0 = np.clip(np.floor(fx), 0, res - 2).astype(int)
+    j0 = np.clip(np.floor(fp), 0, res - 2).astype(int)
     tx = fx - i0
     tp = fp - j0
-    inside = (i0 >= 0) & (i0 <= res - 2) & (j0 >= 0) & (j0 <= res - 2)
-    i0c = np.clip(i0, 0, res - 2)
-    j0c = np.clip(j0, 0, res - 2)
-    out = (values[i0c, j0c] * (1 - tx) * (1 - tp) + values[i0c + 1, j0c] * tx * (1 - tp)
-           + values[i0c, j0c + 1] * (1 - tx) * tp + values[i0c + 1, j0c + 1] * tx * tp)
+    inside = (fx >= 0) & (fx <= res - 1) & (fp >= 0) & (fp <= res - 1)
+    out = (values[i0, j0] * (1 - tx) * (1 - tp) + values[i0 + 1, j0] * tx * (1 - tp)
+           + values[i0, j0 + 1] * (1 - tx) * tp + values[i0 + 1, j0 + 1] * tx * tp)
     return np.where(inside, out, 0.0)
 
 
@@ -754,6 +776,71 @@ def test_grid_csv_round_trip(tmp_path):
     assert back.half_extent == g.half_extent
     assert back.resolution == g.resolution
     assert np.array_equal(back.values, g.values)
+
+
+def _repr_lines(values) -> bytes:
+    """The CSV lines of a 2-D array as ``",".join(map(repr, row))`` writes them."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in values.tolist()).encode()
+
+
+# +-0, the smallest subnormal, the largest subnormal, the smallest normal, 2^53
+# and its neighbours, repr's switches to and from the exponent form, two- and
+# three-digit exponents, fractions with short and long digits, integers, the
+# largest float
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 1e-5, 9.999e-5, 1e-4, 1e15, 1e16,
+               1e17, 1e-99, 1e99, 1e-100, 1e100, 2.5e-99, 2.5e-100, 0.1, 0.3, 1 / 3, 1.0,
+               3.0, 12345.0, 0.5, 1.7976931348623157e308]
+
+
+def test_csv_kernel_writes_repr_bytes_on_edge_values():
+    values = np.array([EDGE_FLOATS, [-v for v in EDGE_FLOATS]])
+    assert _csv_rows(values).tobytes() == _repr_lines(values)
+    assert _csv_rows(values.T).tobytes() == _repr_lines(values.T)
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_kernel_writes_repr_bytes_on_any_finite_floats(values):
+    assert _csv_rows(values).tobytes() == _repr_lines(values)
+
+
+def test_csv_kernel_writes_repr_bytes_on_random_bit_patterns():
+    # every binary exponent, subnormals, inf and nan among 200,000 patterns
+    bits = np.random.default_rng(2018).integers(0, 2 ** 64, 200_000, np.uint64)
+    values = bits.view(np.float64).reshape(400, 500)
+    assert _csv_rows(values).tobytes() == _repr_lines(values)
+
+
+def test_grid_to_csv_writes_the_default_fock_squeeze_grids_as_repr(tmp_path):
+    config = ExperimentConfig()
+    config.experiment = "fock-squeeze"
+    grids = run_experiment(config).grids
+    assert len(grids) == 4
+    for name, grid in grids.items():
+        grid_to_csv(grid, tmp_path / name)
+        header = f"# half_extent,{grid.half_extent!r}\n# resolution,{grid.resolution}\n"
+        assert (tmp_path / name).read_bytes() == header.encode() + _repr_lines(grid.values), name
+
+
+_CSV_IN_SUBPROCESS = """
+import sys
+import numpy as np
+from pulsox.wigner import _csv_rows
+values = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, 64)
+sys.stdout.buffer.write(_csv_rows(values).tobytes())
+"""
+
+
+def test_csv_kernel_does_not_depend_on_the_cpu_dispatch_path():
+    """The kernel writes the same bytes, repr's, when numpy runs without its
+    SIMD kernels above the build's baseline (``conftest.without_cpu_dispatch``)."""
+    bits = np.random.default_rng(15).integers(0, 2 ** 64, 64 * 256, np.uint64)
+    values = np.concatenate([EDGE_FLOATS, np.negative(EDGE_FLOATS), bits.view(np.float64)])
+    values = values[:64 * 256].reshape(-1, 64)
+    run = subprocess.run([sys.executable, "-c", _CSV_IN_SUBPROCESS], env=without_cpu_dispatch(),
+                         input=values.tobytes(), capture_output=True, check=True)
+    assert run.stdout == _csv_rows(values).tobytes() == _repr_lines(values)
 
 
 def _headerless_csv(tmp_path):
