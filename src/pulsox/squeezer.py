@@ -10,9 +10,12 @@ the multimode study differ only in the pulse and the delay they pass it: the
 squeezer's pulse is ``qnd_xx``, the multimode study's the composition of one
 ``qnd_xx`` per mechanical mode, batched over its g2/g1 ratios.
 The protocol is a list of channels, each of which checks its input where it
-enters (see :mod:`pulsox.channels`); like :func:`~pulsox.channels.compose`,
-the ancilla reduction checks only that its result is finite, so a lossy
-:func:`squeezer_output` validates one state and no channel.
+enters (see :mod:`pulsox.channels`); like :func:`~pulsox.channels.compose`
+and :func:`~pulsox.states.apply_channel`, the ancilla reduction checks only
+that its result is finite, so a lossy :func:`squeezer_output` runs no
+state, channel or schedule validator.  The optimizer's objective checks its
+coordinates once per call and builds their schedules unchecked, and it
+checks the target once per search (see :func:`_objective`).
 
 Momentum is rescaled by mu (P' = mu P, X' = X / mu): mu < 1 squeezes
 momentum, mu > 1 squeezes position.
@@ -23,6 +26,7 @@ losses adds a leading axis of length L, stacked from each loss's own delay.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,8 +38,8 @@ from .channels import (LOSSLESS, GaussianChannel, LossConfig, _apply, _built, _t
                        beamsplitter_loss, compose, damped_delay, qnd_pp, qnd_xx,
                        quadrature_scaling, rotation)
 from .modes import MECH, MECH_OPT, ModeLayout, OPT
-from .states import (GaussianState, _squeezed_cov, apply_channel, fidelity_zero_mean,
-                     squeezed, vacuum)
+from .states import (GaussianState, _fidelity, _reference, _squeezed_cov, apply_channel,
+                     fidelity_zero_mean, squeezed, vacuum)
 
 
 def _elementwise(fn: Callable, nin: int) -> Callable:
@@ -153,6 +157,13 @@ def build_ideal_squeezer(chi1: float, chi3: float) -> GaussianChannel:
     return compose([qnd_xx(chi1), qnd_pp(chi2_for(chi1, chi3)), qnd_xx(chi3)])
 
 
+@functools.cache
+def _quarter_turn(layout: ModeLayout) -> GaussianChannel:
+    """The protocol's optical pi/2 turn on ``layout``: one frozen channel per
+    layout, shared by every call."""
+    return rotation("opt", math.pi / 2.0, layout)
+
+
 def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], GaussianChannel],
                 delay: Sequence[GaussianChannel], layout: ModeLayout) -> list[GaussianChannel]:
     """The four-pulse protocol on ``layout``, as channels in temporal order.
@@ -161,7 +172,7 @@ def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], GaussianChanne
     channels between the second and third pulses, during which the mechanics
     rotates through phi.
     """
-    return [pulse(schedule.chi1), rotation("opt", math.pi / 2.0, layout),
+    return [pulse(schedule.chi1), _quarter_turn(layout),
             pulse(schedule.lam), *delay, pulse(schedule.chi2_second_pulse),
             rotation("opt", schedule.theta - math.pi / 2.0, layout), pulse(schedule.chi3)]
 
@@ -392,10 +403,16 @@ class ScheduleOptimization:
 def _free_schedule(x: np.ndarray, seed: PulseSchedule) -> PulseSchedule:
     """The schedule at the optimizer coordinates ``x`` = (chi1, lam, chi3),
     with phi and the ancilla of ``seed``.  A 2-D ``x`` gives a batch, one row
-    each."""
+    each.
+
+    Built unchecked: phi and the ancilla come from the checked ``seed``, and
+    the caller checks that ``x`` is finite with a positive mu in every row.
+    """
     chi1, lam, chi3 = x.T
-    return PulseSchedule(chi1=chi1, lam=lam, chi3=chi3, phi=seed.phi,
-                         ancilla_vsq=seed.ancilla_vsq, ancilla_angle=seed.ancilla_angle)
+    schedule = object.__new__(PulseSchedule)
+    schedule.__dict__.update(chi1=chi1, lam=lam, chi3=chi3, phi=seed.phi,
+                             ancilla_vsq=seed.ancilla_vsq, ancilla_angle=seed.ancilla_angle)
+    return schedule
 
 
 def _objective(seed: PulseSchedule, loss: LossConfig,
@@ -404,23 +421,31 @@ def _objective(seed: PulseSchedule, loss: LossConfig,
     ``x``, the infidelity against ``target`` of the squeezer output on vacuum,
     in one batched call.
 
-    The delay channels (fixed by phi and ``loss``), the vacuum input and the
-    ancilla covariance are the same in every call, so they are built once,
-    here.  Rows with 1 + lam chi1 tan(phi) <= 0 have no positive mu and score
-    1e6 (outside the physical branch); they are masked out before the schedule
-    is built, so they do not fail the rest of the batch.
+    The delay channels (fixed by phi and ``loss``), the vacuum input, the
+    ancilla covariance and the target's checked fidelity term are the same in
+    every call, so they are built once, here.  Each call checks that ``x`` is
+    finite, then builds the schedule of its rows unchecked.  Rows with
+    1 + lam chi1 tan(phi) <= 0 have no positive mu and score 1e6 (outside the
+    physical branch); they are masked out before the schedule is built, so
+    they do not fail the rest of the batch.  ``compose``, the ancilla
+    reduction and ``apply_channel`` still check that their results are
+    finite, and the fidelity core the output's zero mean and pure-state
+    floor, so each value equals :func:`vacuum_infidelity` of its row.
     """
     tan_phi = math.tan(seed.phi)
     delay = _delay(seed, loss)
     vac = vacuum(MECH)
     cov = _squeezed_cov(seed.ancilla_vsq, seed.ancilla_angle)
+    reference = _reference(target)
 
     def infidelities(x: np.ndarray) -> np.ndarray:
+        if not np.isfinite(x).all():
+            raise ValueError("optimizer coordinates contain non-finite entries")
         values = np.full(len(x), 1e6)
         inside = 1.0 + x[:, 1] * x[:, 0] * tan_phi > 0
         if inside.any():
             out = apply_channel(vac, _mechanical(_free_schedule(x[inside], seed), delay, cov))
-            values[inside] = 1.0 - fidelity_zero_mean(out, target)
+            values[inside] = 1.0 - _fidelity(out, *reference)
         return values
 
     return infidelities
@@ -497,9 +522,12 @@ def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
     stencil (19 schedules) for the value, gradient and Hessian, then 18
     Levenberg-Marquardt damped Newton steps clipped to the box, of which the
     best replaces the current point if it is lower.  The objective is built
-    once per search (:func:`_objective`): the delay channels, the vacuum input
-    and the ancilla covariance are built once, and every call goes through
-    the core that :func:`mechanical_squeezer` uses.
+    once per search (:func:`_objective`): the delay channels, the vacuum input,
+    the ancilla covariance and the target's fidelity term are built and
+    checked once, and every call goes through the core that
+    :func:`mechanical_squeezer` uses.  ``mu_target``, phi and ``ancilla_vsq``
+    are checked by :func:`schedule_for_mu`, each batch of coordinates by the
+    objective; the schedules, the returned one too, are built unchecked.
     Schedules with no positive mu score 1e6.  ``converged`` is True when the
     current point beats every candidate or the accepted step is below 1e-10,
     and False if the 100-iteration cap stops the search first.

@@ -31,9 +31,10 @@ PURE_ATOL = 1e-12
 class GaussianState:
     """Mean vector and covariance matrix on a mode layout, or a batch of them.
 
-    Checks structure only, as a channel's noise (shape, finiteness,
-    symmetry); V + i Omega >= 0 is carried by the named constructors and
-    preserved by physical channels.
+    ``GaussianState(...)`` checks structure only, as a channel's noise
+    (shape, finiteness, symmetry); V + i Omega >= 0 is carried by the named
+    constructors and preserved by physical channels.  :func:`apply_channel`
+    builds its result unchecked from checked inputs.
     """
 
     mean: np.ndarray
@@ -116,15 +117,34 @@ def product(*states: GaussianState) -> GaussianState:
     return GaussianState(mean, cov, layout)
 
 
+def _state(mean: np.ndarray, cov: np.ndarray, layout: ModeLayout) -> GaussianState:
+    """The state of float arrays that are valid by construction, frozen in
+    place and not checked."""
+    for a in (mean, cov):
+        if a.flags.writeable:
+            a.flags.writeable = False
+    state = object.__new__(GaussianState)
+    state.__dict__.update(mean=mean, cov=cov, layout=layout)
+    return state
+
+
 def apply_channel(state: GaussianState, channel: GaussianChannel) -> GaussianState:
     """Propagate the state through X' = M X + F; the output mean is broadcast
-    to the joint batch of state and channel, as its covariance is."""
+    to the joint batch of state and channel, as its covariance is.
+
+    Both inputs were checked where they were built, so the result is built
+    unchecked, as :func:`~pulsox.channels.compose` builds its channel: only
+    its finiteness is checked (an overflowing product raises ``ValueError``),
+    and its covariance is symmetrized, since ``M V M^T`` rounds unevenly.
+    """
     if state.layout != channel.layout:
         raise ValueError("state and channel layouts differ")
     m = channel.matrix
     cov = m @ state.cov @ _transpose(m) + channel.cov
     mean = np.broadcast_to(_apply(m, state.mean) + channel.mean, cov.shape[:-1])
-    return GaussianState(mean, cov, state.layout)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError("state contains non-finite entries")
+    return _state(mean, 0.5 * (cov + _transpose(cov)), state.layout)
 
 
 def marginal(state: GaussianState, modes: Sequence[str]) -> GaussianState:
@@ -154,6 +174,30 @@ def _det_minus_one(cov: np.ndarray) -> np.ndarray:
     return np.where(d < PURE_ATOL, 0.0, d)
 
 
+def _check_single_zero_mean(s: GaussianState) -> None:
+    if s.layout.mode_count != 1:
+        raise ValueError("fidelity is defined for single-mode states")
+    if np.max(np.abs(s.mean)) > _MEAN_ATOL:
+        raise ValueError("fidelity_zero_mean requires zero-mean states")
+
+
+def _reference(b: GaussianState) -> tuple[np.ndarray, np.ndarray]:
+    """The covariance of ``b`` and its |V_b| - 1 term, for :func:`_fidelity`,
+    after the checks :func:`fidelity_zero_mean` makes of ``b``."""
+    _check_single_zero_mean(b)
+    return b.cov, _det_minus_one(b.cov)
+
+
+def _fidelity(a: GaussianState, b_cov: np.ndarray, b_term: np.ndarray):
+    """The core of :func:`fidelity_zero_mean`, given ``b`` as its
+    :func:`_reference`; checks ``a`` alone."""
+    _check_single_zero_mean(a)
+    y = _det_minus_one(a.cov) * b_term
+    total = np.linalg.det(a.cov + b_cov)
+    f = 2.0 / (np.sqrt(total + y) - np.sqrt(y))
+    return np.minimum(f, 1.0)[()]
+
+
 def fidelity_zero_mean(a: GaussianState, b: GaussianState):
     """Fidelity of two zero-mean single-mode Gaussian states (or batches).
 
@@ -161,16 +205,13 @@ def fidelity_zero_mean(a: GaussianState, b: GaussianState):
     For pure states this equals the phase-space overlap 2 / sqrt(|Va + Vb|).
     Displaced states are rejected; compare means with :func:`mean_distance`.
     Returns a float, or an array over the broadcast batch.
+
+    Checks each state once: single mode, zero mean, and a determinant above
+    the pure-state floor.  ``b``'s checks and its |Vb| - 1 term are
+    :func:`_reference`, which the optimizer's objective computes once per
+    search and passes to the core :func:`_fidelity` at every call.
     """
-    for s in (a, b):
-        if s.layout.mode_count != 1:
-            raise ValueError("fidelity is defined for single-mode states")
-        if np.max(np.abs(s.mean)) > _MEAN_ATOL:
-            raise ValueError("fidelity_zero_mean requires zero-mean states")
-    y = _det_minus_one(a.cov) * _det_minus_one(b.cov)
-    total = np.linalg.det(a.cov + b.cov)
-    f = 2.0 / (np.sqrt(total + y) - np.sqrt(y))
-    return np.minimum(f, 1.0)[()]
+    return _fidelity(a, *_reference(b))
 
 
 def pure_fidelity(mu: float, phi: float, v_p: float, v_sq: float) -> float:

@@ -31,7 +31,8 @@ ALLOWED = {
 # module: every private helper shared across modules is entered here.
 PRIVATE = {
     "states": {"channels": {"_apply", "_checked_moments", "_transpose"}},
-    "squeezer": {"channels": {"_apply", "_built", "_transpose"}, "states": {"_squeezed_cov"}},
+    "squeezer": {"channels": {"_apply", "_built", "_transpose"},
+                 "states": {"_fidelity", "_reference", "_squeezed_cov"}},
     "experiments": {"squeezer": {"_four_pulse"}},
 }
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pulsox import (LOSSLESS, GaussianChannel, GaussianState, LossConfig, MECH, MECH_OPT, OPT,
-                    PulseSchedule, ancilla_state, approx_photon_budget, beamsplitter_loss,
-                    build_ideal_squeezer, build_lossy_squeezer, chi2_for, compose,
-                    chi3_for, chi_from_physical, fidelity_zero_mean,
+                    ModeLayout, PulseSchedule, ancilla_state, approx_photon_budget,
+                    beamsplitter_loss, build_ideal_squeezer, build_lossy_squeezer, chi2_for,
+                    compose, chi3_for, chi_from_physical, coherent, fidelity_zero_mean,
                     ideal_target_map, ideal_target_state, is_physical, marginal,
                     mechanical_reduced_channel, mechanical_squeezer,
                     optimize_schedule,
@@ -403,22 +403,25 @@ def test_squeezer_equals_the_protocol_written_out_bit_for_bit(kind, mu, phi, v_s
                          mechanical_reduced_channel(composed, ancilla_state(s)))
 
 
-def test_lossy_squeezer_output_validates_one_state_and_no_channel(monkeypatch):
+def test_lossy_squeezer_output_and_objective_run_no_validator(monkeypatch):
     s = schedule_for_mu(SQRT2, PHI)
     loss = LossConfig.from_q(1e6, nbar_m=100.0, epsilon=1e-3)
+    batch = schedule_for_mu(np.array([0.5, SQRT2]), PHI)
     mech_in = vacuum(MECH)
+    objective = squeezer._objective(s, loss, ideal_target_state(mech_in, SQRT2, PHI))
+    x = np.array([[s.chi1, s.lam, s.chi3], [1.01 * s.chi1, s.lam, s.chi3]])
     built = []
-    for cls in (GaussianChannel, GaussianState):
+    for cls in (GaussianChannel, GaussianState, PulseSchedule):
         def counted(self, check=cls.__post_init__):
             built.append(type(self))
             check(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
     squeezer_output(s, loss, mech_in)
-    assert [c.__name__ for c in built] == ["GaussianState"]
     # a loss sequence stacks its delay channels unchecked too
-    built.clear()
-    squeezer_output(schedule_for_mu(np.array([0.5, SQRT2]), PHI), [LOSSLESS, loss], mech_in)
-    assert [c.__name__ for c in built] == ["GaussianState"]
+    squeezer_output(batch, [LOSSLESS, loss], mech_in)
+    # the objective checks its rows and the target, not its schedules and states
+    objective(x)
+    assert built == []
 
 
 # -- ancilla reduction -------------------------------------------------------------
@@ -715,6 +718,66 @@ def test_rows_with_no_positive_mu_score_outside_branch():
                           ancilla_angle=seed.ancilla_angle)
         scalar = 1.0 - fidelity_zero_mean(squeezer_output(s, BENCH_LOSS, vacuum(MECH)), target)
         assert values[row] == pytest.approx(scalar, rel=1e-14)
+
+
+@pytest.mark.parametrize("loss", [LOSSLESS, BENCH_LOSS], ids=["lossless", "bench"])
+@pytest.mark.parametrize("mu", [1.0 / SQRT2, SQRT2, 2.0])
+def test_objective_equals_vacuum_infidelity_of_each_row_bit_for_bit(mu, loss):
+    # the objective builds its rows' schedules and states unchecked and checks
+    # the target once; its values are the public, checked path's exactly
+    rng = np.random.default_rng(int(100 * mu))
+    seed = schedule_for_mu(mu, PHI)
+    target = ideal_target_state(vacuum(MECH), mu, PHI)
+    x0 = np.array([seed.chi1, seed.lam, seed.chi3])
+    span = np.maximum(0.5 * np.abs(x0), 0.5)
+    h = squeezer._STEP_FRACTION * span
+    objective = squeezer._objective(seed, loss, target)
+    stencil = x0 + squeezer._stencil(3) * h
+    _, grad, hess = squeezer._derivatives(objective(stencil), h)
+    candidates = squeezer._candidates(x0 + rng.uniform(-0.3, 0.3, 3) * span, grad, hess,
+                                      x0 - span, x0 + span)
+    for x in (stencil, candidates, x0 + rng.uniform(-1.0, 1.0, (7, 3)) * span):
+        x = x[1.0 + x[:, 1] * x[:, 0] * math.tan(PHI) > 0]
+        values = objective(x)
+        expected = vacuum_infidelity(squeezer._free_schedule(x, seed), loss, target)
+        assert np.array_equal(values, expected)
+
+
+@pytest.mark.parametrize("loss", [LOSSLESS, BENCH_LOSS], ids=["lossless", "bench"])
+def test_objective_scores_no_positive_mu_high_and_rejects_nan_rows(loss):
+    seed = schedule_for_mu(SQRT2, PHI)
+    objective = squeezer._objective(seed, loss, ideal_target_state(vacuum(MECH), SQRT2, PHI))
+    x = np.array([[seed.chi1, seed.lam, seed.chi3], [10.0, -10.0, seed.chi3]])
+    assert objective(x)[1] == 1e6
+    assert objective(x[1:]).tolist() == [1e6]
+    for k in range(3):
+        bad = x.copy()
+        bad[0, k] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            objective(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        objective(np.array([[seed.chi1, seed.lam, math.inf]]))
+
+
+def test_objective_checks_the_target_once_per_search():
+    seed = schedule_for_mu(SQRT2, PHI)
+    with pytest.raises(ValueError, match="zero-mean"):
+        squeezer._objective(seed, LOSSLESS, coherent([1.0, 0.0], MECH))
+    with pytest.raises(ValueError, match="pure-state floor"):
+        squeezer._objective(seed, LOSSLESS, GaussianState([0.0, 0.0], 0.5 * np.eye(2), MECH))
+
+
+@pytest.mark.parametrize("layout", [MECH_OPT, ModeLayout(("m1", "m2", "opt"))],
+                         ids=["mech-opt", "multimode"])
+def test_cached_quarter_turn_is_frozen_and_equals_a_fresh_rotation(layout):
+    turn = squeezer._quarter_turn(layout)
+    assert turn is squeezer._quarter_turn(layout)
+    fresh = rotation("opt", math.pi / 2.0, layout)
+    for name in ("matrix", "mean", "cov"):
+        got, want = getattr(turn, name), getattr(fresh, name)
+        assert not got.flags.writeable
+        assert np.array_equal(got, want)
+    assert turn.layout == layout
 
 
 # -- input checks ------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 
 from pulsox import (GaussianChannel, GaussianState, LOSSLESS, LossConfig, MECH, MECH_OPT,
                     OPT, apply_channel, beamsplitter_loss, build_ideal_squeezer,
-                    classical_bound, coherent, fidelity_zero_mean, ideal_target_state,
-                    marginal, mean_distance, product, pure_fidelity,
+                    classical_bound, coherent, compose, damped_evolution, fidelity_zero_mean,
+                    ideal_target_state, marginal, mean_distance, product, pure_fidelity,
                     quadrature_scaling, rotation, schedule_for_mu, squeezed,
                     squeezer_output, symplectic_form, thermal, vacuum)
 
@@ -160,6 +160,29 @@ def test_apply_channel_broadcasts_a_shared_mean_to_the_joint_batch():
 def test_apply_channel_layout_mismatch():
     with pytest.raises(ValueError):
         apply_channel(vacuum(MECH), beamsplitter_loss(LossConfig(epsilon=0.1)))
+
+
+def test_apply_channel_rejects_an_overflowing_product():
+    # the output is built unchecked, so its finiteness is checked where it is formed
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        apply_channel(thermal(1e200, MECH), quadrature_scaling(1e200, 1e-200))
+
+
+def test_apply_channel_output_is_frozen_and_exactly_symmetric():
+    loss = LossConfig.from_q(1e3, nbar_m=10.0, epsilon=0.2, nbar_l=0.5)
+    state = product(thermal(np.array([0.0, 1.5, 40.0]), MECH), squeezed(0.13, 0.7))
+    channel = compose([beamsplitter_loss(loss),
+                       damped_evolution(loss, np.linspace(0.1, 2.0, 5)[:, None], MECH_OPT),
+                       rotation("opt", 0.4)])
+    out = apply_channel(state, channel)
+    assert out.cov.shape == (5, 3, 4, 4) and out.mean.shape == (5, 3, 4)
+    for a in (out.mean, out.cov):
+        assert not a.flags.writeable
+    assert np.array_equal(out.cov, out.cov.swapaxes(-1, -2))
+    # equal to the checked constructor on the same moments
+    checked = GaussianState(out.mean, out.cov, MECH_OPT)
+    assert np.array_equal(checked.cov, out.cov) and np.array_equal(checked.mean, out.mean)
 
 
 def test_apply_preserves_physicality():
