@@ -22,16 +22,13 @@ from .channels import (LOSSLESS, GaussianChannel, LossConfig, beamsplitter_loss,
                        damped_evolution, is_physical, qnd_pp, qnd_xx, quadrature_scaling,
                        rotation)
 from .modes import MECH, MECH_OPT, OPT, ModeLayout, symplectic_form
-from .squeezer import (PulseSchedule, ancilla_state, approx_photon_budget,
-                       build_ideal_squeezer, build_lossy_squeezer, chi2_for, chi3_for,
-                       chi_from_physical, ideal_target_map, ideal_target_state,
-                       mechanical_reduced_channel, mechanical_squeezer,
-                       optimize_schedule, photon_budget, photons_for_chi,
-                       regime_check, schedule_for_mu, squeezer_output, theta_for,
-                       vacuum_infidelity)
-from .states import (GaussianState, apply_channel, classical_bound, coherent,
-                     fidelity_zero_mean, marginal, mean_distance, product,
-                     pure_fidelity, squeezed, thermal, vacuum)
+from .squeezer import (PulseSchedule, approx_photon_budget, build_lossy_squeezer,
+                       chi3_for, chi_from_physical, ideal_target_map, ideal_target_state,
+                       mechanical_squeezer, optimize_schedule, photon_budget,
+                       photons_for_chi, regime_check, schedule_for_mu, squeezer_output,
+                       theta_for, vacuum_infidelity)
+from .states import (GaussianState, apply_channel, classical_bound, fidelity_zero_mean,
+                     marginal, product, pure_fidelity, squeezed, thermal, vacuum)
 from .wigner import (CatSpec, GaussianSum, GridClippingError, HalfLifeResult,
                      WignerGrid, apply_gaussian_channel, eta_series,
                      fringe_ellipse, grid_from_csv, grid_to_csv, half_life,

@@ -131,9 +131,6 @@ class GaussianChannel:
         omega = symplectic_form(self.layout.mode_count)
         return float(np.max(np.abs(self.matrix @ omega @ _transpose(self.matrix) - omega)))
 
-    def is_symplectic(self) -> bool:
-        return self.symplectic_defect() < 1e-10
-
     def block(self, rows: str, cols: str) -> np.ndarray:
         """2x2 sub-block of M: quadratures of mode ``rows`` driven by mode ``cols``."""
         i = self.layout.x_index(rows)

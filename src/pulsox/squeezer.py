@@ -1,14 +1,15 @@
 """Assembly of the four-pulse mechanical squeezer.
 
-The ideal three-pulse sequence (X-X, P-P, X-X) needs a momentum-momentum
-interaction that is not natively available.  The paper's protocol replaces
-the P-P pulse with two X-X pulses wrapped in optical quarter turns around a
-short mechanical rotation phi, and cancels the residual Kerr term with an
-extra optical rotation theta.  :func:`_four_pulse` writes that protocol out
-once; the lossy squeezer (whose ``LOSSLESS`` case is the lossless one) and
-the multimode study differ only in the pulse and the delay they pass it: the
-squeezer's pulse is ``qnd_xx``, the multimode study's the composition of one
-``qnd_xx`` per mechanical mode, batched over its g2/g1 ratios.
+The paper's protocol is four X-X pulses.  Its derivation starts from an
+X-X, P-P, X-X sequence, whose momentum-momentum pulse is not natively
+available; the protocol builds it from two X-X pulses wrapped in optical
+quarter turns around a short mechanical rotation phi, and cancels the
+residual Kerr term with an extra optical rotation theta.
+:func:`_four_pulse` writes that protocol out once; the lossy squeezer
+(whose ``LOSSLESS`` case is the lossless one) and the multimode study differ
+only in the pulse and the delay they pass it: the squeezer's pulse is
+``qnd_xx``, the multimode study's the composition of one ``qnd_xx`` per
+mechanical mode, batched over its g2/g1 ratios.
 The protocol is a list of channels, each of which checks its input where it
 enters (see :mod:`pulsox.channels`); like :func:`~pulsox.channels.compose`
 and :func:`~pulsox.states.apply_channel`, the ancilla reduction checks only
@@ -35,11 +36,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import (LOSSLESS, GaussianChannel, LossConfig, _apply, _built, _transpose,
-                       beamsplitter_loss, compose, damped_delay, qnd_pp, qnd_xx,
+                       beamsplitter_loss, compose, damped_delay, qnd_xx,
                        quadrature_scaling, rotation)
-from .modes import MECH, MECH_OPT, ModeLayout, OPT
+from .modes import MECH, MECH_OPT, ModeLayout
 from .states import (GaussianState, _fidelity, _reference, _squeezed_cov, apply_channel,
-                     fidelity_zero_mean, squeezed, vacuum)
+                     fidelity_zero_mean, vacuum)
 
 
 def _elementwise(fn: Callable, nin: int) -> Callable:
@@ -101,23 +102,17 @@ class PulseSchedule:
 # analytic selection rules
 # ---------------------------------------------------------------------------
 
-def chi2_for(chi1: float, chi3: float) -> float:
-    """P-P strength -(1/chi1 + 1/chi3) that diagonalizes the three-pulse map
-    and cancels the mechanical momentum's optical pickup."""
-    if not (math.isfinite(chi1) and math.isfinite(chi3)):
-        raise ValueError("non-finite pulse strength")
-    if chi1 == 0 or chi3 == 0:
-        raise ValueError("zero pulse strength has no matching chi2")
-    return -(1.0 / chi1 + 1.0 / chi3)
-
-
 def chi3_for(chi1, lam, phi: float):
     """Final-pulse strength that brings the four-pulse map into squeezer form."""
     t = math.tan(phi)
     denom = math.cos(phi) + lam * chi1 * math.sin(phi)
     if np.any(np.abs(denom) < 1e-12):
         raise ValueError("unreachable mu: singular chi3 denominator")
-    return -chi1 * np.sqrt(1.0 + _pow(lam, 4.0) * t * t) / denom
+    try:
+        lam4 = _pow(lam, 4.0)
+    except OverflowError:
+        raise ValueError("unreachable mu: lam^4 overflows") from None
+    return -chi1 * np.sqrt(1.0 + lam4 * t * t) / denom
 
 
 def theta_for(lam, phi: float):
@@ -149,13 +144,6 @@ def schedule_for_mu(mu, phi: float, ancilla_vsq: float = 0.5) -> PulseSchedule:
 # ---------------------------------------------------------------------------
 # squeezer assembly
 # ---------------------------------------------------------------------------
-
-def build_ideal_squeezer(chi1: float, chi3: float) -> GaussianChannel:
-    """Three-pulse sequence XX(chi1), PP(chi2), XX(chi3) on (mech, opt) with
-    chi2 from :func:`chi2_for`; the mechanical block is
-    diag(-chi1/chi3, -chi3/chi1)."""
-    return compose([qnd_xx(chi1), qnd_pp(chi2_for(chi1, chi3)), qnd_xx(chi3)])
-
 
 @functools.cache
 def _quarter_turn(layout: ModeLayout) -> GaussianChannel:
@@ -224,15 +212,13 @@ def ideal_target_state(state: GaussianState, mu, phi: float) -> GaussianState:
     return apply_channel(state, ideal_target_map(mu, phi, state.layout.labels[0], state.layout))
 
 
-def ancilla_state(schedule: PulseSchedule) -> GaussianState:
-    """Squeezed optical ancilla matching the schedule's squeezing spec."""
-    return squeezed(schedule.ancilla_vsq, schedule.ancilla_angle, OPT)
-
-
 def _reduced(channel: GaussianChannel, ancilla_mean: np.ndarray,
              ancilla_cov: np.ndarray) -> GaussianChannel:
-    """The mechanical channel of a (mech, opt) channel fed the ancilla moments.
-    Its noise is symmetrized: the product ``m_mo V m_mo^T`` rounds unevenly."""
+    """The mechanical channel of a (mech, opt) channel fed the ancilla moments,
+    for a mechanical input independent of the ancilla: the ancilla enters
+    through the mech-from-optical block and is absorbed into the channel
+    noise.  Its noise is symmetrized: the product ``m_mo V m_mo^T`` rounds
+    unevenly."""
     i = channel.layout.x_index("mech")
     j = channel.layout.x_index("opt")
     m_mo = channel.matrix[..., i:i + 2, j:j + 2]
@@ -242,21 +228,6 @@ def _reduced(channel: GaussianChannel, ancilla_mean: np.ndarray,
         raise ValueError("reduced channel contains non-finite entries")
     return _built(channel.matrix[..., i:i + 2, i:i + 2], mean,
                   0.5 * (cov + _transpose(cov)), MECH)
-
-
-def mechanical_reduced_channel(channel: GaussianChannel,
-                               ancilla: GaussianState) -> GaussianChannel:
-    """Marginalize the optical ancilla out of a two-mode (mech, opt) channel.
-
-    Valid for product inputs (mechanical state independent of the ancilla):
-    the ancilla's covariance feeds the mechanical output through the
-    mech-from-optical block and is absorbed into the channel noise.
-    """
-    if channel.layout.mode_count != 2:
-        raise ValueError("reduction expects a two-mode channel")
-    if ancilla.layout.mode_count != 1:
-        raise ValueError("ancilla must be single-mode")
-    return _reduced(channel, ancilla.mean, ancilla.cov)
 
 
 def _mechanical(schedule: PulseSchedule, delay: Sequence[GaussianChannel],

@@ -92,11 +92,6 @@ def squeezed(v_sq, angle=0.0, layout: ModeLayout | None = None) -> GaussianState
     return GaussianState(np.zeros(2), _squeezed_cov(v_sq, angle), layout)
 
 
-def coherent(mean: Sequence[float], layout: ModeLayout) -> GaussianState:
-    """Coherent state: vacuum covariance displaced to ``mean``."""
-    return GaussianState(np.asarray(mean, dtype=float), np.eye(layout.dim), layout)
-
-
 def product(*states: GaussianState) -> GaussianState:
     """Tensor product of states on disjoint layouts; batched factors broadcast."""
     labels: list[str] = []
@@ -158,14 +153,6 @@ def marginal(state: GaussianState, modes: Sequence[str]) -> GaussianState:
                          state.layout.sub_layout(modes))
 
 
-def mean_distance(a: GaussianState, b: GaussianState):
-    """Euclidean distance between mean vectors; the displacement diagnostic
-    that complements the zero-mean fidelity."""
-    if a.layout != b.layout:
-        raise ValueError("layout mismatch")
-    return np.linalg.norm(a.mean - b.mean, axis=-1)[()]
-
-
 def _det_minus_one(cov: np.ndarray) -> np.ndarray:
     """|V| - 1, set to exactly 0 where the state is pure to rounding."""
     d = np.linalg.det(cov) - 1.0
@@ -203,7 +190,7 @@ def fidelity_zero_mean(a: GaussianState, b: GaussianState):
 
     F = 2 / (sqrt(|Va + Vb| + y) - sqrt(y)) with y = (|Va| - 1)(|Vb| - 1).
     For pure states this equals the phase-space overlap 2 / sqrt(|Va + Vb|).
-    Displaced states are rejected; compare means with :func:`mean_distance`.
+    Displaced states are rejected: the fidelity compares covariances only.
     Returns a float, or an array over the broadcast batch.
 
     Checks each state once: single mode, zero mean, and a determinant above

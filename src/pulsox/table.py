@@ -79,12 +79,6 @@ class ResultTable:
                    "columns": self.columns, "rows": self.rows}
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "ResultTable":
-        payload = json.loads(text)
-        return cls(list(payload["columns"]), [list(map(float, r)) for r in payload["rows"]],
-                   {str(k): str(v) for k, v in payload["metadata"].items()})
-
     def render(self, fmt: str) -> str:
         if fmt == "csv":
             return self.to_csv()

@@ -456,6 +456,12 @@ def negativity_eta(state: GaussianSum | WignerGrid) -> float | np.ndarray:
 # cat-state metrics
 # ---------------------------------------------------------------------------
 
+# From this 2 alpha^2 on, e^(2 alpha^2) (1 + 4 alpha^2) nears the float
+# maximum while e^(-2 alpha^2) is far below rounding, so the fringe closed
+# forms divided through by e^(2 alpha^2) round to their alpha -> inf limits.
+_EXP_SAFE = 700.0
+
+
 def fringe_ellipse(alpha: float, mu: float) -> tuple[float, float]:
     """Semi-axes of the central negative fringe of a squeezed odd cat.
 
@@ -465,7 +471,7 @@ def fringe_ellipse(alpha: float, mu: float) -> tuple[float, float]:
     if not (0 < alpha < math.inf and 0 < mu < math.inf):
         raise ValueError("alpha and mu must be positive and finite")
     a2 = 2.0 * alpha * alpha
-    cx = 4.0 * alpha * alpha / math.expm1(a2) + 1.0
+    cx = 4.0 * alpha * alpha / math.expm1(a2) + 1.0 if a2 < _EXP_SAFE else 1.0
     cp = 4.0 * alpha * alpha / (-math.expm1(-a2)) + 1.0
     return math.sqrt(2.0 / cx) / mu, mu * math.sqrt(2.0 / cp)
 
@@ -475,6 +481,8 @@ def mu_opt(alpha: float) -> float:
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     a2 = 2.0 * alpha * alpha
+    if a2 >= _EXP_SAFE:
+        return math.sqrt(math.hypot(1.0, 2.0 * alpha))  # (1 + 4 alpha^2)^(1/4)
     e = math.exp(a2)
     return ((e * (1.0 + 2.0 * a2) - 1.0) / (e + 2.0 * a2 - 1.0)) ** 0.25
 

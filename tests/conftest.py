@@ -1,11 +1,14 @@
 """Shared test configuration: the Hypothesis profile, acceptance-criterion
-reporting and the environment of a subprocess without numpy's SIMD dispatch."""
+reporting, the environment of a subprocess without numpy's SIMD dispatch and
+the three-pulse oracle map."""
 from __future__ import annotations
 
 import os
 from pathlib import Path
 
 from hypothesis import settings
+
+from pulsox import compose, qnd_pp, qnd_xx
 
 # Every property test is deterministic and keeps no example database.
 settings.register_profile("pulsox", deadline=None, derandomize=True, database=None)
@@ -47,3 +50,12 @@ def without_cpu_dispatch() -> dict[str, str]:
     path = [str(Path(pulsox.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
                 PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def three_pulse(chi1: float, chi3: float):
+    """The X-X, P-P, X-X map on (mech, opt) that the four-pulse protocol is
+    derived from.  The P-P strength -(1/chi1 + 1/chi3) diagonalizes it and
+    cancels the mechanical momentum's optical pickup, so its mechanical block
+    is diag(-chi1/chi3, -chi3/chi1) and X_mech picks up that P-P strength
+    times P_opt."""
+    return compose([qnd_xx(chi1), qnd_pp(-(1.0 / chi1 + 1.0 / chi3)), qnd_xx(chi3)])

@@ -1,4 +1,5 @@
 """Command-line interface behavior and output files."""
+import json
 import multiprocessing
 import os
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pulsox import cli
@@ -182,6 +184,10 @@ def test_empty_decay_series_is_validation_error(periods, tmp_path, monkeypatch, 
     (["cat-decay", "--phi", "1.0", "--set", "physical.nbar_m=5"], "physical.nbar_m"),
     (["fidelity-sweep", "--set", "sweep.q"], "'sweep.q': expected KEY=VALUE"),
     (["squeeze", "--mu", "abc", "--phi", "0.1"], "--mu: 'abc' is not a finite number"),
+    # lam ~ 1e150 at mu = 1e-300, so the lam^4 of chi3 overflows
+    (["fidelity-sweep", "--mu", "1e-300"], "unreachable mu: lam^4 overflows"),
+    (["photon-budget", "--mu", "1e-300"], "unreachable mu: lam^4 overflows"),
+    (["multimode", "--mu", "1e-300"], "unreachable mu: lam^4 overflows"),
 ])
 def test_rejected_option_names_its_key(args, key, tmp_path, monkeypatch, capsys):
     rc = run(args, monkeypatch, tmp_path)
@@ -253,11 +259,24 @@ def test_command_line_mu_replaces_the_config_files_mu(in_file, on_command_line, 
 
 
 def test_json_output_format(tmp_path, monkeypatch):
-    rc = run(["photon-budget", "--mu", "2.0", "--output",
+    rc = run(["photon-budget", "--mu", "0.5,2.0", "--output",
               str(tmp_path / "b"), "--format", "json"], monkeypatch, tmp_path)
     assert rc == 0
-    table = ResultTable.from_json((tmp_path / "b.json").read_text())
-    assert table.columns == ["mu", "budget_exact", "budget_approx"]
+    payload = json.loads((tmp_path / "b.json").read_text())
+    # the run the file's metadata echoes gives the table the file holds
+    echoed = config_from_metadata(payload["metadata"])
+    table = run_experiment(echoed).tables["photon_budget"]
+    assert payload["columns"] == table.columns == ["mu", "budget_exact", "budget_approx"]
+    assert payload["metadata"] == table.metadata
+    assert np.array(payload["rows"]).tobytes() == table.values.tobytes()
+
+
+def test_cat_decay_runs_where_the_fringe_exponential_overflows(tmp_path, monkeypatch):
+    # e^(2 alpha^2) exceeds the float range above alpha ~ 18.83
+    rc = run(["cat-decay", "--set", "sweep.alpha=20"], monkeypatch, tmp_path)
+    assert rc == 0
+    table = ResultTable.from_csv((tmp_path / "cat_decay_half_life.csv").read_text())
+    assert np.isfinite(table.values).all()
 
 
 def test_fock_squeeze_exports_grids(tmp_path, monkeypatch):

@@ -1,7 +1,9 @@
-"""Module layering: each pulsox module imports only the modules below it.
+"""Module layering and the public surface.
 
-The table is the one record of the layers; a new import across them must be
-entered here on purpose.
+Each pulsox module imports only the modules below it.  The table is the one
+record of the layers; a new import across them must be entered here on
+purpose.  Every name the package exports is reached from the package itself
+or from an acceptance criterion, or is listed with the reason it is exported.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pulsox"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 _LIBRARY = {"modes", "table", "channels", "states", "squeezer", "wigner", "config"}
 # ``__init__`` is the package itself: it re-exports the physics layers, and
@@ -78,3 +81,71 @@ def _private_imports(path: Path) -> dict[str, set[str]]:
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_module_imports_only_the_listed_private_names(module):
     assert _private_imports(SRC / f"{module}.py") == PRIVATE.get(module, {})
+
+
+# -- the public surface -----------------------------------------------------------
+
+# The names ``pulsox`` exports that no other module of the package and no
+# acceptance criterion reaches, each with the reason it is exported.
+UNREACHED = {
+    "build_lossy_squeezer": "the full (mech, opt) squeezer map, against which the tests "
+                            "check the ancilla reduction the runners use",
+    "optimize_schedule": "numerical re-optimization of the pulse strengths for library "
+                         "callers; no default experiment runs it",
+    "is_physical": "the exact CP test of a channel built from outside arrays, and the "
+                   "oracle of damped_is_physical",
+    "squeezed": "the squeezed-vacuum state for callers; the squeezer builds its "
+                "ancilla covariance directly",
+    "chi_from_physical": "pulse strength from the physical drive (g0, N, kappa), the "
+                         "conversion photon_budget's docstring refers to",
+    "photons_for_chi": "the inverse of chi_from_physical: photons per pulse of a "
+                       "given strength",
+    "fringe_ellipse": "semi-axes of the squeezed cat's central fringe, the geometry "
+                      "that mu_opt makes circular",
+    "grid_from_csv": "reads back the grid files that fock-squeeze writes",
+}
+
+
+def _exports() -> set[str]:
+    """The names ``pulsox/__init__.py`` imports from its modules."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """The identifiers of the tree's ``Name`` nodes and ``Attribute`` attrs,
+    except those inside a ``def`` or ``class`` of the same name."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name not in enclosing:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def _reached() -> set[str]:
+    """Names the package's modules refer to, and the ``px.<name>`` of the
+    acceptance criteria."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        if path.stem != "__init__":
+            found |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    criteria = ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))
+    found |= {node.attr for node in ast.walk(criteria) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "px"}
+    return found
+
+
+def test_every_export_is_reached_or_listed_with_a_reason():
+    unreached = _exports() - _reached()
+    assert sorted(unreached - set(UNREACHED)) == [], "exported, unreached and not listed"
+    assert sorted(set(UNREACHED) - unreached) == [], "listed, but reached or not exported"
+    assert all(reason and "\n" not in reason for reason in UNREACHED.values())

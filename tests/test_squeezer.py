@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import three_pulse
 from pulsox import (LOSSLESS, GaussianChannel, GaussianState, LossConfig, MECH, MECH_OPT, OPT,
-                    ModeLayout, PulseSchedule, ancilla_state, approx_photon_budget,
-                    beamsplitter_loss, build_ideal_squeezer, build_lossy_squeezer, chi2_for,
-                    compose, chi3_for, chi_from_physical, coherent, fidelity_zero_mean,
-                    ideal_target_map, ideal_target_state, is_physical, marginal,
-                    mechanical_reduced_channel, mechanical_squeezer,
-                    optimize_schedule,
-                    photon_budget, photons_for_chi, product, qnd_xx, regime_check,
-                    rotation, schedule_for_mu, squeezed, squeezer_output,
-                    apply_channel, symplectic_form, theta_for, thermal,
-                    vacuum, vacuum_infidelity)
+                    ModeLayout, PulseSchedule, approx_photon_budget, beamsplitter_loss,
+                    build_lossy_squeezer, compose, chi3_for, chi_from_physical,
+                    fidelity_zero_mean, ideal_target_map, ideal_target_state, is_physical,
+                    marginal, mechanical_squeezer, optimize_schedule, photon_budget,
+                    photons_for_chi, product, qnd_xx, regime_check, rotation,
+                    schedule_for_mu, squeezed, squeezer_output, apply_channel,
+                    symplectic_form, theta_for, thermal, vacuum, vacuum_infidelity)
 from pulsox import channels, squeezer
 from pulsox.channels import damped_delay
 from pulsox.config import log_grid
@@ -32,14 +30,6 @@ def derotated_mech_rows(channel, phi):
 
 
 # -- selection rules ----------------------------------------------------------
-
-def test_chi2_for_values():
-    assert chi2_for(1.0, -1.0) == 0.0
-    assert chi2_for(1.0, 1.0) == -2.0
-    assert chi2_for(2.0, 2.0) == -1.0
-    with pytest.raises(ValueError):
-        chi2_for(0.0, 1.0)
-
 
 def test_chi3_for_small_angle_limit():
     assert chi3_for(1.3, 1.3, 1e-12) == pytest.approx(-1.3, rel=1e-9)
@@ -99,30 +89,30 @@ def test_schedule_rejects_bad_inputs():
         PulseSchedule(chi1=10.0, lam=-10.0, chi3=1.0, phi=0.1)
 
 
-# -- ideal three-pulse squeezer -------------------------------------------------
+# -- the three-pulse map the protocol is derived from ------------------------------
 
 def test_ideal_squeezer_reference_rows():
-    m = build_ideal_squeezer(1.0, -2.0).matrix
+    m = three_pulse(1.0, -2.0).matrix
     assert np.allclose(m[0], [0.5, 0.0, 0.0, -0.5], atol=1e-14)
     assert np.allclose(m[1], [0.0, 2.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_ideal_squeezer_equal_strengths_is_pi_rotation():
-    m = build_ideal_squeezer(1.7, 1.7)
+    m = three_pulse(1.7, 1.7)
     assert np.allclose(m.block("mech", "mech"), -np.eye(2), atol=1e-14)
 
 
 @pytest.mark.parametrize("chi1,chi3", [(1.0, -2.0), (0.7, 1.9), (-1.2, -0.4)])
 def test_ideal_squeezer_structure(chi1, chi3):
-    m = build_ideal_squeezer(chi1, chi3)
-    assert m.is_symplectic()
+    m = three_pulse(chi1, chi3)
+    assert m.symplectic_defect() < 1e-10
     block = m.block("mech", "mech")
     assert np.allclose(block, np.diag([-chi1 / chi3, -chi3 / chi1]), atol=1e-12)
     # back-action cancellation: P_M' carries no optical contribution
     assert abs(m.matrix[1, 2]) < 1e-14
     assert abs(m.matrix[1, 3]) < 1e-14
     # X_M' optical pickup is the residual noise coefficient chi2
-    assert m.matrix[0, 3] == pytest.approx(chi2_for(chi1, chi3), rel=1e-12)
+    assert m.matrix[0, 3] == pytest.approx(-(1.0 / chi1 + 1.0 / chi3), rel=1e-12)
 
 
 # -- four-pulse squeezer ---------------------------------------------------------
@@ -151,7 +141,8 @@ def test_pulsed_squeezer_position_row(mu):
 
 def test_pulsed_squeezer_is_symplectic():
     for mu in (0.4, 1.6):
-        assert build_lossy_squeezer(schedule_for_mu(mu, PHI), LOSSLESS).is_symplectic()
+        channel = build_lossy_squeezer(schedule_for_mu(mu, PHI), LOSSLESS)
+        assert channel.symplectic_defect() < 1e-10
 
 
 # -- lossy squeezer ---------------------------------------------------------------
@@ -397,10 +388,7 @@ _MUS = st.one_of(st.just(1.0), st.floats(-1.2, 1.2).map(lambda e: 10.0 ** e),
 def test_squeezer_equals_the_protocol_written_out_bit_for_bit(kind, mu, phi, v_sq, data):
     loss = LOSSLESS if kind == "lossless" else data.draw(_losses())
     s = schedule_for_mu(mu, phi, v_sq)
-    composed = compose(_public_stages(s, loss))
-    _assert_same_channel(build_lossy_squeezer(s, loss), composed)
-    _assert_same_channel(mechanical_squeezer(s, loss),
-                         mechanical_reduced_channel(composed, ancilla_state(s)))
+    _assert_same_channel(build_lossy_squeezer(s, loss), compose(_public_stages(s, loss)))
 
 
 def test_lossy_squeezer_output_and_objective_run_no_validator(monkeypatch):
@@ -426,9 +414,13 @@ def test_lossy_squeezer_output_and_objective_run_no_validator(monkeypatch):
 
 # -- ancilla reduction -------------------------------------------------------------
 
+def _reduced(channel, ancilla):
+    return squeezer._reduced(channel, ancilla.mean, ancilla.cov)
+
+
 def test_reduced_channel_identity():
     ident = rotation("mech", 0.0)
-    reduced = mechanical_reduced_channel(ident, squeezed(0.3, 0.2))
+    reduced = _reduced(ident, squeezed(0.3, 0.2))
     assert np.allclose(reduced.matrix, np.eye(2))
     assert np.allclose(reduced.cov, 0.0)
 
@@ -436,12 +428,11 @@ def test_reduced_channel_identity():
 def test_reduction_rejects_fed_noise_that_overflows():
     # P_mech picks up 1e200 X_opt, so the vacuum ancilla feeds it a variance of 1e400
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="reduced .* non-finite"):
-        mechanical_reduced_channel(qnd_xx(1e200), vacuum(OPT))
+        _reduced(qnd_xx(1e200), vacuum(OPT))
 
 
 def test_reduced_channel_strong_ancilla_squeezing_kills_fed_noise():
-    squeezer = build_ideal_squeezer(1.0, -2.0)
-    reduced = mechanical_reduced_channel(squeezer, squeezed(1e-8, math.pi / 2))
+    reduced = _reduced(three_pulse(1.0, -2.0), squeezed(1e-8, math.pi / 2))
     # the fed quadrature is X_M; its injected noise follows the squeezed P_L
     assert reduced.cov[0, 0] < 1e-8
     assert reduced.cov[1, 1] < 1e-14
@@ -449,15 +440,19 @@ def test_reduced_channel_strong_ancilla_squeezing_kills_fed_noise():
 
 @pytest.mark.parametrize("mu", [0.6, 1.8])
 def test_reduced_channel_matches_two_mode_propagation(mu):
+    # the squeezer's ancilla reduction against the full two-mode propagation
+    # of the product input, for one loss, no loss and a loss sequence
     s = schedule_for_mu(mu, PHI)
-    loss = LossConfig.from_q(1e6, nbar_m=100.0, epsilon=1e-3)
-    channel = build_lossy_squeezer(s, loss)
-    anc = ancilla_state(s)
-    mech_in = thermal(2.0, MECH)
-    via_reduced = apply_channel(mech_in, mechanical_reduced_channel(channel, anc))
-    via_full = marginal(apply_channel(product(mech_in, anc), channel), ["mech"])
-    assert np.allclose(via_reduced.cov, via_full.cov, atol=1e-10)
-    assert np.allclose(via_reduced.mean, via_full.mean, atol=1e-12)
+    lossy = LossConfig.from_q(1e6, nbar_m=100.0, epsilon=1e-3)
+    mech_in = GaussianState([0.7, -1.3], 5.0 * np.eye(2), MECH)
+    ancilla = squeezed(s.ancilla_vsq, s.ancilla_angle)
+    for loss in (LOSSLESS, lossy, [LOSSLESS, lossy]):
+        via_reduced = squeezer_output(s, loss, mech_in)
+        full = apply_channel(product(mech_in, ancilla), build_lossy_squeezer(s, loss))
+        via_full = marginal(full, ["mech"])
+        assert via_reduced.cov.shape == via_full.cov.shape
+        for got, want in ((via_reduced.mean, via_full.mean), (via_reduced.cov, via_full.cov)):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 # -- photon budget -----------------------------------------------------------------
@@ -762,7 +757,7 @@ def test_objective_scores_no_positive_mu_high_and_rejects_nan_rows(loss):
 def test_objective_checks_the_target_once_per_search():
     seed = schedule_for_mu(SQRT2, PHI)
     with pytest.raises(ValueError, match="zero-mean"):
-        squeezer._objective(seed, LOSSLESS, coherent([1.0, 0.0], MECH))
+        squeezer._objective(seed, LOSSLESS, GaussianState([1.0, 0.0], np.eye(2), MECH))
     with pytest.raises(ValueError, match="pure-state floor"):
         squeezer._objective(seed, LOSSLESS, GaussianState([0.0, 0.0], 0.5 * np.eye(2), MECH))
 
@@ -788,24 +783,20 @@ def test_cached_quarter_turn_is_frozen_and_equals_a_fresh_rotation(layout):
      "ancilla squeezed variance must be positive"),
     # cos(phi) + lam chi1 sin(phi) = 0 at phi = pi/4, lam chi1 = -1
     (lambda: chi3_for(1.0, -1.0, math.pi / 4), "singular chi3 denominator"),
+    # lam ~ 1e150 at mu = 1e-300, so lam^4 overflows
+    (lambda: schedule_for_mu(1e-300, PHI), r"unreachable mu: lam\^4 overflows"),
     (lambda: ideal_target_map(0.0, PHI), "mu must be positive"),
     (lambda: ideal_target_state(vacuum(MECH_OPT), SQRT2, PHI), "single-mode"),
-    (lambda: mechanical_reduced_channel(rotation("mech", PHI, MECH), vacuum(OPT)),
-     "expects a two-mode channel"),
-    (lambda: mechanical_reduced_channel(qnd_xx(1.0), vacuum(MECH_OPT)),
-     "ancilla must be single-mode"),
     (lambda: approx_photon_budget(0.0, PHI), "mu must be positive"),
     (lambda: chi_from_physical(1e-3, 1e6, 0.0), "cavity linewidth must be positive"),
     (lambda: chi_from_physical(1e-3, -1.0, 1.0), "photon number must be nonnegative"),
     (lambda: photons_for_chi(1.0, 0.0, 1.0), "rates must be positive"),
-    (lambda: chi2_for(math.nan, 1.0), "non-finite pulse strength"),
     (lambda: approx_photon_budget(math.inf, PHI), "mu must be positive and finite"),
     (lambda: approx_photon_budget(SQRT2, math.nan), r"phi must lie in \(0, pi/2\)"),
     (lambda: chi_from_physical(math.nan, 1e6, 1.0), "coupling rate g0 must be positive"),
     (lambda: photons_for_chi(math.nan, 1e-3, 1.0), "non-finite pulse strength"),
-], ids=["schedule-nan", "schedule-ancilla", "chi3-singular", "target-map-mu",
-        "target-two-modes", "reduce-one-mode-channel", "reduce-two-mode-ancilla",
-        "approx-budget-mu", "chi-kappa", "chi-photons", "photons-rates", "chi2-nan",
+], ids=["schedule-nan", "schedule-ancilla", "chi3-singular", "chi3-overflow", "target-map-mu",
+        "target-two-modes", "approx-budget-mu", "chi-kappa", "chi-photons", "photons-rates",
         "approx-budget-mu-inf", "approx-budget-phi-nan", "chi-g0-nan", "photons-chi-nan"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment):
     with pytest.raises(ValueError, match=fragment):

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import three_pulse
 from pulsox import (GaussianChannel, GaussianState, LOSSLESS, LossConfig, MECH, MECH_OPT,
-                    OPT, apply_channel, beamsplitter_loss, build_ideal_squeezer,
-                    classical_bound, coherent, compose, damped_evolution, fidelity_zero_mean,
-                    ideal_target_state, marginal, mean_distance, product, pure_fidelity,
+                    OPT, apply_channel, beamsplitter_loss, classical_bound, compose,
+                    damped_evolution, fidelity_zero_mean,
+                    ideal_target_state, marginal, product, pure_fidelity,
                     quadrature_scaling, rotation, schedule_for_mu, squeezed,
                     squeezer_output, symplectic_form, thermal, vacuum)
 
@@ -94,7 +95,8 @@ def test_state_and_channel_noise_share_the_symmetry_rule():
 
 
 def test_coherent_state():
-    s = coherent([2.0, -1.0], MECH)
+    # a coherent state is the vacuum covariance displaced
+    s = GaussianState([2.0, -1.0], np.eye(2), MECH)
     assert np.array_equal(s.cov, np.eye(2))
     assert np.array_equal(s.mean, [2.0, -1.0])
 
@@ -126,7 +128,7 @@ def test_apply_identity_channel():
 def test_apply_ideal_squeezer_variances():
     # chi1=1, chi3=-2: X' = X/2 - P_L/2, P' = 2P
     v_sq = 0.01
-    squeezer = build_ideal_squeezer(1.0, -2.0)
+    squeezer = three_pulse(1.0, -2.0)
     ancilla = squeezed(v_sq, math.pi / 2)  # squeezed along P
     out = apply_channel(product(vacuum(MECH), ancilla), squeezer)
     assert out.variance("mech", "p") == pytest.approx(4.0, rel=1e-12)
@@ -255,13 +257,9 @@ def test_fidelity_symmetric_and_discriminating():
 
 def test_fidelity_rejects_displaced_and_multimode():
     with pytest.raises(ValueError, match="zero-mean"):
-        fidelity_zero_mean(coherent([1.0, 0.0], MECH), vacuum(MECH))
+        fidelity_zero_mean(GaussianState([1.0, 0.0], np.eye(2), MECH), vacuum(MECH))
     with pytest.raises(ValueError, match="single-mode"):
         fidelity_zero_mean(vacuum(MECH_OPT), vacuum(MECH_OPT))
-
-
-def test_mean_distance_diagnostic():
-    assert mean_distance(coherent([3.0, 4.0], MECH), vacuum(MECH)) == pytest.approx(5.0)
 
 
 # -- closed-form fidelity and classical bound --------------------------------
@@ -315,12 +313,11 @@ def test_exceeds_classical_across_sweep():
     (lambda: squeezed(0.0), "squeezed variance must be positive"),
     (lambda: squeezed(0.5, math.nan), "non-finite squeezing angle"),
     (lambda: squeezed(0.5, 0.0, MECH_OPT), "builds single-mode states"),
-    (lambda: mean_distance(vacuum(MECH), vacuum(OPT)), "layout mismatch"),
     (lambda: pure_fidelity(0.0, 0.1, 1.0, 0.5), "must be positive"),
     (lambda: classical_bound(0.0), "mu must be positive"),
     (lambda: pure_fidelity(math.inf, 0.1, 1.0, 0.5), "must be positive and finite"),
     (lambda: classical_bound(math.inf), "mu must be positive and finite"),
-], ids=["squeezed-variance", "squeezed-angle", "squeezed-two-modes", "mean-distance-layouts",
+], ids=["squeezed-variance", "squeezed-angle", "squeezed-two-modes",
         "pure-fidelity-mu", "classical-bound-mu", "pure-fidelity-mu-inf",
         "classical-bound-mu-inf"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment):

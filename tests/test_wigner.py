@@ -14,10 +14,10 @@ from hypothesis.extra import numpy as hnp
 
 from pulsox import (CatSpec, GaussianChannel, GaussianState, GaussianSum,
                     GridClippingError, HalfLifeResult, LossConfig, MECH, MECH_OPT, WignerGrid,
-                    ancilla_state, apply_channel, apply_gaussian_channel,
-                    build_lossy_squeezer, compose, damped_evolution, eta_series,
+                    apply_channel, apply_gaussian_channel,
+                    compose, damped_evolution, eta_series,
                     fringe_ellipse, grid_from_csv, grid_to_csv, half_life,
-                    mechanical_reduced_channel, mechanical_squeezer, mu_opt,
+                    mechanical_squeezer, mu_opt,
                     negativity_eta, quadrature_scaling, rotation, schedule_for_mu,
                     wigner_cat, wigner_fock, wigner_gaussian)
 from pulsox.config import ExperimentConfig
@@ -363,9 +363,7 @@ def test_exact_sum_matches_grid_oracle(alpha, mu_pre, t):
     # channel and sampled on the same nodes
     loss = LossConfig.from_q(1e6, nbar_m=4e4, epsilon=1e-3)
     schedule = schedule_for_mu(mu_pre, math.pi / 50, 0.5)
-    channels = [mechanical_reduced_channel(build_lossy_squeezer(schedule, loss),
-                                           ancilla_state(schedule)),
-                damped_evolution(loss, t, layout=MECH)]
+    channels = [mechanical_squeezer(schedule, loss), damped_evolution(loss, t, layout=MECH)]
     spec = CatSpec(alpha, "odd")
     # the anti-squeezed cat reaches (2 alpha + 3.7) / mu along X
     half_extent = 8.0 if 2 * alpha + 3.7 <= 8.0 * min(mu_pre, 1.0) else 16.0
@@ -654,9 +652,11 @@ def test_eta_after_five_damped_periods():
 # -- fringe geometry ----------------------------------------------------------
 
 def test_fringe_ellipse_symmetric_at_mu_opt():
-    for alpha in (1.0, 2.0):
+    # e^(2 alpha^2) exceeds the float range above alpha ~ 18.83; from
+    # 2 alpha^2 = 700 (alpha ~ 18.71) on both closed forms take their limits
+    for alpha in (0.5, 1.0, 2.0, 10.0, 18.7, 18.75, 18.8, 18.83, 18.9, 20.0, 30.0, 100.0):
         rx, rp = fringe_ellipse(alpha, mu_opt(alpha))
-        assert rx == pytest.approx(rp, abs=1e-9)
+        assert rx == pytest.approx(rp, rel=1e-12, abs=0.0)
 
 
 def test_fringe_ellipse_unsqueezed_is_wide_in_x():
