@@ -14,9 +14,9 @@ mode.
 Input is checked where it enters.  A ``GaussianChannel(...)`` built from
 outside arrays checks structure (shape, finiteness, noise symmetry).  The
 named constructors check their scalar input and build their channel with
-``_built``, which checks nothing, since its arrays are valid by construction;
-noiseless ones share the ``_zero_noise(d)`` pair.  :func:`compose` checks
-layouts and the finiteness of its result.
+``_unchecked``, since its arrays are valid by construction (README,
+Conventions); noiseless ones share the ``_zero_noise(d)`` pair.
+:func:`compose` checks layouts and the finiteness of its result.
 
 A channel may carry a leading batch axis (``(..., d, d)`` matrix and
 covariance, ``(..., d)`` mean).  The lossless constructors and
@@ -49,10 +49,23 @@ from .modes import MECH, MECH_OPT, ModeLayout, symplectic_form
 CP_RTOL = 64.0 * float(np.finfo(float).eps)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _frozen(a, dtype=float) -> np.ndarray:
+    """A read-only copy of ``a``: what a checked constructor stores."""
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
+
+
+def _unchecked(cls, **fields):
+    """The instance of the frozen dataclass ``cls`` holding ``fields``, which
+    are valid by construction: neither copied nor checked (``__post_init__``
+    does not run), each writable array field made read-only in place."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray) and value.flags.writeable:
+            value.flags.writeable = False
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 def _same_batch(*batches: tuple) -> None:
@@ -138,20 +151,9 @@ class GaussianChannel:
         return self.matrix[..., i:i + 2, j:j + 2].copy()
 
 
-def _built(m: np.ndarray, mean: np.ndarray, cov: np.ndarray,
-           layout: ModeLayout) -> GaussianChannel:
-    """The channel of float arrays that are valid by construction, frozen in
-    place and not checked."""
-    for a in (m, mean, cov):
-        if a.flags.writeable:
-            a.flags.writeable = False
-    channel = object.__new__(GaussianChannel)
-    channel.__dict__.update(matrix=m, mean=mean, cov=cov, layout=layout)
-    return channel
-
-
 def _noiseless(m: np.ndarray, layout: ModeLayout) -> GaussianChannel:
-    return _built(m, *_zero_noise(m.shape[-1]), layout)
+    mean, cov = _zero_noise(m.shape[-1])
+    return _unchecked(GaussianChannel, matrix=m, mean=mean, cov=cov, layout=layout)
 
 
 def _finite(values, what: str) -> np.ndarray:
@@ -342,8 +344,8 @@ def damped_evolution(loss: LossConfig, t, layout: ModeLayout = MECH) -> Gaussian
     buffer = np.zeros(t.shape + (2, layout.dim, layout.dim))  # map, noise covariance
     buffer[..., 0, :, :] = _eye(layout.dim)
     buffer[..., i:i + 2, i:i + 2] = blocks.reshape(t.shape + (2, 2, 2))
-    return _built(buffer[..., 0, :, :], np.zeros(t.shape + (layout.dim,)),
-                  buffer[..., 1, :, :], layout)
+    return _unchecked(GaussianChannel, matrix=buffer[..., 0, :, :], layout=layout,
+                      mean=np.zeros(t.shape + (layout.dim,)), cov=buffer[..., 1, :, :])
 
 
 def damped_delay(phi: float, loss: LossConfig, layout: ModeLayout = MECH) -> GaussianChannel:
@@ -374,7 +376,7 @@ def beamsplitter_loss(loss: LossConfig) -> GaussianChannel:
     m[i, i] = m[i + 1, i + 1] = amp
     cov = np.zeros((layout.dim, layout.dim))
     cov[i, i] = cov[i + 1, i + 1] = loss.epsilon * (2.0 * loss.nbar_l + 1.0)
-    return _built(m, np.zeros(layout.dim), cov, layout)
+    return _unchecked(GaussianChannel, matrix=m, mean=np.zeros(layout.dim), cov=cov, layout=layout)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +417,7 @@ def compose(channels: Iterable[GaussianChannel]) -> GaussianChannel:
     if not (np.isfinite(m_tot).all() and np.isfinite(mean_tot).all()
             and np.isfinite(cov_tot).all()):
         raise ValueError("composed channel contains non-finite entries")
-    return _built(m_tot, mean_tot, cov_tot, layout)
+    return _unchecked(GaussianChannel, matrix=m_tot, mean=mean_tot, cov=cov_tot, layout=layout)
 
 
 def is_physical(channel: GaussianChannel) -> bool:

@@ -103,14 +103,16 @@ class SweepConfig:
     mu: tuple[float, ...] = _key((), lambda v: v > 0, "must be > 0")
     q: tuple[float, ...] = _key((), lambda v: v > 0.5, "must be > 0.5 (underdamped)")
     epsilon: tuple[float, ...] = _key((), lambda v: 0 <= v <= 1, "must lie in [0, 1]")
-    alpha: tuple[float, ...] = _key((1.0, 2.0), lambda v: v > 0, "must be > 0")
+    alpha: tuple[float, ...] = _key((1.0, 2.0), lambda v: 0 < v <= 1e3, "must lie in (0, 1e3]: "
+                                    "rounding takes 2 alpha^2 eps off a cat's negativity")
     g2_ratio: tuple[float, ...] = _key((0.0, 0.1, 0.2, 0.5, 1.0), lambda v: v >= 0,
                                        "must be >= 0")
 
 
 @dataclass
 class ReadoutConfig:
-    chi_ro: float = _key(3.0, lambda v: v > 0, "must be > 0")
+    chi_ro: float = _key(3.0, lambda v: 1e-6 <= v <= 1e6, "must lie in [1e-6, 1e6], far "
+                         "from where chi_ro^-2 or chi_ro^2 overflows (about 1e-154, 1e154)")
 
 
 @dataclass

@@ -35,8 +35,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import (LOSSLESS, GaussianChannel, LossConfig, _apply, _built, _transpose,
-                       beamsplitter_loss, compose, damped_delay, qnd_xx,
+from .channels import (LOSSLESS, GaussianChannel, LossConfig, _apply, _frozen, _transpose,
+                       _unchecked, beamsplitter_loss, compose, damped_delay, qnd_xx,
                        quadrature_scaling, rotation)
 from .modes import MECH, MECH_OPT, ModeLayout
 from .states import (GaussianState, _fidelity, _reference, _squeezed_cov, apply_channel,
@@ -61,9 +61,9 @@ class PulseSchedule:
     """The pulse strengths, the mechanical rotation and the ancilla squeezing spec.
 
     Every entry but ``phi`` may be an array; the schedule is then a batch of
-    that shape.  The second X-X pulse's strength :attr:`chi2_second_pulse`
-    and the Kerr-cancelling optical rotation :attr:`theta` follow from lam
-    and phi.
+    that shape, and it keeps read-only copies of its array entries.  The
+    second X-X pulse's strength :attr:`chi2_second_pulse` and the
+    Kerr-cancelling optical rotation :attr:`theta` follow from lam and phi.
     """
 
     chi1: float
@@ -81,6 +81,9 @@ class PulseSchedule:
             raise ValueError("ancilla squeezed variance must be positive")
         if np.any(1.0 + self.lam * self.chi1 * math.tan(self.phi) <= 0):
             raise ValueError("schedule has no positive squeeze factor mu")
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                object.__setattr__(self, name, _frozen(value))
 
     @property
     def chi2_second_pulse(self):
@@ -174,9 +177,11 @@ def _delay(schedule: PulseSchedule, loss: Losses) -> list[GaussianChannel]:
     if not loss:
         raise ValueError("empty loss sequence")
     lead = (len(loss),) + (1,) * np.broadcast(*vars(schedule).values()).ndim
-    return [_built(*(np.stack(a).reshape(lead + a[0].shape) for a in
-                     zip(*((ch.matrix, ch.mean, ch.cov) for ch in stage))), MECH_OPT)
-            for stage in zip(*(_delay(schedule, one) for one in loss))]
+    stacked = [[np.stack(a).reshape(lead + a[0].shape)
+                for a in zip(*((ch.matrix, ch.mean, ch.cov) for ch in stage))]
+               for stage in zip(*(_delay(schedule, one) for one in loss))]
+    return [_unchecked(GaussianChannel, matrix=m, mean=mean, cov=cov, layout=MECH_OPT)
+            for m, mean, cov in stacked]
 
 
 def build_lossy_squeezer(schedule: PulseSchedule, loss: Losses) -> GaussianChannel:
@@ -226,8 +231,8 @@ def _reduced(channel: GaussianChannel, ancilla_mean: np.ndarray,
     cov = m_mo @ ancilla_cov @ _transpose(m_mo) + channel.cov[..., i:i + 2, i:i + 2]
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise ValueError("reduced channel contains non-finite entries")
-    return _built(channel.matrix[..., i:i + 2, i:i + 2], mean,
-                  0.5 * (cov + _transpose(cov)), MECH)
+    return _unchecked(GaussianChannel, matrix=channel.matrix[..., i:i + 2, i:i + 2], mean=mean,
+                      cov=0.5 * (cov + _transpose(cov)), layout=MECH)
 
 
 def _mechanical(schedule: PulseSchedule, delay: Sequence[GaussianChannel],
@@ -380,10 +385,8 @@ def _free_schedule(x: np.ndarray, seed: PulseSchedule) -> PulseSchedule:
     the caller checks that ``x`` is finite with a positive mu in every row.
     """
     chi1, lam, chi3 = x.T
-    schedule = object.__new__(PulseSchedule)
-    schedule.__dict__.update(chi1=chi1, lam=lam, chi3=chi3, phi=seed.phi,
-                             ancilla_vsq=seed.ancilla_vsq, ancilla_angle=seed.ancilla_angle)
-    return schedule
+    return _unchecked(PulseSchedule, chi1=chi1, lam=lam, chi3=chi3, phi=seed.phi,
+                      ancilla_vsq=seed.ancilla_vsq, ancilla_angle=seed.ancilla_angle)
 
 
 def _objective(seed: PulseSchedule, loss: LossConfig,

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import (GaussianChannel, _apply, _checked_moments, _transpose,
+from .channels import (GaussianChannel, _apply, _checked_moments, _transpose, _unchecked,
                        quadrature_scaling, rotation)
 from .modes import OPT, ModeLayout
 
@@ -112,17 +112,6 @@ def product(*states: GaussianState) -> GaussianState:
     return GaussianState(mean, cov, layout)
 
 
-def _state(mean: np.ndarray, cov: np.ndarray, layout: ModeLayout) -> GaussianState:
-    """The state of float arrays that are valid by construction, frozen in
-    place and not checked."""
-    for a in (mean, cov):
-        if a.flags.writeable:
-            a.flags.writeable = False
-    state = object.__new__(GaussianState)
-    state.__dict__.update(mean=mean, cov=cov, layout=layout)
-    return state
-
-
 def apply_channel(state: GaussianState, channel: GaussianChannel) -> GaussianState:
     """Propagate the state through X' = M X + F; the output mean is broadcast
     to the joint batch of state and channel, as its covariance is.
@@ -139,7 +128,8 @@ def apply_channel(state: GaussianState, channel: GaussianChannel) -> GaussianSta
     mean = np.broadcast_to(_apply(m, state.mean) + channel.mean, cov.shape[:-1])
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise ValueError("state contains non-finite entries")
-    return _state(mean, 0.5 * (cov + _transpose(cov)), state.layout)
+    return _unchecked(GaussianState, mean=mean, cov=0.5 * (cov + _transpose(cov)),
+                      layout=state.layout)
 
 
 def marginal(state: GaussianState, modes: Sequence[str]) -> GaussianState:

@@ -40,7 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import GaussianChannel, LossConfig, damped_evolution
+from .channels import (GaussianChannel, LossConfig, _frozen, _transpose, _unchecked,
+                       damped_evolution)
 
 DEFAULT_HALF_EXTENT = 8.0
 DEFAULT_RESOLUTION = 512
@@ -95,6 +96,19 @@ def _by_rows(resolution: int, rows) -> np.ndarray:
     return out
 
 
+def _check_cov(cov: np.ndarray) -> None:
+    """Rejects a finite covariance (or batch) that is not a positive-definite
+    2x2 matrix symmetric to 1e-12 of its size, as a state's; it is not
+    symmetrized, so an evolved sum keeps the rounding of S V S^T + N."""
+    if cov.shape[-2:] != (2, 2):
+        raise ValueError(f"covariance shape {cov.shape} is not (..., 2, 2)")
+    size = float(np.abs(cov).max(initial=0.0))
+    if float(np.abs(cov - _transpose(cov)).max(initial=0.0)) > 1e-12 * max(1.0, size):
+        raise ValueError("covariance is not symmetric")
+    if np.any(cov[..., 0, 0] <= 0) or np.any(np.linalg.det(cov) <= 0):
+        raise ValueError("covariance must be a positive-definite 2x2 matrix")
+
+
 @dataclass(frozen=True)
 class WignerGrid:
     """Wigner samples values[i, j] = W(x_i, p_j) on a uniform grid.
@@ -116,9 +130,7 @@ class WignerGrid:
             raise ValueError(f"values shape {v.shape} does not match resolution {res}")
         if not np.isfinite(v).all():
             raise ValueError("grid contains non-finite values")
-        v = np.array(v)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(v))
 
     @property
     def step(self) -> float:
@@ -155,15 +167,6 @@ class WignerGrid:
         vpp = (w.sum(axis=0) * dp ** 2).sum() / mass
         vxp = float(dx @ w @ dp) / mass
         return np.array([mx, mp]), np.array([[vxx, vxp], [vxp, vpp]])
-
-
-def _built(half_extent: float, resolution: int, values: np.ndarray) -> WignerGrid:
-    """The grid of a float array of the right shape that this module
-    computed, frozen in place, neither copied nor checked."""
-    values.flags.writeable = False
-    grid = object.__new__(WignerGrid)
-    grid.__dict__.update(half_extent=half_extent, resolution=resolution, values=values)
-    return grid
 
 
 @dataclass(frozen=True)
@@ -208,18 +211,15 @@ class GaussianSum:
     cov: np.ndarray
 
     def __post_init__(self):
-        log_weights = np.array(self.log_weights, dtype=complex)
-        means = np.array(self.means, dtype=complex)
-        cov = np.array(self.cov, dtype=float)
-        fields = {"log_weights": log_weights, "means": means, "cov": cov}
+        fields = {"log_weights": _frozen(self.log_weights, complex),
+                  "means": _frozen(self.means, complex), "cov": _frozen(self.cov)}
         for name, value in fields.items():
             if not np.isfinite(value).all():
                 raise ValueError(f"non-finite {name}")
+        log_weights, means, cov = fields.values()
         if log_weights.ndim == 0 or means.shape[-2:] != (log_weights.shape[-1], 2):
             raise ValueError("need one complex 2-vector mean per weight")
-        if (cov.shape[-2:] != (2, 2) or np.any(cov[..., 0, 0] <= 0)
-                or np.any(np.linalg.det(cov) <= 0)):
-            raise ValueError("covariance must be a positive-definite 2x2 matrix")
+        _check_cov(cov)
         if means.shape[:-2] != cov.shape[:-2]:
             raise ValueError(f"batch shapes {means.shape[:-2]} of the means and "
                              f"{cov.shape[:-2]} of the covariance differ")
@@ -227,7 +227,6 @@ class GaussianSum:
             raise ValueError(f"batch shape {log_weights.shape[:-1]} of the log-weights "
                              f"does not broadcast to {cov.shape[:-2]}")
         for name, value in fields.items():
-            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -268,7 +267,8 @@ class GaussianSum:
         cov = s @ self.cov @ s_t + channel.cov
         if not np.isfinite(cov).all():
             raise ValueError("evolved covariance contains non-finite entries")
-        return _built_sum(self.log_weights, self.means @ s_t + channel.mean[..., None, :], cov)
+        return _unchecked(GaussianSum, log_weights=self.log_weights,
+                          means=self.means @ s_t + channel.mean[..., None, :], cov=cov)
 
     def _values(self, x, p) -> np.ndarray:
         """W at the points (x, p), which broadcast against the batch."""
@@ -293,18 +293,9 @@ class GaussianSum:
             raise ValueError(f"a grid samples one state, not a batch of shape "
                              f"{self.cov.shape[:-2]}")
         ax = _axis(half_extent, resolution)
-        return _built(half_extent, resolution,
-                      _by_rows(resolution, lambda rows: self._values(ax[rows, None], ax)))
-
-
-def _built_sum(log_weights: np.ndarray, means: np.ndarray, cov: np.ndarray) -> GaussianSum:
-    """The sum of arrays that this module computed from a checked sum, frozen
-    in place, neither copied nor checked."""
-    for value in (log_weights, means, cov):
-        value.flags.writeable = False
-    state = object.__new__(GaussianSum)
-    state.__dict__.update(log_weights=log_weights, means=means, cov=cov)
-    return state
+        values = _by_rows(resolution, lambda rows: self._values(ax[rows, None], ax))
+        return _unchecked(WignerGrid, half_extent=half_extent, resolution=resolution,
+                          values=values)
 
 
 def _bilinear(values: np.ndarray, half_extent: float, step: float,
@@ -353,7 +344,7 @@ def wigner_fock(n: int, half_extent: float = DEFAULT_HALF_EXTENT,
     if not np.isfinite(w).all():  # L_n(inf) * exp(-inf) at overflowing nodes
         raise ValueError(f"half extent {half_extent!r} overflows the Fock-state "
                          f"closed form at the grid's edge")
-    return _built(half_extent, resolution, w)
+    return _unchecked(WignerGrid, half_extent=half_extent, resolution=resolution, values=w)
 
 
 def wigner_cat(spec: CatSpec, half_extent: float = DEFAULT_HALF_EXTENT,
@@ -372,16 +363,15 @@ def wigner_gaussian(mean: Sequence[float], cov: np.ndarray,
     cov = np.asarray(cov, dtype=float)
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise ValueError("non-finite mean or covariance")
+    _check_cov(cov)
     det = float(np.linalg.det(cov))
-    if det <= 0:
-        raise ValueError("covariance must be positive definite")
     inv = np.linalg.inv(cov)
     ax = _axis(half_extent, resolution)
     dx = ax[:, None] - mean[0]
     dp = ax[None, :] - mean[1]
     quad = inv[0, 0] * dx ** 2 + 2.0 * inv[0, 1] * dx * dp + inv[1, 1] * dp ** 2
     w = np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
-    return _built(half_extent, resolution, w)
+    return _unchecked(WignerGrid, half_extent=half_extent, resolution=resolution, values=w)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +429,8 @@ def apply_gaussian_channel(grid: WignerGrid, channel: GaussianChannel) -> Wigner
             f"probability mass drift {drift:.2e} exceeds {MASS_DRIFT_TOL} "
             "(state clipped by grid edges)")
     w /= total
-    return _built(grid.half_extent, grid.resolution, w)
+    return _unchecked(WignerGrid, half_extent=grid.half_extent, resolution=grid.resolution,
+                      values=w)
 
 
 def negativity_eta(state: GaussianSum | WignerGrid) -> float | np.ndarray:
@@ -523,8 +514,8 @@ def _etas(states: GaussianSum, index: list[int], loss: LossConfig,
           times: np.ndarray) -> np.ndarray:
     """eta of the states ``index`` of a concatenated batch at ``times``, shared
     (T,) or one row per state (len(index), T), in one batched evolution."""
-    rows = _built_sum(states.log_weights[index, None], states.means[index, None],
-                      states.cov[index, None])
+    rows = _unchecked(GaussianSum, log_weights=states.log_weights[index, None],
+                      means=states.means[index, None], cov=states.cov[index, None])
     return negativity_eta(rows.evolve(damped_evolution(loss, times)))
 
 

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pulsox import (LOSSLESS, GaussianChannel, LossConfig, MECH, MECH_OPT, ModeLayout,
-                    beamsplitter_loss, build_lossy_squeezer, compose, damped_evolution,
-                    is_physical, mechanical_squeezer, qnd_pp, qnd_xx, quadrature_scaling,
-                    rotation, schedule_for_mu, symplectic_form)
+from pulsox import (LOSSLESS, CatSpec, GaussianChannel, GaussianState, GaussianSum,
+                    LossConfig, MECH, MECH_OPT, ModeLayout, PulseSchedule, WignerGrid,
+                    apply_channel, apply_gaussian_channel, beamsplitter_loss,
+                    build_lossy_squeezer, compose, damped_evolution, is_physical,
+                    mechanical_squeezer, qnd_pp, qnd_xx, quadrature_scaling, rotation,
+                    schedule_for_mu, symplectic_form, thermal, wigner_fock)
+from pulsox import squeezer
 from pulsox.channels import damped_delay, damped_is_physical
 
 OMEGA2 = symplectic_form(2)
@@ -574,6 +577,54 @@ def test_built_channels_are_frozen_with_exactly_symmetric_noise():
         for array in (channel.matrix, channel.mean, channel.cov):
             assert not array.flags.writeable, name
         assert np.array_equal(channel.cov, np.swapaxes(channel.cov, -1, -2)), name
+
+
+_LOSS = LossConfig.from_q(1e4, nbar_m=10.0, epsilon=1e-2, nbar_l=0.5)
+_SEED = schedule_for_mu(1.5, math.pi / 50)
+_CAT = GaussianSum.cat(CatSpec(1.0))
+
+# Every value type, built by its checked constructor and by each computed path
+# that builds it unchecked.
+_VALUES = {
+    "channel-checked": lambda: GaussianChannel(np.eye(2), np.zeros(2), np.eye(2), MECH),
+    "channel-compose": lambda: compose([rotation("mech", 0.3, MECH),
+                                        damped_evolution(_LOSS, [0.1, 0.2])]),
+    "state-checked": lambda: GaussianState(np.zeros(2), np.eye(2), MECH),
+    "state-apply-channel": lambda: apply_channel(thermal(1.0, MECH),
+                                                 damped_evolution(_LOSS, [0.1, 0.2])),
+    "schedule-checked": lambda: PulseSchedule(chi1=np.array([0.5, 1.0]), lam=np.ones(2),
+                                              chi3=np.zeros(2), phi=math.pi / 50,
+                                              ancilla_angle=np.zeros(2)),
+    "schedule-batched": lambda: schedule_for_mu(np.array([0.5, 2.0]), math.pi / 50),
+    "schedule-free": lambda: squeezer._free_schedule(
+        np.array([[_SEED.chi1, _SEED.lam, _SEED.chi3]] * 2), _SEED),
+    "grid-checked": lambda: WignerGrid(8.0, 4, np.zeros((4, 4))),
+    "grid-channel-step": lambda: apply_gaussian_channel(wigner_fock(1, 8.0, 64),
+                                                        damped_evolution(_LOSS, 0.1)),
+    "sum-checked": lambda: GaussianSum([0.0], [[0.0, 0.0]], np.eye(2)),
+    "sum-evolve": lambda: _CAT.evolve(damped_evolution(_LOSS, [0.1, 0.2])),
+    "sum-concatenate": lambda: GaussianSum.concatenate(
+        [_CAT, _CAT.evolve(damped_evolution(_LOSS, [0.1, 0.2]))]),
+}
+
+
+@pytest.mark.parametrize("build", list(_VALUES.values()), ids=list(_VALUES))
+def test_every_value_holds_read_only_arrays(build):
+    arrays = {name: a for name, a in vars(build()).items() if isinstance(a, np.ndarray)}
+    assert arrays
+    for name, a in arrays.items():
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+
+
+def test_a_checked_schedule_copies_its_arrays_and_keeps_its_floats():
+    chi1 = np.array([0.5, 2.0])
+    schedule = PulseSchedule(chi1=chi1, lam=1.0, chi3=0.0, phi=math.pi / 50)
+    chi1[0] = 100.0
+    assert schedule.chi1.tolist() == [0.5, 2.0]
+    assert isinstance(schedule.lam, float)
+    assert type(schedule_for_mu(0.5, math.pi / 50).chi1) is np.float64
 
 
 def test_is_physical_rejects_negative_noise_covariance():

@@ -188,6 +188,12 @@ def test_empty_decay_series_is_validation_error(periods, tmp_path, monkeypatch, 
     (["fidelity-sweep", "--mu", "1e-300"], "unreachable mu: lam^4 overflows"),
     (["photon-budget", "--mu", "1e-300"], "unreachable mu: lam^4 overflows"),
     (["multimode", "--mu", "1e-300"], "unreachable mu: lam^4 overflows"),
+    # each of these failed deep in the physics, naming no key
+    (["cat-decay", "--set", "sweep.alpha=1e6"], "sweep.alpha"),
+    (["cat-decay", "--set", "sweep.alpha=1, 1e100"], "sweep.alpha"),
+    (["cat-decay", "--set", "sweep.alpha=1e160"], "sweep.alpha"),
+    (["impulse", "--set", "readout.chi_ro=1e-200"], "readout.chi_ro"),
+    (["impulse", "--set", "readout.chi_ro=1e200"], "readout.chi_ro"),
 ])
 def test_rejected_option_names_its_key(args, key, tmp_path, monkeypatch, capsys):
     rc = run(args, monkeypatch, tmp_path)
@@ -277,6 +283,19 @@ def test_cat_decay_runs_where_the_fringe_exponential_overflows(tmp_path, monkeyp
     assert rc == 0
     table = ResultTable.from_csv((tmp_path / "cat_decay_half_life.csv").read_text())
     assert np.isfinite(table.values).all()
+
+
+@pytest.mark.parametrize("args", [["cat-decay", "--set", "sweep.alpha=100"], ["impulse"],
+                                  ["impulse", "--set", "readout.chi_ro=1e-6"],
+                                  ["impulse", "--set", "readout.chi_ro=1e6"]],
+                         ids=["alpha-100", "chi-ro-default", "chi-ro-low", "chi-ro-high"])
+def test_bounded_keys_run_inside_their_bounds(args, tmp_path, monkeypatch):
+    assert run(args, monkeypatch, tmp_path) == 0
+    paths = list(tmp_path.glob("*.csv"))
+    assert paths
+    for path in paths:
+        table = ResultTable.from_csv(path.read_text())
+        assert np.isfinite(table.values).all()
 
 
 def test_fock_squeeze_exports_grids(tmp_path, monkeypatch):

@@ -33,9 +33,10 @@ ALLOWED = {
 # The ``_``-names (dunders aside) a module imports from another, by source
 # module: every private helper shared across modules is entered here.
 PRIVATE = {
-    "states": {"channels": {"_apply", "_checked_moments", "_transpose"}},
-    "squeezer": {"channels": {"_apply", "_built", "_transpose"},
+    "states": {"channels": {"_apply", "_checked_moments", "_transpose", "_unchecked"}},
+    "squeezer": {"channels": {"_apply", "_frozen", "_transpose", "_unchecked"},
                  "states": {"_fidelity", "_reference", "_squeezed_cov"}},
+    "wigner": {"channels": {"_frozen", "_transpose", "_unchecked"}},
     "experiments": {"squeezer": {"_four_pulse"}},
 }
 
@@ -81,6 +82,21 @@ def _private_imports(path: Path) -> dict[str, set[str]]:
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_module_imports_only_the_listed_private_names(module):
     assert _private_imports(SRC / f"{module}.py") == PRIVATE.get(module, {})
+
+
+def _new_calls(path: Path) -> int:
+    """The file's calls of ``object.__new__``."""
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == "object"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_only_channels_builds_a_value_past_its_checks(module):
+    # channels._unchecked is the one constructor that skips __post_init__;
+    # every other module builds its computed values through it
+    assert _new_calls(SRC / f"{module}.py") == (module == "channels")
 
 
 # -- the public surface -----------------------------------------------------------

@@ -878,7 +878,7 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
     (lambda _: GaussianSum.cat(CatSpec(1.0)).evolve(_TWO_MODE_CHANNEL), "single-mode channels"),
     (lambda _: apply_gaussian_channel(wigner_fock(0, 4.0, 16), _TWO_MODE_CHANNEL),
      "single-mode channels"),
-    (lambda _: wigner_gaussian([0.0, 0.0], np.diag([1.0, -1.0])), "positive definite"),
+    (lambda _: wigner_gaussian([0.0, 0.0], np.diag([1.0, -1.0])), "positive-definite"),
     (lambda _: fringe_ellipse(1.0, 0.0), "alpha and mu must be positive"),
     (lambda _: mu_opt(0.0), "alpha must be positive"),
     (lambda _: half_life(GaussianSum.cat(CatSpec(1.0)), LossConfig(), samples_per_period=32),
@@ -919,6 +919,14 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
     (lambda _: wigner_fock(1, 8.0, 64).value_at(0.0, -math.inf), r"not \(0.0, -inf\)"),
     (lambda _: GaussianSum.cat(CatSpec(1.0)).value_at(math.nan, 0.0), r"not \(nan, 0.0\)"),
     (lambda _: GaussianSum.cat(CatSpec(1.0)).value_at(math.inf, 0.0), r"not \(inf, 0.0\)"),
+    # W would read the upper inverse entry alone
+    (lambda _: GaussianSum([0.0], [[0.0, 0.0]], [[1.0, 0.5], [0.0, 1.0]]),
+     "covariance is not symmetric"),
+    (lambda _: wigner_gaussian([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]], 8.0, 64),
+     "covariance is not symmetric"),
+    # det > 0, but the density has mass 1e26 on the grid
+    (lambda _: wigner_gaussian([0.0, 0.0], -np.eye(2), 8.0, 64), "positive-definite"),
+    (lambda _: wigner_gaussian([0.0, 0.0], np.eye(3), 8.0, 64), r"shape \(3, 3\)"),
 ], ids=["grid-extent", "grid-shape", "cat-alpha", "cat-parity", "sum-two-mode-channel",
         "grid-two-mode-channel", "gaussian-covariance", "fringe-mu", "mu-opt-alpha",
         "half-life-samples", "csv-header", "grid-extent-inf", "grid-extent-nan",
@@ -929,7 +937,9 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
         "mu-opt-nan", "half-life-samples-inf", "half-life-samples-nan",
         "half-life-periods-negative", "half-life-periods-zero", "half-life-periods-nan",
         "half-life-periods-inf", "fock-extent-1e200", "fock-extent-1e154",
-        "grid-value-at-nan", "grid-value-at-inf", "sum-value-at-nan", "sum-value-at-inf"])
+        "grid-value-at-nan", "grid-value-at-inf", "sum-value-at-nan", "sum-value-at-inf",
+        "sum-cov-asymmetric", "gaussian-covariance-asymmetric",
+        "gaussian-covariance-negative-definite", "gaussian-covariance-shape"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment, tmp_path):
     with pytest.raises(ValueError, match=fragment):
         build(tmp_path)
