@@ -11,12 +11,13 @@ way to chain them.  An X-X pulse couples one mechanical mode of a layout to
 ``"opt"``; a pulse on several mechanical modes is the composition of one per
 mode.
 
-Input is checked where it enters.  A ``GaussianChannel(...)`` built from
-outside arrays checks structure (shape, finiteness, noise symmetry).  The
+Input is checked where it enters.  An outside array passes one gate,
+``_frozen``, which rejects a non-finite entry by name and stores a read-only
+copy; ``GaussianChannel(...)`` then checks shapes and noise symmetry.  The
 named constructors check their scalar input and build their channel with
-``_unchecked``, since its arrays are valid by construction (README,
-Conventions); noiseless ones share the ``_zero_noise(d)`` pair.
-:func:`compose` checks layouts and the finiteness of its result.
+``_unchecked`` (README, Conventions); noiseless ones share the
+``_zero_noise(d)`` pair.  :func:`compose` checks layouts and the finiteness
+of its result.
 
 A channel may carry a leading batch axis (``(..., d, d)`` matrix and
 covariance, ``(..., d)`` mean).  The lossless constructors and
@@ -49,9 +50,19 @@ from .modes import MECH, MECH_OPT, ModeLayout, symplectic_form
 CP_RTOL = 64.0 * float(np.finfo(float).eps)
 
 
-def _frozen(a, dtype=float) -> np.ndarray:
-    """A read-only copy of ``a``: what a checked constructor stores."""
-    a = np.array(a, dtype=dtype)
+def _finite(values, what: str, dtype=float) -> np.ndarray:
+    """``values`` as an array of ``dtype``; a non-finite entry raises, naming ``what``."""
+    values = np.asarray(values, dtype=dtype)
+    if not (math.isfinite(values) if values.ndim == 0 and dtype is float
+            else np.isfinite(values).all()):
+        raise ValueError(f"non-finite {what}")
+    return values
+
+
+def _frozen(a, what: str, dtype=float) -> np.ndarray:
+    """A read-only copy of ``a`` as an array of ``dtype`` with no non-finite
+    entry (:func:`_finite`): the one gate an outside array passes."""
+    a = np.array(_finite(a, what, dtype))
     a.flags.writeable = False
     return a
 
@@ -78,13 +89,13 @@ def _same_batch(*batches: tuple) -> None:
 
 @functools.cache
 def _eye(d: int) -> np.ndarray:
-    return _frozen(np.eye(d))
+    return _frozen(np.eye(d), "identity")
 
 
 @functools.cache
 def _zero_noise(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The zero mean and covariance; immutable, so one pair per dimension."""
-    return _frozen(np.zeros(d)), _frozen(np.zeros((d, d)))
+    return _frozen(np.zeros(d), "zero mean"), _frozen(np.zeros((d, d)), "zero cov")
 
 
 def _identity(batch: tuple, d: int) -> np.ndarray:
@@ -95,25 +106,26 @@ def _transpose(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def _check_symmetric(cov: np.ndarray, what: str) -> None:
+    """Rejects a finite covariance (or batch) asymmetric beyond 1e-12 of its size."""
+    size = float(np.abs(cov).max(initial=0.0))
+    if float(np.abs(cov - _transpose(cov)).max(initial=0.0)) > 1e-12 * max(1.0, size):
+        raise ValueError(f"{what} is not symmetric")
+
+
 def _checked_moments(mean, cov, d: int, what: str,
                      *batches: tuple) -> tuple[np.ndarray, np.ndarray]:
     """A mean vector and covariance of dimension ``d``, frozen, the covariance
-    symmetrized.  Rejects wrong shapes, batch shapes that differ from each
-    other or from ``batches``, non-finite entries and a covariance asymmetric
+    symmetrized.  Rejects non-finite entries, wrong shapes, batch shapes that
+    differ from each other or from ``batches`` and a covariance asymmetric
     beyond 1e-12 of its size; ``what`` names the value in the message."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
+    mean, cov = _frozen(mean, f"{what} mean"), _finite(cov, f"{what} cov")
     if mean.shape[-1:] != (d,) or cov.shape[-2:] != (d, d):
         raise ValueError(f"{what} shapes {mean.shape}, {cov.shape} do not match "
                          f"layout dim {d}")
     _same_batch(*batches, mean.shape[:-1], cov.shape[:-2])
-    size = float(np.abs(cov).max())  # nan or inf when an entry is
-    if not (np.isfinite(mean).all() and math.isfinite(size)):
-        raise ValueError(f"{what} contains non-finite entries")
-    cov_t = _transpose(cov)
-    if float(np.abs(cov - cov_t).max()) > 1e-12 * max(1.0, size):
-        raise ValueError(f"{what} covariance is not symmetric")
-    return _frozen(mean), _frozen(0.5 * (cov + cov_t))
+    _check_symmetric(cov, f"{what} covariance")
+    return mean, _frozen(0.5 * (cov + _transpose(cov)), f"{what} cov")
 
 
 @dataclass(frozen=True)
@@ -128,13 +140,11 @@ class GaussianChannel:
     layout: ModeLayout
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _frozen(self.matrix, "matrix")
         d = self.layout.dim
         if m.shape[-2:] != (d, d):
             raise ValueError(f"map shape {m.shape} does not match layout dim {d}")
-        if not np.isfinite(m).all():
-            raise ValueError("map contains non-finite entries")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", m)
         mean, cov = _checked_moments(self.mean, self.cov, d, "noise", m.shape[:-2])
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -154,14 +164,6 @@ class GaussianChannel:
 def _noiseless(m: np.ndarray, layout: ModeLayout) -> GaussianChannel:
     mean, cov = _zero_noise(m.shape[-1])
     return _unchecked(GaussianChannel, matrix=m, mean=mean, cov=cov, layout=layout)
-
-
-def _finite(values, what: str) -> np.ndarray:
-    """``values`` as a float array; a non-finite entry raises, naming ``what``."""
-    values = np.asarray(values, dtype=float)
-    if not (np.isfinite(values).all() if values.ndim else math.isfinite(values)):
-        raise ValueError(f"non-finite {what}")
-    return values
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .modes import MECH, ModeLayout, OPT
 from .squeezer import (_four_pulse, approx_photon_budget, ideal_target_map,
                        ideal_target_state, mechanical_squeezer, photon_budget,
                        schedule_for_mu, squeezer_output, vacuum_infidelity)
-from .states import (apply_channel, classical_bound, fidelity_zero_mean,
+from .states import (_check_phi, apply_channel, classical_bound, fidelity_zero_mean,
                      marginal, product, thermal, vacuum)
 from .table import ResultTable
 from .wigner import (CatSpec, GaussianSum, WignerGrid, eta_series, half_life, mu_opt,
@@ -150,8 +150,7 @@ def d_min_approx(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: flo
         raise ValueError("mu and chi_ro must be positive and finite")
     if not (0 <= nbar_in < math.inf and 0 < v_sq < math.inf):
         raise ValueError("nbar_in must be nonnegative and v_sq positive, both finite")
-    if not 0.0 < phi < math.pi / 2:
-        raise ValueError("phi must lie in (0, pi/2)")
+    _check_phi(phi)
     n_in = 2.0 * nbar_in + 1.0
     n_m = 2.0 * loss.nbar_m + 1.0
     t = math.tan(phi)

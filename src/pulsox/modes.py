@@ -51,11 +51,6 @@ class ModeLayout:
     def p_index(self, label: str) -> int:
         return 2 * self.index(label) + 1
 
-    def sub_layout(self, labels) -> "ModeLayout":
-        for lab in labels:
-            self.index(lab)
-        return ModeLayout(tuple(labels))
-
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal single-mode symplectic form for (X1, P1, X2, P2, ...)."""

@@ -35,12 +35,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import (LOSSLESS, GaussianChannel, LossConfig, _apply, _frozen, _transpose,
+from .channels import (LOSSLESS, GaussianChannel, LossConfig, _finite, _frozen, _transpose,
                        _unchecked, beamsplitter_loss, compose, damped_delay, qnd_xx,
                        quadrature_scaling, rotation)
 from .modes import MECH, MECH_OPT, ModeLayout
-from .states import (GaussianState, _fidelity, _reference, _squeezed_cov, apply_channel,
-                     fidelity_zero_mean, vacuum)
+from .states import (GaussianState, _check_phi, _fidelity, _reference, _squeezed_cov,
+                     apply_channel, fidelity_zero_mean, vacuum)
 
 
 def _elementwise(fn: Callable, nin: int) -> Callable:
@@ -60,9 +60,9 @@ Losses = LossConfig | Sequence[LossConfig]
 class PulseSchedule:
     """The pulse strengths, the mechanical rotation and the ancilla squeezing spec.
 
-    Every entry but ``phi`` may be an array; the schedule is then a batch of
-    that shape, and it keeps read-only copies of its array entries.  The
-    second X-X pulse's strength :attr:`chi2_second_pulse` and the
+    Every entry but ``phi`` may be an array or a list; the schedule is then a
+    batch of that shape, and it keeps read-only copies of its array entries.
+    The second X-X pulse's strength :attr:`chi2_second_pulse` and the
     Kerr-cancelling optical rotation :attr:`theta` follow from lam and phi.
     """
 
@@ -74,16 +74,18 @@ class PulseSchedule:
     ancilla_angle: float = 0.0
 
     def __post_init__(self):
-        vals = (self.chi1, self.lam, self.chi3, self.phi, self.ancilla_vsq, self.ancilla_angle)
-        if not all(np.isfinite(v).all() for v in vals):
-            raise ValueError("schedule contains non-finite entries")
+        for name, value in vars(self).items():
+            if isinstance(value, (np.ndarray, list, tuple)):
+                object.__setattr__(self, name, _frozen(value, name))
+            else:
+                _finite(value, name)
+        if np.ndim(self.phi):
+            raise ValueError(f"phi must be a scalar, not of shape {np.shape(self.phi)}")
+        _check_phi(self.phi)
         if np.any(self.ancilla_vsq <= 0):
             raise ValueError("ancilla squeezed variance must be positive")
         if np.any(1.0 + self.lam * self.chi1 * math.tan(self.phi) <= 0):
             raise ValueError("schedule has no positive squeeze factor mu")
-        for name, value in vars(self).items():
-            if isinstance(value, np.ndarray):
-                object.__setattr__(self, name, _frozen(value))
 
     @property
     def chi2_second_pulse(self):
@@ -106,7 +108,11 @@ class PulseSchedule:
 # ---------------------------------------------------------------------------
 
 def chi3_for(chi1, lam, phi: float):
-    """Final-pulse strength that brings the four-pulse map into squeezer form."""
+    """Final-pulse strength that brings the four-pulse map into squeezer form;
+    a non-finite chi1 or lam, or phi outside (0, pi/2), raises."""
+    _finite(chi1, "chi1")
+    _finite(lam, "lam")
+    _check_phi(phi)
     t = math.tan(phi)
     denom = math.cos(phi) + lam * chi1 * math.sin(phi)
     if np.any(np.abs(denom) < 1e-12):
@@ -119,7 +125,10 @@ def chi3_for(chi1, lam, phi: float):
 
 
 def theta_for(lam, phi: float):
-    """Optical rotation angle cancelling the Kerr term: arctan(-lam^2 tan(phi))."""
+    """Optical rotation angle cancelling the Kerr term: arctan(-lam^2 tan(phi));
+    a non-finite lam, or phi outside (0, pi/2), raises."""
+    _finite(lam, "lam")
+    _check_phi(phi)
     return _atan(-_pow(lam, 2.0) * math.tan(phi))
 
 
@@ -135,8 +144,7 @@ def schedule_for_mu(mu, phi: float, ancilla_vsq: float = 0.5) -> PulseSchedule:
     mu = np.asarray(mu, dtype=float)
     if np.any(mu <= 0):
         raise ValueError("mu must be positive")
-    if not 0.0 < phi < math.pi / 2:
-        raise ValueError("phi must lie in (0, pi/2)")
+    _check_phi(phi)
     t = math.tan(phi)
     chi1 = np.sqrt(np.abs(1.0 / mu - 1.0) / t)
     lam = np.copysign(chi1, 1.0 - mu)
@@ -217,22 +225,21 @@ def ideal_target_state(state: GaussianState, mu, phi: float) -> GaussianState:
     return apply_channel(state, ideal_target_map(mu, phi, state.layout.labels[0], state.layout))
 
 
-def _reduced(channel: GaussianChannel, ancilla_mean: np.ndarray,
-             ancilla_cov: np.ndarray) -> GaussianChannel:
-    """The mechanical channel of a (mech, opt) channel fed the ancilla moments,
-    for a mechanical input independent of the ancilla: the ancilla enters
-    through the mech-from-optical block and is absorbed into the channel
-    noise.  Its noise is symmetrized: the product ``m_mo V m_mo^T`` rounds
-    unevenly."""
+def _reduced(channel: GaussianChannel, ancilla_cov: np.ndarray) -> GaussianChannel:
+    """The mechanical channel of a (mech, opt) channel fed a zero-mean ancilla
+    of covariance ``ancilla_cov``, for a mechanical input independent of the
+    ancilla: the ancilla enters through the mech-from-optical block and is
+    absorbed into the channel noise.  Its noise is symmetrized: the product
+    ``m_mo V m_mo^T`` rounds unevenly."""
     i = channel.layout.x_index("mech")
     j = channel.layout.x_index("opt")
     m_mo = channel.matrix[..., i:i + 2, j:j + 2]
-    mean = _apply(m_mo, ancilla_mean) + channel.mean[..., i:i + 2]
     cov = m_mo @ ancilla_cov @ _transpose(m_mo) + channel.cov[..., i:i + 2, i:i + 2]
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+    if not np.isfinite(cov).all():
         raise ValueError("reduced channel contains non-finite entries")
-    return _unchecked(GaussianChannel, matrix=channel.matrix[..., i:i + 2, i:i + 2], mean=mean,
-                      cov=0.5 * (cov + _transpose(cov)), layout=MECH)
+    return _unchecked(GaussianChannel, matrix=channel.matrix[..., i:i + 2, i:i + 2],
+                      mean=channel.mean[..., i:i + 2], cov=0.5 * (cov + _transpose(cov)),
+                      layout=MECH)
 
 
 def _mechanical(schedule: PulseSchedule, delay: Sequence[GaussianChannel],
@@ -240,8 +247,7 @@ def _mechanical(schedule: PulseSchedule, delay: Sequence[GaussianChannel],
     """The squeezer's mechanical channel from prebuilt ``delay`` channels and
     ancilla covariance: the one core of :func:`mechanical_squeezer` and of the
     optimizer's objective, which builds both once per search."""
-    return _reduced(compose(_four_pulse(schedule, qnd_xx, delay, MECH_OPT)), np.zeros(2),
-                    ancilla_cov)
+    return _reduced(compose(_four_pulse(schedule, qnd_xx, delay, MECH_OPT)), ancilla_cov)
 
 
 def mechanical_squeezer(schedule: PulseSchedule, loss: Losses) -> GaussianChannel:
@@ -288,8 +294,7 @@ def approx_photon_budget(mu, phi: float):
     mu = np.asarray(mu, dtype=float)
     if not np.all((0 < mu) & (mu < math.inf)):
         raise ValueError("mu must be positive and finite")
-    if not 0.0 < phi < math.pi / 2:
-        raise ValueError("phi must lie in (0, pi/2)")
+    _check_phi(phi)
     r = 1.0 - 1.0 / mu
     return np.abs(r) * (3.0 + (1.0 + r * r) / (mu * mu)) / math.tan(phi)
 
@@ -308,8 +313,7 @@ def chi_from_physical(g0: float, n_photons: float, kappa: float) -> float:
 def photons_for_chi(chi: float, g0: float, kappa: float) -> float:
     """Pulse photon number needed for strength ``chi``; inverse of
     :func:`chi_from_physical`."""
-    if not math.isfinite(chi):
-        raise ValueError("non-finite pulse strength")
+    _finite(chi, "pulse strength")
     if not (0 < g0 < math.inf and 0 < kappa < math.inf):
         raise ValueError("rates must be positive and finite")
     return (chi * kappa / (8.0 * g0)) ** 2
@@ -413,8 +417,7 @@ def _objective(seed: PulseSchedule, loss: LossConfig,
     reference = _reference(target)
 
     def infidelities(x: np.ndarray) -> np.ndarray:
-        if not np.isfinite(x).all():
-            raise ValueError("optimizer coordinates contain non-finite entries")
+        _finite(x, "optimizer coordinates")
         values = np.full(len(x), 1e6)
         inside = 1.0 + x[:, 1] * x[:, 0] * tan_phi > 0
         if inside.any():

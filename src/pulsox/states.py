@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import (GaussianChannel, _apply, _checked_moments, _transpose, _unchecked,
-                       quadrature_scaling, rotation)
+from .channels import (GaussianChannel, _apply, _checked_moments, _finite, _transpose,
+                       _unchecked, quadrature_scaling, rotation)
 from .modes import OPT, ModeLayout
 
 _MEAN_ATOL = 1e-9
@@ -33,8 +33,8 @@ class GaussianState:
 
     ``GaussianState(...)`` checks structure only, as a channel's noise
     (shape, finiteness, symmetry); V + i Omega >= 0 is carried by the named
-    constructors and preserved by physical channels.  :func:`apply_channel`
-    builds its result unchecked from checked inputs.
+    constructors and preserved by physical channels.  Every state this module
+    returns is built unchecked; the named constructors check their scalars.
     """
 
     mean: np.ndarray
@@ -53,16 +53,17 @@ class GaussianState:
 
 
 def vacuum(layout: ModeLayout) -> GaussianState:
-    return GaussianState(np.zeros(layout.dim), np.eye(layout.dim), layout)
+    return _unchecked(GaussianState, mean=np.zeros(layout.dim), cov=np.eye(layout.dim),
+                      layout=layout)
 
 
 def thermal(nbar, layout: ModeLayout) -> GaussianState:
     """Thermal state with occupancy ``nbar`` in every mode; an array gives a batch."""
-    nbar = np.asarray(nbar, dtype=float)
-    if np.any(nbar < 0):
-        raise ValueError("occupancy must be nonnegative")
+    nbar = _finite(nbar, "occupancy")
+    if not np.all((0.0 <= nbar) & (nbar < 2.0 ** 1022)):
+        raise ValueError("occupancy must be nonnegative and below 2^1022")
     cov = (2.0 * nbar[..., None, None] + 1.0) * np.eye(layout.dim)
-    return GaussianState(np.zeros(layout.dim), cov, layout)
+    return _unchecked(GaussianState, mean=np.zeros(layout.dim), cov=cov, layout=layout)
 
 
 def _squeezed_cov(v_sq, angle) -> np.ndarray:
@@ -84,12 +85,11 @@ def squeezed(v_sq, angle=0.0, layout: ModeLayout | None = None) -> GaussianState
     layout = layout or OPT
     if layout.mode_count != 1:
         raise ValueError("squeezed() builds single-mode states")
-    v_sq, angle = np.asarray(v_sq, dtype=float), np.asarray(angle, dtype=float)
+    v_sq, angle = _finite(v_sq, "squeezed variance"), _finite(angle, "squeezing angle")
     if not np.all(v_sq > 0):
         raise ValueError("squeezed variance must be positive")
-    if not np.isfinite(angle).all():
-        raise ValueError("non-finite squeezing angle")
-    return GaussianState(np.zeros(2), _squeezed_cov(v_sq, angle), layout)
+    return _unchecked(GaussianState, mean=np.zeros(2), cov=_squeezed_cov(v_sq, angle),
+                      layout=layout)
 
 
 def product(*states: GaussianState) -> GaussianState:
@@ -109,7 +109,7 @@ def product(*states: GaussianState) -> GaussianState:
         d = s.layout.dim
         cov[..., pos:pos + d, pos:pos + d] = s.cov
         pos += d
-    return GaussianState(mean, cov, layout)
+    return _unchecked(GaussianState, mean=mean, cov=cov, layout=layout)
 
 
 def apply_channel(state: GaussianState, channel: GaussianChannel) -> GaussianState:
@@ -139,8 +139,8 @@ def marginal(state: GaussianState, modes: Sequence[str]) -> GaussianState:
         i = state.layout.x_index(lab)
         idx.extend((i, i + 1))
     idx = np.array(idx)
-    return GaussianState(state.mean[..., idx], state.cov[..., idx, :][..., idx],
-                         state.layout.sub_layout(modes))
+    return _unchecked(GaussianState, mean=state.mean[..., idx],
+                      cov=state.cov[..., idx, :][..., idx], layout=ModeLayout(tuple(modes)))
 
 
 def _det_minus_one(cov: np.ndarray) -> np.ndarray:
@@ -191,6 +191,11 @@ def fidelity_zero_mean(a: GaussianState, b: GaussianState):
     return _fidelity(a, *_reference(b))
 
 
+def _check_phi(phi: float) -> None:
+    if not 0.0 < phi < math.pi / 2:
+        raise ValueError("phi must lie in (0, pi/2)")
+
+
 def pure_fidelity(mu: float, phi: float, v_p: float, v_sq: float) -> float:
     """Closed-form fidelity of the four-pulse squeezer on a pure input.
 
@@ -199,8 +204,7 @@ def pure_fidelity(mu: float, phi: float, v_p: float, v_sq: float) -> float:
     """
     if not (0 < mu < math.inf and 0 < v_p < math.inf and 0 < v_sq < math.inf):
         raise ValueError("mu, v_p and v_sq must be positive and finite")
-    if not 0.0 < phi < math.pi / 2:
-        raise ValueError("phi must lie in (0, pi/2)")
+    _check_phi(phi)
     t = math.tan(phi)
     m = mu * abs(1.0 - mu)
     return (1.0 + m * v_p * (v_sq + 0.25 * m * v_p * t) * t) ** -0.5

@@ -40,8 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import (GaussianChannel, LossConfig, _frozen, _transpose, _unchecked,
-                       damped_evolution)
+from .channels import (GaussianChannel, LossConfig, _check_symmetric, _finite, _frozen,
+                       _unchecked, damped_evolution)
 
 DEFAULT_HALF_EXTENT = 8.0
 DEFAULT_RESOLUTION = 512
@@ -102,9 +102,7 @@ def _check_cov(cov: np.ndarray) -> None:
     symmetrized, so an evolved sum keeps the rounding of S V S^T + N."""
     if cov.shape[-2:] != (2, 2):
         raise ValueError(f"covariance shape {cov.shape} is not (..., 2, 2)")
-    size = float(np.abs(cov).max(initial=0.0))
-    if float(np.abs(cov - _transpose(cov)).max(initial=0.0)) > 1e-12 * max(1.0, size):
-        raise ValueError("covariance is not symmetric")
+    _check_symmetric(cov, "covariance")
     if np.any(cov[..., 0, 0] <= 0) or np.any(np.linalg.det(cov) <= 0):
         raise ValueError("covariance must be a positive-definite 2x2 matrix")
 
@@ -125,12 +123,10 @@ class WignerGrid:
     def __post_init__(self):
         res = self.resolution
         _check_size(self.half_extent, res)
-        v = np.asarray(self.values, dtype=float)
+        v = _frozen(self.values, "values")
         if v.shape != (res, res):
             raise ValueError(f"values shape {v.shape} does not match resolution {res}")
-        if not np.isfinite(v).all():
-            raise ValueError("grid contains non-finite values")
-        object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "values", v)
 
     @property
     def step(self) -> float:
@@ -211,11 +207,8 @@ class GaussianSum:
     cov: np.ndarray
 
     def __post_init__(self):
-        fields = {"log_weights": _frozen(self.log_weights, complex),
-                  "means": _frozen(self.means, complex), "cov": _frozen(self.cov)}
-        for name, value in fields.items():
-            if not np.isfinite(value).all():
-                raise ValueError(f"non-finite {name}")
+        fields = {"log_weights": _frozen(self.log_weights, "log_weights", complex),
+                  "means": _frozen(self.means, "means", complex), "cov": _frozen(self.cov, "cov")}
         log_weights, means, cov = fields.values()
         if log_weights.ndim == 0 or means.shape[-2:] != (log_weights.shape[-1], 2):
             raise ValueError("need one complex 2-vector mean per weight")
@@ -247,10 +240,11 @@ class GaussianSum:
     def concatenate(cls, sums: Sequence["GaussianSum"]) -> "GaussianSum":
         """The states of ``sums`` (each batch flattened, one term count for all)
         in order, as one batch of shape ``(N,)`` whose log-weights carry it."""
-        return cls(np.concatenate([np.broadcast_to(s.log_weights, s.means.shape[:-1])
-                                   .reshape(-1, s.means.shape[-2]) for s in sums]),
-                   np.concatenate([s.means.reshape(-1, *s.means.shape[-2:]) for s in sums]),
-                   np.concatenate([s.cov.reshape(-1, 2, 2) for s in sums]))
+        return _unchecked(
+            cls, log_weights=np.concatenate([np.broadcast_to(s.log_weights, s.means.shape[:-1])
+                                             .reshape(-1, s.means.shape[-2]) for s in sums]),
+            means=np.concatenate([s.means.reshape(-1, *s.means.shape[-2:]) for s in sums]),
+            cov=np.concatenate([s.cov.reshape(-1, 2, 2) for s in sums]))
 
     def evolve(self, channel: GaussianChannel) -> "GaussianSum":
         """Exact action of a single-mode Gaussian channel on every term:
@@ -358,11 +352,12 @@ def wigner_cat(spec: CatSpec, half_extent: float = DEFAULT_HALF_EXTENT,
 def wigner_gaussian(mean: Sequence[float], cov: np.ndarray,
                     half_extent: float = DEFAULT_HALF_EXTENT,
                     resolution: int = DEFAULT_RESOLUTION) -> WignerGrid:
-    """Gaussian Wigner function exp(-d^T V^-1 d / 2) / (2 pi sqrt(|V|))."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise ValueError("non-finite mean or covariance")
+    """Gaussian Wigner function exp(-d^T V^-1 d / 2) / (2 pi sqrt(|V|)) of one
+    state: a mean of shape (2,) and a covariance of shape (2, 2)."""
+    mean, cov = _finite(mean, "mean"), _finite(cov, "covariance")
+    if mean.shape != (2,) or cov.shape != (2, 2):
+        raise ValueError(f"mean shape {mean.shape}, covariance shape {cov.shape}: "
+                         f"need (2,), (2, 2)")
     _check_cov(cov)
     det = float(np.linalg.det(cov))
     inv = np.linalg.inv(cov)

@@ -518,11 +518,11 @@ def test_batched_values_check_every_element_and_matching_batches():
         with pytest.raises(ValueError, match="does not match layout"):
             _channel(matrix)
     for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match="map contains non-finite"):
+        with pytest.raises(ValueError, match="non-finite matrix"):
             _channel(np.stack([np.eye(2), [[1.0, bad], [0.0, 1.0]]]))
-        with pytest.raises(ValueError, match="noise contains non-finite"):
+        with pytest.raises(ValueError, match="non-finite noise mean"):
             _channel(np.eye(2), mean=[0.0, bad])
-        with pytest.raises(ValueError, match="noise contains non-finite"):
+        with pytest.raises(ValueError, match="non-finite noise cov"):
             _channel(np.eye(2), cov=np.stack([np.eye(2), np.diag([1.0, bad])]))
     with pytest.raises(ValueError, match="symmetric"):
         _channel(np.eye(2), cov=[[1.0, 0.5], [0.0, 1.0]])
@@ -625,6 +625,42 @@ def test_a_checked_schedule_copies_its_arrays_and_keeps_its_floats():
     assert schedule.chi1.tolist() == [0.5, 2.0]
     assert isinstance(schedule.lam, float)
     assert type(schedule_for_mu(0.5, math.pi / 50).chi1) is np.float64
+
+
+def test_a_checked_schedule_converts_list_entries():
+    listed = PulseSchedule(chi1=[0.5, 1.0], lam=1.0, chi3=(0.0, 0.1), phi=0.06)
+    arrays = PulseSchedule(chi1=np.array([0.5, 1.0]), lam=1.0, chi3=np.array([0.0, 0.1]),
+                           phi=0.06)
+    assert not listed.chi1.flags.writeable and not listed.chi3.flags.writeable
+    assert squeezer.photon_budget(listed).tolist() == squeezer.photon_budget(arrays).tolist()
+
+
+# Valid arguments of each checked constructor; its array fields are under test.
+_CHECKED = {
+    GaussianChannel: dict(matrix=np.eye(2), mean=np.zeros(2), cov=np.eye(2), layout=MECH),
+    GaussianState: dict(mean=np.zeros(2), cov=np.eye(2), layout=MECH),
+    PulseSchedule: dict(chi1=np.array([0.5, 1.0]), lam=np.ones(2), chi3=np.zeros(2), phi=0.06,
+                        ancilla_vsq=np.full(2, 0.5), ancilla_angle=np.zeros(2)),
+    WignerGrid: dict(half_extent=8.0, resolution=4, values=np.zeros((4, 4))),
+    GaussianSum: dict(log_weights=np.zeros(1, complex), means=np.zeros((1, 2), complex),
+                      cov=np.eye(2)),
+}
+_FIELDS = [(cls, name) for cls, kwargs in _CHECKED.items() for name, value in kwargs.items()
+           if isinstance(value, np.ndarray)]
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, field", _FIELDS,
+                         ids=[f"{cls.__name__}-{name}" for cls, name in _FIELDS])
+def test_every_checked_constructor_rejects_a_non_finite_field_by_name(cls, field, bad, as_list):
+    # the one gate, channels._frozen, rejects it before any other check runs
+    kwargs = dict(_CHECKED[cls])
+    value = kwargs[field].copy()
+    value.flat[-1] = bad
+    kwargs[field] = value.tolist() if as_list else value
+    with pytest.raises(ValueError, match=rf"non-finite (\w+ )?{field}\b"):
+        cls(**kwargs)
 
 
 def test_is_physical_rejects_negative_noise_covariance():

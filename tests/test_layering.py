@@ -33,11 +33,12 @@ ALLOWED = {
 # The ``_``-names (dunders aside) a module imports from another, by source
 # module: every private helper shared across modules is entered here.
 PRIVATE = {
-    "states": {"channels": {"_apply", "_checked_moments", "_transpose", "_unchecked"}},
-    "squeezer": {"channels": {"_apply", "_frozen", "_transpose", "_unchecked"},
-                 "states": {"_fidelity", "_reference", "_squeezed_cov"}},
-    "wigner": {"channels": {"_frozen", "_transpose", "_unchecked"}},
-    "experiments": {"squeezer": {"_four_pulse"}},
+    "states": {"channels": {"_apply", "_checked_moments", "_finite", "_transpose",
+                            "_unchecked"}},
+    "squeezer": {"channels": {"_finite", "_frozen", "_transpose", "_unchecked"},
+                 "states": {"_check_phi", "_fidelity", "_reference", "_squeezed_cov"}},
+    "wigner": {"channels": {"_check_symmetric", "_finite", "_frozen", "_unchecked"}},
+    "experiments": {"squeezer": {"_four_pulse"}, "states": {"_check_phi"}},
 }
 
 
@@ -97,6 +98,47 @@ def test_only_channels_builds_a_value_past_its_checks(module):
     # channels._unchecked is the one constructor that skips __post_init__;
     # every other module builds its computed values through it
     assert _new_calls(SRC / f"{module}.py") == (module == "channels")
+
+
+# The value types whose checked constructor (``__post_init__``) validates
+# outside input.  A value computed from checked values is built by
+# ``channels._unchecked``; these are the only checked builds in the package, by
+# ``module.function`` (or ``module.Class.method`` for a ``cls(...)`` call),
+# each with the input it checks.
+VALUE_TYPES = {"GaussianChannel", "GaussianState", "PulseSchedule", "WignerGrid", "GaussianSum"}
+CHECKED_BUILDS = {
+    "squeezer.schedule_for_mu": "ancilla_vsq is the caller's own: a NaN, a variance <= 0 "
+                                "or a list reaches the schedule unchecked",
+    "wigner.GaussianSum.cat": "alpha = 1e154 rounds the fringe log-weight to -inf",
+    "wigner.grid_from_csv": "its values are read from a file",
+}
+
+
+def _checked_builds(path: Path) -> set[str]:
+    """The ``module.scope`` of each call, in the file, of a value type's
+    checked constructor: by name, or as ``cls(...)`` in one of its methods."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in VALUE_TYPES or (name == "cls" and scope and scope[0] in VALUE_TYPES):
+                found.add(".".join((path.stem,) + scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+def test_only_the_listed_sites_build_a_value_through_its_checks():
+    builds = set().union(*(_checked_builds(path) for path in SRC.glob("*.py")))
+    assert sorted(builds - set(CHECKED_BUILDS)) == [], "checked build not listed"
+    assert sorted(set(CHECKED_BUILDS) - builds) == [], "listed, but no checked build there"
+    assert all(reason and "\n" not in reason for reason in CHECKED_BUILDS.values())
 
 
 # -- the public surface -----------------------------------------------------------

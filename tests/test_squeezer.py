@@ -414,13 +414,9 @@ def test_lossy_squeezer_output_and_objective_run_no_validator(monkeypatch):
 
 # -- ancilla reduction -------------------------------------------------------------
 
-def _reduced(channel, ancilla):
-    return squeezer._reduced(channel, ancilla.mean, ancilla.cov)
-
-
 def test_reduced_channel_identity():
     ident = rotation("mech", 0.0)
-    reduced = _reduced(ident, squeezed(0.3, 0.2))
+    reduced = squeezer._reduced(ident, squeezed(0.3, 0.2).cov)
     assert np.allclose(reduced.matrix, np.eye(2))
     assert np.allclose(reduced.cov, 0.0)
 
@@ -428,11 +424,11 @@ def test_reduced_channel_identity():
 def test_reduction_rejects_fed_noise_that_overflows():
     # P_mech picks up 1e200 X_opt, so the vacuum ancilla feeds it a variance of 1e400
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="reduced .* non-finite"):
-        _reduced(qnd_xx(1e200), vacuum(OPT))
+        squeezer._reduced(qnd_xx(1e200), vacuum(OPT).cov)
 
 
 def test_reduced_channel_strong_ancilla_squeezing_kills_fed_noise():
-    reduced = _reduced(three_pulse(1.0, -2.0), squeezed(1e-8, math.pi / 2))
+    reduced = squeezer._reduced(three_pulse(1.0, -2.0), squeezed(1e-8, math.pi / 2).cov)
     # the fed quadrature is X_M; its injected noise follows the squeezed P_L
     assert reduced.cov[0, 0] < 1e-8
     assert reduced.cov[1, 1] < 1e-14
@@ -778,7 +774,7 @@ def test_cached_quarter_turn_is_frozen_and_equals_a_fresh_rotation(layout):
 # -- input checks ------------------------------------------------------------------
 
 @pytest.mark.parametrize("build, fragment", [
-    (lambda: PulseSchedule(chi1=math.nan, lam=1.0, chi3=1.0, phi=PHI), "non-finite entries"),
+    (lambda: PulseSchedule(chi1=math.nan, lam=1.0, chi3=1.0, phi=PHI), "non-finite chi1"),
     (lambda: PulseSchedule(chi1=1.0, lam=1.0, chi3=1.0, phi=PHI, ancilla_vsq=0.0),
      "ancilla squeezed variance must be positive"),
     # cos(phi) + lam chi1 sin(phi) = 0 at phi = pi/4, lam chi1 = -1
@@ -795,9 +791,26 @@ def test_cached_quarter_turn_is_frozen_and_equals_a_fresh_rotation(layout):
     (lambda: approx_photon_budget(SQRT2, math.nan), r"phi must lie in \(0, pi/2\)"),
     (lambda: chi_from_physical(math.nan, 1e6, 1.0), "coupling rate g0 must be positive"),
     (lambda: photons_for_chi(math.nan, 1e-3, 1.0), "non-finite pulse strength"),
+    (lambda: PulseSchedule(chi1=[0.5, math.nan], lam=1.0, chi3=0.0, phi=PHI), "non-finite chi1"),
+    (lambda: PulseSchedule(chi1=0.5, lam=1.0, chi3=0.0, phi=np.array([0.06, 0.07])),
+     "phi must be a scalar"),
+    (lambda: PulseSchedule(chi1=0.5, lam=1.0, chi3=0.0, phi=[0.06, 0.07]), "phi must be a scalar"),
+    # 1 + lam chi1 tan(phi) > 0, but theta_for rejects the angle
+    (lambda: PulseSchedule(chi1=0.5, lam=1.0, chi3=0.0, phi=3.0), r"phi must lie in \(0, pi/2\)"),
+    (lambda: chi3_for(math.nan, 1.0, PHI), "non-finite chi1"),
+    (lambda: chi3_for(np.array([1.0, math.inf]), 1.0, PHI), "non-finite chi1"),
+    (lambda: chi3_for(1.0, math.nan, PHI), "non-finite lam"),
+    (lambda: chi3_for(1.0, 1.0, math.pi / 2), r"phi must lie in \(0, pi/2\)"),
+    (lambda: theta_for(math.nan, PHI), "non-finite lam"),
+    (lambda: theta_for(1.0, 0.0), r"phi must lie in \(0, pi/2\)"),
+    (lambda: theta_for(1.0, math.nan), r"phi must lie in \(0, pi/2\)"),
 ], ids=["schedule-nan", "schedule-ancilla", "chi3-singular", "chi3-overflow", "target-map-mu",
         "target-two-modes", "approx-budget-mu", "chi-kappa", "chi-photons", "photons-rates",
-        "approx-budget-mu-inf", "approx-budget-phi-nan", "chi-g0-nan", "photons-chi-nan"])
+        "approx-budget-mu-inf", "approx-budget-phi-nan", "chi-g0-nan", "photons-chi-nan",
+        "schedule-list-nan", "schedule-phi-array", "schedule-phi-list", "schedule-phi-range",
+        "chi3-chi1-nan",
+        "chi3-chi1-inf", "chi3-lam-nan", "chi3-phi", "theta-lam-nan", "theta-phi-zero",
+        "theta-phi-nan"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment):
     with pytest.raises(ValueError, match=fragment):
         build()

@@ -317,9 +317,17 @@ def test_exceeds_classical_across_sweep():
     (lambda: classical_bound(0.0), "mu must be positive"),
     (lambda: pure_fidelity(math.inf, 0.1, 1.0, 0.5), "must be positive and finite"),
     (lambda: classical_bound(math.inf), "mu must be positive and finite"),
+    # built unchecked, so each checks its own scalar input
+    (lambda: squeezed(math.nan), "non-finite squeezed variance"),
+    (lambda: thermal(math.inf, MECH), "non-finite occupancy"),
+    (lambda: thermal([1.0, math.nan], MECH), "non-finite occupancy"),
+    (lambda: thermal(-1.0, MECH), "occupancy must be nonnegative"),
+    # 2 nbar + 1 overflows
+    (lambda: thermal(1e308, MECH), r"below 2\^1022"),
 ], ids=["squeezed-variance", "squeezed-angle", "squeezed-two-modes",
         "pure-fidelity-mu", "classical-bound-mu", "pure-fidelity-mu-inf",
-        "classical-bound-mu-inf"])
+        "classical-bound-mu-inf", "squeezed-variance-nan", "thermal-inf", "thermal-nan",
+        "thermal-negative", "thermal-overflow"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment):
     with pytest.raises(ValueError, match=fragment):
         build()

@@ -506,10 +506,11 @@ def test_bisection_tree_equals_the_scalar_bisection(alpha, mu_pre, log_q):
     assert half_life(state0, loss) == _scalar_scan_half_life(state0, loss)
 
 
-def test_a_half_life_search_checks_its_states_once(monkeypatch):
+def test_a_half_life_search_checks_no_state(monkeypatch):
     # the scan blocks and bisection steps evolve index slices of the batch
-    # that half_life flattens with GaussianSum.concatenate, the one checked
-    # construction; re-checking each slice ran the check 11 times here
+    # that half_life flattens with GaussianSum.concatenate, all built
+    # unchecked from the checked input; re-checking each slice ran the check
+    # 11 times here, and the checked concatenate once
     batch = GaussianSum.concatenate([GaussianSum.cat(CatSpec(1.0)),
                                      GaussianSum.cat(CatSpec(2.0))])
     checks = []
@@ -521,7 +522,7 @@ def test_a_half_life_search_checks_its_states_once(monkeypatch):
 
     monkeypatch.setattr(GaussianSum, "__post_init__", counted)
     assert all(result.reached for result in half_life(batch, CRITERION_10_LOSS))
-    assert len(checks) == 1
+    assert checks == []
 
 
 @pytest.mark.parametrize("label", ["none", "position", "momentum", "displaced"])
@@ -899,7 +900,7 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
      "non-finite cov"),
     (lambda _: wigner_gaussian([math.nan, 0.0], np.eye(2), 8.0, 4), "non-finite mean"),
     (lambda _: wigner_gaussian([0.0, 0.0], np.diag([math.inf, 1.0]), 8.0, 4),
-     "non-finite mean or covariance"),
+     "non-finite covariance"),
     (lambda _: wigner_fock(1, 8.0, 6), "power of two"),
     (lambda _: GaussianSum.cat(CatSpec(1.0)).sample(math.inf, 64), "half extent must be"),
     (lambda _: CatSpec(math.nan), "cat amplitude must be positive and finite"),
@@ -927,6 +928,10 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
     # det > 0, but the density has mass 1e26 on the grid
     (lambda _: wigner_gaussian([0.0, 0.0], -np.eye(2), 8.0, 64), "positive-definite"),
     (lambda _: wigner_gaussian([0.0, 0.0], np.eye(3), 8.0, 64), r"shape \(3, 3\)"),
+    # it read the first two entries of the mean; float(det) raised TypeError on a batch
+    (lambda _: wigner_gaussian([0.0, 0.0, 0.0], np.eye(2), 8.0, 16), r"mean shape \(3,\)"),
+    (lambda _: wigner_gaussian([0.0, 0.0], np.stack([np.eye(2)] * 3), 8.0, 16),
+     r"covariance shape \(3, 2, 2\)"),
 ], ids=["grid-extent", "grid-shape", "cat-alpha", "cat-parity", "sum-two-mode-channel",
         "grid-two-mode-channel", "gaussian-covariance", "fringe-mu", "mu-opt-alpha",
         "half-life-samples", "csv-header", "grid-extent-inf", "grid-extent-nan",
@@ -939,7 +944,8 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
         "half-life-periods-inf", "fock-extent-1e200", "fock-extent-1e154",
         "grid-value-at-nan", "grid-value-at-inf", "sum-value-at-nan", "sum-value-at-inf",
         "sum-cov-asymmetric", "gaussian-covariance-asymmetric",
-        "gaussian-covariance-negative-definite", "gaussian-covariance-shape"])
+        "gaussian-covariance-negative-definite", "gaussian-covariance-shape",
+        "gaussian-mean-shape", "gaussian-covariance-batch"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment, tmp_path):
     with pytest.raises(ValueError, match=fragment):
         build(tmp_path)
