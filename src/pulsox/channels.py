@@ -79,14 +79,6 @@ def _unchecked(cls, **fields):
     return instance
 
 
-def _same_batch(*batches: tuple) -> None:
-    """The arrays of one value either share a batch shape or have none."""
-    shapes = set(batches)
-    shapes.discard(())
-    if len(shapes) > 1:
-        raise ValueError(f"batch shapes {batches} differ")
-
-
 @functools.cache
 def _eye(d: int) -> np.ndarray:
     return _frozen(np.eye(d), "identity")
@@ -123,7 +115,9 @@ def _checked_moments(mean, cov, d: int, what: str,
     if mean.shape[-1:] != (d,) or cov.shape[-2:] != (d, d):
         raise ValueError(f"{what} shapes {mean.shape}, {cov.shape} do not match "
                          f"layout dim {d}")
-    _same_batch(*batches, mean.shape[:-1], cov.shape[:-2])
+    batches += (mean.shape[:-1], cov.shape[:-2])
+    if len(set(batches) - {()}) > 1:  # each array has the one batch shape or none
+        raise ValueError(f"batch shapes {batches} differ")
     _check_symmetric(cov, f"{what} covariance")
     return mean, _frozen(0.5 * (cov + _transpose(cov)), f"{what} cov")
 

@@ -206,14 +206,14 @@ def _run_calculator(args: argparse.Namespace) -> int:
               f"{1.0 - pure_fidelity(args.mu, args.phi, 1.0, args.ancilla_vsq):.4g}")
         return 0
     if args.command == "regime-check":
-        report = regime_check(args.g0, args.omega_m, args.kappa,
+        checks = regime_check(args.g0, args.omega_m, args.kappa,
                               args.pulse_bandwidth, args.margin)
-        for check in report.checks:
+        for check in checks:
             status = "ok" if check.ok else "FAIL"
             print(f"  [{status}] {check.name}: ratio {check.ratio:.3g} "
                   f"(margin {check.margin:g})")
-        print("regime check:", "all conditions met" if report.ok
-              else "warnings: " + ", ".join(report.failed()))
+        failed = ", ".join(check.name for check in checks if not check.ok)
+        print("regime check:", f"warnings: {failed}" if failed else "all conditions met")
         return 0
     if args.command == "fiber-loss":
         eps = estimate_fiber_epsilon(args.length_km, args.db_per_km)

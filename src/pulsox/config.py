@@ -103,8 +103,10 @@ class SweepConfig:
     mu: tuple[float, ...] = _key((), lambda v: v > 0, "must be > 0")
     q: tuple[float, ...] = _key((), lambda v: v > 0.5, "must be > 0.5 (underdamped)")
     epsilon: tuple[float, ...] = _key((), lambda v: 0 <= v <= 1, "must lie in [0, 1]")
-    alpha: tuple[float, ...] = _key((1.0, 2.0), lambda v: 0 < v <= 1e3, "must lie in (0, 1e3]: "
-                                    "rounding takes 2 alpha^2 eps off a cat's negativity")
+    alpha: tuple[float, ...] = _key((1.0, 2.0), lambda v: 1e-3 <= v <= 1e3, "must lie in "
+                                    "[1e-3, 1e3]: above, rounding takes 2 alpha^2 eps off a "
+                                    "cat's negativity; below, an odd cat's four terms cancel "
+                                    "and eta(0) drifts above 1 (by 8e-8 at 1e-4)")
     g2_ratio: tuple[float, ...] = _key((0.0, 0.1, 0.2, 0.5, 1.0), lambda v: v >= 0,
                                        "must be >= 0")
 

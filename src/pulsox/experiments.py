@@ -20,7 +20,7 @@ from .modes import MECH, ModeLayout, OPT
 from .squeezer import (_four_pulse, approx_photon_budget, ideal_target_map,
                        ideal_target_state, mechanical_squeezer, photon_budget,
                        schedule_for_mu, squeezer_output, vacuum_infidelity)
-from .states import (_check_phi, apply_channel, classical_bound, fidelity_zero_mean,
+from .states import (_check_mu, _check_phi, apply_channel, classical_bound, fidelity_zero_mean,
                      marginal, product, thermal, vacuum)
 from .table import ResultTable
 from .wigner import (CatSpec, GaussianSum, WignerGrid, eta_series, half_life, mu_opt,
@@ -138,6 +138,12 @@ def run_fock_squeeze(config: ExperimentConfig) -> RunResult:
 # impulse sensing
 # ---------------------------------------------------------------------------
 
+def _check_chi_ro(chi_ro: float) -> None:
+    """Rejects a readout strength below 2^-511, where chi_ro^-2 overflows, or not finite."""
+    if not 2.0 ** -511 <= chi_ro < math.inf:
+        raise ValueError(f"chi_ro = {chi_ro!r} must be finite and at least 2^-511")
+
+
 def d_min_approx(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: float,
                  loss: LossConfig) -> float:
     """High-Q closed form for the minimum detectable momentum kick.
@@ -146,8 +152,8 @@ def d_min_approx(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: flo
     the readout shot noise 1/chi_ro^2.  Reduces to mu * sqrt(2 nbar_in + 1)
     when readout and ancilla terms are negligible.
     """
-    if not (0 < mu < math.inf and 0 < chi_ro < math.inf):
-        raise ValueError("mu and chi_ro must be positive and finite")
+    _check_mu(mu)
+    _check_chi_ro(chi_ro)
     if not (0 <= nbar_in < math.inf and 0 < v_sq < math.inf):
         raise ValueError("nbar_in must be nonnegative and v_sq positive, both finite")
     _check_phi(phi)
@@ -170,6 +176,7 @@ def d_min_full(mu, nbar_in, chi_ro: float, v_sq: float, phi: float,
     standard deviation divided by its kick gain.  Arrays of mu and nbar_in
     give the thresholds over their broadcast shape.
     """
+    _check_chi_ro(chi_ro)
     state = squeezer_output(schedule_for_mu(mu, phi, v_sq), loss, thermal(nbar_in, MECH))
     quarter = damped_delay(math.pi / 2.0, loss)
     state = apply_channel(state, quarter)
@@ -212,9 +219,9 @@ def run_impulse(config: ExperimentConfig) -> RunResult:
 
 def run_cat_decay(config: ExperimentConfig) -> RunResult:
     """Negativity half-lives of odd cats with and without pre-squeezing (at
-    mu_opt and ``cat.momentum_mu``, one batched schedule per cat), all in one
-    batched :func:`half_life` search, the optional ``sweep.mu`` half-lives in
-    a second, plus a dense eta(t) series for the decay-rate diagnostic."""
+    mu_opt and ``cat.momentum_mu``, one batched schedule per cat) and of the
+    largest cat at each optional ``sweep.mu``, all in one batched :func:`half_life`
+    search, plus the largest cat's dense eta(t) series for the decay-rate diagnostic."""
     cat_cfg = config.cat
     phys = config.physical
     loss = _loss(config)
@@ -226,32 +233,29 @@ def run_cat_decay(config: ExperimentConfig) -> RunResult:
         schedule = schedule_for_mu(np.array(mus), phys.phi, phys.ancilla_vsq)
         return cat.evolve(mechanical_squeezer(schedule, loss))
 
-    def half_lives(states: list[GaussianSum]):
-        return half_life(GaussianSum.concatenate(states), loss,
-                         cat_cfg.samples_per_period, cat_cfg.max_periods)
-
     scenarios, states = [], []
     for alpha in config.sweep.alpha:
         cat = GaussianSum.cat(CatSpec(alpha, "odd"))
         mus = [mu_opt(alpha), cat_cfg.momentum_mu]
         scenarios += [(alpha, mu_pre) for mu_pre in (1.0, *mus)]
         states += [cat, pre_squeezed(cat, mus)]
+    largest = GaussianSum.cat(CatSpec(max(config.sweep.alpha), "odd"))
+    states += [pre_squeezed(largest, config.sweep.mu)] if config.sweep.mu else []
+    # each state's result does not depend on the batch it is searched in
+    results = half_life(GaussianSum.concatenate(states), loss,
+                        cat_cfg.samples_per_period, cat_cfg.max_periods)
     half_rows = [[alpha, mu_pre, r.tau, r.tau / period, float(r.reached), r.eta_initial]
-                 for (alpha, mu_pre), r in zip(scenarios, half_lives(states))]
+                 for (alpha, mu_pre), r in zip(scenarios, results)]
 
-    # dense series for the largest unsqueezed cat
     n_samples = int(cat_cfg.series_periods * cat_cfg.samples_per_period)
     times = np.arange(1, n_samples + 1) * (period / cat_cfg.samples_per_period)
-    cat_series = GaussianSum.cat(CatSpec(max(config.sweep.alpha), "odd"))
-    etas = eta_series(cat_series, loss, times)
+    etas = eta_series(largest, loss, times)
     tables["decay_series"] = ResultTable(["t", "eta"], np.column_stack([times, etas]),
                                          dict(md))
 
-    # optional half-life sweep over mu for the largest cat
     if config.sweep.mu:
-        results = half_lives([pre_squeezed(cat_series, config.sweep.mu)])
         sweep_rows = [[mu_pre, r.tau, r.tau / period, float(r.reached)]
-                      for mu_pre, r in zip(config.sweep.mu, results)]
+                      for mu_pre, r in zip(config.sweep.mu, results[len(scenarios):])]
         tables["half_life_mu_sweep"] = ResultTable(
             ["mu_pre", "tau", "tau_periods", "reached"], sweep_rows, dict(md))
 

@@ -39,7 +39,7 @@ from .channels import (LOSSLESS, GaussianChannel, LossConfig, _finite, _frozen, 
                        _unchecked, beamsplitter_loss, compose, damped_delay, qnd_xx,
                        quadrature_scaling, rotation)
 from .modes import MECH, MECH_OPT, ModeLayout
-from .states import (GaussianState, _check_phi, _fidelity, _reference, _squeezed_cov,
+from .states import (GaussianState, _check_mu, _check_phi, _fidelity, _reference, _squeezed_cov,
                      apply_channel, fidelity_zero_mean, vacuum)
 
 
@@ -142,11 +142,13 @@ def schedule_for_mu(mu, phi: float, ancilla_vsq: float = 0.5) -> PulseSchedule:
     (all strengths zero, the mechanical rotation phi still elapses).
     """
     mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0):
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     _check_phi(phi)
     t = math.tan(phi)
-    chi1 = np.sqrt(np.abs(1.0 / mu - 1.0) / t)
+    with np.errstate(over="ignore"):  # 1 / mu is finite, but over tan(phi) need not be
+        chi1 = np.sqrt(np.abs(1.0 / mu - 1.0) / t)
+    if not np.isfinite(chi1).all():
+        raise ValueError("unreachable mu: chi1 overflows")
     lam = np.copysign(chi1, 1.0 - mu)
     return PulseSchedule(chi1=chi1, lam=lam, chi3=chi3_for(chi1, lam, phi), phi=phi,
                          ancilla_vsq=ancilla_vsq, ancilla_angle=np.sign(1.0 - mu) * math.pi / 4.0)
@@ -213,8 +215,7 @@ def ideal_target_map(mu, phi: float, mode: str = "mech",
     mechanical rotation through phi (outputs are compared in that frame).
     An array of mu gives a batch."""
     mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0):
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     return compose([quadrature_scaling(1.0 / mu, mu, mode, layout),
                     rotation(mode, phi, layout)])
 
@@ -292,8 +293,7 @@ def approx_photon_budget(mu, phi: float):
     An array of mu gives an array.
     """
     mu = np.asarray(mu, dtype=float)
-    if not np.all((0 < mu) & (mu < math.inf)):
-        raise ValueError("mu must be positive and finite")
+    _check_mu(mu)
     _check_phi(phi)
     r = 1.0 - 1.0 / mu
     return np.abs(r) * (3.0 + (1.0 + r * r) / (mu * mu)) / math.tan(phi)
@@ -327,31 +327,21 @@ class RegimeCheck:
     margin: float
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    checks: tuple[RegimeCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failed(self) -> list[str]:
-        return [c.name for c in self.checks if not c.ok]
-
-
 def regime_check(g0: float, omega_m: float, kappa: float, pulse_bandwidth: float,
-                 margin: float = 10.0) -> RegimeReport:
+                 margin: float = 10.0) -> tuple[RegimeCheck, ...]:
     """Non-fatal diagnostic of the pulsed-QND validity inequalities.
 
     Each 'a << b' check passes when b / a >= margin: weak single-photon
     coupling (g0 << omega_m), pulse shorter than the period
     (omega_m << bandwidth), no cavity distortion of the pulse
     (bandwidth << kappa), and the unresolved-sideband condition
-    (omega_m << kappa).  Every rate must be positive (NaN is rejected) and
-    the margin must exceed 1, or a >= b would pass as a << b.
+    (omega_m << kappa).  Every rate must be positive and finite (NaN and inf
+    are rejected) and the margin must exceed 1, or a >= b would pass as a << b.
     """
-    if not all(rate > 0 for rate in (g0, omega_m, kappa, pulse_bandwidth)):
-        raise ValueError("all rates must be positive")
+    rates = {"g0": g0, "omega_m": omega_m, "kappa": kappa, "pulse_bandwidth": pulse_bandwidth}
+    for name, rate in rates.items():
+        if not 0 < rate < math.inf:
+            raise ValueError(f"rate {name} = {rate!r} must be positive and finite")
     if not margin > 1:
         raise ValueError(f"margin {margin!r} must exceed 1")
 
@@ -359,12 +349,12 @@ def regime_check(g0: float, omega_m: float, kappa: float, pulse_bandwidth: float
         ratio = big / small
         return RegimeCheck(name, ratio >= margin, ratio, margin)
 
-    return RegimeReport((
+    return (
         check("weak-coupling", g0, omega_m),
         check("sub-period-pulse", omega_m, pulse_bandwidth),
         check("pulse-distortion", pulse_bandwidth, kappa),
         check("unresolved-sideband", omega_m, kappa),
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------

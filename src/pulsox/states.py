@@ -196,6 +196,14 @@ def _check_phi(phi: float) -> None:
         raise ValueError("phi must lie in (0, pi/2)")
 
 
+def _check_mu(mu) -> None:
+    """Rejects a squeeze factor (a float or an array) that is NaN, infinite or
+    below the smallest normal float 2^-1022, where 1 / mu overflows."""
+    if not (2.0 ** -1022 <= mu < math.inf if isinstance(mu, float)
+            else np.all((2.0 ** -1022 <= mu) & (mu < math.inf))):
+        raise ValueError("mu must be positive and finite, at least 2^-1022 so that 1/mu is finite")
+
+
 def pure_fidelity(mu: float, phi: float, v_p: float, v_sq: float) -> float:
     """Closed-form fidelity of the four-pulse squeezer on a pure input.
 
@@ -212,6 +220,5 @@ def pure_fidelity(mu: float, phi: float, v_p: float, v_sq: float) -> float:
 
 def classical_bound(mu: float) -> float:
     """Best fidelity of the measure-and-feedforward squeezer; at most 1/2."""
-    if not 0 < mu < math.inf:
-        raise ValueError("mu must be positive and finite")
+    _check_mu(mu)
     return 1.0 / (1.0 + math.sqrt(0.5 + (mu * mu + mu ** -2) / 4.0))

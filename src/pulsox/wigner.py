@@ -173,8 +173,8 @@ class CatSpec:
     parity: str = "odd"
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ValueError("cat amplitude must be positive and finite")
+        if not (0 < self.alpha < math.inf and self.alpha * self.alpha > 0):
+            raise ValueError("cat amplitude must be positive and finite, its square nonzero")
         if self.parity not in ("odd", "even"):
             raise ValueError("parity must be 'odd' or 'even'")
 
@@ -230,7 +230,11 @@ class GaussianSum:
         P = +/- 2 i alpha: exp(-(x^2 + (p -/+ 2 i alpha)^2) / 2) =
         exp(2 alpha^2) exp(-(x^2 + p^2) / 2 +/- 2 i alpha p)."""
         a = spec.alpha
-        log_norm = math.log(2.0) + math.log1p(spec.sign * math.exp(-2.0 * a * a))
+        x = 2.0 * a * a
+        # log1p(-e^-x) loses digits up to x = ln 2 (M. Maechler, Rmpfr vignette, 2012)
+        small_odd = spec.sign < 0 and x <= math.log(2.0)
+        log_norm = math.log(2.0) + (math.log(-math.expm1(-x)) if small_odd
+                                    else math.log1p(spec.sign * math.exp(-x)))
         fringe = (complex(0.0, math.pi) if spec.sign < 0 else 0.0) - 2.0 * a * a - log_norm
         return cls([-log_norm, -log_norm, fringe, fringe],
                    [[2.0 * a, 0.0], [-2.0 * a, 0.0], [0.0, 2.0j * a], [0.0, -2.0j * a]],
@@ -483,8 +487,6 @@ class HalfLifeResult:
 def eta_at(state0: GaussianSum | WignerGrid, loss: LossConfig, t: float) -> float:
     """Negativity after damped thermal evolution for time t, in one exact step
     from the t = 0 state."""
-    if t == 0.0:
-        return negativity_eta(state0)
     return negativity_eta(state0.evolve(damped_evolution(loss, t)))
 
 

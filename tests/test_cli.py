@@ -192,6 +192,8 @@ def test_empty_decay_series_is_validation_error(periods, tmp_path, monkeypatch, 
     (["cat-decay", "--set", "sweep.alpha=1e6"], "sweep.alpha"),
     (["cat-decay", "--set", "sweep.alpha=1, 1e100"], "sweep.alpha"),
     (["cat-decay", "--set", "sweep.alpha=1e160"], "sweep.alpha"),
+    (["cat-decay", "--set", "sweep.alpha=1e-9"], "sweep.alpha"),
+    (["cat-decay", "--set", "sweep.alpha=1e-4"], "sweep.alpha"),
     (["impulse", "--set", "readout.chi_ro=1e-200"], "readout.chi_ro"),
     (["impulse", "--set", "readout.chi_ro=1e200"], "readout.chi_ro"),
 ])
@@ -285,10 +287,12 @@ def test_cat_decay_runs_where_the_fringe_exponential_overflows(tmp_path, monkeyp
     assert np.isfinite(table.values).all()
 
 
-@pytest.mark.parametrize("args", [["cat-decay", "--set", "sweep.alpha=100"], ["impulse"],
+@pytest.mark.parametrize("args", [["cat-decay", "--set", "sweep.alpha=100"],
+                                  ["cat-decay", "--set", "sweep.alpha=1e-3"], ["impulse"],
                                   ["impulse", "--set", "readout.chi_ro=1e-6"],
                                   ["impulse", "--set", "readout.chi_ro=1e6"]],
-                         ids=["alpha-100", "chi-ro-default", "chi-ro-low", "chi-ro-high"])
+                         ids=["alpha-100", "alpha-1e-3", "chi-ro-default", "chi-ro-low",
+                              "chi-ro-high"])
 def test_bounded_keys_run_inside_their_bounds(args, tmp_path, monkeypatch):
     assert run(args, monkeypatch, tmp_path) == 0
     paths = list(tmp_path.glob("*.csv"))

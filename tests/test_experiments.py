@@ -173,12 +173,25 @@ def test_validate_rejects_a_cat_decay_sample_that_is_not_completely_positive():
     (ConfigError, lambda: parse_config_text("physical.q = 1e7\nphysical.phi 0.1"),
      "'line 2': expected 'key = value'"),
     (ValueError, lambda: d_min_approx(0.0, 1.0, 3.0, 0.5, 0.1, LOSSLESS),
-     "mu and chi_ro must be positive"),
+     "mu must be positive"),
+    # 1 / mu overflows, and the result was NaN
+    (ValueError, lambda: d_min_approx(5e-324, 1.0, 3.0, 0.5, 0.06, LOSSLESS),
+     r"mu must be positive and finite, at least 2\^-1022"),
+    # chi_ro^-2 overflows from 2^-511 down; d_min_full warned, d_min_approx
+    # raised OverflowError
+    (ValueError, lambda: d_min_approx(1.0, 1.0, 1e-200, 0.5, 0.06, LOSSLESS),
+     r"chi_ro = 1e-200 must be finite and at least 2\^-511"),
+    (ValueError, lambda: d_min_full(1.0, 1.0, 0.0, 0.5, 0.06, LOSSLESS),
+     r"chi_ro = 0.0 must be finite and at least 2\^-511"),
+    (ValueError, lambda: d_min_full(1.0, 1.0, 1e-200, 0.5, 0.06, LOSSLESS),
+     r"chi_ro = 1e-200 must be finite and at least 2\^-511"),
     (ValueError, lambda: d_min_approx(1.0, math.nan, 3.0, 0.5, 0.1, LOSSLESS),
      "nbar_in must be nonnegative"),
     (ValueError, lambda: estimate_fiber_epsilon(math.inf),
      "fiber length and attenuation must be nonnegative and finite"),
-], ids=["top-level-key", "line-without-equals", "d-min-approx-mu", "d-min-approx-nbar-nan",
+], ids=["top-level-key", "line-without-equals", "d-min-approx-mu", "d-min-approx-mu-subnormal",
+        "d-min-approx-chi-ro-tiny", "d-min-full-chi-ro-zero", "d-min-full-chi-ro-tiny",
+        "d-min-approx-nbar-nan",
         "fiber-epsilon-length-inf"])
 def test_bad_input_is_rejected_with_its_reason(error, build, fragment):
     with pytest.raises(error, match=fragment):
@@ -482,6 +495,26 @@ def test_default_cat_decay_builds_a_fixed_number_of_damped_channels(monkeypatch)
         run_cat_decay(cfg)
         counts.append(len(built))
     assert counts == [27, 27]
+
+
+@pytest.mark.parametrize("mu", [(), (1.0, 1.5, 2.0, 3.0)], ids=["no-mu", "mu-sweep"])
+def test_cat_decay_makes_one_half_life_search(monkeypatch, mu):
+    # the sweep.mu states of the largest cat join the scenarios' batch; a
+    # second search of their own made two calls
+    from pulsox import experiments
+
+    made = []
+    original = experiments.half_life
+
+    def counted(*args):
+        made.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(experiments, "half_life", counted)
+    cfg = make_config("cat-decay")
+    cfg.sweep.mu = mu
+    run_experiment(cfg)
+    assert len(made) == 1
 
 
 def test_default_cat_decay_results_are_small_to_keep():

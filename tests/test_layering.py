@@ -36,9 +36,10 @@ PRIVATE = {
     "states": {"channels": {"_apply", "_checked_moments", "_finite", "_transpose",
                             "_unchecked"}},
     "squeezer": {"channels": {"_finite", "_frozen", "_transpose", "_unchecked"},
-                 "states": {"_check_phi", "_fidelity", "_reference", "_squeezed_cov"}},
+                 "states": {"_check_mu", "_check_phi", "_fidelity", "_reference",
+                            "_squeezed_cov"}},
     "wigner": {"channels": {"_check_symmetric", "_finite", "_frozen", "_unchecked"}},
-    "experiments": {"squeezer": {"_four_pulse"}, "states": {"_check_phi"}},
+    "experiments": {"squeezer": {"_four_pulse"}, "states": {"_check_mu", "_check_phi"}},
 }
 
 

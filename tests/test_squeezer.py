@@ -21,6 +21,7 @@ from pulsox.experiments import d_min_full
 
 PHI = math.pi / 50
 SQRT2 = math.sqrt(2.0)
+MU_RULE = r"mu must be positive and finite, at least 2\^-1022"
 
 
 def derotated_mech_rows(channel, phi):
@@ -528,15 +529,19 @@ def test_chi_from_physical():
     assert photons_for_chi(-8.0, 1e-3, 1.0) == pytest.approx(1e6)
 
 
+def _failed(checks):
+    return [check.name for check in checks if not check.ok]
+
+
 def test_regime_check_pass_and_fail():
     ok = regime_check(1.0, 1e6, 1e9, 1e8)
-    assert ok.ok
+    assert not _failed(ok)
     bad = regime_check(1.0, 1e9, 1e9, 1e8)
-    assert not bad.ok
-    assert "unresolved-sideband" in bad.failed()
+    assert _failed(bad)
+    assert "unresolved-sideband" in _failed(bad)
     bad2 = regime_check(1.0, 1e6, 1e9, 1e9)
-    assert "pulse-distortion" in bad2.failed()
-    assert regime_check(1.0, 1e6, 1e9, 1e8, margin=1.5).ok
+    assert "pulse-distortion" in _failed(bad2)
+    assert not _failed(regime_check(1.0, 1e6, 1e9, 1e8, margin=1.5))
     # a margin of 1 or less would pass a >= b as a << b
     for margin in (1.0, 0.0, -10.0, math.nan):
         with pytest.raises(ValueError, match="margin"):
@@ -804,13 +809,27 @@ def test_cached_quarter_turn_is_frozen_and_equals_a_fresh_rotation(layout):
     (lambda: theta_for(math.nan, PHI), "non-finite lam"),
     (lambda: theta_for(1.0, 0.0), r"phi must lie in \(0, pi/2\)"),
     (lambda: theta_for(1.0, math.nan), r"phi must lie in \(0, pi/2\)"),
+    # 1 / mu overflows below the smallest normal float; NaN and inf name mu too
+    (lambda: schedule_for_mu(5e-324, PHI), MU_RULE),
+    (lambda: schedule_for_mu(math.nan, PHI), MU_RULE),
+    (lambda: schedule_for_mu(np.array([1.0, math.inf]), PHI), MU_RULE),
+    (lambda: ideal_target_map(5e-324, PHI), MU_RULE),
+    (lambda: ideal_target_map(math.inf, PHI), MU_RULE),
+    (lambda: approx_photon_budget(5e-324, PHI), MU_RULE),
+    # 1 / mu is finite at 3e-308, but not over tan(phi)
+    (lambda: schedule_for_mu(3e-308, PHI), "unreachable mu: chi1 overflows"),
+    # an infinite kappa would pass bandwidth << kappa for any bandwidth
+    (lambda: regime_check(1.0, 1e6, math.inf, 1e8), "rate kappa = inf must be positive"),
+    (lambda: regime_check(1.0, 1e6, 1e9, math.inf), "rate pulse_bandwidth = inf must be positive"),
 ], ids=["schedule-nan", "schedule-ancilla", "chi3-singular", "chi3-overflow", "target-map-mu",
         "target-two-modes", "approx-budget-mu", "chi-kappa", "chi-photons", "photons-rates",
         "approx-budget-mu-inf", "approx-budget-phi-nan", "chi-g0-nan", "photons-chi-nan",
         "schedule-list-nan", "schedule-phi-array", "schedule-phi-list", "schedule-phi-range",
         "chi3-chi1-nan",
         "chi3-chi1-inf", "chi3-lam-nan", "chi3-phi", "theta-lam-nan", "theta-phi-zero",
-        "theta-phi-nan"])
+        "theta-phi-nan", "schedule-mu-subnormal", "schedule-mu-nan", "schedule-mu-inf",
+        "target-map-mu-subnormal", "target-map-mu-inf", "approx-budget-mu-subnormal",
+        "schedule-chi1-overflow", "regime-kappa-inf", "regime-bandwidth-inf"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment):
     with pytest.raises(ValueError, match=fragment):
         build()

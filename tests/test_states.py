@@ -324,10 +324,12 @@ def test_exceeds_classical_across_sweep():
     (lambda: thermal(-1.0, MECH), "occupancy must be nonnegative"),
     # 2 nbar + 1 overflows
     (lambda: thermal(1e308, MECH), r"below 2\^1022"),
+    # raised OverflowError from mu^-2 naming nothing
+    (lambda: classical_bound(5e-324), r"mu must be positive and finite, at least 2\^-1022"),
 ], ids=["squeezed-variance", "squeezed-angle", "squeezed-two-modes",
         "pure-fidelity-mu", "classical-bound-mu", "pure-fidelity-mu-inf",
         "classical-bound-mu-inf", "squeezed-variance-nan", "thermal-inf", "thermal-nan",
-        "thermal-negative", "thermal-overflow"])
+        "thermal-negative", "thermal-overflow", "classical-bound-mu-subnormal"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment):
     with pytest.raises(ValueError, match=fragment):
         build()

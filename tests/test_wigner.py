@@ -1,5 +1,6 @@
 """Wigner grids and exact Gaussian sums: constructors, channel evolution, and
 cat metrics."""
+import decimal
 import math
 import subprocess
 import sys
@@ -114,6 +115,20 @@ def test_cat_origin_parity(parity, w0):
 @pytest.mark.parametrize("parity", ["odd", "even"])
 def test_cat_normalization(alpha, parity):
     assert wigner_cat(CatSpec(alpha, parity)).total_mass() == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("alpha", [*(10.0 ** k for k in range(-8, 0)), 0.3, 1.0, 2.0, 3.0])
+def test_odd_cat_peak_log_weight_holds_its_digits(alpha):
+    # -log(2 (1 - e^(-2 alpha^2))) to 50 digits.  log1p(-e^(-2 alpha^2)) alone
+    # lost 7e-15 of it at alpha = 1e-2 and 3e-3 at 1e-8.  The value crosses zero
+    # at alpha = sqrt(ln 2 / 2), about 0.589, where no relative bound can hold.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a = decimal.Decimal(alpha)
+        want = -(2 * (1 - (-2 * a * a).exp())).ln()
+    got = GaussianSum.cat(CatSpec(alpha, "odd")).log_weights[0]
+    assert got.imag == 0.0
+    assert abs((decimal.Decimal(got.real) - want) / want) <= decimal.Decimal(1e-15)
 
 
 def test_cat_peaks_sit_at_twice_alpha():
@@ -905,6 +920,8 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
     (lambda _: GaussianSum.cat(CatSpec(1.0)).sample(math.inf, 64), "half extent must be"),
     (lambda _: CatSpec(math.nan), "cat amplitude must be positive and finite"),
     (lambda _: CatSpec(math.inf), "cat amplitude must be positive and finite"),
+    # 2 alpha^2 rounds to 0 and the odd cat's norm took log(0)
+    (lambda _: CatSpec(1e-170), "cat amplitude must be positive and finite, its square nonzero"),
     (lambda _: fringe_ellipse(math.nan, 1.0), "alpha and mu must be positive and finite"),
     (lambda _: fringe_ellipse(1.0, math.inf), "alpha and mu must be positive and finite"),
     (lambda _: mu_opt(math.nan), "alpha must be positive and finite"),
@@ -938,7 +955,7 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
         "csv-extent-inf", "csv-body-nan", "csv-body-inf", "grid-body-nan", "grid-body-inf",
         "sum-log-weight-nan", "sum-mean-inf", "sum-cov-nan", "gaussian-mean-nan",
         "gaussian-covariance-inf", "fock-resolution", "sample-extent-inf",
-        "cat-alpha-nan", "cat-alpha-inf", "fringe-alpha-nan", "fringe-mu-inf",
+        "cat-alpha-nan", "cat-alpha-inf", "cat-alpha-square-zero", "fringe-alpha-nan", "fringe-mu-inf",
         "mu-opt-nan", "half-life-samples-inf", "half-life-samples-nan",
         "half-life-periods-negative", "half-life-periods-zero", "half-life-periods-nan",
         "half-life-periods-inf", "fock-extent-1e200", "fock-extent-1e154",
