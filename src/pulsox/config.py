@@ -25,12 +25,16 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .channels import LossConfig, damped_is_physical
+from .channels import MU_RANGE, MU_RULE, LossConfig, damped_is_physical
 
 EXPERIMENTS = ("fidelity-sweep", "fock-squeeze", "impulse", "cat-decay",
                "multimode", "photon-budget")
 # Experiments that squeeze at a single mu rather than sweeping it.
 SINGLE_MU_EXPERIMENTS = ("fock-squeeze", "multimode")
+# The readout strengths that readout.chi_ro and both impulse functions accept.
+CHI_RO_RANGE = (1e-6, 1e6)
+CHI_RO_RULE = ("must lie in [1e-6, 1e6], far from where chi_ro^-2 or chi_ro^2 overflows "
+               "(about 1e-154, 1e154)")
 
 
 class ConfigError(ValueError):
@@ -100,7 +104,7 @@ class PhysicalConfig:
 
 @dataclass
 class SweepConfig:
-    mu: tuple[float, ...] = _key((), lambda v: v > 0, "must be > 0")
+    mu: tuple[float, ...] = _key((), lambda v: MU_RANGE[0] <= v <= MU_RANGE[1], MU_RULE)
     q: tuple[float, ...] = _key((), lambda v: v > 0.5, "must be > 0.5 (underdamped)")
     epsilon: tuple[float, ...] = _key((), lambda v: 0 <= v <= 1, "must lie in [0, 1]")
     alpha: tuple[float, ...] = _key((1.0, 2.0), lambda v: 1e-3 <= v <= 1e3, "must lie in "
@@ -113,8 +117,7 @@ class SweepConfig:
 
 @dataclass
 class ReadoutConfig:
-    chi_ro: float = _key(3.0, lambda v: 1e-6 <= v <= 1e6, "must lie in [1e-6, 1e6], far "
-                         "from where chi_ro^-2 or chi_ro^2 overflows (about 1e-154, 1e154)")
+    chi_ro: float = _key(3.0, lambda v: CHI_RO_RANGE[0] <= v <= CHI_RO_RANGE[1], CHI_RO_RULE)
 
 
 @dataclass
@@ -136,7 +139,7 @@ class CatConfig:
     series_periods: float = _key(2.0, lambda v: v > 0, "must be > 0")
     series_resolution: int = 512
     tau_resolution: int = 256
-    momentum_mu: float = _key(0.5, lambda v: v > 0, "must be > 0")
+    momentum_mu: float = _key(0.5, lambda v: MU_RANGE[0] <= v <= MU_RANGE[1], MU_RULE)
 
 
 @dataclass

@@ -15,13 +15,13 @@ import numpy as np
 
 from . import __version__
 from .channels import LossConfig, compose, damped_delay, qnd_xx, rotation
-from .config import ConfigError, ExperimentConfig, log_grid
+from .config import CHI_RO_RANGE, CHI_RO_RULE, ConfigError, ExperimentConfig, log_grid
 from .modes import MECH, ModeLayout, OPT
-from .squeezer import (_four_pulse, approx_photon_budget, ideal_target_map,
-                       ideal_target_state, mechanical_squeezer, photon_budget,
-                       schedule_for_mu, squeezer_output, vacuum_infidelity)
-from .states import (_check_mu, _check_phi, apply_channel, classical_bound, fidelity_zero_mean,
-                     marginal, product, thermal, vacuum)
+from .squeezer import (_four_pulse, _inverse_target, approx_photon_budget, ideal_target_map,
+                       mechanical_squeezer, photon_budget, schedule_for_mu, squeezer_output,
+                       vacuum_infidelity)
+from .states import (_check_mu, _check_phi, _infidelity_to_vacuum, apply_channel,
+                     classical_bound, product, thermal, vacuum)
 from .table import ResultTable
 from .wigner import (CatSpec, GaussianSum, WignerGrid, eta_series, half_life, mu_opt,
                      negativity_eta, wigner_fock)
@@ -84,7 +84,7 @@ def _loss(config: ExperimentConfig, *, epsilon: float | None = None) -> LossConf
 def run_fidelity_sweep(config: ExperimentConfig) -> RunResult:
     """Infidelity of the squeezer on vacuum across mu, for the ideal map and
     for grids of mechanical Q (epsilon = 0) and optical loss (gamma = 0): one
-    batched schedule and target, and one :func:`vacuum_infidelity` of all losses."""
+    batched schedule, and one :func:`vacuum_infidelity` of all losses."""
     phys = config.physical
     mus = np.array(config.sweep.mu or log_grid(DEFAULT_MU_GRID))
     q_grid = config.sweep.q or log_grid(DEFAULT_Q_GRID)
@@ -96,8 +96,7 @@ def run_fidelity_sweep(config: ExperimentConfig) -> RunResult:
               *(LossConfig.from_q(q, nbar_m=phys.nbar_m, omega_m=phys.omega_m) for q in q_grid),
               *(LossConfig(omega_m=phys.omega_m, epsilon=e, nbar_l=phys.nbar_l) for e in eps_grid)]
     schedule = schedule_for_mu(mus, phys.phi, phys.ancilla_vsq)
-    target = ideal_target_state(vacuum(MECH), mus, phys.phi)
-    infidelities = vacuum_infidelity(schedule, losses, target)
+    infidelities = vacuum_infidelity(schedule, losses, mus)
     bound = [1.0 - classical_bound(mu) for mu in mus]
     rows = np.column_stack([mus, infidelities[0], bound, *infidelities[1:]]).tolist()
     table = ResultTable(columns, rows, _metadata(config))
@@ -139,9 +138,9 @@ def run_fock_squeeze(config: ExperimentConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 def _check_chi_ro(chi_ro: float) -> None:
-    """Rejects a readout strength below 2^-511, where chi_ro^-2 overflows, or not finite."""
-    if not 2.0 ** -511 <= chi_ro < math.inf:
-        raise ValueError(f"chi_ro = {chi_ro!r} must be finite and at least 2^-511")
+    """Rejects a readout strength outside ``CHI_RO_RANGE``, NaN too."""
+    if not CHI_RO_RANGE[0] <= chi_ro <= CHI_RO_RANGE[1]:
+        raise ValueError(f"chi_ro = {chi_ro!r} {CHI_RO_RULE}")
 
 
 def d_min_approx(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: float,
@@ -302,8 +301,9 @@ def run_multimode(config: ExperimentConfig) -> RunResult:
     s = (g1 + g2) / g1 and each pulse is the composition of one X-X pulse per
     mechanical mode, of strength chi s g_j / (g1 + g2); between the second
     and third pulses each mechanical mode freely rotates at its own frequency.
-    All three modes start in vacuum; reported against the mode-1 target.  The
-    g2/g1 ratios form one batch: one composed protocol and one fidelity.
+    All three modes start in vacuum; scored against the mode-1 target, whose
+    inverse ends the protocol.  The g2/g1 ratios form one batch: one composed
+    protocol and one score.
     """
     layout = ModeLayout(("mech", "mech2", "opt"))
     (mu,) = config.sweep.mu or (math.sqrt(2.0),)
@@ -312,16 +312,15 @@ def run_multimode(config: ExperimentConfig) -> RunResult:
     ratios = np.array(sorted(config.sweep.g2_ratio))
     s = 1.0 + ratios
     schedule = schedule_for_mu(mu, phi, ancilla_vsq=1.0)  # vacuum ancilla
-    target = ideal_target_state(vacuum(MECH), mu, phi)
 
     def pulse(chi):  # chi s g_j / (g1 + g2) in this order rounds as the pinned table
         return compose([qnd_xx(chi * s * 1.0 / s, "mech", layout),
                         qnd_xx(chi * s * ratios / s, "mech2", layout)])
 
     delay = [rotation("mech", phi, layout), rotation("mech2", omega2_ratio * phi, layout)]
-    full = compose(_four_pulse(schedule, pulse, delay, layout))
-    out = marginal(apply_channel(vacuum(layout), full), ["mech"])
-    rows = np.column_stack([ratios, 1.0 - fidelity_zero_mean(out, target)]).tolist()
+    scored = compose([*_four_pulse(schedule, pulse, delay, layout),
+                      _inverse_target(mu, phi, layout)])
+    rows = np.column_stack([ratios, _infidelity_to_vacuum(scored, vacuum(OPT).cov)]).tolist()
     table = ResultTable(["g2_over_g1", "infidelity"], rows, _metadata(config))
     return RunResult(tables={"multimode": table},
                      summary="multimode infidelity: " +

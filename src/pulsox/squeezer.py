@@ -14,9 +14,9 @@ The protocol is a list of channels, each of which checks its input where it
 enters (see :mod:`pulsox.channels`); like :func:`~pulsox.channels.compose`
 and :func:`~pulsox.states.apply_channel`, the ancilla reduction checks only
 that its result is finite, so a lossy :func:`squeezer_output` runs no
-state, channel or schedule validator.  The optimizer's objective checks its
-coordinates once per call and builds their schedules unchecked, and it
-checks the target once per search (see :func:`_objective`).
+state, channel or schedule validator.  A squeezer is scored in its target's
+frame: the inverse target map ends the protocol, and every score goes
+through :func:`~pulsox.states._infidelity_to_vacuum`.
 
 Momentum is rescaled by mu (P' = mu P, X' = X / mu): mu < 1 squeezes
 momentum, mu > 1 squeezes position.
@@ -39,17 +39,8 @@ from .channels import (LOSSLESS, GaussianChannel, LossConfig, _finite, _frozen, 
                        _unchecked, beamsplitter_loss, compose, damped_delay, qnd_xx,
                        quadrature_scaling, rotation)
 from .modes import MECH, MECH_OPT, ModeLayout
-from .states import (GaussianState, _check_mu, _check_phi, _fidelity, _reference, _squeezed_cov,
-                     apply_channel, fidelity_zero_mean, vacuum)
-
-
-def _elementwise(fn: Callable, nin: int) -> Callable:
-    """The ``math`` function ``fn`` applied element by element.  numpy's own
-    power and arctan loops round differently from libm in the last bit; this
-    keeps a batched schedule's entries bit-identical to unbatched ones."""
-    ufunc = np.frompyfunc(fn, nin, 1)
-    return lambda *args: np.asarray(ufunc(*args), dtype=float)[()]
-
+from .states import (GaussianState, _check_mu, _check_phi, _elementwise, _infidelity_to_vacuum,
+                     _squeezed_cov, apply_channel)
 
 _atan = _elementwise(math.atan, 1)
 _pow = _elementwise(math.pow, 2)
@@ -220,6 +211,15 @@ def ideal_target_map(mu, phi: float, mode: str = "mech",
                     rotation(mode, phi, layout)])
 
 
+def _inverse_target(mu, phi: float, layout: ModeLayout) -> GaussianChannel:
+    """diag(mu, 1/mu) R(-phi), the inverse of :func:`ideal_target_map`, on
+    ``"mech"`` of ``layout``: it carries the pure target onto vacuum."""
+    mu = np.asarray(mu, dtype=float)
+    _check_mu(mu)
+    return compose([rotation("mech", -phi, layout),
+                    quadrature_scaling(mu, 1.0 / mu, "mech", layout)])
+
+
 def ideal_target_state(state: GaussianState, mu, phi: float) -> GaussianState:
     if state.layout.mode_count != 1:
         raise ValueError("target comparison is single-mode")
@@ -243,19 +243,11 @@ def _reduced(channel: GaussianChannel, ancilla_cov: np.ndarray) -> GaussianChann
                       layout=MECH)
 
 
-def _mechanical(schedule: PulseSchedule, delay: Sequence[GaussianChannel],
-                ancilla_cov: np.ndarray) -> GaussianChannel:
-    """The squeezer's mechanical channel from prebuilt ``delay`` channels and
-    ancilla covariance: the one core of :func:`mechanical_squeezer` and of the
-    optimizer's objective, which builds both once per search."""
-    return _reduced(compose(_four_pulse(schedule, qnd_xx, delay, MECH_OPT)), ancilla_cov)
-
-
 def mechanical_squeezer(schedule: PulseSchedule, loss: Losses) -> GaussianChannel:
     """Single-mode mechanical channel of the (lossy) squeezer (``loss`` as for
     :func:`build_lossy_squeezer`), with the schedule's own ancilla traced out."""
-    return _mechanical(schedule, _delay(schedule, loss),
-                       _squeezed_cov(schedule.ancilla_vsq, schedule.ancilla_angle))
+    return _reduced(build_lossy_squeezer(schedule, loss),
+                    _squeezed_cov(schedule.ancilla_vsq, schedule.ancilla_angle))
 
 
 def squeezer_output(schedule: PulseSchedule, loss: Losses,
@@ -265,10 +257,23 @@ def squeezer_output(schedule: PulseSchedule, loss: Losses,
     return apply_channel(input_state, mechanical_squeezer(schedule, loss))
 
 
-def vacuum_infidelity(schedule: PulseSchedule, loss: Losses, target: GaussianState):
-    """1 - F of the squeezer output on mechanical vacuum against ``target``;
-    a batched schedule gives one value per schedule, and L losses L rows."""
-    return 1.0 - fidelity_zero_mean(squeezer_output(schedule, loss, vacuum(MECH)), target)
+def _scorer(schedule: PulseSchedule, loss: Losses,
+            mu) -> Callable[[PulseSchedule], np.ndarray]:
+    """:func:`vacuum_infidelity` at ``loss`` and ``mu`` of any schedule with the
+    phi and ancilla of ``schedule``, whose delay, ancilla and inverse target
+    are built once, here."""
+    delay = _delay(schedule, loss)
+    ancilla_cov = _squeezed_cov(schedule.ancilla_vsq, schedule.ancilla_angle)
+    inverse = _inverse_target(mu, schedule.phi, MECH_OPT)
+    return lambda s: _infidelity_to_vacuum(
+        compose([*_four_pulse(s, qnd_xx, delay, MECH_OPT), inverse]), ancilla_cov)
+
+
+def vacuum_infidelity(schedule: PulseSchedule, loss: Losses, mu):
+    """1 - F of the squeezer output on mechanical vacuum against the ideal
+    target (:func:`ideal_target_map` at ``mu`` on vacuum); a batched schedule
+    and ``mu`` give one value per schedule, and L losses L rows."""
+    return _scorer(schedule, loss, mu)(schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -384,35 +389,22 @@ def _free_schedule(x: np.ndarray, seed: PulseSchedule) -> PulseSchedule:
 
 
 def _objective(seed: PulseSchedule, loss: LossConfig,
-               target: GaussianState) -> Callable[[np.ndarray], np.ndarray]:
-    """The optimizer's objective: for each row of the optimizer coordinates
-    ``x``, the infidelity against ``target`` of the squeezer output on vacuum,
-    in one batched call.
-
-    The delay channels (fixed by phi and ``loss``), the vacuum input, the
-    ancilla covariance and the target's checked fidelity term are the same in
-    every call, so they are built once, here.  Each call checks that ``x`` is
-    finite, then builds the schedule of its rows unchecked.  Rows with
+               mu: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The optimizer's objective: for each row of the coordinates ``x``, checked
+    finite, :func:`vacuum_infidelity` at ``mu`` of its schedule, built
+    unchecked, in one batched call of the search's :func:`_scorer`.  Rows with
     1 + lam chi1 tan(phi) <= 0 have no positive mu and score 1e6 (outside the
     physical branch); they are masked out before the schedule is built, so
-    they do not fail the rest of the batch.  ``compose``, the ancilla
-    reduction and ``apply_channel`` still check that their results are
-    finite, and the fidelity core the output's zero mean and pure-state
-    floor, so each value equals :func:`vacuum_infidelity` of its row.
-    """
+    they do not fail the rest of the batch."""
     tan_phi = math.tan(seed.phi)
-    delay = _delay(seed, loss)
-    vac = vacuum(MECH)
-    cov = _squeezed_cov(seed.ancilla_vsq, seed.ancilla_angle)
-    reference = _reference(target)
+    score = _scorer(seed, loss, mu)
 
     def infidelities(x: np.ndarray) -> np.ndarray:
         _finite(x, "optimizer coordinates")
         values = np.full(len(x), 1e6)
         inside = 1.0 + x[:, 1] * x[:, 0] * tan_phi > 0
         if inside.any():
-            out = apply_channel(vac, _mechanical(_free_schedule(x[inside], seed), delay, cov))
-            values[inside] = 1.0 - _fidelity(out, *reference)
+            values[inside] = score(_free_schedule(x[inside], seed))
         return values
 
     return infidelities
@@ -489,12 +481,10 @@ def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
     stencil (19 schedules) for the value, gradient and Hessian, then 18
     Levenberg-Marquardt damped Newton steps clipped to the box, of which the
     best replaces the current point if it is lower.  The objective is built
-    once per search (:func:`_objective`): the delay channels, the vacuum input,
-    the ancilla covariance and the target's fidelity term are built and
-    checked once, and every call goes through the core that
-    :func:`mechanical_squeezer` uses.  ``mu_target``, phi and ``ancilla_vsq``
-    are checked by :func:`schedule_for_mu`, each batch of coordinates by the
-    objective; the schedules, the returned one too, are built unchecked.
+    once per search (:func:`_objective`), scoring as :func:`vacuum_infidelity`.
+    ``mu_target``, phi and ``ancilla_vsq`` are checked by
+    :func:`schedule_for_mu`, each batch of coordinates by the objective; the
+    schedules, the returned one too, are built unchecked.
     Schedules with no positive mu score 1e6.  ``converged`` is True when the
     current point beats every candidate or the accepted step is below 1e-10,
     and False if the 100-iteration cap stops the search first.
@@ -502,14 +492,13 @@ def optimize_schedule(mu_target: float, phi: float, loss: LossConfig = LOSSLESS,
     rows alike.  Never returns anything worse than the seed.
     """
     seed = schedule_for_mu(mu_target, phi, ancilla_vsq)
-    target = ideal_target_state(vacuum(MECH), mu_target, phi)
     x = np.array([seed.chi1, seed.lam, seed.chi3])
     span = np.maximum(0.5 * np.abs(x), 0.5)
     lo, hi = x - span, x + span
     h = _STEP_FRACTION * span
     offsets = _stencil(len(x)) * h
 
-    objective = _objective(seed, loss, target)
+    objective = _objective(seed, loss, mu_target)
     n_eval = 0
     for _ in range(_MAX_ITERATIONS):
         f, grad, hess = _derivatives(objective(x + offsets), h)

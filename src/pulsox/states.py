@@ -3,7 +3,9 @@
 States carry a mean vector and covariance matrix in the [X, P] = 2i
 convention (vacuum covariance = identity).  Fidelity follows the
 squared-overlap convention, so two identical pure states score 1 and the
-best classical squeeze-by-cloning strategy tops out at 1/2.
+best classical squeeze-by-cloning strategy tops out at 1/2.  Every target
+is pure, so the fidelity is the overlap 2 / sqrt(|Va + Vb|); the runners
+score in the target's frame (:func:`_infidelity_to_vacuum`).
 
 A state may carry a leading batch axis, as channels do; the functions below
 broadcast over it, and an unbatched call returns plain shapes and floats.
@@ -12,19 +14,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import (GaussianChannel, _apply, _checked_moments, _finite, _transpose,
-                       _unchecked, quadrature_scaling, rotation)
+from .channels import (MU_RANGE, MU_RULE, GaussianChannel, _apply, _checked_moments, _finite,
+                       _transpose, _unchecked, quadrature_scaling, rotation)
 from .modes import OPT, ModeLayout
 
 _MEAN_ATOL = 1e-9
-# A covariance with det V - 1 below this is pure to rounding.  Taking it as
-# exactly pure keeps sqrt(y) in the fidelity from turning a determinant
-# rounding of 1e-16 into a fidelity error of 1e-8.
-PURE_ATOL = 1e-12
+
+
+def _elementwise(fn: Callable, nin: int) -> Callable:
+    """The ``math`` function ``fn`` applied element by element.  numpy's own
+    power and arctan loops round differently from libm in the last bit, and
+    its log1p and expm1 on some CPU dispatch paths; this keeps a batch
+    bit-identical to unbatched calls, on every path."""
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)[()]
+
+
+_log1p = _elementwise(math.log1p, 1)
+_expm1 = _elementwise(math.expm1, 1)
 
 
 @dataclass(frozen=True)
@@ -143,52 +154,43 @@ def marginal(state: GaussianState, modes: Sequence[str]) -> GaussianState:
                       cov=state.cov[..., idx, :][..., idx], layout=ModeLayout(tuple(modes)))
 
 
-def _det_minus_one(cov: np.ndarray) -> np.ndarray:
-    """|V| - 1, set to exactly 0 where the state is pure to rounding."""
-    d = np.linalg.det(cov) - 1.0
-    if np.any(d < -1e-8):
-        raise ValueError("covariance determinant below the pure-state floor")
-    return np.where(d < PURE_ATOL, 0.0, d)
-
-
-def _check_single_zero_mean(s: GaussianState) -> None:
-    if s.layout.mode_count != 1:
-        raise ValueError("fidelity is defined for single-mode states")
-    if np.max(np.abs(s.mean)) > _MEAN_ATOL:
-        raise ValueError("fidelity_zero_mean requires zero-mean states")
-
-
-def _reference(b: GaussianState) -> tuple[np.ndarray, np.ndarray]:
-    """The covariance of ``b`` and its |V_b| - 1 term, for :func:`_fidelity`,
-    after the checks :func:`fidelity_zero_mean` makes of ``b``."""
-    _check_single_zero_mean(b)
-    return b.cov, _det_minus_one(b.cov)
-
-
-def _fidelity(a: GaussianState, b_cov: np.ndarray, b_term: np.ndarray):
-    """The core of :func:`fidelity_zero_mean`, given ``b`` as its
-    :func:`_reference`; checks ``a`` alone."""
-    _check_single_zero_mean(a)
-    y = _det_minus_one(a.cov) * b_term
-    total = np.linalg.det(a.cov + b_cov)
-    f = 2.0 / (np.sqrt(total + y) - np.sqrt(y))
-    return np.minimum(f, 1.0)[()]
-
-
 def fidelity_zero_mean(a: GaussianState, b: GaussianState):
-    """Fidelity of two zero-mean single-mode Gaussian states (or batches).
+    """Fidelity of a zero-mean single-mode Gaussian state ``a`` (or batch) with
+    the pure zero-mean target ``b``: the overlap 2 / sqrt(|Va + Vb|), a float
+    or an array over the broadcast batch.  Rejects displaced states, an input
+    whose |Va| is below 1 by more than 1e-8 and a target whose |Vb| is off 1
+    by more than 1e-12, each relative to |V|'s rounding scale V00 V11 + V01^2."""
+    for s in (a, b):
+        if s.layout.mode_count != 1:
+            raise ValueError("fidelity is defined for single-mode states")
+        if np.max(np.abs(s.mean)) > _MEAN_ATOL:
+            raise ValueError("fidelity_zero_mean requires zero-mean states")
+    det_a, det_b = np.linalg.det(a.cov), np.linalg.det(b.cov)
+    size_a, size_b = (abs(v[..., 0, 0] * v[..., 1, 1]) + v[..., 0, 1] ** 2 for v in (a.cov, b.cov))
+    if np.any(det_a < 1.0 - 1e-8 * size_a):
+        raise ValueError("covariance determinant below the pure-state floor")
+    if np.any(np.abs(det_b - 1.0) > 1e-12 * size_b):
+        raise ValueError("fidelity_zero_mean needs a pure target, |Vb| = 1")
+    return np.minimum(2.0 / np.sqrt(np.linalg.det(a.cov + b.cov)), 1.0)[()]
 
-    F = 2 / (sqrt(|Va + Vb| + y) - sqrt(y)) with y = (|Va| - 1)(|Vb| - 1).
-    For pure states this equals the phase-space overlap 2 / sqrt(|Va + Vb|).
-    Displaced states are rejected: the fidelity compares covariances only.
-    Returns a float, or an array over the broadcast batch.
 
-    Checks each state once: single mode, zero mean, and a determinant above
-    the pure-state floor.  ``b``'s checks and its |Vb| - 1 term are
-    :func:`_reference`, which the optimizer's objective computes once per
-    search and passes to the core :func:`_fidelity` at every call.
-    """
-    return _fidelity(a, *_reference(b))
+def _infidelity_to_vacuum(channel: GaussianChannel, ancilla_cov: np.ndarray):
+    """1 - F against vacuum of mode ``"mech"`` of ``channel``'s output when
+    ``"opt"`` starts in the zero-mean ancilla ``ancilla_cov`` and every other
+    mode in vacuum: the one scoring core, for channels that end in the
+    inverse of their pure target.  With E = W - I, W the output covariance,
+    F = (1 + x)^-1/2 with x = tr E / 2 + |E| / 4, so no term is far larger than
+    1 - F = -expm1(-log1p(x) / 2), taken with libm; rounding below 0 is clamped."""
+    i, j = channel.layout.x_index("mech"), channel.layout.x_index("opt")
+    rows = channel.matrix[..., i:i + 2, :]
+    fed, kept = rows[..., j:j + 2], np.delete(rows, [j, j + 1], axis=-1)
+    # summed in this order, the optimizer's default searches keep their step counts
+    w = (fed @ ancilla_cov @ _transpose(fed) + channel.cov[..., i:i + 2, i:i + 2]
+         + kept @ _transpose(kept))
+    e = w - np.eye(2)
+    x = (0.5 * (e[..., 0, 0] + e[..., 1, 1])
+         + 0.25 * (e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0]))
+    return np.maximum(-_expm1(-0.5 * _log1p(x)), 0.0)
 
 
 def _check_phi(phi: float) -> None:
@@ -197,11 +199,10 @@ def _check_phi(phi: float) -> None:
 
 
 def _check_mu(mu) -> None:
-    """Rejects a squeeze factor (a float or an array) that is NaN, infinite or
-    below the smallest normal float 2^-1022, where 1 / mu overflows."""
-    if not (2.0 ** -1022 <= mu < math.inf if isinstance(mu, float)
-            else np.all((2.0 ** -1022 <= mu) & (mu < math.inf))):
-        raise ValueError("mu must be positive and finite, at least 2^-1022 so that 1/mu is finite")
+    """Rejects a squeeze factor (a float or an array) outside ``MU_RANGE``, NaN too."""
+    lo, hi = MU_RANGE
+    if not (lo <= mu <= hi if isinstance(mu, float) else np.all((lo <= mu) & (mu <= hi))):
+        raise ValueError(f"mu {MU_RULE}")
 
 
 def pure_fidelity(mu: float, phi: float, v_p: float, v_sq: float) -> float:

@@ -184,10 +184,16 @@ def test_empty_decay_series_is_validation_error(periods, tmp_path, monkeypatch, 
     (["cat-decay", "--phi", "1.0", "--set", "physical.nbar_m=5"], "physical.nbar_m"),
     (["fidelity-sweep", "--set", "sweep.q"], "'sweep.q': expected KEY=VALUE"),
     (["squeeze", "--mu", "abc", "--phi", "0.1"], "--mu: 'abc' is not a finite number"),
-    # lam ~ 1e150 at mu = 1e-300, so the lam^4 of chi3 overflows
-    (["fidelity-sweep", "--mu", "1e-300"], "unreachable mu: lam^4 overflows"),
-    (["photon-budget", "--mu", "1e-300"], "unreachable mu: lam^4 overflows"),
-    (["multimode", "--mu", "1e-300"], "unreachable mu: lam^4 overflows"),
+    # mu outside [1e-3, 1e3]: at 1e-300 the lam^4 of chi3 overflowed, at 3e-4 the
+    # sweep wrote an infidelity of 0.0, at 1e-4 and 1e4 it failed on a
+    # determinant, naming no key
+    (["fidelity-sweep", "--mu", "1e-300"], "sweep.mu"),
+    (["photon-budget", "--mu", "1e-300"], "sweep.mu"),
+    (["multimode", "--mu", "1e-300"], "sweep.mu"),
+    (["fidelity-sweep", "--mu", "3e-4"], "sweep.mu"),
+    (["fidelity-sweep", "--mu", "1e-4"], "sweep.mu"),
+    (["fidelity-sweep", "--mu", "1e4"], "sweep.mu"),
+    (["cat-decay", "--set", "cat.momentum_mu=1e-4"], "cat.momentum_mu"),
     # each of these failed deep in the physics, naming no key
     (["cat-decay", "--set", "sweep.alpha=1e6"], "sweep.alpha"),
     (["cat-decay", "--set", "sweep.alpha=1, 1e100"], "sweep.alpha"),
@@ -290,9 +296,11 @@ def test_cat_decay_runs_where_the_fringe_exponential_overflows(tmp_path, monkeyp
 @pytest.mark.parametrize("args", [["cat-decay", "--set", "sweep.alpha=100"],
                                   ["cat-decay", "--set", "sweep.alpha=1e-3"], ["impulse"],
                                   ["impulse", "--set", "readout.chi_ro=1e-6"],
-                                  ["impulse", "--set", "readout.chi_ro=1e6"]],
+                                  ["impulse", "--set", "readout.chi_ro=1e6"],
+                                  ["fidelity-sweep", "--mu", "1e-3"],
+                                  ["fidelity-sweep", "--mu", "1e3"]],
                          ids=["alpha-100", "alpha-1e-3", "chi-ro-default", "chi-ro-low",
-                              "chi-ro-high"])
+                              "chi-ro-high", "mu-low", "mu-high"])
 def test_bounded_keys_run_inside_their_bounds(args, tmp_path, monkeypatch):
     assert run(args, monkeypatch, tmp_path) == 0
     paths = list(tmp_path.glob("*.csv"))

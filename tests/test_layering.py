@@ -36,10 +36,11 @@ PRIVATE = {
     "states": {"channels": {"_apply", "_checked_moments", "_finite", "_transpose",
                             "_unchecked"}},
     "squeezer": {"channels": {"_finite", "_frozen", "_transpose", "_unchecked"},
-                 "states": {"_check_mu", "_check_phi", "_fidelity", "_reference",
+                 "states": {"_check_mu", "_check_phi", "_elementwise", "_infidelity_to_vacuum",
                             "_squeezed_cov"}},
     "wigner": {"channels": {"_check_symmetric", "_finite", "_frozen", "_unchecked"}},
-    "experiments": {"squeezer": {"_four_pulse"}, "states": {"_check_mu", "_check_phi"}},
+    "experiments": {"squeezer": {"_four_pulse", "_inverse_target"},
+                    "states": {"_check_mu", "_check_phi", "_infidelity_to_vacuum"}},
 }
 
 
@@ -147,8 +148,6 @@ def test_only_the_listed_sites_build_a_value_through_its_checks():
 # The names ``pulsox`` exports that no other module of the package and no
 # acceptance criterion reaches, each with the reason it is exported.
 UNREACHED = {
-    "build_lossy_squeezer": "the full (mech, opt) squeezer map, against which the tests "
-                            "check the ancilla reduction the runners use",
     "optimize_schedule": "numerical re-optimization of the pulse strengths for library "
                          "callers; no default experiment runs it",
     "is_physical": "the exact CP test of a channel built from outside arrays, and the "
@@ -162,6 +161,8 @@ UNREACHED = {
     "fringe_ellipse": "semi-axes of the squeezed cat's central fringe, the geometry "
                       "that mu_opt makes circular",
     "grid_from_csv": "reads back the grid files that fock-squeeze writes",
+    "marginal": "the reduced state on a subset of modes for callers; the runners score "
+                "one mode's rows of a channel directly",
 }
 
 

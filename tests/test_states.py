@@ -243,16 +243,28 @@ def test_fidelity_matches_overlap_oracle_pure(v1, v2):
     assert got == pytest.approx(overlap_fidelity(v1, v2), abs=1e-10)
 
 
-def test_fidelity_identical_thermal_states():
-    a = GaussianState([0, 0], np.diag([3.0, 3.0]), MECH)
-    assert fidelity_zero_mean(a, a) == pytest.approx(1.0, rel=1e-12)
+def test_fidelity_rejects_a_mixed_target():
+    # the overlap is the fidelity when the target is pure; a mixed input is scored
+    thermal_state = GaussianState([0, 0], np.diag([3.0, 3.0]), MECH)
+    for target in (thermal_state, GaussianState([0, 0], np.diag([1.5, 1.0]), MECH)):
+        with pytest.raises(ValueError, match="pure target"):
+            fidelity_zero_mean(vacuum(MECH), target)
+    assert fidelity_zero_mean(thermal_state, vacuum(MECH)) == pytest.approx(0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("mu", [1e-3, 1e3])
+def test_fidelity_takes_the_pure_targets_at_the_mu_bounds_as_pure(mu):
+    # entries near 1e6 round |V| - 1 to 2e-7 and 7e-7, far above an absolute 1e-12
+    target = ideal_target_state(vacuum(MECH), mu, math.pi / 50)
+    assert fidelity_zero_mean(target, target) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fidelity_symmetric_and_discriminating():
     a = vacuum(MECH)
-    b = GaussianState([0, 0], np.diag([1.5, 1.0]), MECH)
+    b = GaussianState([0, 0], np.diag([1.5, 1.0 / 1.5]), MECH)
     assert fidelity_zero_mean(a, b) == pytest.approx(fidelity_zero_mean(b, a), rel=1e-14)
     assert fidelity_zero_mean(a, b) < 1.0
+    assert fidelity_zero_mean(GaussianState([0, 0], np.diag([1.5, 1.0]), MECH), a) < 1.0
 
 
 def test_fidelity_rejects_displaced_and_multimode():
@@ -314,9 +326,9 @@ def test_exceeds_classical_across_sweep():
     (lambda: squeezed(0.5, math.nan), "non-finite squeezing angle"),
     (lambda: squeezed(0.5, 0.0, MECH_OPT), "builds single-mode states"),
     (lambda: pure_fidelity(0.0, 0.1, 1.0, 0.5), "must be positive"),
-    (lambda: classical_bound(0.0), "mu must be positive"),
+    (lambda: classical_bound(0.0), r"mu must lie in \[1e-3, 1e3\]"),
     (lambda: pure_fidelity(math.inf, 0.1, 1.0, 0.5), "must be positive and finite"),
-    (lambda: classical_bound(math.inf), "mu must be positive and finite"),
+    (lambda: classical_bound(math.inf), r"mu must lie in \[1e-3, 1e3\]"),
     # built unchecked, so each checks its own scalar input
     (lambda: squeezed(math.nan), "non-finite squeezed variance"),
     (lambda: thermal(math.inf, MECH), "non-finite occupancy"),
@@ -324,12 +336,14 @@ def test_exceeds_classical_across_sweep():
     (lambda: thermal(-1.0, MECH), "occupancy must be nonnegative"),
     # 2 nbar + 1 overflows
     (lambda: thermal(1e308, MECH), r"below 2\^1022"),
-    # raised OverflowError from mu^-2 naming nothing
-    (lambda: classical_bound(5e-324), r"mu must be positive and finite, at least 2\^-1022"),
+    # raised OverflowError from mu^-2 naming nothing, below about 7.5e-155
+    (lambda: classical_bound(5e-324), r"mu must lie in \[1e-3, 1e3\]"),
+    (lambda: classical_bound(1e-200), r"mu must lie in \[1e-3, 1e3\]"),
 ], ids=["squeezed-variance", "squeezed-angle", "squeezed-two-modes",
         "pure-fidelity-mu", "classical-bound-mu", "pure-fidelity-mu-inf",
         "classical-bound-mu-inf", "squeezed-variance-nan", "thermal-inf", "thermal-nan",
-        "thermal-negative", "thermal-overflow", "classical-bound-mu-subnormal"])
+        "thermal-negative", "thermal-overflow", "classical-bound-mu-subnormal",
+        "classical-bound-mu-tiny"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment):
     with pytest.raises(ValueError, match=fragment):
         build()
