@@ -155,12 +155,6 @@ class GaussianChannel:
         omega = symplectic_form(self.layout.mode_count)
         return float(np.max(np.abs(self.matrix @ omega @ _transpose(self.matrix) - omega)))
 
-    def block(self, rows: str, cols: str) -> np.ndarray:
-        """2x2 sub-block of M: quadratures of mode ``rows`` driven by mode ``cols``."""
-        i = self.layout.x_index(rows)
-        j = self.layout.x_index(cols)
-        return self.matrix[..., i:i + 2, j:j + 2].copy()
-
 
 def _noiseless(m: np.ndarray, layout: ModeLayout) -> GaussianChannel:
     mean, cov = _zero_noise(m.shape[-1])

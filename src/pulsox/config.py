@@ -94,10 +94,20 @@ class PhysicalConfig:
     # q > 1/2 is gamma < 2 omega_m: the model has no overdamped mechanics
     q: float = _key(1e7, lambda v: v > 0.5, "must be > 0.5 (underdamped)")
     omega_m: float = _key(1.0, lambda v: v > 0, "must be > 0")
-    nbar_m: float = _key(4e4, lambda v: v >= 0, "must be >= 0")
+    nbar_m: float = _key(4e4, lambda v: 0 <= v <= 1e100, "must lie in [0, 1e100], far below "
+                         "where the complete-positivity test overflows and rejects the run for "
+                         "the wrong reason (from 6e153 at q near 1/2, 1.6e163 at the defaults)")
     epsilon: float = _key(0.0, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
-    nbar_l: float = _key(0.0, lambda v: v >= 0, "must be >= 0")
-    ancilla_vsq: float = _key(0.5, lambda v: v > 0, "must be > 0")
+    # nbar_l and ancilla_vsq: measured against the exact rational oracle of the
+    # vacuum infidelity in tests/test_squeezer.py, at the default phi
+    nbar_l: float = _key(0.0, lambda v: 0 <= v <= 1e8, "must lie in [0, 1e8]: beyond, at "
+                         "epsilon = 1 the fidelity left under the infidelity (4e-10 at 1e8) "
+                         "loses its digits (2.8e-7 relative at 1e8, 1.9e-4 at 1e10, 12% at "
+                         "1e13), and from 3.7e13 the infidelity has no value")
+    ancilla_vsq: float = _key(0.5, lambda v: 1e-4 <= v <= 1e4, "must lie in [1e-4, 1e4], "
+                              "40 dB either way: beyond, the infidelity departs from the exact "
+                              "one (by 2e-6 relative at 1e-4 and mu = 1e-3, 7% at 1e-12), and "
+                              "the default fidelity sweep has no value at 1e-17 and 1e19")
     phi: float = _key(2.0 * math.pi / 100.0, lambda v: 0 < v < math.pi / 2,
                       "must lie in (0, pi/2)")
 
@@ -111,8 +121,11 @@ class SweepConfig:
                                     "[1e-3, 1e3]: above, rounding takes 2 alpha^2 eps off a "
                                     "cat's negativity; below, an odd cat's four terms cancel "
                                     "and eta(0) drifts above 1 (by 8e-8 at 1e-4)")
-    g2_ratio: tuple[float, ...] = _key((0.0, 0.1, 0.2, 0.5, 1.0), lambda v: v >= 0,
-                                       "must be >= 0")
+    g2_ratio: tuple[float, ...] = _key((0.0, 0.1, 0.2, 0.5, 1.0), lambda v: 0 <= v <= 10,
+                                       "must lie in [0, 10]: above, the fidelity left under "
+                                       "the multimode infidelity (1e-9 at 10 and mu = 1e3) "
+                                       "loses its digits (1.1e-7 relative at 10, 3.5% at 100), "
+                                       "and from about 126 the score has no value")
 
 
 @dataclass

@@ -16,12 +16,10 @@ import numpy as np
 from . import __version__
 from .channels import LossConfig, compose, damped_delay, qnd_xx, rotation
 from .config import CHI_RO_RANGE, CHI_RO_RULE, ConfigError, ExperimentConfig, log_grid
-from .modes import MECH, ModeLayout, OPT
-from .squeezer import (_four_pulse, _inverse_target, approx_photon_budget, ideal_target_map,
-                       mechanical_squeezer, photon_budget, schedule_for_mu, squeezer_output,
-                       vacuum_infidelity)
-from .states import (_check_mu, _check_phi, _infidelity_to_vacuum, apply_channel,
-                     classical_bound, product, thermal, vacuum)
+from .modes import MECH, ModeLayout
+from .squeezer import (_scorer, approx_photon_budget, ideal_target_map, mechanical_squeezer,
+                       photon_budget, schedule_for_mu, squeezer_output, vacuum_infidelity)
+from .states import _check_mu, _check_phi, apply_channel, classical_bound, thermal
 from .table import ResultTable
 from .wigner import (CatSpec, GaussianSum, WignerGrid, eta_series, half_life, mu_opt,
                      negativity_eta, wigner_fock)
@@ -149,7 +147,8 @@ def d_min_approx(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: flo
 
     Treats the squeezer as ideal, damps the quarter-cycle rotation, and adds
     the readout shot noise 1/chi_ro^2.  Reduces to mu * sqrt(2 nbar_in + 1)
-    when readout and ancilla terms are negligible.
+    when readout and ancilla terms are negligible; raises where the ancilla
+    term makes its variance nonpositive (mu > 1 with a large v_sq tan(phi)).
     """
     _check_mu(mu)
     _check_chi_ro(chi_ro)
@@ -160,6 +159,9 @@ def d_min_approx(mu: float, nbar_in: float, chi_ro: float, v_sq: float, phi: flo
     n_m = 2.0 * loss.nbar_m + 1.0
     t = math.tan(phi)
     base = mu * mu * n_in + chi_ro ** -2 + (1.0 - mu) / mu * v_sq * t
+    if not base > 0:
+        raise ValueError(f"d_min_approx has no value at mu = {mu:.6g}: its variance "
+                         f"{base:.3g} is not positive")
     corr = (math.pi * chi_ro ** -2 + (math.pi - 2.0) * n_m
             + 4.0 * (1.0 - mu) * (n_in * mu - v_sq / mu) * t)
     return math.sqrt(base) * (1.0 + loss.gamma / (8.0 * loss.omega_m) * corr / base)
@@ -171,23 +173,18 @@ def d_min_full(mu, nbar_in, chi_ro: float, v_sq: float, phi: float,
 
     Pipeline: thermal input -> lossy squeezer -> (kick enters P) -> damped
     quarter-cycle rotation -> X readout via an X-X pulse of strength chi_ro on
-    a coherent probe.  The detection threshold is SNR = 1: the estimator's
-    standard deviation divided by its kick gain.  Arrays of mu and nbar_in
-    give the thresholds over their broadcast shape.
+    a coherent probe, in closed form: the probe's P gains chi_ro X on its own
+    vacuum variance 1, so the estimator X_hat = P_probe / chi_ro has variance
+    (chi_ro^2 V_xx + 1) / chi_ro^2.  The detection threshold is SNR = 1: that
+    standard deviation divided by the kick gain, the X(t) <- P(0) entry of the
+    quarter rotation.  Arrays of mu and nbar_in give the thresholds over their
+    broadcast shape.
     """
     _check_chi_ro(chi_ro)
     state = squeezer_output(schedule_for_mu(mu, phi, v_sq), loss, thermal(nbar_in, MECH))
     quarter = damped_delay(math.pi / 2.0, loss)
-    state = apply_channel(state, quarter)
-
-    # the readout pulse is coherent: its probe carries vacuum fluctuations
-    out = apply_channel(product(state, vacuum(OPT)), qnd_xx(chi_ro))
-    var_estimator = out.variance("opt", "p") / chi_ro ** 2
-
-    # kick gain: a P displacement reaches the estimator through X(t) <- P(0)
-    # of the quarter rotation; the chi_ro readout factor cancels in X_hat.
-    gain = quarter.block("mech", "mech")[0, 1]
-    return np.sqrt(var_estimator) / abs(gain)
+    v_xx = apply_channel(state, quarter).cov[..., 0, 0]
+    return np.sqrt((chi_ro * v_xx * chi_ro + 1.0) / chi_ro ** 2) / abs(quarter.matrix[0, 1])
 
 
 def run_impulse(config: ExperimentConfig) -> RunResult:
@@ -301,9 +298,10 @@ def run_multimode(config: ExperimentConfig) -> RunResult:
     s = (g1 + g2) / g1 and each pulse is the composition of one X-X pulse per
     mechanical mode, of strength chi s g_j / (g1 + g2); between the second
     and third pulses each mechanical mode freely rotates at its own frequency.
-    All three modes start in vacuum; scored against the mode-1 target, whose
-    inverse ends the protocol.  The g2/g1 ratios form one batch: one composed
-    protocol and one score.
+    All three modes start in vacuum, the light as the schedule's own
+    ``ancilla_vsq = 1`` ancilla; the squeezer's one scorer takes the pulse and
+    the delay and scores against the mode-1 target.  The g2/g1 ratios form one
+    batch: one composed protocol and one score.
     """
     layout = ModeLayout(("mech", "mech2", "opt"))
     (mu,) = config.sweep.mu or (math.sqrt(2.0),)
@@ -318,9 +316,7 @@ def run_multimode(config: ExperimentConfig) -> RunResult:
                         qnd_xx(chi * s * ratios / s, "mech2", layout)])
 
     delay = [rotation("mech", phi, layout), rotation("mech2", omega2_ratio * phi, layout)]
-    scored = compose([*_four_pulse(schedule, pulse, delay, layout),
-                      _inverse_target(mu, phi, layout)])
-    rows = np.column_stack([ratios, _infidelity_to_vacuum(scored, vacuum(OPT).cov)]).tolist()
+    rows = np.column_stack([ratios, _scorer(schedule, mu, pulse, delay)(schedule)]).tolist()
     table = ResultTable(["g2_over_g1", "infidelity"], rows, _metadata(config))
     return RunResult(tables={"multimode": table},
                      summary="multimode infidelity: " +

@@ -48,9 +48,6 @@ class ModeLayout:
     def x_index(self, label: str) -> int:
         return 2 * self.index(label)
 
-    def p_index(self, label: str) -> int:
-        return 2 * self.index(label) + 1
-
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal single-mode symplectic form for (X1, P1, X2, P2, ...)."""

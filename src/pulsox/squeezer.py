@@ -5,18 +5,21 @@ X-X, P-P, X-X sequence, whose momentum-momentum pulse is not natively
 available; the protocol builds it from two X-X pulses wrapped in optical
 quarter turns around a short mechanical rotation phi, and cancels the
 residual Kerr term with an extra optical rotation theta.
-:func:`_four_pulse` writes that protocol out once; the lossy squeezer
-(whose ``LOSSLESS`` case is the lossless one) and the multimode study differ
-only in the pulse and the delay they pass it: the squeezer's pulse is
-``qnd_xx``, the multimode study's the composition of one ``qnd_xx`` per
-mechanical mode, batched over its g2/g1 ratios.
+:func:`_four_pulse` writes that protocol out once, on the layout of the
+delay it is passed; the lossy squeezer (whose ``LOSSLESS`` case is the
+lossless one) and the multimode study differ only in the pulse and the delay
+they pass it: the squeezer's pulse is ``qnd_xx``, the multimode study's the
+composition of one ``qnd_xx`` per mechanical mode, batched over its g2/g1
+ratios.
 The protocol is a list of channels, each of which checks its input where it
 enters (see :mod:`pulsox.channels`); like :func:`~pulsox.channels.compose`
 and :func:`~pulsox.states.apply_channel`, the ancilla reduction checks only
 that its result is finite, so a lossy :func:`squeezer_output` runs no
-state, channel or schedule validator.  A squeezer is scored in its target's
-frame: the inverse target map ends the protocol, and every score goes
-through :func:`~pulsox.states._infidelity_to_vacuum`.
+state, channel or schedule validator.  :func:`_scorer` is the one scorer of
+a protocol, given its pulse and delay: :func:`vacuum_infidelity`, the
+optimizer's objective and the multimode study all call it.  It scores in
+the target's frame: the inverse target map ends the protocol, and
+:func:`~pulsox.states._infidelity_to_vacuum` scores the mechanical output.
 
 Momentum is rescaled by mu (P' = mu P, X' = X / mu): mu < 1 squeezes
 momentum, mu > 1 squeezes position.
@@ -157,13 +160,15 @@ def _quarter_turn(layout: ModeLayout) -> GaussianChannel:
 
 
 def _four_pulse(schedule: PulseSchedule, pulse: Callable[[float], GaussianChannel],
-                delay: Sequence[GaussianChannel], layout: ModeLayout) -> list[GaussianChannel]:
-    """The four-pulse protocol on ``layout``, as channels in temporal order.
+                delay: Sequence[GaussianChannel]) -> list[GaussianChannel]:
+    """The four-pulse protocol, as channels in temporal order, on the layout
+    of ``delay``.
 
     ``pulse(chi)`` is the X-X interaction of strength chi and ``delay`` the
     channels between the second and third pulses, during which the mechanics
     rotates through phi.
     """
+    layout = delay[0].layout
     return [pulse(schedule.chi1), _quarter_turn(layout),
             pulse(schedule.lam), *delay, pulse(schedule.chi2_second_pulse),
             rotation("opt", schedule.theta - math.pi / 2.0, layout), pulse(schedule.chi3)]
@@ -197,7 +202,7 @@ def build_lossy_squeezer(schedule: PulseSchedule, loss: Losses) -> GaussianChann
     P' = mu P.  A sequence of L losses adds a leading axis of length L (a (49,)
     schedule gives (L, 49)), each element the squeezer of its loss bit for bit.
     """
-    return compose(_four_pulse(schedule, qnd_xx, _delay(schedule, loss), MECH_OPT))
+    return compose(_four_pulse(schedule, qnd_xx, _delay(schedule, loss)))
 
 
 def ideal_target_map(mu, phi: float, mode: str = "mech",
@@ -257,23 +262,24 @@ def squeezer_output(schedule: PulseSchedule, loss: Losses,
     return apply_channel(input_state, mechanical_squeezer(schedule, loss))
 
 
-def _scorer(schedule: PulseSchedule, loss: Losses,
-            mu) -> Callable[[PulseSchedule], np.ndarray]:
-    """:func:`vacuum_infidelity` at ``loss`` and ``mu`` of any schedule with the
-    phi and ancilla of ``schedule``, whose delay, ancilla and inverse target
-    are built once, here."""
-    delay = _delay(schedule, loss)
+def _scorer(schedule: PulseSchedule, mu, pulse: Callable[[float], GaussianChannel],
+            delay: Sequence[GaussianChannel]) -> Callable[[PulseSchedule], np.ndarray]:
+    """The one scorer of a protocol: for any schedule with the phi and ancilla
+    of ``schedule``, 1 - F against the target at ``mu`` of the mechanical
+    output of :func:`_four_pulse` with ``pulse`` and ``delay``, the light
+    starting in the schedule's ancilla and every other mode in vacuum.  The
+    ancilla and the inverse target are built once, here."""
     ancilla_cov = _squeezed_cov(schedule.ancilla_vsq, schedule.ancilla_angle)
-    inverse = _inverse_target(mu, schedule.phi, MECH_OPT)
-    return lambda s: _infidelity_to_vacuum(
-        compose([*_four_pulse(s, qnd_xx, delay, MECH_OPT), inverse]), ancilla_cov)
+    inverse = _inverse_target(mu, schedule.phi, delay[0].layout)
+    return lambda s: _infidelity_to_vacuum(compose([*_four_pulse(s, pulse, delay), inverse]),
+                                           ancilla_cov)
 
 
 def vacuum_infidelity(schedule: PulseSchedule, loss: Losses, mu):
     """1 - F of the squeezer output on mechanical vacuum against the ideal
     target (:func:`ideal_target_map` at ``mu`` on vacuum); a batched schedule
     and ``mu`` give one value per schedule, and L losses L rows."""
-    return _scorer(schedule, loss, mu)(schedule)
+    return _scorer(schedule, mu, qnd_xx, _delay(schedule, loss))(schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +403,7 @@ def _objective(seed: PulseSchedule, loss: LossConfig,
     physical branch); they are masked out before the schedule is built, so
     they do not fail the rest of the batch."""
     tan_phi = math.tan(seed.phi)
-    score = _scorer(seed, loss, mu)
+    score = _scorer(seed, mu, qnd_xx, _delay(seed, loss))
 
     def infidelities(x: np.ndarray) -> np.ndarray:
         _finite(x, "optimizer coordinates")

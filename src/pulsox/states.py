@@ -57,11 +57,6 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    def variance(self, mode: str, quadrature: str = "x"):
-        """Variance of one quadrature: a float, or an array over the batch."""
-        i = self.layout.x_index(mode) if quadrature == "x" else self.layout.p_index(mode)
-        return self.cov[..., i, i][()]
-
 
 def vacuum(layout: ModeLayout) -> GaussianState:
     return _unchecked(GaussianState, mean=np.zeros(layout.dim), cov=np.eye(layout.dim),
@@ -180,7 +175,9 @@ def _infidelity_to_vacuum(channel: GaussianChannel, ancilla_cov: np.ndarray):
     mode in vacuum: the one scoring core, for channels that end in the
     inverse of their pure target.  With E = W - I, W the output covariance,
     F = (1 + x)^-1/2 with x = tr E / 2 + |E| / 4, so no term is far larger than
-    1 - F = -expm1(-log1p(x) / 2), taken with libm; rounding below 0 is clamped."""
+    1 - F = -expm1(-log1p(x) / 2), taken with libm; rounding below 0 is clamped.
+    A non-finite x, or one at or below -1 (where 1 + x = |W + I| / 4 is not
+    positive), raises rather than give NaN."""
     i, j = channel.layout.x_index("mech"), channel.layout.x_index("opt")
     rows = channel.matrix[..., i:i + 2, :]
     fed, kept = rows[..., j:j + 2], np.delete(rows, [j, j + 1], axis=-1)
@@ -190,6 +187,9 @@ def _infidelity_to_vacuum(channel: GaussianChannel, ancilla_cov: np.ndarray):
     e = w - np.eye(2)
     x = (0.5 * (e[..., 0, 0] + e[..., 1, 1])
          + 0.25 * (e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0]))
+    if not np.all((-1.0 < x) & (x < math.inf)):  # NaN fails both
+        raise ValueError("vacuum infidelity has no value: x = tr E / 2 + |E| / 4 must be "
+                         "finite and above -1")
     return np.maximum(-_expm1(-0.5 * _log1p(x)), 0.0)
 
 

@@ -294,15 +294,15 @@ def test_beamsplitter_zero_loss_is_identity():
 
 def test_beamsplitter_full_loss_replaces_with_vacuum():
     ch = beamsplitter_loss(LossConfig(epsilon=1.0))
-    assert np.allclose(ch.block("opt", "opt"), 0.0)
     i = MECH_OPT.x_index("opt")
+    assert np.allclose(ch.matrix[i:i + 2, i:i + 2], 0.0)
     assert np.allclose(ch.cov[i:i + 2, i:i + 2], np.eye(2))
 
 
 def test_beamsplitter_small_loss_values():
     ch = beamsplitter_loss(LossConfig(epsilon=1e-3))
-    assert ch.block("opt", "opt")[0, 0] == pytest.approx(math.sqrt(1 - 1e-3), rel=1e-15)
     i = MECH_OPT.x_index("opt")
+    assert ch.matrix[i, i] == pytest.approx(math.sqrt(1 - 1e-3), rel=1e-15)
     assert ch.cov[i, i] == pytest.approx(1e-3)
 
 
@@ -372,8 +372,8 @@ def _collective(chi1, chi2):
 
 def test_collective_single_mode_reduction():
     lone = compose(_collective(1.7, 0.0)).matrix
-    keep = [THREE.x_index("mech"), THREE.p_index("mech"), THREE.x_index("opt"),
-            THREE.p_index("opt")]
+    keep = [THREE.x_index("mech"), THREE.x_index("mech") + 1, THREE.x_index("opt"),
+            THREE.x_index("opt") + 1]
     assert np.array_equal(lone[np.ix_(keep, keep)], qnd_xx(1.7).matrix)
     assert np.array_equal(qnd_xx(1.7, "mech", MECH_OPT).matrix, qnd_xx(1.7).matrix)
 
@@ -381,9 +381,9 @@ def test_collective_single_mode_reduction():
 def test_collective_equal_couplings_split_evenly():
     chi = 1.6
     m = compose(_collective(chi / 2, chi / 2)).matrix
-    pl = THREE.p_index("opt")
+    pl = THREE.x_index("opt") + 1
     assert m[pl, THREE.x_index("mech")] == m[pl, THREE.x_index("mech2")] == chi / 2
-    assert m[THREE.p_index("mech"), THREE.x_index("opt")] == chi / 2
+    assert m[THREE.x_index("mech") + 1, THREE.x_index("opt")] == chi / 2
 
 
 @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
@@ -393,9 +393,10 @@ def test_collective_preserves_commutators(chi1, chi2):
     backward = compose(_collective(chi1, chi2)[::-1])
     assert np.array_equal(forward.matrix, backward.matrix)
     expected = np.eye(THREE.dim)
-    x_opt, p_opt = THREE.x_index("opt"), THREE.p_index("opt")
+    x_opt = THREE.x_index("opt")
     for mode, chi in (("mech", chi1), ("mech2", chi2)):
-        expected[p_opt, THREE.x_index(mode)] = expected[THREE.p_index(mode), x_opt] = chi
+        x = THREE.x_index(mode)
+        expected[x_opt + 1, x] = expected[x + 1, x_opt] = chi
     assert np.array_equal(forward.matrix, expected)
     assert forward.symplectic_defect() < 1e-10
 

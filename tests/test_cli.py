@@ -202,6 +202,19 @@ def test_empty_decay_series_is_validation_error(periods, tmp_path, monkeypatch, 
     (["cat-decay", "--set", "sweep.alpha=1e-4"], "sweep.alpha"),
     (["impulse", "--set", "readout.chi_ro=1e-200"], "readout.chi_ro"),
     (["impulse", "--set", "readout.chi_ro=1e200"], "readout.chi_ro"),
+    # these wrote 48 NaN rows, or one, and exited 0
+    (["fidelity-sweep", "--set", "physical.ancilla_vsq=1e300"], "physical.ancilla_vsq"),
+    (["fidelity-sweep", "--set", "physical.ancilla_vsq=1e-300"], "physical.ancilla_vsq"),
+    (["fidelity-sweep", "--set", "physical.nbar_l=1e200"], "physical.nbar_l"),
+    (["multimode", "--set", "sweep.g2_ratio=1e40"], "sweep.g2_ratio"),
+    # these failed on "math domain error", "Singular matrix" or a non-finite
+    # composition, naming no key
+    (["fidelity-sweep", "--set", "physical.ancilla_vsq=1e30"], "physical.ancilla_vsq"),
+    (["fidelity-sweep", "--set", "physical.ancilla_vsq=1e-30"], "physical.ancilla_vsq"),
+    (["fidelity-sweep", "--set", "physical.nbar_l=1e20"], "physical.nbar_l"),
+    (["multimode", "--set", "sweep.g2_ratio=1e20"], "sweep.g2_ratio"),
+    (["multimode", "--set", "sweep.g2_ratio=1e80"], "sweep.g2_ratio"),
+    (["cat-decay", "--set", "physical.ancilla_vsq=1e300"], "physical.ancilla_vsq"),
 ])
 def test_rejected_option_names_its_key(args, key, tmp_path, monkeypatch, capsys):
     rc = run(args, monkeypatch, tmp_path)
@@ -219,6 +232,17 @@ def test_a_short_delay_that_is_not_completely_positive_is_a_validation_error(
     assert rc == 1
     assert re.search(r"physical\.nbar_m.*t=0\.0001.*not completely positive",
                      capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+def test_an_overflowing_bath_occupancy_is_rejected_for_its_range(tmp_path, monkeypatch, capsys):
+    # from about 1e160 the complete-positivity margin overflowed, and the run
+    # was rejected as not completely positive
+    rc = run(["impulse", "--set", "physical.nbar_m=1e170"], monkeypatch, tmp_path)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'physical.nbar_m': 1e+170 must lie in [0, 1e100]" in err
+    assert "not completely positive" not in err
     assert not list(tmp_path.iterdir())
 
 
@@ -298,9 +322,21 @@ def test_cat_decay_runs_where_the_fringe_exponential_overflows(tmp_path, monkeyp
                                   ["impulse", "--set", "readout.chi_ro=1e-6"],
                                   ["impulse", "--set", "readout.chi_ro=1e6"],
                                   ["fidelity-sweep", "--mu", "1e-3"],
-                                  ["fidelity-sweep", "--mu", "1e3"]],
+                                  ["fidelity-sweep", "--mu", "1e3"],
+                                  ["fidelity-sweep", "--mu", "1e-3,1,1e3",
+                                   "--set", "physical.ancilla_vsq=1e-4"],
+                                  ["fidelity-sweep", "--mu", "1e-3,1,1e3",
+                                   "--set", "physical.ancilla_vsq=1e4"],
+                                  ["fidelity-sweep", "--mu", "1e-3,1,1e3", "--epsilon", "1e-5,1",
+                                   "--set", "physical.nbar_l=1e8"],
+                                  ["impulse", "--set", "physical.nbar_m=1e100",
+                                   "--set", "physical.ancilla_vsq=1e-4"],
+                                  ["multimode", "--mu", "1e-3", "--set", "sweep.g2_ratio=0,10"],
+                                  ["multimode", "--mu", "1e3", "--set", "sweep.g2_ratio=0,10"]],
                          ids=["alpha-100", "alpha-1e-3", "chi-ro-default", "chi-ro-low",
-                              "chi-ro-high", "mu-low", "mu-high"])
+                              "chi-ro-high", "mu-low", "mu-high", "ancilla-low", "ancilla-high",
+                              "nbar-l-high", "nbar-m-high", "g2-ratio-high-mu-low",
+                              "g2-ratio-high-mu-high"])
 def test_bounded_keys_run_inside_their_bounds(args, tmp_path, monkeypatch):
     assert run(args, monkeypatch, tmp_path) == 0
     paths = list(tmp_path.glob("*.csv"))

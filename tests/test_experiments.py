@@ -128,7 +128,9 @@ def test_validate_rejects_unknown_experiment():
     ("grid.half_extent", "0"), ("grid.resolution", "2"),
     ("grid.resolution", "500"), ("grid.resolution", "256.7"),
     ("cat.samples_per_period", "64.9"), ("output.format", "xml"),
-    ("physical.omega_m", "0"),
+    ("physical.omega_m", "0"), ("physical.nbar_m", "1.1e100"), ("physical.nbar_l", "1.1e8"),
+    ("physical.ancilla_vsq", "9e-5"), ("physical.ancilla_vsq", "1.1e4"),
+    ("sweep.g2_ratio", "1, 11"),
 ])
 def test_set_key_rejects_non_finite_and_out_of_range(key, raw):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -195,12 +197,16 @@ def test_validate_rejects_a_cat_decay_sample_that_is_not_completely_positive():
      r"mu must lie in \[1e-3, 1e3\]"),
     (ValueError, lambda: d_min_approx(1.0, math.nan, 3.0, 0.5, 0.1, LOSSLESS),
      "nbar_in must be nonnegative"),
+    # the ancilla term (1 - mu) / mu v_sq tan(phi) outweighs the rest: a bare
+    # "math domain error" from the square root
+    (ValueError, lambda: d_min_approx(3.0, 1.0, 3.0, 0.5, 1.57, LOSSLESS),
+     "d_min_approx has no value at mu = 3: its variance -391 is not positive"),
     (ValueError, lambda: estimate_fiber_epsilon(math.inf),
      "fiber length and attenuation must be nonnegative and finite"),
 ], ids=["top-level-key", "line-without-equals", "d-min-approx-mu", "d-min-approx-mu-subnormal",
         "d-min-approx-mu-huge", "d-min-approx-chi-ro-tiny", "d-min-full-chi-ro-zero",
         "d-min-full-chi-ro-tiny", "d-min-full-chi-ro-huge", "d-min-full-mu-tiny",
-        "d-min-approx-nbar-nan",
+        "d-min-approx-nbar-nan", "d-min-approx-negative-variance",
         "fiber-epsilon-length-inf"])
 def test_bad_input_is_rejected_with_its_reason(error, build, fragment):
     with pytest.raises(error, match=fragment):
@@ -447,19 +453,40 @@ def test_multimode_ratio_batch_equals_one_run_per_ratio(seed):
 
 @pytest.mark.parametrize("name", ["_four_pulse", "_infidelity_to_vacuum"])
 def test_multimode_ratios_make_one_protocol_and_one_fidelity(monkeypatch, name):
-    # one per g2/g1 ratio would be 5
-    from pulsox import experiments
+    # one per g2/g1 ratio would be 5; the squeezer's scorer makes both calls
+    from pulsox import squeezer
 
     made = []
-    original = getattr(experiments, name)
+    original = getattr(squeezer, name)
 
     def counted(*args):
         made.append(args)
         return original(*args)
 
-    monkeypatch.setattr(experiments, name, counted)
+    monkeypatch.setattr(squeezer, name, counted)
     run_experiment(make_config("multimode"))
     assert len(made) == 1
+
+
+@pytest.mark.parametrize("phi", [1e-3, 0.02, math.pi / 50, 0.3, 0.8, 1.5])
+def test_multimode_vacuum_ancilla_scores_as_the_identity_bit_for_bit(monkeypatch, phi):
+    # the runner scores with its schedule's ancilla_vsq = 1 ancilla, at +-pi/4,
+    # whose off-diagonal rounds to 1.0e-17: 107 mu in [1e-3, 1e3] x 10 ratios
+    from pulsox import experiments, squeezer
+
+    made = []
+    monkeypatch.setattr(experiments, "_scorer",
+                        lambda *args: made.append(args) or squeezer._scorer(*args))
+    cfg = make_config("multimode", phi=phi)
+    cfg.sweep.g2_ratio = (0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0)
+    run_multimode(cfg)
+    ((_, _, pulse, delay),) = made
+    mus = np.array(log_grid("-3:3:107"))[:, None]
+    schedule = schedule_for_mu(mus, phi, ancilla_vsq=1.0)
+    scored = squeezer._scorer(schedule, mus, pulse, delay)(schedule)
+    monkeypatch.setattr(squeezer, "_squeezed_cov", lambda v_sq, angle: np.eye(2))
+    assert scored.shape == (107, 10)
+    assert np.array_equal(scored, squeezer._scorer(schedule, mus, pulse, delay)(schedule))
 
 
 # -- cat decay helpers ------------------------------------------------------------------

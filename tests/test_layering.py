@@ -39,8 +39,7 @@ PRIVATE = {
                  "states": {"_check_mu", "_check_phi", "_elementwise", "_infidelity_to_vacuum",
                             "_squeezed_cov"}},
     "wigner": {"channels": {"_check_symmetric", "_finite", "_frozen", "_unchecked"}},
-    "experiments": {"squeezer": {"_four_pulse", "_inverse_target"},
-                    "states": {"_check_mu", "_check_phi", "_infidelity_to_vacuum"}},
+    "experiments": {"squeezer": {"_scorer"}, "states": {"_check_mu", "_check_phi"}},
 }
 
 
@@ -163,6 +162,8 @@ UNREACHED = {
     "grid_from_csv": "reads back the grid files that fock-squeeze writes",
     "marginal": "the reduced state on a subset of modes for callers; the runners score "
                 "one mode's rows of a channel directly",
+    "product": "builds the two-mode input of the full-propagation oracle for "
+               "mechanical_squeezer in tests/test_squeezer.py, and two-mode states for callers",
 }
 
 
@@ -173,22 +174,47 @@ def _exports() -> set[str]:
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
+def _bound(function: ast.AST) -> set[str]:
+    """The names ``function`` binds itself: its parameters and the targets it
+    assigns, outside the functions and classes it defines."""
+    names = {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                 ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def _references(tree: ast.AST) -> set[str]:
     """The identifiers of the tree's ``Name`` nodes and ``Attribute`` attrs,
-    except those inside a ``def`` or ``class`` of the same name."""
+    except those inside a ``def`` or ``class`` of the same name and the local
+    names of an enclosing function: a local variable is not a use."""
     found = set()
 
-    def visit(node, enclosing):
+    def visit(node, enclosing, local):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
-        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        if isinstance(node, (ast.Name, ast.Attribute)) and name not in enclosing:
-            found.add(name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | _bound(node)
+        if isinstance(node, ast.Name) and node.id not in enclosing | local:
+            found.add(node.id)
+        if isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            found.add(node.attr)
         for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
+            visit(child, enclosing, local)
 
-    visit(tree, frozenset())
+    visit(tree, frozenset(), frozenset())
     return found
+
+
+def test_a_local_variable_or_parameter_is_not_a_use():
+    tree = ast.parse("def f(squeezed):\n    product = lambda marginal: marginal\n"
+                     "    return product(squeezed), px.is_physical, vacuum\n")
+    assert _references(tree) == {"px", "is_physical", "vacuum"}
 
 
 def _reached() -> set[str]:

@@ -20,6 +20,7 @@ from pulsox import channels, squeezer
 from pulsox.channels import damped_delay
 from pulsox.config import ExperimentConfig, log_grid
 from pulsox.experiments import d_min_full, run_experiment
+from pulsox.states import _infidelity_to_vacuum
 
 PHI = math.pi / 50
 SQRT2 = math.sqrt(2.0)
@@ -102,14 +103,14 @@ def test_ideal_squeezer_reference_rows():
 
 def test_ideal_squeezer_equal_strengths_is_pi_rotation():
     m = three_pulse(1.7, 1.7)
-    assert np.allclose(m.block("mech", "mech"), -np.eye(2), atol=1e-14)
+    assert np.allclose(m.matrix[:2, :2], -np.eye(2), atol=1e-14)
 
 
 @pytest.mark.parametrize("chi1,chi3", [(1.0, -2.0), (0.7, 1.9), (-1.2, -0.4)])
 def test_ideal_squeezer_structure(chi1, chi3):
     m = three_pulse(chi1, chi3)
     assert m.symplectic_defect() < 1e-10
-    block = m.block("mech", "mech")
+    block = m.matrix[:2, :2]
     assert np.allclose(block, np.diag([-chi1 / chi3, -chi3 / chi1]), atol=1e-12)
     # back-action cancellation: P_M' carries no optical contribution
     assert abs(m.matrix[1, 2]) < 1e-14
@@ -339,6 +340,31 @@ def test_batched_squeezer_equals_scalar_calls(kind, data):
         _assert_close(d_min[k], float(d_min_full(mu, nbar_in, 3.0, v_sq, phi, loss)))
 
 
+def _two_mode_readout(mu, nbar_in, chi_ro, v_sq, phi, loss):
+    """The impulse threshold by propagation: the mechanics after the quarter
+    turn beside a vacuum probe, one X-X readout pulse of strength chi_ro, and
+    the probe's P variance over chi_ro^2."""
+    state = squeezer_output(schedule_for_mu(mu, phi, v_sq), loss, thermal(nbar_in, MECH))
+    quarter = damped_delay(math.pi / 2.0, loss)
+    out = apply_channel(product(apply_channel(state, quarter), vacuum(OPT)), qnd_xx(chi_ro))
+    return np.sqrt(out.cov[..., 3, 3] / chi_ro ** 2) / abs(quarter.matrix[0, 1])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_d_min_full_equals_the_two_mode_readout_bit_for_bit(seed):
+    # the closed-form readout (chi_ro^2 V_xx + 1) / chi_ro^2 against the
+    # propagated one, 2,394 points a seed, chi_ro at both ends of its range
+    rng = np.random.default_rng(seed)
+    mus = 10.0 ** rng.uniform(-3.0, 3.0, 57)
+    nbars = 10.0 ** rng.uniform(-3.0, 3.0, (6, 1))
+    phi, v_sq = rng.uniform(1e-3, 1.5), 10.0 ** rng.uniform(-2.0, 2.0)
+    loss = LossConfig.from_q(10.0 ** rng.uniform(4.0, 8.0), nbar_m=10.0 ** rng.uniform(0.0, 5.0),
+                             epsilon=rng.uniform(0.0, 0.1), nbar_l=rng.uniform(0.0, 10.0))
+    for chi_ro in (1e-6, 1e6, *(10.0 ** rng.uniform(-6.0, 6.0, 5))):
+        args = (mus, nbars, chi_ro, v_sq, phi, loss)
+        assert np.array_equal(d_min_full(*args), _two_mode_readout(*args)), chi_ro
+
+
 # -- the loss axis --------------------------------------------------------------------
 
 _MIXED_LOSSES = st.lists(st.one_of(*_LOSS_KINDS.values()), min_size=1, max_size=5)
@@ -522,6 +548,19 @@ def test_fidelity_sweep_at_the_mu_bound_matches_the_exact_oracle():
     config.sweep.mu = (1e-3,)
     (row,) = run_experiment(config).tables["fidelity_sweep"].rows
     assert row[1] == pytest.approx(exact_vacuum_infidelity(1e-3, LOSSLESS), rel=1e-9)
+
+
+@pytest.mark.parametrize("noise", [[[1e200, 0.0], [0.0, 1e200]], [[1e200, 1e200], [1e200, 1e200]],
+                                   [[-2.0, 0.0], [0.0, 0.0]]], ids=["inf", "nan", "minus-one"])
+def test_the_scoring_core_rejects_a_score_with_no_value(noise):
+    # x = tr E / 2 + |E| / 4 overflows, is inf - inf, or is -1; the core read
+    # 1.0 from the overflow, passed the NaN on and raised "math domain error"
+    cov = np.zeros((4, 4))
+    cov[:2, :2] = noise
+    channel = GaussianChannel(np.eye(4), np.zeros(4), cov, MECH_OPT)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="vacuum infidelity has no value"):
+        _infidelity_to_vacuum(channel, np.eye(2))
 
 
 # -- photon budget -----------------------------------------------------------------

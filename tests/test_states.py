@@ -131,8 +131,8 @@ def test_apply_ideal_squeezer_variances():
     squeezer = three_pulse(1.0, -2.0)
     ancilla = squeezed(v_sq, math.pi / 2)  # squeezed along P
     out = apply_channel(product(vacuum(MECH), ancilla), squeezer)
-    assert out.variance("mech", "p") == pytest.approx(4.0, rel=1e-12)
-    assert out.variance("mech", "x") == pytest.approx(0.25 + 0.25 * v_sq, rel=1e-12)
+    assert out.cov[1, 1] == pytest.approx(4.0, rel=1e-12)
+    assert out.cov[0, 0] == pytest.approx(0.25 + 0.25 * v_sq, rel=1e-12)
 
 
 def test_apply_thermal_through_loss():
@@ -140,8 +140,8 @@ def test_apply_thermal_through_loss():
     s = thermal(nbar, MECH_OPT)
     out = apply_channel(s, beamsplitter_loss(LossConfig(epsilon=eps)))
     expected = (1 - eps) * (2 * nbar + 1) + eps
-    assert out.variance("opt", "x") == pytest.approx(expected, rel=1e-12)
-    assert out.variance("opt", "p") == pytest.approx(expected, rel=1e-12)
+    assert out.cov[2, 2] == pytest.approx(expected, rel=1e-12)
+    assert out.cov[3, 3] == pytest.approx(expected, rel=1e-12)
 
 
 def test_apply_channel_broadcasts_a_shared_mean_to_the_joint_batch():
