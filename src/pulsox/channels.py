@@ -56,6 +56,14 @@ MU_RANGE = (1e-3, 1e3)
 MU_RULE = ("must lie in [1e-3, 1e3]: beyond, the float-rounded schedule departs from the "
            "real-number protocol (its infidelity by 1.9e-6 relative at 1e-3, 40% at 1e-4)")
 
+# The ancilla squeezed variances schedule_for_mu and the config key accept, 40 dB
+# either way, measured against the exact rational oracle of the vacuum
+# infidelity in tests/test_squeezer.py at the default phi.
+ANCILLA_VSQ_RANGE = (1e-4, 1e4)
+ANCILLA_VSQ_RULE = ("must lie in [1e-4, 1e4], 40 dB either way: beyond, the infidelity departs "
+                    "from the exact one (by 2e-6 relative at 1e-4 and mu = 1e-3, 7% at 1e-12), "
+                    "and the default fidelity sweep has no value at 1e-17 and 1e19")
+
 
 def _finite(values, what: str, dtype=float) -> np.ndarray:
     """``values`` as an array of ``dtype``; a non-finite entry raises, naming ``what``."""

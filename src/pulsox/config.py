@@ -25,7 +25,8 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .channels import MU_RANGE, MU_RULE, LossConfig, damped_is_physical
+from .channels import (ANCILLA_VSQ_RANGE, ANCILLA_VSQ_RULE, MU_RANGE, MU_RULE, LossConfig,
+                       damped_is_physical)
 
 EXPERIMENTS = ("fidelity-sweep", "fock-squeeze", "impulse", "cat-decay",
                "multimode", "photon-budget")
@@ -98,16 +99,14 @@ class PhysicalConfig:
                          "where the complete-positivity test overflows and rejects the run for "
                          "the wrong reason (from 6e153 at q near 1/2, 1.6e163 at the defaults)")
     epsilon: float = _key(0.0, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
-    # nbar_l and ancilla_vsq: measured against the exact rational oracle of the
-    # vacuum infidelity in tests/test_squeezer.py, at the default phi
+    # nbar_l: measured against the exact rational oracle of the vacuum
+    # infidelity in tests/test_squeezer.py, at the default phi
     nbar_l: float = _key(0.0, lambda v: 0 <= v <= 1e8, "must lie in [0, 1e8]: beyond, at "
                          "epsilon = 1 the fidelity left under the infidelity (4e-10 at 1e8) "
                          "loses its digits (2.8e-7 relative at 1e8, 1.9e-4 at 1e10, 12% at "
                          "1e13), and from 3.7e13 the infidelity has no value")
-    ancilla_vsq: float = _key(0.5, lambda v: 1e-4 <= v <= 1e4, "must lie in [1e-4, 1e4], "
-                              "40 dB either way: beyond, the infidelity departs from the exact "
-                              "one (by 2e-6 relative at 1e-4 and mu = 1e-3, 7% at 1e-12), and "
-                              "the default fidelity sweep has no value at 1e-17 and 1e19")
+    ancilla_vsq: float = _key(0.5, lambda v: ANCILLA_VSQ_RANGE[0] <= v <= ANCILLA_VSQ_RANGE[1],
+                              ANCILLA_VSQ_RULE)
     phi: float = _key(2.0 * math.pi / 100.0, lambda v: 0 < v < math.pi / 2,
                       "must lie in (0, pi/2)")
 

@@ -38,12 +38,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import (LOSSLESS, GaussianChannel, LossConfig, _finite, _frozen, _transpose,
-                       _unchecked, beamsplitter_loss, compose, damped_delay, qnd_xx,
-                       quadrature_scaling, rotation)
+from .channels import (ANCILLA_VSQ_RANGE, ANCILLA_VSQ_RULE, LOSSLESS, GaussianChannel,
+                       LossConfig, _finite, _frozen, _transpose, _unchecked, beamsplitter_loss,
+                       compose, damped_delay, qnd_xx, quadrature_scaling, rotation)
 from .modes import MECH, MECH_OPT, ModeLayout
-from .states import (GaussianState, _check_mu, _check_phi, _elementwise, _infidelity_to_vacuum,
-                     _squeezed_cov, apply_channel)
+from .states import (GaussianState, _check_mu, _check_phi, _check_range, _elementwise,
+                     _infidelity_to_vacuum, _squeezed_cov, apply_channel)
 
 _atan = _elementwise(math.atan, 1)
 _pow = _elementwise(math.pow, 2)
@@ -134,10 +134,12 @@ def schedule_for_mu(mu, phi: float, ancilla_vsq: float = 0.5) -> PulseSchedule:
     (mu < 1), lam = -chi1 squeezes position (mu > 1).  The ancilla squeezing
     angle is sign(1 - mu) * pi / 4.  mu = 1 gives the identity schedule
     (all strengths zero, the mechanical rotation phi still elapses).
+    ``ancilla_vsq`` must lie in ``ANCILLA_VSQ_RANGE``.
     """
     mu = np.asarray(mu, dtype=float)
     _check_mu(mu)
     _check_phi(phi)
+    _check_range(ancilla_vsq, "ancilla_vsq", ANCILLA_VSQ_RANGE, ANCILLA_VSQ_RULE)
     t = math.tan(phi)
     with np.errstate(over="ignore"):  # 1 / mu is finite, but over tan(phi) need not be
         chi1 = np.sqrt(np.abs(1.0 / mu - 1.0) / t)

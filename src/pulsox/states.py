@@ -198,11 +198,19 @@ def _check_phi(phi: float) -> None:
         raise ValueError("phi must lie in (0, pi/2)")
 
 
+def _check_range(value, what: str, bounds: tuple[float, float], rule: str) -> None:
+    """Rejects a value (a float, or anything ``np.asarray`` takes) outside
+    ``bounds``, NaN too, with a message naming ``what`` and its rule."""
+    lo, hi = bounds
+    if not isinstance(value, float):
+        value = np.asarray(value, dtype=float)
+    if not (lo <= value <= hi if isinstance(value, float) else np.all((lo <= value) & (value <= hi))):
+        raise ValueError(f"{what} {rule}")
+
+
 def _check_mu(mu) -> None:
     """Rejects a squeeze factor (a float or an array) outside ``MU_RANGE``, NaN too."""
-    lo, hi = MU_RANGE
-    if not (lo <= mu <= hi if isinstance(mu, float) else np.all((lo <= mu) & (mu <= hi))):
-        raise ValueError(f"mu {MU_RULE}")
+    _check_range(mu, "mu", MU_RANGE, MU_RULE)
 
 
 def pure_fidelity(mu: float, phi: float, v_p: float, v_sq: float) -> float:

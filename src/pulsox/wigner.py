@@ -12,8 +12,9 @@ Two representations share one interface (``value_at`` and ``evolve``):
   convolution whose Gaussian kernel is evaluated analytically in Fourier
   space, so a singular noise covariance needs no regularization.  The grid
   serves Fock states, CSV export and as a test oracle for the exact sums.
-  :func:`grid_to_csv` writes each value exactly as ``repr`` does, with
-  Ryu's shortest digits computed in numpy ``uint64`` arithmetic.
+  :func:`grid_to_csv` writes each value exactly as ``repr`` does: Ryu's
+  interval from one pass of ``uint64`` column sums, up to three digits
+  removed on whole arrays, and one digit of every value written a pass.
   :meth:`GaussianSum.sample` and the channel step fill their grid in blocks
   of ``_SAMPLE_ROWS`` rows, so only the FFT's full-size arrays are alive at
   once: a 512-point step holds about 7 MB at its peak, for a 2 MB result.
@@ -594,12 +595,13 @@ def _ryu_table() -> tuple[np.ndarray, ...]:
     low bits of mv that Ryu's trailing-zero path tests: a value whose mv has
     none of them set, which includes every value with q <= 1, goes to
     ``repr``.  Every other exponent (|x| >= 2^53, inf and nan) gets mask 0,
-    which sends all its values there.  Last come the powers 10 .. 10^16 that
-    count an output's digits.
+    which sends all its values there.  Last come the powers 1 .. 10^19 that
+    divide out removed digits and, by the biased exponent of a double
+    2^k <= d < 2^(k+1), the digits of 2^k and the power of ten that adds one.
     """
     limbs = np.zeros((4, 2048), np.uint64)
     shift = np.zeros(2048, np.uint64)
-    e10 = np.zeros(2048, np.int64)
+    e10 = np.zeros(2048, np.int16)
     mask = np.zeros(2048, np.uint64)
     for biased in range(1076):  # 2^53 has biased exponent 1076
         e2 = max(biased, 1) - 1077  # bias 1023, 52 mantissa bits, 2 bits for the bounds
@@ -610,32 +612,10 @@ def _ryu_table() -> tuple[np.ndarray, ...]:
         shift[biased] = q - (five.bit_length() - 125) - 96
         e10[biased] = q + e2
         mask[biased] = (1 << min(q, 63)) - 1  # mv, a multiple of 4, passes any q <= 2
-    return limbs, shift, e10, mask, np.array([10 ** k for k in range(1, 17)], np.uint64)
-
-
-def _limb_columns(m: np.ndarray, limbs: np.ndarray) -> list:
-    """The column sums, by weight 2^(32 c), of the 32-bit halves of the limb
-    products of m < 2^55 and A < 2^125 given as four 32-bit limbs: every
-    product is below 2^64 and every sum below 2^35."""
-    cols = [0] * 6
-    for a, half in enumerate((m & _U32, m >> 32)):
-        for b, limb in enumerate(limbs):
-            product = half * limb
-            cols[a + b] = cols[a + b] + (product & _U32)
-            cols[a + b + 1] = cols[a + b + 1] + (product >> 32)
-    return cols
-
-
-def _shifted(cols: list, shift: np.ndarray) -> np.ndarray:
-    """floor(sum_c cols[c] 2^(32 c) / 2^(96 + shift)), which is below 2^62, for
-    columns below 2^36 and a shift of 22 to 26."""
-    total = cols[0]
-    for col in cols[1:4]:
-        total = col + (total >> 32)
-    low = total & _U32  # bits 96 to 127
-    total = cols[4] + (total >> 32)
-    top = cols[5] + (total >> 32)  # bits 160 up
-    return ((low | ((total & _U32) << 32)) >> shift) | (top << (64 - shift))
+    pow10 = np.array([10 ** k for k in range(20)], np.uint64)
+    digits = np.ones(2048, np.int16)
+    digits[1023:1087] = [len(str(2 ** k)) for k in range(64)]
+    return limbs, shift, e10, mask, pow10, digits, pow10[digits]
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -647,48 +627,70 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, ...]:
     The last array marks the values that would take Ryu's trailing-zero path
     (a short binary fraction such as 0.5 or an integer), the zeros and
     |x| >= 2^53 (inf and nan too); they read 0 with n = 1 and decpt = 1, and
-    are left to ``repr``.  Every array in the uint64 arithmetic is uint64:
+    are left to ``repr``.  One pass over the limbs of the power of five gives
+    all three bounds.  Digits go while (vm, vp] holds a multiple of 10^k:
+    k = 1, 2 and 3 are tested on every value, and only the values past 3 go
+    on one digit at a time.  Every array in the uint64 arithmetic is uint64:
     numpy < 2 turns uint64 with int64 into float64, which drops bits.
     """
-    limbs, shift, e10, mask, pow10 = _ryu_table()
-    biased = ((bits >> 52) & 0x7FF).astype(np.intp)
+    limbs, shift, e10, mask, pow10, digits, above = _ryu_table()
+    biased = (bits >> 52).astype(np.int16) & 0x7FF
     mant = bits & 0xFFFFFFFFFFFFF
-    mv = np.where(biased > 0, mant | (1 << 52), mant) << 2
-    exact = (mv & mask[biased]) == 0
-    limbs = limbs[:, biased]
-    shift = shift[biased]
-    # mm = mv - 1 - s is the lower bound, mv the value, mp = mm + 3 + s the upper
-    s = ((mant != 0) | (biased <= 1)).astype(np.uint64)
-    cols = _limb_columns(mv - 1 - s, limbs)
-    vm = _shifted(cols, shift)
-    vr, vp = (_shifted([col + k * limb for col, limb in zip(cols, limbs)] + cols[4:], shift)
-              for k in (1 + s, 3 + s))
+    s = (mant != 0) | (biased <= 1)
+    mm = np.where(biased > 0, mant | (1 << 52), mant) << 2
+    exact = (mm & mask.take(biased)) == 0
+    mm -= s
+    mm -= 1  # mm = mv - 1 - s is the lower bound, mv the value, mm + 3 + s the upper
+    high = mm >> 32
+    mm &= _U32
+    # column b sums the low half of mm * A_b, the high half of mm * A_(b-1)
+    # and all of high * A_(b-1) (below 2^55); each running sum stays below 2^57
+    carry = vm = vr = vp = 0
+    for row in limbs:
+        limb = row.take(biased)
+        low = mm * limb
+        col = (low & _U32) + carry
+        carry = (low >> 32) + high * limb
+        vm = col + (vm >> 32)
+        col += limb << s
+        vr = col + (vr >> 32)
+        col += limb << 1
+        vp = col + (vp >> 32)
+    del mm, high, low, col, limb  # a block's peak memory is paid in page faults
+    # carry is the column of 2^128; floor(sum / 2^(96 + shift)) is below 2^62
+    shift = shift.take(biased)
+    vm, vr, vp = (((carry + (t >> 32)) << (32 - shift)) | ((t & _U32) >> shift)
+                  for t in (vm, vr, vp))
 
-    # remove digits while the interval (vm, vp) still holds a shorter number;
-    # each pass takes only the values that removed one in the pass before
-    removed = np.zeros(bits.size, np.intp)
-    round_up = np.zeros(bits.size, bool)
-    live = np.flatnonzero(~exact)
-    live_r, live_p, live_m = vr[live], vp[live], vm[live]
+    # remove the most digits k that leave a multiple of 10^k in (vm, vp]
+    removed = np.zeros(bits.size, np.int16)
+    for k in (10, 100, 1000):
+        removed += vp // k > vm // k
+    live = np.flatnonzero(removed == 3)
+    live_p, live_m = vp[live] // 1000, vm[live] // 1000
     while live.size:
-        p10, m10 = live_p // 10, live_m // 10
-        cut = p10 > m10
-        live, live_r, live_p, live_m = live[cut], live_r[cut], p10[cut], m10[cut]
-        r10 = live_r // 10
-        round_up[live] = live_r - r10 * 10 >= 5
-        vr[live] = live_r = r10
-        vm[live] = live_m
+        live_p, live_m = live_p // 10, live_m // 10
+        cut = live_p > live_m
+        live, live_p, live_m = live[cut], live_p[cut], live_m[cut]
         removed[live] += 1
-    out = vr + ((vr == vm) | round_up)
+    # round up when the removed digits are at least half a unit, or vr's
+    # digits would read vm, which is outside the interval
+    scale = pow10.take(removed)
+    out = vr // scale
+    out += (out * scale <= vm) | (vr - out * scale >= (scale + 1) // 2)
     out[exact] = 0
-    n = 1 + np.searchsorted(pow10, out, side="right")
-    return out, n, np.where(exact, 1, n + e10[biased] + removed), exact
+    e = out.astype(np.float64).view(np.int64) >> 52
+    n = digits.take(e) + (out >= above.take(e))
+    decpt = n + e10.take(biased) + removed
+    decpt[exact] = 1
+    return out, n, decpt, exact
 
 
 def _csv_rows(rows: np.ndarray) -> np.ndarray:
     """The CSV lines of a 2-D block of floats as a uint8 array, each value
     written as ``repr`` writes it: the digits of :func:`_shortest` laid out
-    by array operations, and the values it leaves to ``repr`` by ``repr``."""
+    by array operations, one digit of every value a pass, and the values it
+    leaves to ``repr`` by ``repr``."""
     bits = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1).view(np.uint64)
     out, n, decpt, exact = _shortest(bits)
 
@@ -696,42 +698,58 @@ def _csv_rows(rows: np.ndarray) -> np.ndarray:
     # takes |x| >= 2^53); a value left to repr is laid out as "0.0" here and
     # then overwritten
     sci = decpt <= -4
-    neg = (bits >> 63).astype(np.intp)
-    whole = (decpt > 0) & ~sci
-    dot = neg + np.where(whole, decpt, 1)  # the '.' of every layout
-    raw = neg + np.where(whole | sci, 0, 1 - decpt) + n - 1  # the last digit, before the '.'
-    last = raw + (raw >= dot)
+    neg = (bits >> 63).astype(np.int16)
+    dot = neg + np.maximum(decpt, 1)  # the '.' of every layout
+    raw = dot - np.where(sci, 1, decpt) + n - 1  # the last digit, before the '.'
+    inner = raw >= dot
+    last = raw + inner
     length = np.where(sci, last + 5 + (decpt <= -99), np.maximum(last + 1, dot + 2))
     fallback = np.flatnonzero(exact)
     reprs = [repr(v).encode() for v in bits[fallback].view(np.float64).tolist()]
     length[fallback] = [len(r) for r in reprs]
-    start = np.cumsum(length + 1) - length - 1
-    # prefilled with the padding zeros, and one more byte for stray writes
-    buf = np.full(start[-1] + length[-1] + 2, ord("0"), np.uint8)
+    end = np.cumsum(length + 1, dtype=np.intp) - 1  # each value's ','
+    start = end - length
+    # zeros become the padding '0's; one more byte for stray writes
+    buf = np.zeros(end[-1] + 2, np.uint8)
 
-    # digits from the right; the zero digits beyond the n-th land on padding
-    # zeros, on bytes written after this loop (a sign, the '.') or, clipped,
-    # on the byte before the value, its ',' (the spare last byte for the first)
-    spot, before_dot = start + raw, raw - dot
+    # digits from the right with no gap for an inner '.'; the zero digits
+    # beyond the n-th land on padding zeros, on bytes written after this loop
+    # (a sign, the '.') or, clipped, on the byte before the value, its ','
+    # (the spare last byte for the first)
+    high = out // 100_000_000
+    half = (out - high * 100_000_000).astype(np.uint32)
+    pos, floor = start + last, start - 1
     for k in range(int(n.max())):
-        tens = out // 10
-        buf[np.maximum(spot - k + (k <= before_dot), start - 1)] = \
-            (out - tens * 10).astype(np.uint8) + ord("0")
-        out = tens
-    at = np.flatnonzero(sci)
-    e = start[at] + last[at]
-    buf[e + 1] = ord("e")
-    buf[e + 2] = ord("-")
-    power = 1 - decpt[at]  # 5 to 324
-    tens = power // 10
-    end = e + 4 + (power >= 100)
-    buf[e + 3] = power // 100 + ord("0")  # the tens of a two-digit power overwrite it
-    buf[end - 1] = tens - tens // 10 * 10 + ord("0")
-    buf[end] = power - tens * 10 + ord("0")
-    buf[start[neg == 1]] = ord("-")
-    buf[(start + dot)[(n > 1) | ~sci]] = ord(".")
-    buf[start + length] = ord(",")
-    buf[(start + length)[rows.shape[-1] - 1::rows.shape[-1]]] = ord("\n")
+        if k == 8:
+            half = high.astype(np.uint32)
+        tens = half // 10
+        buf[np.maximum(pos, floor)] = (half - tens * 10).astype(np.uint8)
+        half = tens
+        pos -= 1
+    del out, high, half
+    # then the digits before an inner '.' move one byte left, onto the zero
+    # the loop left there
+    count, first = np.where(inner, dot - last + n, 0), start + (last - n)
+    for j in range(int(count.max())):
+        pos = first[count > j] + j
+        buf[pos] = buf[pos + 1]
+    # the exponent's units, tens and hundreds (a two-digit power's 0 on its
+    # '-'), on the ',' of a value without one
+    power, pos = 1 - decpt, end
+    for _ in range(3):
+        pos = pos - sci
+        tens = power // 10
+        buf[pos] = (power - tens * 10).astype(np.uint8)
+        power = tens
+    buf += ord("0")
+    # each mark lands, for a value without it, on a byte written after it
+    buf[floor + neg] = ord("-")
+    buf[start + dot] = ord(".")
+    pos -= decpt <= -99
+    buf[pos] = ord("-")
+    buf[pos - sci] = ord("e")
+    buf[end] = ord(",")
+    buf[end[rows.shape[-1] - 1::rows.shape[-1]]] = ord("\n")
     text = np.frombuffer(b"".join(reprs), np.uint8)
     lengths = length[fallback]
     buf[np.repeat(start[fallback] - np.cumsum(lengths) + lengths, lengths)

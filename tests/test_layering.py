@@ -36,8 +36,8 @@ PRIVATE = {
     "states": {"channels": {"_apply", "_checked_moments", "_finite", "_transpose",
                             "_unchecked"}},
     "squeezer": {"channels": {"_finite", "_frozen", "_transpose", "_unchecked"},
-                 "states": {"_check_mu", "_check_phi", "_elementwise", "_infidelity_to_vacuum",
-                            "_squeezed_cov"}},
+                 "states": {"_check_mu", "_check_phi", "_check_range", "_elementwise",
+                            "_infidelity_to_vacuum", "_squeezed_cov"}},
     "wigner": {"channels": {"_check_symmetric", "_finite", "_frozen", "_unchecked"}},
     "experiments": {"squeezer": {"_scorer"}, "states": {"_check_mu", "_check_phi"}},
 }
@@ -108,8 +108,8 @@ def test_only_channels_builds_a_value_past_its_checks(module):
 # each with the input it checks.
 VALUE_TYPES = {"GaussianChannel", "GaussianState", "PulseSchedule", "WignerGrid", "GaussianSum"}
 CHECKED_BUILDS = {
-    "squeezer.schedule_for_mu": "ancilla_vsq is the caller's own: a NaN, a variance <= 0 "
-                                "or a list reaches the schedule unchecked",
+    "squeezer.schedule_for_mu": "ancilla_vsq is the caller's own: a list reaches the "
+                                "schedule as a list",
     "wigner.GaussianSum.cat": "alpha = 1e154 rounds the fringe log-weight to -inf",
     "wigner.grid_from_csv": "its values are read from a file",
 }

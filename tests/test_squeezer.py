@@ -25,6 +25,7 @@ from pulsox.states import _infidelity_to_vacuum
 PHI = math.pi / 50
 SQRT2 = math.sqrt(2.0)
 MU_RULE = r"mu must lie in \[1e-3, 1e3\]"
+ANCILLA_RULE = r"ancilla_vsq must lie in \[1e-4, 1e4\]"
 
 
 def derotated_mech_rows(channel, phi):
@@ -939,6 +940,12 @@ def test_cached_quarter_turn_is_frozen_and_equals_a_fresh_rotation(layout):
     (lambda: approx_photon_budget(5e-324, PHI), MU_RULE),
     # 1 / mu - 1 is finite, but not over tan(phi)
     (lambda: schedule_for_mu(1e-3, 1e-306), "unreachable mu: chi1 overflows"),
+    # ancilla_vsq outside [1e-4, 1e4]: at 1e-16 the lossless mu = 2 score read
+    # 0.0, where the float channels' exact infidelity is 1.97e-3
+    (lambda: vacuum_infidelity(schedule_for_mu(2.0, 2 * math.pi / 100, 1e-16), LOSSLESS, 2.0),
+     ANCILLA_RULE),
+    (lambda: schedule_for_mu(2.0, PHI, 1.1e4), ANCILLA_RULE),
+    (lambda: schedule_for_mu(np.array([0.5, 2.0]), PHI, math.nan), ANCILLA_RULE),
     # an infinite kappa would pass bandwidth << kappa for any bandwidth
     (lambda: regime_check(1.0, 1e6, math.inf, 1e8), "rate kappa = inf must be positive"),
     (lambda: regime_check(1.0, 1e6, 1e9, math.inf), "rate pulse_bandwidth = inf must be positive"),
@@ -951,7 +958,8 @@ def test_cached_quarter_turn_is_frozen_and_equals_a_fresh_rotation(layout):
         "theta-phi-nan", "schedule-mu-subnormal", "schedule-mu-below-range",
         "approx-budget-mu-tiny", "approx-budget-mu-huge", "schedule-mu-nan", "schedule-mu-inf",
         "target-map-mu-subnormal", "target-map-mu-inf", "approx-budget-mu-subnormal",
-        "schedule-chi1-overflow", "regime-kappa-inf", "regime-bandwidth-inf"])
+        "schedule-chi1-overflow", "schedule-ancilla-tiny", "schedule-ancilla-huge",
+        "schedule-ancilla-nan", "regime-kappa-inf", "regime-bandwidth-inf"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment):
     with pytest.raises(ValueError, match=fragment):
         build()

@@ -23,7 +23,7 @@ from pulsox import (CatSpec, GaussianChannel, GaussianState, GaussianSum,
                     wigner_cat, wigner_fock, wigner_gaussian)
 from pulsox.config import ExperimentConfig
 from pulsox.experiments import run_experiment
-from pulsox.wigner import _SAMPLE_ROWS, ETA_BLOCK, _csv_rows, eta_at
+from pulsox.wigner import _SAMPLE_ROWS, ETA_BLOCK, _csv_rows, _ryu_table, _shortest, eta_at
 
 TWO_PI = 2.0 * math.pi
 CRITERION_10_LOSS = LossConfig.from_q(1e7, nbar_m=4e4, epsilon=1e-3)
@@ -809,6 +809,44 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-30
                3.0, 12345.0, 0.5, 1.7976931348623157e308]
 
 
+def _decimal_floats() -> list[float]:
+    """Floats read from decimal strings of 1 to 17 significant digits at
+    exponents of every layout (0.000ddd, ddd.ddd and the exponent form with
+    two- and three-digit powers), each string also ending in 4, 5, 49 and 50;
+    then the neighbours of the layout switches.  Both signs."""
+    rng = np.random.default_rng(38)
+    values = []
+    for digits in range(1, 18):
+        for exponent in (-323, -300, -250, -200, -150, -101, -100, -99, -98, -60, -30, -10, -5,
+                         -4, -3, -1, 0, 1, 3, 8, 12, 15, 16):
+            body = "".join(map(str, rng.integers(0, 10, digits)))
+            for end in ("", "4", "5", "49", "50"):
+                text = str(rng.integers(1, 10)) + body[1:max(digits - len(end), 1)] + end
+                values.append(float(f"0.{text}e{exponent}"))
+    for switch in (1e-99, 1e-4, 1.0, 1e16):
+        values += [np.nextafter(switch, 0), switch, np.nextafter(switch, 2 * switch)]
+    return values + [-v for v in values]
+
+
+def _round_up_boundaries() -> list[float]:
+    """For each layout, doubles whose digits ahead of the shortest ones (Ryu's
+    vr = floor(|x| 10^-e10), exact) end in 4 and 5 with one digit removed, and
+    in 49 and 50 with two: the last removed digit either side of rounding up."""
+    e10, rng, found = _ryu_table()[2], np.random.default_rng(49), {}
+    for layout, (low, high) in enumerate([(-300, -100), (-99, -5), (-4, 0), (0, 15)]):
+        for x in (10.0 ** rng.uniform(low, high, 1500)).tolist():
+            num, den = x.as_integer_ratio()
+            vr = num * 10 ** -int(e10[np.float64(x).view(np.uint64) >> 52]) // den
+            removed = len(str(vr)) - len(repr(x).split("e")[0].replace(".", "").strip("0"))
+            if (removed, vr % 10 ** removed) in ((1, 4), (1, 5), (2, 49), (2, 50)):
+                found.setdefault((layout, vr % 10 ** removed), x)
+    assert len(found) == 16
+    return list(found.values()) + [-x for x in found.values()]
+
+
+DECIMAL_FLOATS = _decimal_floats() + _round_up_boundaries()
+
+
 def test_csv_kernel_writes_repr_bytes_on_edge_values():
     values = np.array([EDGE_FLOATS, [-v for v in EDGE_FLOATS]])
     assert _csv_rows(values).tobytes() == _repr_lines(values)
@@ -819,6 +857,15 @@ def test_csv_kernel_writes_repr_bytes_on_edge_values():
                   elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_csv_kernel_writes_repr_bytes_on_any_finite_floats(values):
     assert _csv_rows(values).tobytes() == _repr_lines(values)
+
+
+def test_csv_kernel_removes_every_digit_count_as_repr_does():
+    values = np.array(DECIMAL_FLOATS)
+    bits = values.view(np.uint64)
+    out, n, decpt, exact = _shortest(bits)
+    removed = (decpt - n - _ryu_table()[2][(bits >> 52) & 0x7FF])[~exact]
+    assert set(removed.tolist()) >= set(range(1, 19))
+    assert _csv_rows(values[:, None]).tobytes() == _repr_lines(values[:, None])
 
 
 def test_csv_kernel_writes_repr_bytes_on_random_bit_patterns():
@@ -853,7 +900,8 @@ def test_csv_kernel_does_not_depend_on_the_cpu_dispatch_path():
     SIMD kernels above the build's baseline (``conftest.without_cpu_dispatch``)."""
     bits = np.random.default_rng(15).integers(0, 2 ** 64, 64 * 256, np.uint64)
     values = np.concatenate([EDGE_FLOATS, np.negative(EDGE_FLOATS), bits.view(np.float64)])
-    values = values[:64 * 256].reshape(-1, 64)
+    values = np.concatenate([values[:64 * 256], DECIMAL_FLOATS,
+                             np.zeros(-len(DECIMAL_FLOATS) % 64)]).reshape(-1, 64)
     run = subprocess.run([sys.executable, "-c", _CSV_IN_SUBPROCESS], env=without_cpu_dispatch(),
                          input=values.tobytes(), capture_output=True, check=True)
     assert run.stdout == _csv_rows(values).tobytes() == _repr_lines(values)
