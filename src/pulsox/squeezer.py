@@ -58,6 +58,7 @@ class PulseSchedule:
     batch of that shape, and it keeps read-only copies of its array entries.
     The second X-X pulse's strength :attr:`chi2_second_pulse` and the
     Kerr-cancelling optical rotation :attr:`theta` follow from lam and phi.
+    ``ancilla_vsq`` must lie in ``ANCILLA_VSQ_RANGE``.
     """
 
     chi1: float
@@ -76,8 +77,7 @@ class PulseSchedule:
         if np.ndim(self.phi):
             raise ValueError(f"phi must be a scalar, not of shape {np.shape(self.phi)}")
         _check_phi(self.phi)
-        if np.any(self.ancilla_vsq <= 0):
-            raise ValueError("ancilla squeezed variance must be positive")
+        _check_range(self.ancilla_vsq, "ancilla_vsq", ANCILLA_VSQ_RANGE, ANCILLA_VSQ_RULE)
         if np.any(1.0 + self.lam * self.chi1 * math.tan(self.phi) <= 0):
             raise ValueError("schedule has no positive squeeze factor mu")
 
@@ -134,12 +134,11 @@ def schedule_for_mu(mu, phi: float, ancilla_vsq: float = 0.5) -> PulseSchedule:
     (mu < 1), lam = -chi1 squeezes position (mu > 1).  The ancilla squeezing
     angle is sign(1 - mu) * pi / 4.  mu = 1 gives the identity schedule
     (all strengths zero, the mechanical rotation phi still elapses).
-    ``ancilla_vsq`` must lie in ``ANCILLA_VSQ_RANGE``.
+    ``ancilla_vsq`` must lie in ``ANCILLA_VSQ_RANGE``, which the schedule checks.
     """
     mu = np.asarray(mu, dtype=float)
     _check_mu(mu)
     _check_phi(phi)
-    _check_range(ancilla_vsq, "ancilla_vsq", ANCILLA_VSQ_RANGE, ANCILLA_VSQ_RULE)
     t = math.tan(phi)
     with np.errstate(over="ignore"):  # 1 / mu is finite, but over tan(phi) need not be
         chi1 = np.sqrt(np.abs(1.0 / mu - 1.0) / t)

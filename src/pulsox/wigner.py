@@ -3,15 +3,18 @@
 Two representations share one interface (``value_at`` and ``evolve``):
 
 * :class:`GaussianSum` holds a state exactly as a weighted sum of Gaussians
-  with complex means (Bourassa et al., PRX Quantum 2, 040315 (2021)).  A cat
-  is four terms, and a Gaussian channel maps each term in closed form, so the
-  cat-decay negativities need no grid.
+  with complex means (Bourassa et al., PRX Quantum 2, 040315 (2021)), each
+  term optionally times the polynomial of a covariance derivative.  A cat
+  is four terms, the single-phonon Fock state one term with the derivative,
+  and a Gaussian channel maps each term in closed form, so the cat-decay
+  negativities and the squeezed Fock state need no grid step.
 * :class:`WignerGrid` holds samples W(x, p) on a square grid spanning
-  [-L, L)^2.  A Gaussian channel acts in one exact step: the affine map is
+  [-L, L)^2: the export format, and :meth:`GaussianSum.sample` fills it.
+  A Gaussian channel acts on it in one step: the affine map is
   applied by bilinear resampling, the additive noise by a spectral (FFT)
   convolution whose Gaussian kernel is evaluated analytically in Fourier
-  space, so a singular noise covariance needs no regularization.  The grid
-  serves Fock states, CSV export and as a test oracle for the exact sums.
+  space, so a singular noise covariance needs no regularization.  That step
+  is a test oracle for the exact sums; no runner calls it.
   :func:`grid_to_csv` writes each value exactly as ``repr`` does: Ryu's
   interval from one pass of ``uint64`` column sums, up to three digits
   removed on whole arrays, and one digit of every value written a pass.
@@ -28,8 +31,8 @@ block, each element bit-identical to its sample's own :func:`eta_at`.
 :func:`half_life` searches a batch of states at once, and each bisection
 step is one batched evolution of every crossing state at its own midpoint.
 A grid steps one channel at a time, so these helpers reject it.  Callers
-build the t = 0 state (a cat, a Fock grid, or either one passed through the
-squeezer); the module depends only on ``channels``.
+build the t = 0 state (a cat or the Fock sum, perhaps passed through the
+squeezer, or a grid); the module depends only on ``channels``.
 """
 from __future__ import annotations
 
@@ -188,13 +191,21 @@ class CatSpec:
 class GaussianSum:
     """Exact Wigner function as a sum of Gaussians sharing one covariance.
 
-    W(v) = Re sum_k exp(log_weights[k] - (v - m_k)^T V^-1 (v - m_k) / 2)
-    / (2 pi sqrt(det V)) with complex log-weights, complex means m_k and one
-    real covariance V.  The weights are kept as logarithms so that a large
+    W(v) = Re sum_k exp(log_weights[k] - u_k^T V^-1 u_k / 2) / (2 pi sqrt(det V))
+    with u_k = v - m_k, complex log-weights, complex means m_k and one real
+    covariance V (real ``means``, as :meth:`fock` builds them, give the same
+    values in real arithmetic).  The weights are kept as logarithms so that a large
     factor of a weight and the small Gaussian factor it multiplies cancel
     inside one exponent instead of overflowing.  One covariance is exact for
     terms that start with the same one, because a Gaussian channel's
     covariance update does not depend on the mean.
+
+    A sum with a covariance derivative D (``cov_derivative``) multiplies
+    each term by 1 + u_k^T V^-1 D V^-1 u_k - tr(V^-1 D): the term is then
+    G + 2 dG/ds of the Gaussian G whose covariance V(s) has dV/ds = D, at
+    s = 1.  The Fock state 1 is W_1 = N(0, I) + 2 dN(0, sI)/ds, one term
+    with V = D = I (:meth:`fock`).  A sum without it, such as a cat, is the
+    plain sum above, computed as before.
 
     A sum may hold a batch of states: ``means`` of shape ``(..., K, 2)`` and
     ``cov`` of shape ``(..., 2, 2)``, with ``log_weights`` of shape ``(K,)`` or
@@ -206,6 +217,7 @@ class GaussianSum:
     log_weights: np.ndarray
     means: np.ndarray
     cov: np.ndarray
+    cov_derivative: np.ndarray | None = None
 
     def __post_init__(self):
         fields = {"log_weights": _frozen(self.log_weights, "log_weights", complex),
@@ -214,6 +226,12 @@ class GaussianSum:
         if log_weights.ndim == 0 or means.shape[-2:] != (log_weights.shape[-1], 2):
             raise ValueError("need one complex 2-vector mean per weight")
         _check_cov(cov)
+        if self.cov_derivative is not None:
+            fields["cov_derivative"] = d = _frozen(self.cov_derivative, "cov_derivative")
+            if d.shape != cov.shape:
+                raise ValueError(f"cov_derivative shape {d.shape} is not the "
+                                 f"covariance's {cov.shape}")
+            _check_symmetric(d, "cov_derivative")
         if means.shape[:-2] != cov.shape[:-2]:
             raise ValueError(f"batch shapes {means.shape[:-2]} of the means and "
                              f"{cov.shape[:-2]} of the covariance differ")
@@ -242,19 +260,34 @@ class GaussianSum:
                    np.eye(2))
 
     @classmethod
+    def fock(cls, n: int) -> "GaussianSum":
+        """The Fock state n = 1, (r^2 - 1) e^(-r^2 / 2) / (2 pi): one term of
+        zero mean with V = D = I; the only n the exact sum holds."""
+        if n != 1:
+            raise ValueError(f"the exact sum holds the Fock state n = 1, not n = {n!r}")
+        return _unchecked(cls, log_weights=np.zeros(1, complex), means=np.zeros((1, 2)),
+                          cov=np.eye(2), cov_derivative=np.eye(2))
+
+    @classmethod
     def concatenate(cls, sums: Sequence["GaussianSum"]) -> "GaussianSum":
-        """The states of ``sums`` (each batch flattened, one term count for all)
-        in order, as one batch of shape ``(N,)`` whose log-weights carry it."""
+        """The states of ``sums`` (each batch flattened, one term count for all,
+        all with a covariance derivative or all without) in order, as one
+        batch of shape ``(N,)`` whose log-weights carry it."""
+        if len({s.cov_derivative is None for s in sums}) > 1:
+            raise ValueError("sums with and without a covariance derivative do not concatenate")
         return _unchecked(
             cls, log_weights=np.concatenate([np.broadcast_to(s.log_weights, s.means.shape[:-1])
                                              .reshape(-1, s.means.shape[-2]) for s in sums]),
             means=np.concatenate([s.means.reshape(-1, *s.means.shape[-2:]) for s in sums]),
-            cov=np.concatenate([s.cov.reshape(-1, 2, 2) for s in sums]))
+            cov=np.concatenate([s.cov.reshape(-1, 2, 2) for s in sums]),
+            cov_derivative=None if sums[0].cov_derivative is None else np.concatenate(
+                [np.broadcast_to(s.cov_derivative, s.cov.shape).reshape(-1, 2, 2) for s in sums]))
 
     def evolve(self, channel: GaussianChannel) -> "GaussianSum":
         """Exact action of a single-mode Gaussian channel on every term:
-        m -> S m + d and V -> S V S^T + N; the weights do not change.  A
-        batched channel or sum gives their broadcast batch.
+        m -> S m + d, V -> S V S^T + N and D -> S D S^T (N adds to V(s)
+        alike for every s); the weights do not change.  A batched channel or
+        sum gives their broadcast batch.
 
         The result is built unchecked, since a physical channel keeps the
         covariance positive definite and the shapes broadcast by
@@ -266,20 +299,24 @@ class GaussianSum:
         cov = s @ self.cov @ s_t + channel.cov
         if not np.isfinite(cov).all():
             raise ValueError("evolved covariance contains non-finite entries")
+        d = self.cov_derivative
         return _unchecked(GaussianSum, log_weights=self.log_weights,
-                          means=self.means @ s_t + channel.mean[..., None, :], cov=cov)
+                          means=self.means @ s_t + channel.mean[..., None, :], cov=cov,
+                          cov_derivative=None if d is None else s @ d @ s_t)
 
     def _values(self, x, p) -> np.ndarray:
         """W at the points (x, p), which broadcast against the batch."""
         inv = np.linalg.inv(self.cov)[..., None, :, :]  # shared by the K terms
         dx = np.asarray(x)[..., None] - self.means[..., 0]
         dp = np.asarray(p)[..., None] - self.means[..., 1]
-        quad = (inv[..., 0, 0] * dx * dx + 2.0 * inv[..., 0, 1] * dx * dp
-                + inv[..., 1, 1] * dp * dp)
+        terms = np.exp(self.log_weights - 0.5 * _quadratic(inv, dx, dp))
+        if self.cov_derivative is not None:  # times 1 + u^T V^-1 D V^-1 u - tr(V^-1 D)
+            vd = inv @ self.cov_derivative[..., None, :, :]
+            terms *= _quadratic(vd @ inv, dx, dp) + (1.0 - vd[..., 0, 0] - vd[..., 1, 1])
         total = 0.0
-        for term in np.moveaxis(np.exp(self.log_weights - 0.5 * quad), -1, 0):
-            total = total + term  # term by term, in order, as a scalar sum adds
-        return np.real(total) / (2.0 * math.pi * np.sqrt(np.linalg.det(self.cov)))
+        for term in np.moveaxis(terms, -1, 0):
+            total = total + term.real  # term by term, in order, as a scalar sum adds
+        return total / (2.0 * math.pi * np.sqrt(np.linalg.det(self.cov)))
 
     def value_at(self, x: float, p: float) -> float | np.ndarray:
         """W(x, p): a float, or an array of the batch's shape for a batch."""
@@ -295,6 +332,12 @@ class GaussianSum:
         values = _by_rows(resolution, lambda rows: self._values(ax[rows, None], ax))
         return _unchecked(WignerGrid, half_extent=half_extent, resolution=resolution,
                           values=values)
+
+
+def _quadratic(m: np.ndarray, dx, dp):
+    """u^T M u at u = (dx, dp) of a symmetric 2x2 matrix (or batch) M, read
+    from its upper triangle."""
+    return m[..., 0, 0] * dx * dx + 2.0 * m[..., 0, 1] * dx * dp + m[..., 1, 1] * dp * dp
 
 
 def _bilinear(values: np.ndarray, half_extent: float, step: float,
@@ -512,8 +555,10 @@ def _etas(states: GaussianSum, index: list[int], loss: LossConfig,
           times: np.ndarray) -> np.ndarray:
     """eta of the states ``index`` of a concatenated batch at ``times``, shared
     (T,) or one row per state (len(index), T), in one batched evolution."""
+    d = states.cov_derivative
     rows = _unchecked(GaussianSum, log_weights=states.log_weights[index, None],
-                      means=states.means[index, None], cov=states.cov[index, None])
+                      means=states.means[index, None], cov=states.cov[index, None],
+                      cov_derivative=None if d is None else d[index, None])
     return negativity_eta(rows.evolve(damped_evolution(loss, times)))
 
 
@@ -627,8 +672,8 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, ...]:
     The last array marks the values that would take Ryu's trailing-zero path
     (a short binary fraction such as 0.5 or an integer), the zeros and
     |x| >= 2^53 (inf and nan too); they read 0 with n = 1 and decpt = 1, and
-    are left to ``repr``.  One pass over the limbs of the power of five gives
-    all three bounds.  Digits go while (vm, vp] holds a multiple of 10^k:
+    all but the zeros are left to ``repr``.  One pass over the limbs of the
+    power of five gives all three bounds.  Digits go while (vm, vp] holds a multiple of 10^k:
     k = 1, 2 and 3 are tested on every value, and only the values past 3 go
     on one digit at a time.  Every array in the uint64 arithmetic is uint64:
     numpy < 2 turns uint64 with int64 into float64, which drops bits.
@@ -690,13 +735,14 @@ def _csv_rows(rows: np.ndarray) -> np.ndarray:
     """The CSV lines of a 2-D block of floats as a uint8 array, each value
     written as ``repr`` writes it: the digits of :func:`_shortest` laid out
     by array operations, one digit of every value a pass, and the values it
-    leaves to ``repr`` by ``repr``."""
+    leaves to ``repr`` but a zero by ``repr``."""
     bits = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1).view(np.uint64)
     out, n, decpt, exact = _shortest(bits)
 
     # repr uses the exponent form when decpt <= -4 (or decpt > 16, which
-    # takes |x| >= 2^53); a value left to repr is laid out as "0.0" here and
-    # then overwritten
+    # takes |x| >= 2^53); a value left to repr is laid out as "0.0" here,
+    # which is repr's own text for a zero (its sign is the value's), and
+    # every other one is then overwritten
     sci = decpt <= -4
     neg = (bits >> 63).astype(np.int16)
     dot = neg + np.maximum(decpt, 1)  # the '.' of every layout
@@ -704,7 +750,7 @@ def _csv_rows(rows: np.ndarray) -> np.ndarray:
     inner = raw >= dot
     last = raw + inner
     length = np.where(sci, last + 5 + (decpt <= -99), np.maximum(last + 1, dot + 2))
-    fallback = np.flatnonzero(exact)
+    fallback = np.flatnonzero(exact & (bits << 1 != 0))
     reprs = [repr(v).encode() for v in bits[fallback].view(np.float64).tolist()]
     length[fallback] = [len(r) for r in reprs]
     end = np.cumsum(length + 1, dtype=np.intp) - 1  # each value's ','

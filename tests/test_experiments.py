@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import without_cpu_dispatch
+from conftest import fock_one_after, without_cpu_dispatch
 
 from pulsox.config import (EXPERIMENTS, ConfigError, ExperimentConfig,
                            load_config, log_grid, parse_config_text)
@@ -21,7 +21,8 @@ from pulsox.experiments import (RUNNERS, config_from_metadata,
                                 run_fidelity_sweep, run_impulse, run_multimode,
                                 run_photon_budget)
 from pulsox.channels import LOSSLESS, LossConfig
-from pulsox import schedule_for_mu, vacuum_infidelity
+from pulsox import mechanical_squeezer, schedule_for_mu, vacuum_infidelity, wigner
+from pulsox.wigner import GridClippingError, grid_to_csv
 from pulsox.table import ResultTable
 
 
@@ -605,13 +606,70 @@ def test_single_mu_runners_read_a_one_point_mu_range(experiment):
     assert tables("0.25:0.25:1") == tables(repr(10.0 ** 0.25))
 
 
+# -- fock squeeze -------------------------------------------------------------
+
+def test_fock_squeeze_eta_is_the_closed_form_at_the_grid_origin():
+    # each row's eta is the sampled origin node (a grid file writes that node
+    # exactly), and equals -2 pi W'_1(0) of its squeezer in closed form
+    cfg = make_config("fock-squeeze")
+    result = run_experiment(cfg)
+    phys = cfg.physical
+    schedule = schedule_for_mu(2.0, phys.phi, phys.ancilla_vsq)
+    rows = result.tables["fock_squeeze"].rows
+    for (eps, eta), name in zip(rows, ["ideal", "eps_1e-02", "eps_5e-02"]):
+        loss = (LossConfig.from_q(phys.q, nbar_m=phys.nbar_m, epsilon=eps) if eps
+                else LossConfig(omega_m=phys.omega_m))
+        grid = result.grids[name]
+        assert eta == -2.0 * math.pi * grid.values[grid.resolution // 2, grid.resolution // 2]
+        closed = -2.0 * math.pi * fock_one_after(mechanical_squeezer(schedule, loss), 0.0, 0.0)
+        assert eta == pytest.approx(closed, rel=1e-14, abs=0.0)
+
+
+def test_fock_squeeze_makes_no_grid_step(monkeypatch):
+    def no_step(grid, channel):
+        raise AssertionError("fock-squeeze made a grid channel step")
+
+    monkeypatch.setattr(wigner, "apply_gaussian_channel", no_step)
+    cfg = make_config("fock-squeeze")
+    cfg.grid.resolution = 64
+    assert len(run_experiment(cfg).grids) == 4
+
+
+@pytest.mark.parametrize("mu, epsilon", [
+    (None, None),
+    # a fixed window of +-16 left 1.28e-3 of the mass outside at the edge of
+    # the benchmark's seeded inputs, and 1.7e-3 at mu = 3, epsilon = 0.05
+    (2.5178508235883346, (0.01, 0.1)), (3.0, (0.05,)),
+    # the fixed window clipped more than 1e-3 of the mass (exit 2)
+    (0.25, None), (4.0, None)])
+def test_the_fock_window_follows_the_state_and_keeps_its_mass(mu, epsilon):
+    cfg = make_config("fock-squeeze")
+    cfg.sweep.mu = (mu,) if mu else ()
+    cfg.sweep.epsilon = epsilon or ()
+    grids = run_experiment(cfg).grids
+    assert len({grid.half_extent for grid in grids.values()}) == 1
+    for name, grid in grids.items():
+        assert grid.half_extent > cfg.grid.half_extent
+        assert abs(grid.total_mass() - 1.0) < 1e-13, name
+
+
+def test_an_undersampled_fock_state_is_a_numerical_failure_naming_the_resolution():
+    cfg = make_config("fock-squeeze")
+    cfg.sweep.mu = (16.0,)
+    with pytest.raises(GridClippingError, match="grid.resolution = 512 undersamples"):
+        run_experiment(cfg)
+    cfg.grid.resolution = 2048  # the masses then depart from 1 by at most 2.0e-12
+    assert len(run_experiment(cfg).grids) == 4
+
+
 # The SHA-256 of each default table's column and row lines (its CSV without
-# the "# " metadata lines).  fock_squeeze is left out: its eta comes from grid
-# nodes whose bytes depend on the CPU's SIMD path (ROADMAP item 15).
+# the "# " metadata lines).  fock_squeeze's eta is sampled from the exact
+# Fock sum, through the complex exp that numpy does not dispatch by CPU.
 # fidelity_sweep and multimode were re-pinned when the squeezer came to be
 # scored in the target's frame: each value moved by at most 1.5e-11 relative.
 DEFAULT_TABLE_SHA256 = {
     "fidelity_sweep": "686ef5c4af4d1e370461a84834fc2cd0aafdb1b2ac6de48087bcf04e2be2f1ff",
+    "fock_squeeze": "70dad2024d3d76dee41f4caeb2a40589f9fe5a231a85c60d6d3c19945d3239e0",
     "impulse": "8c9902631dfc7df88bca027107a6de82642a7e350cfb49bb1eb38ddbafb7909f",
     "multimode": "59ec3c6957ad09a0ec1fa60e75e9683ad2d1a2fedea67eab1220bc6652d2e05e",
     "photon_budget": "75891e0f0eaba7d8941f5aa75ca9de80c441359722cb4f0e219f68a00d316993",
@@ -620,7 +678,7 @@ DEFAULT_TABLE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("experiment", ["fidelity-sweep", "impulse", "multimode",
+@pytest.mark.parametrize("experiment", ["fidelity-sweep", "fock-squeeze", "impulse", "multimode",
                                         "photon-budget", "cat-decay"])
 def test_default_tables_keep_their_bytes(experiment):
     for name, table in run_experiment(make_config(experiment)).tables.items():
@@ -656,6 +714,36 @@ def test_default_tables_do_not_depend_on_the_cpu_dispatch_path():
                   for name, table in run_experiment(make_config(experiment)).tables.items()}
     assert len(disabled) == 7
     assert disabled == in_process
+
+
+_GRIDS_IN_SUBPROCESS = """
+import sys
+from pulsox.config import ExperimentConfig
+from pulsox.experiments import run_experiment
+from pulsox.wigner import grid_to_csv
+config = ExperimentConfig()
+config.experiment = "fock-squeeze"
+for name, grid in run_experiment(config).grids.items():
+    grid_to_csv(grid, f"{sys.argv[1]}/{name}.csv")
+"""
+
+
+def test_default_fock_grid_files_do_not_depend_on_the_cpu_dispatch_path(tmp_path):
+    """The four default fock-squeeze grid files keep their bytes when numpy
+    runs without its SIMD kernels above the build's baseline: a subprocess
+    without them (``conftest.without_cpu_dispatch``) and an in-process run
+    write the same files byte for byte."""
+    disabled, in_process = tmp_path / "disabled", tmp_path / "in_process"
+    disabled.mkdir()
+    in_process.mkdir()
+    subprocess.run([sys.executable, "-c", _GRIDS_IN_SUBPROCESS, str(disabled)],
+                   env=without_cpu_dispatch(), check=True)
+    for name, grid in run_experiment(make_config("fock-squeeze")).grids.items():
+        grid_to_csv(grid, in_process / f"{name}.csv")
+    names = sorted(path.name for path in in_process.iterdir())
+    assert len(names) == 4 and sorted(path.name for path in disabled.iterdir()) == names
+    for name in names:
+        assert (disabled / name).read_bytes() == (in_process / name).read_bytes(), name
 
 
 # -- photon budget / fiber ----------------------------------------------------------------

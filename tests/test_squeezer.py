@@ -895,10 +895,16 @@ def test_cached_quarter_turn_is_frozen_and_equals_a_fresh_rotation(layout):
 
 # -- input checks ------------------------------------------------------------------
 
+def _schedule_with_ancilla(v_sq):
+    """The mu = 2 schedule at the default phi, built directly with ``v_sq``."""
+    s = schedule_for_mu(2.0, 2 * math.pi / 100)
+    return PulseSchedule(chi1=s.chi1, lam=s.lam, chi3=s.chi3, phi=s.phi, ancilla_vsq=v_sq,
+                         ancilla_angle=s.ancilla_angle)
+
+
 @pytest.mark.parametrize("build, fragment", [
     (lambda: PulseSchedule(chi1=math.nan, lam=1.0, chi3=1.0, phi=PHI), "non-finite chi1"),
-    (lambda: PulseSchedule(chi1=1.0, lam=1.0, chi3=1.0, phi=PHI, ancilla_vsq=0.0),
-     "ancilla squeezed variance must be positive"),
+    (lambda: PulseSchedule(chi1=1.0, lam=1.0, chi3=1.0, phi=PHI, ancilla_vsq=0.0), ANCILLA_RULE),
     # cos(phi) + lam chi1 sin(phi) = 0 at phi = pi/4, lam chi1 = -1
     (lambda: chi3_for(1.0, -1.0, math.pi / 4), "singular chi3 denominator"),
     # lam^4 overflows
@@ -945,7 +951,9 @@ def test_cached_quarter_turn_is_frozen_and_equals_a_fresh_rotation(layout):
     (lambda: vacuum_infidelity(schedule_for_mu(2.0, 2 * math.pi / 100, 1e-16), LOSSLESS, 2.0),
      ANCILLA_RULE),
     (lambda: schedule_for_mu(2.0, PHI, 1.1e4), ANCILLA_RULE),
-    (lambda: schedule_for_mu(np.array([0.5, 2.0]), PHI, math.nan), ANCILLA_RULE),
+    (lambda: schedule_for_mu(np.array([0.5, 2.0]), PHI, math.nan), "non-finite ancilla_vsq"),
+    # a schedule built directly holds the same rule
+    (lambda: vacuum_infidelity(_schedule_with_ancilla(1e-16), LOSSLESS, 2.0), ANCILLA_RULE),
     # an infinite kappa would pass bandwidth << kappa for any bandwidth
     (lambda: regime_check(1.0, 1e6, math.inf, 1e8), "rate kappa = inf must be positive"),
     (lambda: regime_check(1.0, 1e6, 1e9, math.inf), "rate pulse_bandwidth = inf must be positive"),
@@ -959,7 +967,8 @@ def test_cached_quarter_turn_is_frozen_and_equals_a_fresh_rotation(layout):
         "approx-budget-mu-tiny", "approx-budget-mu-huge", "schedule-mu-nan", "schedule-mu-inf",
         "target-map-mu-subnormal", "target-map-mu-inf", "approx-budget-mu-subnormal",
         "schedule-chi1-overflow", "schedule-ancilla-tiny", "schedule-ancilla-huge",
-        "schedule-ancilla-nan", "regime-kappa-inf", "regime-bandwidth-inf"])
+        "schedule-ancilla-nan", "schedule-ancilla-direct-tiny", "regime-kappa-inf",
+        "regime-bandwidth-inf"])
 def test_bad_input_is_rejected_with_its_reason(build, fragment):
     with pytest.raises(ValueError, match=fragment):
         build()

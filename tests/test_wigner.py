@@ -9,14 +9,14 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import without_cpu_dispatch
+from conftest import fock_one_after, without_cpu_dispatch
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pulsox import (CatSpec, GaussianChannel, GaussianState, GaussianSum,
                     GridClippingError, HalfLifeResult, LossConfig, MECH, MECH_OPT, WignerGrid,
                     apply_channel, apply_gaussian_channel,
-                    compose, damped_evolution, eta_series,
+                    compose, damped_evolution, eta_series, ideal_target_map,
                     fringe_ellipse, grid_from_csv, grid_to_csv, half_life,
                     mechanical_squeezer, mu_opt,
                     negativity_eta, quadrature_scaling, rotation, schedule_for_mu,
@@ -83,15 +83,21 @@ def test_grid_reads_zero_far_outside(x, p):
 
 # -- constructors -------------------------------------------------------------
 
-@pytest.mark.parametrize("n,w0", [(0, 1.0), (1, -1.0), (2, 1.0), (3, -1.0)])
+def _fock_grid(n):
+    """``wigner_fock(n)`` on the default grid, or for n = "sum-1" the exact
+    sum of the Fock state 1 sampled on it."""
+    return GaussianSum.fock(1).sample(8.0, 512) if n == "sum-1" else wigner_fock(n)
+
+
+@pytest.mark.parametrize("n,w0", [(0, 1.0), (1, -1.0), (2, 1.0), (3, -1.0), ("sum-1", -1.0)])
 def test_fock_origin_parity(n, w0):
-    g = wigner_fock(n)
+    g = _fock_grid(n)
     assert TWO_PI * g.value_at(0.0, 0.0) == pytest.approx(w0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, "sum-1"])
 def test_fock_normalization(n):
-    assert wigner_fock(n).total_mass() == pytest.approx(1.0, abs=1e-4)
+    assert _fock_grid(n).total_mass() == pytest.approx(1.0, abs=1e-4)
 
 
 def test_fock_unsupported_n():
@@ -362,6 +368,48 @@ def test_single_term_sum_follows_covariance_calculus():
                            wigner_gaussian(ref.mean, ref.cov, 8.0, 64).values, atol=1e-15)
 
 
+_FOCK_LOSS = LossConfig.from_q(1e7, nbar_m=4e4, epsilon=1e-2)
+_FOCK_SCHEDULE = schedule_for_mu(2.0, TWO_PI / 100)
+_FOCK_CHANNELS = {
+    "target": [ideal_target_map(2.0, TWO_PI / 100)],
+    "lossless": [mechanical_squeezer(_FOCK_SCHEDULE, LossConfig())],
+    "lossy": [mechanical_squeezer(_FOCK_SCHEDULE, _FOCK_LOSS)],
+    "displaced-damped": [mechanical_squeezer(_FOCK_SCHEDULE, _FOCK_LOSS),
+                         GaussianChannel(np.eye(2), [0.3, -0.2], np.zeros((2, 2)), MECH),
+                         rotation("mech", 0.4, MECH),
+                         damped_evolution(_FOCK_LOSS, 5.0, layout=MECH)],
+}
+
+
+@pytest.mark.parametrize("label", list(_FOCK_CHANNELS))
+def test_evolved_fock_sum_matches_its_closed_form(label):
+    # the sum evolved channel by channel against W'_1 of the composed channel,
+    # computed from 2x2 formulas; none of the points sits near a zero of W
+    channels = _FOCK_CHANNELS[label]
+    state = GaussianSum.fock(1)
+    for channel in channels:
+        state = state.evolve(channel)
+    composed = compose(channels)
+    for x, p in [(0.0, 0.0), (0.5, 0.2), (2.0, -1.0), (-3.0, 0.7), (1.0, 4.0), (6.0, -0.5)]:
+        assert state.value_at(x, p) == pytest.approx(fock_one_after(composed, x, p), rel=1e-13)
+
+
+def test_fock_sum_evolves_in_batches_and_half_life_searches_it():
+    # the covariance derivative follows the batch through evolve,
+    # concatenate and the half-life search's index slices
+    fock = GaussianSum.fock(1)
+    squeezed = fock.evolve(mechanical_squeezer(_FOCK_SCHEDULE, _FOCK_LOSS))
+    times = np.arange(1, ETA_BLOCK + 5) * (TWO_PI / 64)
+    etas = eta_series(squeezed, _FOCK_LOSS, times)
+    assert np.array_equal(etas, [eta_at(squeezed, _FOCK_LOSS, t) for t in times])
+    loss = LossConfig.from_q(1e5, nbar_m=4e4)
+    both = half_life(GaussianSum.concatenate([fock, squeezed]), loss)
+    assert both == [_scalar_scan_half_life(state, loss) for state in (fock, squeezed)]
+    assert all(r.reached and r.tau > 0.0 for r in both)
+    with pytest.raises(ValueError, match="with and without a covariance derivative"):
+        GaussianSum.concatenate([fock, GaussianSum.cat(CatSpec(1.0))])
+
+
 def test_gaussian_sum_rejects_bad_shapes():
     with pytest.raises(ValueError, match="positive-definite"):
         GaussianSum([0.0], [[0.0, 0.0]], np.diag([1.0, -1.0]))
@@ -369,10 +417,11 @@ def test_gaussian_sum_rejects_bad_shapes():
         GaussianSum([0.0, 0.0], [[0.0, 0.0]], np.eye(2))
 
 
+@pytest.mark.parametrize("kind", ["cat", "fock"])
 @settings(max_examples=12)
 @given(alpha=st.floats(0.5, 2.0), mu_pre=st.floats(0.5, 2.0),
        t=st.floats(0.0, 10.0, exclude_min=True))
-def test_exact_sum_matches_grid_oracle(alpha, mu_pre, t):
+def test_exact_sum_matches_grid_oracle(kind, alpha, mu_pre, t):
     # lossy pre-squeezer then damped thermal evolution: one grid step of the
     # composed channel on 512 points against the sum evolved channel by
     # channel and sampled on the same nodes
@@ -380,10 +429,17 @@ def test_exact_sum_matches_grid_oracle(alpha, mu_pre, t):
     schedule = schedule_for_mu(mu_pre, math.pi / 50, 0.5)
     channels = [mechanical_squeezer(schedule, loss), damped_evolution(loss, t, layout=MECH)]
     spec = CatSpec(alpha, "odd")
-    # the anti-squeezed cat reaches (2 alpha + 3.7) / mu along X
-    half_extent = 8.0 if 2 * alpha + 3.7 <= 8.0 * min(mu_pre, 1.0) else 16.0
-    grid0 = wigner_cat(spec, half_extent, 512)
-    exact = GaussianSum.cat(spec)
+    # the anti-squeezed cat reaches (2 alpha + 3.7) / mu along X, the Fock
+    # state 1 (alpha unused) 5 max(mu, 1 / mu) along one axis
+    if kind == "cat":
+        reach = (2 * alpha + 3.7) / min(mu_pre, 1.0)
+    else:
+        reach = 5 * max(mu_pre, 1 / mu_pre)
+    half_extent = 8.0 if reach <= 8.0 else 16.0
+    if kind == "cat":
+        grid0, exact = wigner_cat(spec, half_extent, 512), GaussianSum.cat(spec)
+    else:
+        grid0, exact = wigner_fock(1, half_extent, 512), GaussianSum.fock(1)
     for channel in channels:
         exact = exact.evolve(channel)
     err = np.abs(grid0.evolve(compose(channels)).values
@@ -965,6 +1021,13 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
     (lambda _: wigner_gaussian([0.0, 0.0], np.diag([math.inf, 1.0]), 8.0, 4),
      "non-finite covariance"),
     (lambda _: wigner_fock(1, 8.0, 6), "power of two"),
+    (lambda _: GaussianSum.fock(2), "holds the Fock state n = 1, not n = 2"),
+    (lambda _: GaussianSum([0.0], [[0.0, 0.0]], np.eye(2), [[1.0, math.nan], [math.nan, 1.0]]),
+     "non-finite cov_derivative"),
+    (lambda _: GaussianSum([0.0], [[0.0, 0.0]], np.eye(2), [[1.0, 0.5], [0.0, 1.0]]),
+     "cov_derivative is not symmetric"),
+    (lambda _: GaussianSum([0.0], [[0.0, 0.0]], np.eye(2), np.eye(3)),
+     r"cov_derivative shape \(3, 3\)"),
     (lambda _: GaussianSum.cat(CatSpec(1.0)).sample(math.inf, 64), "half extent must be"),
     (lambda _: CatSpec(math.nan), "cat amplitude must be positive and finite"),
     (lambda _: CatSpec(math.inf), "cat amplitude must be positive and finite"),
@@ -1002,7 +1065,8 @@ _TWO_MODE_CHANNEL = rotation("mech", 0.1, MECH_OPT)
         "half-life-samples", "csv-header", "grid-extent-inf", "grid-extent-nan",
         "csv-extent-inf", "csv-body-nan", "csv-body-inf", "grid-body-nan", "grid-body-inf",
         "sum-log-weight-nan", "sum-mean-inf", "sum-cov-nan", "gaussian-mean-nan",
-        "gaussian-covariance-inf", "fock-resolution", "sample-extent-inf",
+        "gaussian-covariance-inf", "fock-resolution", "sum-fock-n", "sum-derivative-nan",
+        "sum-derivative-asymmetric", "sum-derivative-shape", "sample-extent-inf",
         "cat-alpha-nan", "cat-alpha-inf", "cat-alpha-square-zero", "fringe-alpha-nan", "fringe-mu-inf",
         "mu-opt-nan", "half-life-samples-inf", "half-life-samples-nan",
         "half-life-periods-negative", "half-life-periods-zero", "half-life-periods-nan",
